@@ -9,6 +9,7 @@ certificate, 2 parse/parameter error, 3 enumeration limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -291,7 +292,10 @@ def cmd_experiment(args) -> int:
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it, and building every subparser costs more than parsing does."""
     parser = argparse.ArgumentParser(
         prog="nonzero-cycles",
         description="generate and analyze doubly-labeled graph instances",

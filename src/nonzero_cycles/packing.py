@@ -3,6 +3,13 @@
 All solvers enumerate candidate cycles/paths explicitly and then run a
 deterministic branch-and-bound; ties break lexicographically on sorted
 edge-id tuples.  Intended for desk-scale instances.
+
+The packing search (`_max_disjoint`, for ν with each vertex used once and
+ν½ with each vertex used at most twice) keeps its vertex-use state in int
+bitmasks, hands each branch only the candidates that still fit, and cuts a
+branch when the vertex uses left cannot hold enough further candidates to
+beat the best packing found.  It returns the first optimum in branch order,
+so its answer is the lexicographically smallest optimal index tuple.
 """
 
 from __future__ import annotations
@@ -11,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import groups
-from .cycles import ClassifiedCycle, enumerate_cycles
-from .graphs import Cycle, LabeledGraph, Walk, walk_value
+from .cycles import ClassifiedCycle, classify, enumerate_cycles
+from .graphs import Cycle, GraphFormatError, LabeledGraph, Walk, cycle_from_edges, walk_value
 
 
 @dataclass(frozen=True)
@@ -33,36 +40,67 @@ def _canonical(cands: Sequence[ClassifiedCycle]) -> List[ClassifiedCycle]:
 
 
 def _max_disjoint(items: List[Tuple[FrozenSet[int], FrozenSet[int]]], max_use: int) -> List[int]:
-    """Max selection of (vertex_set, edge_set) items with every vertex used
-    at most `max_use` times and pairwise-distinct edge sets; returns indices
-    of the first optimum in lexicographic branch order."""
-    n = len(items)
+    """Largest selection of (vertex_set, edge_set) items that uses every
+    vertex at most `max_use` times (1 or 2); returns the indices of the
+    lexicographically smallest such selection.
+
+    Only the vertex sets are read: callers pass distinct cycles or paths,
+    so two items with one vertex set may both be chosen.  Every vertex set
+    must be non-empty, which keeps the capacity bound finite.
+
+    Each vertex set becomes an int bitmask, bits in order of first
+    appearance.  The search carries `once`, the vertices one more use would
+    fill (with `max_use=1` every vertex starts there); the vertices that are
+    already full are implicit, because each child gets only the later
+    candidates whose masks miss them.  Choosing an item fills
+    `once & mask`, so only the candidates meeting those vertices drop out,
+    and feasibility only shrinks down a branch.  A branch is cut when even
+    `min(len(cands), capacity // smallest candidate size)` more items, where
+    capacity is `max_use * |V|` minus the vertex uses so far, cannot beat the
+    best found.  Branches run in index order and `best` changes only on a
+    strictly larger selection; a bound cuts only branches that cannot hold
+    one, so the first optimum found is still the one returned.
+    """
+    if max_use not in (1, 2):
+        raise ValueError("max_use must be 1 or 2")
+    bits: Dict[int, int] = {}
+    masks: List[int] = []
+    sizes: List[int] = []
+    for vertex_set, _ in items:
+        if not vertex_set:
+            raise ValueError("every item needs a non-empty vertex set")
+        mask = 0
+        for v in vertex_set:
+            if v not in bits:
+                bits[v] = 1 << len(bits)
+            mask |= bits[v]
+        masks.append(mask)
+        sizes.append(len(vertex_set))
     best: List[int] = []
+    chosen: List[int] = []
 
-    usage: Dict[int, int] = {}
-
-    def feasible(i: int) -> bool:
-        return all(usage.get(v, 0) < max_use for v in items[i][0])
-
-    def search(start: int, chosen: List[int]):
+    def search(cands: List[int], once: int, capacity: int) -> None:
         nonlocal best
         if len(chosen) > len(best):
-            best = list(chosen)
-        if start >= n or len(chosen) + (n - start) <= len(best):
+            best = chosen[:]
+        if not cands:
             return
-        for i in range(start, n):
-            if len(chosen) + (n - i) <= len(best):
+        room = capacity // min(map(sizes.__getitem__, cands))
+        if len(chosen) + min(len(cands), room) <= len(best):
+            return
+        for k, i in enumerate(cands):
+            if len(chosen) + len(cands) - k <= len(best):
                 break
-            if feasible(i):
-                for v in items[i][0]:
-                    usage[v] = usage.get(v, 0) + 1
-                chosen.append(i)
-                search(i + 1, chosen)
-                chosen.pop()
-                for v in items[i][0]:
-                    usage[v] -= 1
+            filled = once & masks[i]
+            rest = cands[k + 1:]
+            if filled:
+                rest = [j for j in rest if not masks[j] & filled]
+            chosen.append(i)
+            search(rest, once ^ masks[i], capacity - sizes[i])
+            chosen.pop()
 
-    search(0, [])
+    everything = (1 << len(bits)) - 1
+    search(list(range(len(items))), everything if max_use == 1 else 0, max_use * len(bits))
     return best
 
 
@@ -134,9 +172,6 @@ def verify_transversal(graph: LabeledGraph, transversal, limit: Optional[int] = 
 
 def verify_packing(graph: LabeledGraph, edge_sets: Sequence[FrozenSet[int]], max_use: int = 1) -> bool:
     """Check the members are doubly-nonzero cycles respecting vertex usage."""
-    from .graphs import cycle_from_edges
-    from .cycles import classify
-
     usage: Dict[int, int] = {}
     seen = set()
     for es in edge_sets:
@@ -146,7 +181,7 @@ def verify_packing(graph: LabeledGraph, edge_sets: Sequence[FrozenSet[int]], max
         seen.add(key)
         try:
             cyc = cycle_from_edges(graph, es)
-        except Exception:
+        except GraphFormatError:
             return False
         if not classify(graph, cyc).doubly_nonzero:
             return False

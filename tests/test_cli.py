@@ -68,6 +68,42 @@ def test_verify_bad_transversal_names_uncovered_cycle(tmp_path, capsys):
     assert "misses the doubly nonzero cycle" in err
 
 
+def test_verify_packing_with_unknown_edge_is_cert_error(tmp_path, capsys):
+    inst = tmp_path / "e.json"
+    cert = tmp_path / "c.json"
+    run(["gen", "escher", "--h", "1", "--out", str(inst)], capsys)
+    cert.write_text(json.dumps({"type": "packing", "cycles": [[99999]]}))
+    code, _, err = run(["verify", str(inst), str(cert)], capsys)
+    assert code == 1
+    assert "violates disjointness" in err
+
+
+def test_verify_escher_h3_obstruction_by_enumeration(tmp_path, capsys):
+    # the Escher wall is not a two-linkage instance, so verify enumerates its
+    # 1,016 doubly nonzero cycles and packs them half-integrally
+    inst = tmp_path / "e.json"
+    cert = tmp_path / "c.json"
+    run(["gen", "escher", "--h", "3", "--out", str(inst)], capsys)
+    cert.write_text(json.dumps({"type": "obstruction", "h": 3}))
+    code, out, _ = run(["verify", str(inst), str(cert)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["nu_ok"] is True
+    assert (report["method"], report["nu_half"], report["tau"]) == ("enumeration", 5, 3)
+
+
+def test_parser_is_built_once_and_reused_after_errors(capsys):
+    assert cli._parser() is cli._parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "nosuchkind"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "invalid choice" in errors[0]
+
+
 def test_verify_good_transversal(tmp_path, capsys):
     inst = tmp_path / "e.json"
     cert = tmp_path / "c.json"

@@ -1,10 +1,15 @@
 import itertools
 import random
+from collections import Counter
+
+import pytest
 
 from nonzero_cycles import groups
 from nonzero_cycles.cycles import enumerate_cycles
 from nonzero_cycles.graphs import Edge, LabeledGraph
+from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
+    _max_disjoint,
     a_path_pack_and_cover,
     enumerate_nonzero_a_paths,
     pack_and_cover,
@@ -46,6 +51,17 @@ def brute_force_nu(graph, max_use):
     return best
 
 
+def lexmin_max_disjoint(items, max_use):
+    """The lexicographically smallest index tuple of maximum size whose
+    vertex sets use no vertex more than `max_use` times."""
+    for k in range(len(items), 0, -1):
+        for combo in itertools.combinations(range(len(items)), k):
+            usage = Counter(v for i in combo for v in items[i][0])
+            if all(n <= max_use for n in usage.values()):
+                return list(combo)
+    return []
+
+
 def brute_force_tau(graph):
     cycles = [c.rep.vertex_set() for c in enumerate_cycles(graph) if c.doubly_nonzero]
     if not cycles:
@@ -72,6 +88,11 @@ def test_pack_and_cover_matches_brute_force():
         assert report.nu == brute_force_nu(g, 1)
         assert report.nu_half == brute_force_nu(g, 2)
         assert report.tau == brute_force_tau(g)
+        # the witnesses are the lexicographically first optima over the
+        # cycles in enumeration order
+        items = [(c.rep.vertex_set(), c.edges) for c in cycles]
+        for found, max_use in ((report.packing, 1), (report.half_packing, 2)):
+            assert found == tuple(cycles[i].edges for i in lexmin_max_disjoint(items, max_use))
         assert verify_packing(g, report.packing, max_use=1)
         assert verify_packing(g, report.half_packing, max_use=2)
         assert verify_transversal(g, report.transversal)
@@ -132,3 +153,68 @@ def test_a_paths_enumeration_and_duality():
         rest = g.without_vertices(report.cover)
         surviving_terms = [t for t in terms if t in rest.vertices]
         assert not enumerate_nonzero_a_paths(rest, surviving_terms)
+
+
+def random_family(rng):
+    """Up to 12 items over a few vertices, with loops (one vertex) and items
+    that repeat an earlier vertex set under a new edge set."""
+    n = rng.randint(1, 8)
+    items = []
+    for eid in range(rng.randint(0, 12)):
+        if items and rng.random() < 0.25:
+            vertex_set = rng.choice(items)[0]
+        else:
+            size = min(n, rng.choice((1, 1, 2, 3, 4)))
+            vertex_set = frozenset(rng.sample(range(n), size))
+        items.append((vertex_set, frozenset({eid})))
+    return items
+
+
+@pytest.mark.parametrize("max_use", [1, 2])
+def test_max_disjoint_is_lexmin_optimum_on_random_families(max_use):
+    rng = random.Random(40 + max_use)
+    loops = shared = 0
+    for _ in range(250):
+        items = random_family(rng)
+        vertex_sets = [vs for vs, _ in items]
+        loops += any(len(vs) == 1 for vs in vertex_sets)
+        shared += len(set(vertex_sets)) < len(vertex_sets)
+        assert _max_disjoint(items, max_use) == lexmin_max_disjoint(items, max_use)
+    assert loops > 60 and shared > 60
+
+
+@pytest.mark.parametrize("max_use", [1, 2])
+def test_max_disjoint_is_lexmin_optimum_on_a_path_families(max_use):
+    rng = random.Random(80 + max_use)
+    done = 0
+    while done < 40:
+        g = random_graph(Z3, rng, n_max=7, m_max=10)
+        terms = sorted(rng.sample(sorted(g.vertices), min(len(g.vertices), rng.randint(2, 4))))
+        paths = enumerate_nonzero_a_paths(g, terms)
+        if not paths or len(paths) > 12:
+            continue
+        done += 1
+        items = [(frozenset(w.vertices), w.edge_set()) for w in paths]
+        expected = lexmin_max_disjoint(items, max_use)
+        assert _max_disjoint(items, max_use) == expected
+        if max_use == 1:
+            report = a_path_pack_and_cover(g, terms)
+            assert report.packing == tuple(paths[i] for i in expected)
+
+
+def test_max_disjoint_rejects_empty_vertex_sets_and_other_use_limits():
+    with pytest.raises(ValueError):
+        _max_disjoint([(frozenset({0}), frozenset({0})), (frozenset(), frozenset({1}))], 1)
+    with pytest.raises(ValueError):
+        _max_disjoint([(frozenset({0}), frozenset({0}))], 3)
+
+
+def test_escher_wall_h3_packing_numbers():
+    # nu = 1, nu_half = 5 and tau = 3 over the 1,016 doubly nonzero cycles,
+    # cross-checked with an integer program (scipy.optimize.milp).
+    g = escher_wall(3)
+    report = pack_and_cover(g)
+    assert (report.nu, report.nu_half, report.tau) == (1, 5, 3)
+    assert verify_packing(g, report.half_packing, max_use=2)
+    assert verify_packing(g, report.packing, max_use=1)
+    assert verify_transversal(g, report.transversal)
