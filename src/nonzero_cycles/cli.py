@@ -155,6 +155,7 @@ def cmd_analyze(args) -> int:
     graph = _load_graph(args.file)
     checks = args.checks.split(",") if args.checks else ["bipartite", "robust", "classify"]
     report = {}
+    found = None  # the cycles, enumerated once for robust and classify
     for check in checks:
         if check == "bipartite":
             flat, data = is_gamma_bipartite(graph)
@@ -166,7 +167,9 @@ def cmd_analyze(args) -> int:
             else:
                 report["bipartite_witness"] = sorted(data.edges)
         elif check == "robust":
-            ok, witness = cycles.is_robust(graph, limit=args.limit)
+            if found is None:
+                found = cycles.enumerate_cycles(graph, limit=args.limit)
+            ok, witness = cycles.is_robust(graph, cycles=found)
             report["robust"] = ok
             if witness is not None:
                 report["robust_witness"] = {
@@ -175,7 +178,8 @@ def cmd_analyze(args) -> int:
                     "second": sorted(witness.second.edges),
                 }
         elif check == "classify":
-            found = cycles.enumerate_cycles(graph, limit=args.limit)
+            if found is None:
+                found = cycles.enumerate_cycles(graph, limit=args.limit)
             report["classify"] = {
                 "cycles": len(found),
                 "nonzero_first": sum(1 for c in found if c.nonzero_in(0)),
@@ -231,12 +235,28 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _cert_int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CliError(f"bad certificate: {field} entry {value!r} is not an integer", PARSE_ERROR)
+
+
+def _cert_ints(values, field: str) -> frozenset:
+    try:
+        return frozenset(_cert_int(v, field) for v in values)
+    except TypeError:
+        raise CliError(f"bad certificate: {field} {values!r} is not a list of integers", PARSE_ERROR)
+
+
 def cmd_verify(args) -> int:
     graph = _load_graph(args.file)
     cert = _load(args.certificate)
+    if not isinstance(cert, dict):
+        raise CliError("bad certificate: expected a JSON object", PARSE_ERROR)
     kind = cert.get("type")
     if kind == "transversal":
-        removed = frozenset(int(v) for v in cert.get("vertices", ()))
+        removed = _cert_ints(cert.get("vertices", ()), "vertices")
         rest = graph.without_vertices(removed)
         for c in cycles.enumerate_cycles(rest, limit=args.limit):
             if c.doubly_nonzero:
@@ -248,14 +268,14 @@ def cmd_verify(args) -> int:
         _dump({"verified": True, "type": "transversal"}, args.out)
         return 0
     if kind == "packing":
-        edge_sets = [frozenset(int(e) for e in es) for es in cert.get("cycles", ())]
-        max_use = int(cert.get("max_use", 1))
+        edge_sets = [_cert_ints(es, "cycles") for es in cert.get("cycles", ())]
+        max_use = _cert_int(cert.get("max_use", 1), "max_use")
         if not packing.verify_packing(graph, edge_sets, max_use=max_use):
             raise CliError("packing certificate violates disjointness", CERT_ERROR)
         _dump({"verified": True, "type": "packing"}, args.out)
         return 0
     if kind == "obstruction":
-        h = int(cert.get("h", 1))
+        h = _cert_int(cert.get("h", 1), "h")
         report = verify_obstruction(graph, h, limit=args.limit)
         if not report["nu_ok"]:
             raise CliError("instance packs more or fewer than one cycle", CERT_ERROR)

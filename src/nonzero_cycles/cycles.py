@@ -3,6 +3,10 @@
 A cycle is identified with its edge set; representatives store one rooted
 traversal.  For direct-sum labels each coordinate is classified separately,
 for a single group both coordinates coincide.
+
+Enumeration runs one DFS per root over `LabeledGraph.adjacency()`, with the
+vertices on the current path, the root and every vertex before the root
+held in one int bitmask.
 """
 
 from __future__ import annotations
@@ -77,29 +81,31 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
                 )
             found[key] = Cycle(verts, eids)
 
-    order = {v: i for i, v in enumerate(sorted(graph.vertices))}
-    for root in sorted(graph.vertices):
+    # a DFS path from `root` may use only vertices after root in sorted
+    # order, so the bits of root and every earlier vertex start out used
+    adjacency = graph.adjacency()
+    order = sorted(graph.vertices)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    before = 0
+    for root in order:
+        before |= bit[root]
         for eid in graph.incident(root):
             e = graph.edge(eid)
             if e.tail == e.head:
-                if e.tail == root:
-                    record((root, root), (eid,))
-        # DFS over paths from root using only vertices ordered after root
-        stack = [(root, [root], [], {root})]
+                record((root, root), (eid,))
+        stack = [(root, (root,), (), before, None)]
         while stack:
-            v, verts, eids, used = stack.pop()
-            for eid in graph.incident(v):
-                e = graph.edge(eid)
-                if e.tail == e.head or (eids and eid == eids[-1]):
+            v, verts, eids, used, last = stack.pop()
+            for eid, w in adjacency[v]:
+                if eid == last:
                     continue
-                w = e.head if v == e.tail else e.tail
                 if w == root:
-                    if len(eids) >= 1 and eid not in eids:
-                        record(tuple(verts) + (root,), tuple(eids) + (eid,))
+                    record(verts + (root,), eids + (eid,))
                     continue
-                if w in used or order[w] < order[root]:
+                b = bit[w]
+                if used & b:
                     continue
-                stack.append((w, verts + [w], eids + [eid], used | {w}))
+                stack.append((w, verts + (w,), eids + (eid,), used | b, eid))
     cycles = [classify(graph, c) for c in found.values()]
     cycles.sort(key=lambda c: c.canonical_key())
     return cycles
@@ -137,22 +143,29 @@ def rooted_coordinate_values(graph: LabeledGraph, cycle: Cycle, root: int, i: in
     return vals
 
 
-def is_robust(graph: LabeledGraph, limit: Optional[int] = None):
+def is_robust(
+    graph: LabeledGraph,
+    limit: Optional[int] = None,
+    cycles: Optional[List[ClassifiedCycle]] = None,
+):
     """Check the no-two-confusable-cycles condition in every coordinate.
 
     Two distinct cycles are confusable in coordinate i when they are both
     nonzero there, every shared edge lies on some zero cycle of that
     coordinate, they share at least one edge, and from some common start
     vertex they can be traversed with equal values.  Returns (True, None)
-    or (False, witness).
+    or (False, witness).  `cycles`, when given, is the output of
+    `enumerate_cycles(graph)`, and saves enumerating again.
     """
-    cycles = enumerate_cycles(graph, limit)
+    if cycles is None:
+        cycles = enumerate_cycles(graph, limit)
     coords = 2 if graph.descriptor.kind == groups.KIND_DIRECT_SUM else 1
     for i in range(coords):
         zi = zero_edge_set(graph, i, cycles)
         hot = [c for c in cycles if c.nonzero_in(i)]
         abelian = _coordinate_abelian(graph.descriptor, i)
         vals = {}
+        rooted = {}  # (index in hot, root) -> rooted_coordinate_values
         if abelian:
             for c in hot:
                 v = coordinate_values(graph, c.rep)[i]
@@ -172,9 +185,11 @@ def is_robust(graph: LabeledGraph, limit: Optional[int] = None):
                         return False, RobustnessWitness(i, c1.rep.rooted_at(root), c2.rep.rooted_at(root), root)
                 else:
                     for root in sorted(common):
-                        v1 = rooted_coordinate_values(graph, c1.rep, root, i)
-                        v2 = rooted_coordinate_values(graph, c2.rep, root, i)
-                        if v1 & v2:
+                        if (a, root) not in rooted:
+                            rooted[a, root] = rooted_coordinate_values(graph, c1.rep, root, i)
+                        if (b, root) not in rooted:
+                            rooted[b, root] = rooted_coordinate_values(graph, c2.rep, root, i)
+                        if rooted[a, root] & rooted[b, root]:
                             return False, RobustnessWitness(i, c1.rep.rooted_at(root), c2.rep.rooted_at(root), root)
     return True, None
 

@@ -3,12 +3,20 @@
 Edges are oriented (tail -> head) and carry a group label.  The label of
 an edge seen from its head is the label itself; seen from its tail it is
 the inverse.  Loops and parallel edges are allowed.
+
+A graph builds two read-only tables lazily, once each, for the hot loops:
+`steps()`, per edge its tail, head and the raw label payloads (see
+`groups.Table`) seen arriving at either end, which `walk_value` folds; and
+`adjacency()`, per vertex its non-loop `(eid, neighbour)` pairs in
+`incident` order, which cycle and A-path enumeration and the chord router
+walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import groups
 from .groups import GroupDescriptor, GroupElement
@@ -32,7 +40,7 @@ class Edge(NamedTuple):
 class LabeledGraph:
     """Immutable multigraph with group-labeled oriented edges."""
 
-    __slots__ = ("descriptor", "_vertices", "_edges", "_incident")
+    __slots__ = ("descriptor", "_vertices", "_edges", "_incident", "_steps", "_adjacency")
 
     def __init__(
         self,
@@ -58,6 +66,8 @@ class LabeledGraph:
             if e.head != e.tail:
                 incident[e.head].append(e.id)
         self._incident = {v: tuple(sorted(eids)) for v, eids in incident.items()}
+        self._steps: Optional[Mapping[int, Tuple[int, int, object, object]]] = None
+        self._adjacency: Optional[Mapping[int, Tuple[Tuple[int, int], ...]]] = None
 
     @property
     def vertices(self) -> frozenset:
@@ -75,6 +85,35 @@ class LabeledGraph:
 
     def incident(self, v: int) -> Tuple[int, ...]:
         return self._incident.get(v, ())
+
+    def steps(self) -> Mapping[int, Tuple[int, int, object, object]]:
+        """Read-only `eid -> (tail, head, forward, backward)`, where forward
+        is the raw payload (see `groups.Table`) of the label as seen
+        arriving at the head and backward as seen arriving at the tail; a
+        loop contributes its label either way.  Built on first use."""
+        if self._steps is None:
+            t = groups.table(self.descriptor)
+            steps = {}
+            for e in self._edges.values():
+                fwd = t.unwrap(e.label)
+                steps[e.id] = (e.tail, e.head, fwd, fwd if e.tail == e.head else t.neg(fwd))
+            self._steps = MappingProxyType(steps)
+        return self._steps
+
+    def adjacency(self) -> Mapping[int, Tuple[Tuple[int, int], ...]]:
+        """Read-only `v -> ((eid, neighbour), ...)` over the non-loop edges at
+        v, in `incident(v)` order.  Built on first use."""
+        if self._adjacency is None:
+            adj = {}
+            for v, eids in self._incident.items():
+                pairs = []
+                for eid in eids:
+                    e = self._edges[eid]
+                    if e.tail != e.head:
+                        pairs.append((eid, e.head if e.tail == v else e.tail))
+                adj[v] = tuple(pairs)
+            self._adjacency = MappingProxyType(adj)
+        return self._adjacency
 
     def edge_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self._edges))
@@ -237,20 +276,30 @@ class Cycle(Walk):
 
 
 def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
-    """Ordered sum of edge labels as seen from each step's arrival vertex."""
-    walk.validate(graph)
-    total = groups.identity(graph.descriptor)
+    """Ordered sum of edge labels as seen from each step's arrival vertex.
+
+    Checks each step as `Walk.validate` does, with the same errors, while
+    folding the raw payloads of `graph.steps()`."""
+    t = groups.table(graph.descriptor)
+    steps = graph.steps()
+    add = t.add
+    total = t.zero
+    verts = walk.vertices
+    u = verts[0]
     for i, eid in enumerate(walk.edges):
-        e = graph.edge(eid)
-        arrive = walk.vertices[i + 1]
-        if e.tail == e.head:
-            step = e.label  # loop traversal contributes the label itself
-        elif arrive == e.head:
-            step = e.label
+        try:
+            tail, head, fwd, bwd = steps[eid]
+        except KeyError:
+            raise GraphFormatError(f"no edge with id {eid}") from None
+        v = verts[i + 1]
+        if u == tail and v == head:
+            total = add(total, fwd)
+        elif u == head and v == tail:
+            total = add(total, bwd)
         else:
-            step = groups.inv(e.label)
-        total = groups.op(total, step)
-    return total
+            raise GraphFormatError(f"step {i} of walk does not follow edge {eid}")
+        u = v
+    return t.wrap(total)
 
 
 def cycle_from_edges(graph: LabeledGraph, edge_ids: Iterable[int], root: Optional[int] = None) -> Cycle:

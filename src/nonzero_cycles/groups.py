@@ -6,12 +6,22 @@ direct sums of two groups, and finitely generated abelian groups given
 as quotients of Z^k (canonicalised through invariant factors).
 
 Elements are immutable and hashable; all arithmetic is exact.
+
+Each descriptor compiles its arithmetic once, on first use, into a
+`Table`: add, negate and zero over raw payloads, plus wrap and unwrap
+between raw payloads and `GroupElement`s.  It is the only place that
+switches on the kind of group for arithmetic; `op`, `inv`, `identity` and
+`is_zero` go through it.  A free-group sum cancels only at the seam of two
+reduced words, and a direct sum pairs the tables of its summands.  Hot
+loops (`graphs.walk_value`) unwrap once, fold raw payloads and wrap once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+import functools
+import operator
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 KIND_INTEGERS = "Z"
 KIND_CYCLIC = "Zn"
@@ -34,6 +44,8 @@ class GroupDescriptor:
     kind: str
     n: int = 0
     parts: tuple = ()
+    # compiled arithmetic, filled in by `table` on first use
+    _table: Optional["Table"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == KIND_CYCLIC and self.n < 1:
@@ -55,6 +67,9 @@ class GroupDescriptor:
 
     def __str__(self) -> str:
         return format_descriptor(self)
+
+    def __reduce__(self):
+        return GroupDescriptor, (self.kind, self.n, self.parts)
 
 
 @dataclass(frozen=True)
@@ -121,20 +136,8 @@ def quotient(factors: Iterable[int]) -> GroupDescriptor:
 
 
 def identity(desc: GroupDescriptor) -> GroupElement:
-    k = desc.kind
-    if k == KIND_INTEGERS:
-        return GroupElement(desc, 0)
-    if k == KIND_CYCLIC:
-        return GroupElement(desc, 0)
-    if k == KIND_FREE_ABELIAN:
-        return GroupElement(desc, (0,) * desc.n)
-    if k == KIND_FREE_GROUP:
-        return GroupElement(desc, ())
-    if k == KIND_DIRECT_SUM:
-        return GroupElement(desc, (identity(desc.parts[0]), identity(desc.parts[1])))
-    if k == KIND_QUOTIENT:
-        return GroupElement(desc, (0,) * len(desc.parts))
-    raise GroupParseError(f"unknown group kind {k!r}")
+    t = table(desc)
+    return t.wrap(t.zero)
 
 
 def element(desc: GroupDescriptor, payload) -> GroupElement:
@@ -182,50 +185,102 @@ def _reduce_word(word: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def op(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.descriptor != b.descriptor:
-        raise GroupParseError("operands live in different groups")
-    desc = a.descriptor
+class Table(NamedTuple):
+    """The arithmetic of one group over raw payloads.
+
+    For every kind but a direct sum the raw payload is the element's
+    payload; a direct sum's raw payload is the pair of its summands' raw
+    payloads.  `wrap` and `unwrap` convert between raw payloads and
+    `GroupElement`s, so a long computation unwraps its inputs once, folds
+    `add` and `neg` over raw values, and wraps the result once.
+    """
+
+    add: Callable[[Any, Any], Any]
+    neg: Callable[[Any], Any]
+    zero: Any
+    wrap: Callable[[Any], GroupElement]
+    unwrap: Callable[[GroupElement], Any]
+
+
+def table(desc: GroupDescriptor) -> Table:
+    """The compiled arithmetic of `desc`, built on first use and kept on
+    the descriptor."""
+    t = desc._table
+    if t is None:
+        t = _compile(desc)
+        object.__setattr__(desc, "_table", t)
+    return t
+
+
+def _compile(desc: GroupDescriptor) -> Table:
     k = desc.kind
+    wrap = functools.partial(GroupElement, desc)
+    unwrap = operator.attrgetter("payload")
     if k == KIND_INTEGERS:
-        return GroupElement(desc, a.payload + b.payload)
+        return Table(operator.add, operator.neg, 0, wrap, unwrap)
     if k == KIND_CYCLIC:
-        return GroupElement(desc, (a.payload + b.payload) % desc.n)
+        n = desc.n
+        return Table(lambda p, q: (p + q) % n, lambda p: -p % n, 0, wrap, unwrap)
     if k == KIND_FREE_ABELIAN:
-        return GroupElement(desc, tuple(x + y for x, y in zip(a.payload, b.payload)))
+        return Table(
+            lambda p, q: tuple(map(operator.add, p, q)),
+            lambda p: tuple(map(operator.neg, p)),
+            (0,) * desc.n,
+            wrap,
+            unwrap,
+        )
     if k == KIND_FREE_GROUP:
-        return GroupElement(desc, _reduce_word(a.payload + b.payload))
+
+        def add(p, q):
+            # both words are reduced, so letters cancel only at the seam
+            if not p or not q or p[-1] != -q[0]:
+                return p + q
+            i, m = 1, min(len(p), len(q))
+            while i < m and p[-1 - i] == -q[i]:
+                i += 1
+            return p[: len(p) - i] + q[i:]
+
+        # inversion reverses the word and negates each letter
+        return Table(add, lambda p: tuple(-x for x in reversed(p)), (), wrap, unwrap)
     if k == KIND_DIRECT_SUM:
-        return GroupElement(desc, (op(a.payload[0], b.payload[0]), op(a.payload[1], b.payload[1])))
+        left, right = table(desc.parts[0]), table(desc.parts[1])
+        ladd, radd, lneg, rneg = left.add, right.add, left.neg, right.neg
+        lwrap, rwrap, lunwrap, runwrap = left.wrap, right.wrap, left.unwrap, right.unwrap
+        return Table(
+            lambda p, q: (ladd(p[0], q[0]), radd(p[1], q[1])),
+            lambda p: (lneg(p[0]), rneg(p[1])),
+            (left.zero, right.zero),
+            lambda p: GroupElement(desc, (lwrap(p[0]), rwrap(p[1]))),
+            lambda a: (lunwrap(a.payload[0]), runwrap(a.payload[1])),
+        )
     if k == KIND_QUOTIENT:
-        return GroupElement(
-            desc,
-            tuple((x + y) % d if d else x + y for x, y, d in zip(a.payload, b.payload, desc.parts)),
+        factors = desc.parts
+        return Table(
+            lambda p, q: tuple((x + y) % d if d else x + y for x, y, d in zip(p, q, factors)),
+            lambda p: tuple(-x % d if d else -x for x, d in zip(p, factors)),
+            (0,) * len(factors),
+            wrap,
+            unwrap,
         )
     raise GroupParseError(f"unknown group kind {k!r}")
 
 
-def inv(a: GroupElement) -> GroupElement:
+def op(a: GroupElement, b: GroupElement) -> GroupElement:
     desc = a.descriptor
-    k = desc.kind
-    if k == KIND_INTEGERS:
-        return GroupElement(desc, -a.payload)
-    if k == KIND_CYCLIC:
-        return GroupElement(desc, (-a.payload) % desc.n)
-    if k == KIND_FREE_ABELIAN:
-        return GroupElement(desc, tuple(-x for x in a.payload))
-    if k == KIND_FREE_GROUP:
-        # inversion reverses the word and negates each letter
-        return GroupElement(desc, tuple(-x for x in reversed(a.payload)))
-    if k == KIND_DIRECT_SUM:
-        return GroupElement(desc, (inv(a.payload[0]), inv(a.payload[1])))
-    if k == KIND_QUOTIENT:
-        return GroupElement(desc, tuple((-x) % d if d else -x for x, d in zip(a.payload, desc.parts)))
-    raise GroupParseError(f"unknown group kind {k!r}")
+    if b.descriptor is not desc and b.descriptor != desc:
+        raise GroupParseError("operands live in different groups")
+    t = table(desc)
+    return t.wrap(t.add(t.unwrap(a), t.unwrap(b)))
+
+
+def inv(a: GroupElement) -> GroupElement:
+    t = table(a.descriptor)
+    return t.wrap(t.neg(t.unwrap(a)))
 
 
 def is_zero(a: GroupElement) -> bool:
-    return a == identity(a.descriptor)
+    t = table(a.descriptor)
+    return t.unwrap(a) == t.zero
 
 
 def project(a: GroupElement, side: int) -> GroupElement:

@@ -334,6 +334,7 @@ def _bfs_walk(graph: LabeledGraph, s: int, t: int, blocked) -> Optional[Walk]:
     if s == t:
         return None
     parent: Dict[int, Tuple[int, int]] = {s: (-1, -1)}
+    adjacency = graph.adjacency()
     queue = deque([s])
     while queue:
         v = queue.popleft()
@@ -344,8 +345,7 @@ def _bfs_walk(graph: LabeledGraph, s: int, t: int, blocked) -> Optional[Walk]:
                 eids.append(pe)
                 verts.append(pv)
             return Walk(tuple(reversed(verts)), tuple(reversed(eids)))
-        for eid in graph.incident(v):
-            w = graph.other_end(eid, v)
+        for eid, w in adjacency.get(v, ()):
             if w in parent or (w in blocked and w != t):
                 continue
             parent[w] = (v, eid)

@@ -9,7 +9,12 @@ The packing search (`_max_disjoint`, for ν with each vertex used once and
 bitmasks, hands each branch only the candidates that still fit, and cuts a
 branch when the vertex uses left cannot hold enough further candidates to
 beat the best packing found.  It returns the first optimum in branch order,
-so its answer is the lexicographically smallest optimal index tuple.
+so its answer is the lexicographically smallest optimal index tuple.  The
+branches live on an explicit stack, so a packing of any size stays clear of
+the interpreter's recursion limit.
+
+A-path enumeration walks `LabeledGraph.adjacency()` and obeys the same
+limit, `NONZERO_CYCLES_LIMIT` included, as cycle enumeration.
 """
 
 from __future__ import annotations
@@ -18,7 +23,14 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import groups
-from .cycles import ClassifiedCycle, classify, enumerate_cycles
+from .cycles import (
+    LIMIT_ENV_VAR,
+    ClassifiedCycle,
+    EnumerationLimitError,
+    classify,
+    enumerate_cycles,
+    enumeration_limit,
+)
 from .graphs import Cycle, GraphFormatError, LabeledGraph, Walk, cycle_from_edges, walk_value
 
 
@@ -59,7 +71,8 @@ def _max_disjoint(items: List[Tuple[FrozenSet[int], FrozenSet[int]]], max_use: i
     capacity is `max_use * |V|` minus the vertex uses so far, cannot beat the
     best found.  Branches run in index order and `best` changes only on a
     strictly larger selection; a bound cuts only branches that cannot hold
-    one, so the first optimum found is still the one returned.
+    one, so the first optimum found is still the one returned.  The search
+    keeps its open branches on an explicit stack rather than recursing.
     """
     if max_use not in (1, 2):
         raise ValueError("max_use must be 1 or 2")
@@ -78,30 +91,38 @@ def _max_disjoint(items: List[Tuple[FrozenSet[int], FrozenSet[int]]], max_use: i
         sizes.append(len(vertex_set))
     best: List[int] = []
     chosen: List[int] = []
+    # the open branches above the current one, as (candidates, once,
+    # capacity, next position); the current branch chose all of `chosen`,
+    # and a branch whose next position is len(candidates) is finished
+    above: List[Tuple[List[int], int, int, int]] = []
 
-    def search(cands: List[int], once: int, capacity: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen[:]
-        if not cands:
-            return
+    def promising(cands: List[int], capacity: int, depth: int) -> bool:
         room = capacity // min(map(sizes.__getitem__, cands))
-        if len(chosen) + min(len(cands), room) <= len(best):
-            return
-        for k, i in enumerate(cands):
-            if len(chosen) + len(cands) - k <= len(best):
-                break
-            filled = once & masks[i]
-            rest = cands[k + 1:]
-            if filled:
-                rest = [j for j in rest if not masks[j] & filled]
-            chosen.append(i)
-            search(rest, once ^ masks[i], capacity - sizes[i])
-            chosen.pop()
+        return depth + min(len(cands), room) > len(best)
 
-    everything = (1 << len(bits)) - 1
-    search(list(range(len(items))), everything if max_use == 1 else 0, max_use * len(bits))
-    return best
+    cands = list(range(len(items)))
+    once = (1 << len(bits)) - 1 if max_use == 1 else 0
+    capacity = max_use * len(bits)
+    k = 0 if cands and promising(cands, capacity, 0) else len(cands)
+    while True:
+        if k == len(cands) or len(chosen) + len(cands) - k <= len(best):
+            if not above:
+                return best
+            cands, once, capacity, k = above.pop()
+            chosen.pop()
+            continue
+        i = cands[k]
+        k += 1
+        if len(chosen) >= len(best):
+            best = chosen + [i]
+        rest = cands[k:]
+        filled = once & masks[i]
+        if filled:
+            rest = [j for j in rest if not masks[j] & filled]
+        if rest and promising(rest, capacity - sizes[i], len(chosen) + 1):
+            above.append((cands, once, capacity, k))
+            chosen.append(i)
+            cands, once, capacity, k = rest, once ^ masks[i], capacity - sizes[i], 0
 
 
 def _min_hitting_set(sets: List[FrozenSet[int]]) -> FrozenSet[int]:
@@ -208,34 +229,30 @@ class APathReport:
 def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[int] = None) -> List[Walk]:
     """All nonzero-valued paths with both (distinct) ends in `terminals`
     and no internal vertex there."""
-    ceiling = limit if limit is not None else 10**6
+    ceiling = enumeration_limit(limit)
     a_set = set(terminals)
     if not a_set <= graph.vertices:
         raise ValueError("terminals must be vertices of the graph")
+    adjacency = graph.adjacency()
     found: Dict[Tuple[FrozenSet[int], FrozenSet[int]], Walk] = {}
     for start in sorted(a_set):
         stack = [(start, (start,), (), {start})]
         while stack:
             v, verts, eids, used = stack.pop()
-            for eid in graph.incident(v):
-                e = graph.edge(eid)
-                if e.tail == e.head or (eids and eid == eids[-1]) or eid in eids:
-                    continue
-                w = graph.other_end(eid, v)
+            for eid, w in adjacency[v]:
                 if w in used:
                     continue
-                walk = Walk(verts + (w,), eids + (eid,))
                 if w in a_set:
                     if w > start:
-                        key = (walk.edge_set(), frozenset((start, w)))
+                        key = (frozenset(eids + (eid,)), frozenset((start, w)))
                         if key not in found:
                             if len(found) >= ceiling:
-                                from .cycles import EnumerationLimitError
-
-                                raise EnumerationLimitError("too many A-paths")
-                            found[key] = walk
+                                raise EnumerationLimitError(
+                                    f"more than {ceiling} A-paths; raise {LIMIT_ENV_VAR} to continue"
+                                )
+                            found[key] = Walk(verts + (w,), eids + (eid,))
                     continue
-                stack.append((w, walk.vertices, walk.edges, used | {w}))
+                stack.append((w, verts + (w,), eids + (eid,), used | {w}))
     hot = [w for w in found.values() if not groups.is_zero(walk_value(graph, w))]
     hot.sort(key=lambda w: (len(w.edges), tuple(sorted(w.edges))))
     return hot

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +189,39 @@ def test_experiment_deterministic(tmp_path, capsys, seed):
     text = outs[0].decode()
     assert text.startswith("index\tn\tm\tnu\tnu_half\ttau\n")
     assert "max tau/nu_half" in text
+
+
+ANALYZE_GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_walls.json").read_text())
+
+
+@pytest.mark.parametrize("case", ANALYZE_GOLDEN, ids=lambda c: c["name"])
+def test_analyze_stdout_on_labelled_3_walls_is_pinned(case, tmp_path, capsys):
+    # stdout as the uncompiled arithmetic and enumeration printed it; the
+    # sum(free2,free2) witness case compares rooted values root by root
+    inst = tmp_path / "w.json"
+    inst.write_text(json.dumps(case["graph"]))
+    code, out, _ = run(["analyze", str(inst)], capsys)
+    assert code == 0
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        {"type": "packing", "cycles": [["x"]]},
+        {"type": "packing", "cycles": [5]},
+        {"type": "packing", "cycles": [[0, 1]], "max_use": "two"},
+        {"type": "transversal", "vertices": [0, None]},
+        {"type": "obstruction", "h": "x"},
+        [{"type": "packing", "cycles": []}],
+    ],
+)
+def test_verify_non_integer_certificate_entries_are_parse_errors(cert, tmp_path, capsys):
+    inst = tmp_path / "e.json"
+    cfile = tmp_path / "c.json"
+    run(["gen", "escher", "--h", "1", "--out", str(inst)], capsys)
+    cfile.write_text(json.dumps(cert))
+    code, out, err = run(["verify", str(inst), str(cfile)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad certificate: ") and err.count("\n") == 1

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -11,7 +13,7 @@ from nonzero_cycles.cycles import (
     nonzero_cycles,
     zero_edge_set,
 )
-from nonzero_cycles.graphs import Edge, LabeledGraph
+from nonzero_cycles.graphs import Edge, LabeledGraph, decode_graph
 
 Z = groups.integers()
 
@@ -148,3 +150,23 @@ def test_is_robust_nonabelian_rooted_comparison():
     g = LabeledGraph(F2, [0, 1, 2], edges)
     ok, witness = is_robust(g)
     assert not ok
+
+
+def test_is_robust_with_given_cycles_matches_its_own_enumeration():
+    data = json.loads((Path(__file__).parent / "data" / "analyze_walls.json").read_text())
+    graphs = [decode_graph(case["graph"]) for case in data]
+    rng = random.Random(17)
+    for desc in (Z, groups.direct_sum(groups.free_group(2), groups.free_group(2))):
+        for _ in range(15):
+            n = rng.randint(2, 6)
+            edges = [
+                Edge(i, rng.randrange(n), rng.randrange(n), groups.random_element(desc, rng, span=1))
+                for i in range(rng.randint(1, 9))
+            ]
+            graphs.append(LabeledGraph(desc, range(n), edges))
+    verdicts = set()
+    for g in graphs:
+        expected = is_robust(g)
+        assert is_robust(g, cycles=enumerate_cycles(g)) == expected
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}

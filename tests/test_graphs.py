@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonzero_cycles import groups
 from nonzero_cycles.graphs import (
@@ -193,3 +195,73 @@ def test_decode_rejects_malformed():
         decode_graph({"group": "z", "vertices": [0], "edges": [{"id": 0}]})
     with pytest.raises(GraphFormatError):
         decode_graph({"group": "z", "vertices": [0], "edges": [{"id": 0, "tail": 0, "head": 3, "label": "0"}]})
+
+
+WALK_GROUPS = [
+    Z,
+    Z5,
+    groups.free_abelian(2),
+    F2,
+    groups.free_group(3),
+    groups.quotient([2, 6, 0]),
+    groups.direct_sum(groups.cyclic(2), groups.cyclic(3)),
+    groups.direct_sum(F2, groups.free_abelian(2)),
+    groups.direct_sum(F2, F2),
+]
+
+
+def reference_walk_value(graph, walk):
+    """Left fold of groups.op over the labels, each inverted when the step
+    runs from head to tail, as the value was defined before compilation."""
+    total = groups.identity(graph.descriptor)
+    for i, eid in enumerate(walk.edges):
+        e = graph.edge(eid)
+        if e.tail == e.head or walk.vertices[i + 1] == e.head:
+            step = e.label
+        else:
+            step = groups.inv(e.label)
+        total = groups.op(total, step)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WALK_GROUPS), st.integers(0, 2**32), st.integers(0, 12))
+def test_walk_value_equals_reference_fold(desc, seed, length):
+    rng = random.Random(seed)
+    g = random_graph(desc, rng, max_vertices=5, max_edges=10)
+    v = rng.choice(sorted(g.vertices))
+    verts, eids = [v], []
+    for _ in range(length):
+        if not g.incident(v):
+            break
+        eid = rng.choice(g.incident(v))
+        e = g.edge(eid)
+        v = e.head if v == e.tail else e.tail
+        verts.append(v)
+        eids.append(eid)
+    walk = Walk(tuple(verts), tuple(eids))
+    for w in (walk, walk.reversed()):
+        value = walk_value(g, w)
+        assert value == reference_walk_value(g, w)
+        assert value.descriptor == desc
+
+
+def test_walk_value_errors_name_the_first_bad_step():
+    g = LabeledGraph(Z, [0, 1, 2], [Edge(0, 0, 1, lab(Z, 1)), Edge(1, 1, 2, lab(Z, 2)), Edge(2, 2, 2, lab(Z, 3))])
+    cases = [
+        (Walk((0, 1, 2), (0, 9)), "no edge with id 9"),
+        (Walk((0, 2), (0,)), "step 0 of walk does not follow edge 0"),
+        (Walk((0, 1, 0), (0, 1)), "step 1 of walk does not follow edge 1"),
+        (Walk((1, 1), (0,)), "step 0 of walk does not follow edge 0"),
+        (Walk((1, 1), (2,)), "step 0 of walk does not follow edge 2"),
+        (Walk((2, 1), (2,)), "step 0 of walk does not follow edge 2"),
+        (Walk((0, 2, 9), (1, 9)), "step 0 of walk does not follow edge 1"),
+        (Walk((0, 1, 1), (9, 1)), "no edge with id 9"),
+    ]
+    for walk, message in cases:
+        with pytest.raises(GraphFormatError) as info:
+            walk.validate(g)
+        assert str(info.value) == message
+        with pytest.raises(GraphFormatError) as info:
+            walk_value(g, walk)
+        assert str(info.value) == message

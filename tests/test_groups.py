@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -199,3 +200,24 @@ def test_quotient_with_projection_kills_relations():
         x = [rng.randint(-5, 5) for _ in range(ncols)]
         y = [rng.randint(-5, 5) for _ in range(ncols)]
         assert proj([a + b for a, b in zip(x, y)]) == op(proj(x), proj(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8),
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8),
+)
+def test_free_group_product_reduces_the_whole_concatenation(u, v):
+    desc = free_group(3)
+    a, b = element(desc, u), element(desc, v)
+    assert op(a, b).payload == groups._reduce_word(a.payload + b.payload)
+    assert op(a, b) == element(desc, u + v)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=str)
+def test_descriptor_pickles_after_its_table_is_built(desc):
+    x = random_elements(desc, count=1)[0]
+    op(x, x)  # builds the compiled table on the descriptor
+    back = pickle.loads(pickle.dumps(desc))
+    assert back == desc and hash(back) == hash(desc)
+    assert pickle.loads(pickle.dumps(op(x, x))) == op(x, x)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from nonzero_cycles import groups
-from nonzero_cycles.cycles import enumerate_cycles
+from nonzero_cycles.cycles import LIMIT_ENV_VAR, EnumerationLimitError, enumerate_cycles
 from nonzero_cycles.graphs import Edge, LabeledGraph
 from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
@@ -218,3 +218,19 @@ def test_escher_wall_h3_packing_numbers():
     assert verify_packing(g, report.half_packing, max_use=2)
     assert verify_packing(g, report.packing, max_use=1)
     assert verify_transversal(g, report.transversal)
+
+
+def test_max_disjoint_takes_1200_disjoint_items_without_recursion():
+    items = [(frozenset({v}), frozenset({v})) for v in range(1200)]
+    assert _max_disjoint(items, 1) == list(range(1200))
+
+
+def test_limit_variable_caps_a_path_enumeration(monkeypatch):
+    # three parallel edges between two terminals, with labels 1, 2, 1 in Z3:
+    # three nonzero A-paths
+    g = LabeledGraph(Z3, [0, 1], [Edge(i, 0, 1, groups.element(Z3, x)) for i, x in enumerate((1, 2, 1))])
+    assert len(enumerate_nonzero_a_paths(g, [0, 1])) == 3
+    monkeypatch.setenv(LIMIT_ENV_VAR, "2")
+    with pytest.raises(EnumerationLimitError, match=f"more than 2 A-paths; raise {LIMIT_ENV_VAR}"):
+        enumerate_nonzero_a_paths(g, [0, 1])
+    assert len(enumerate_nonzero_a_paths(g, [0, 1], limit=3)) == 3
