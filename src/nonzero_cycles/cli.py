@@ -210,8 +210,8 @@ def cmd_pack(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    report = _pack_report(_load_graph(args.file), args.limit)
-    _dump({"tau": report["tau"], "transversal": report["transversal"]}, args.out)
+    transversal = packing.min_transversal(_load_graph(args.file), args.limit)
+    _dump({"tau": len(transversal), "transversal": sorted(transversal)}, args.out)
     return 0
 
 

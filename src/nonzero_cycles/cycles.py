@@ -54,10 +54,7 @@ class ClassifiedCycle:
 
 def coordinate_values(graph: LabeledGraph, walk) -> Tuple[groups.GroupElement, groups.GroupElement]:
     """Value of a walk in each coordinate (duplicated for single groups)."""
-    val = walk_value(graph, walk)
-    if graph.descriptor.kind == groups.KIND_DIRECT_SUM:
-        return groups.project(val, 0), groups.project(val, 1)
-    return val, val
+    return groups.coordinates(walk_value(graph, walk))
 
 
 def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:

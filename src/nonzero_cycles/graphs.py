@@ -380,9 +380,18 @@ def is_gamma_bipartite(graph: LabeledGraph):
 
     Returns (True, shifts) where applying `shifts` makes every label zero,
     or (False, witness) with a nonzero-valued cycle of the input graph.
+
+    No shifted graph is built: with `alpha` the shift value per vertex, an
+    edge from t to h labelled x carries inv(alpha[t])·x·alpha[h].
     """
     shifts: List[Tuple[int, GroupElement]] = []
-    work = graph
+    alpha: Dict[int, GroupElement] = {}
+    ident = groups.identity(graph.descriptor)
+
+    def shifted(e: Edge) -> GroupElement:
+        left = groups.inv(alpha.get(e.tail, ident))
+        return groups.op(groups.op(left, e.label), alpha.get(e.head, ident))
+
     parent: Dict[int, Tuple[int, int]] = {}  # vertex -> (parent vertex, edge id)
     order: List[int] = []
     roots = set()
@@ -396,8 +405,8 @@ def is_gamma_bipartite(graph: LabeledGraph):
         while queue:
             v = queue.pop(0)
             order.append(v)
-            for eid in sorted(work.incident(v)):
-                w = work.other_end(eid, v)
+            for eid in sorted(graph.incident(v)):
+                w = graph.other_end(eid, v)
                 if w not in seen:
                     seen.add(w)
                     parent[w] = (v, eid)
@@ -406,18 +415,17 @@ def is_gamma_bipartite(graph: LabeledGraph):
     for v in order:
         if v in roots:
             continue
-        _, eid = parent[v]
-        lab = work.edge(eid).label
+        # only the parent end of the tree edge is shifted so far
+        e = graph.edge(parent[v][1])
+        lab = shifted(e)
         if groups.is_zero(lab):
             continue
-        e = work.edge(eid)
         # choose alpha so the tree edge becomes zero after shifting at v
-        alpha = groups.inv(lab) if e.head == v else lab
-        shifts.append((v, alpha))
-        work = shift(work, v, alpha)
-    for eid in work.edge_ids():
-        e = work.edge(eid)
-        if eid in tree_edges or groups.is_zero(e.label):
+        alpha[v] = groups.inv(lab) if e.head == v else lab
+        shifts.append((v, alpha[v]))
+    for eid in graph.edge_ids():
+        e = graph.edge(eid)
+        if eid in tree_edges or groups.is_zero(shifted(e)):
             continue
         if e.tail == e.head:
             return False, Cycle((e.tail, e.tail), (eid,))

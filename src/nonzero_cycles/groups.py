@@ -292,6 +292,14 @@ def project(a: GroupElement, side: int) -> GroupElement:
     return a.payload[side]
 
 
+def coordinates(a: GroupElement) -> Tuple[GroupElement, GroupElement]:
+    """The (first, second) coordinates of a label value: the two summands
+    of a direct-sum element, or the element twice for a single group."""
+    if a.descriptor.kind == KIND_DIRECT_SUM:
+        return a.payload
+    return a, a
+
+
 def accumulate(desc: GroupDescriptor, items: Iterable[GroupElement]) -> GroupElement:
     total = identity(desc)
     for x in items:

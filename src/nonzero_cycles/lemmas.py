@@ -9,11 +9,11 @@ clique-models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import groups
-from .cycles import coordinate_values
-from .graphs import Cycle, LabeledGraph, Walk, shift, walk_value
+from .cycles import classify, coordinate_values
+from .graphs import Cycle, LabeledGraph, Walk, shift
 
 
 class HypothesisError(ValueError):
@@ -27,11 +27,6 @@ class HypothesisError(ValueError):
 def _require(cond: bool, hypothesis: str, detail: str = ""):
     if not cond:
         raise HypothesisError(hypothesis, detail)
-
-
-def _doubly_nonzero(graph: LabeledGraph, cycle: Cycle) -> bool:
-    v1, v2 = coordinate_values(graph, cycle)
-    return not groups.is_zero(v1) and not groups.is_zero(v2)
 
 
 def _nonzero_in(graph: LabeledGraph, walk: Walk, i: int) -> bool:
@@ -80,9 +75,9 @@ def combine_two_cycles(graph: LabeledGraph, c1: Cycle, c2: Cycle, p1: Walk, p2: 
     _require(not (v1s & v2s), "c1 and c2 are disjoint")
     _require(_nonzero_in(graph, c1, 0), "c1 is nonzero in coordinate 0")
     _require(_nonzero_in(graph, c2, 1), "c2 is nonzero in coordinate 1")
-    if _doubly_nonzero(graph, c1):
+    if classify(graph, c1).doubly_nonzero:
         return c1
-    if _doubly_nonzero(graph, c2):
+    if classify(graph, c2).doubly_nonzero:
         return c2
     p1 = _orient_connecting_path(p1, v1s, v2s, "p1")
     p2 = _orient_connecting_path(p2, v1s, v2s, "p2")
@@ -108,7 +103,7 @@ def combine_two_cycles(graph: LabeledGraph, c1: Cycle, c2: Cycle, p1: Walk, p2: 
         out = build(0, 1)  # swap the c2 arc: changes coordinate 1 only
     else:
         out = build(1, 1)  # the symmetric difference with both arcs swapped
-    if not _doubly_nonzero(graph, out):  # pragma: no cover - guarded by proof
+    if not classify(graph, out).doubly_nonzero:  # pragma: no cover - guarded by proof
         raise AssertionError("arc case analysis failed to produce a nonzero cycle")
     return out
 
@@ -244,7 +239,7 @@ def combine_brick(
         .concat(i1)
     )
     out = Cycle(walk.vertices, walk.edges)
-    if not _doubly_nonzero(graph, out):  # pragma: no cover - guarded by proof
+    if not classify(graph, out).doubly_nonzero:  # pragma: no cover - guarded by proof
         raise AssertionError("brick sign analysis failed to produce a nonzero cycle")
     return out
 

@@ -302,9 +302,7 @@ def check_clean(paths: Sequence[LinkPath], graph: LabeledGraph, ctx: CleanContex
             violations.append(f"path {idx} does not join terminals {expected}")
         if any(v in ctx.interior_forbidden for v in p.walk.vertices[1:-1]):
             violations.append(f"path {idx} passes through the forbidden side")
-        val = walk_value(graph, p.walk)
-        if graph.descriptor.kind == groups.KIND_DIRECT_SUM:
-            val = groups.project(val, coordinate)
+        val = groups.coordinates(walk_value(graph, p.walk))[coordinate]
         values.append(val)
         if groups.is_zero(val):
             violations.append(f"path {idx} has zero value in coordinate {coordinate}")

@@ -7,6 +7,12 @@ nonzero cycle must traverse whole attachment paths, the wall itself
 contributes nothing to cycle values, and the attachment endpoints all lie
 on the outer face of the wall, so disjoint routings exist exactly for
 families of pairwise non-crossing endpoint chords.
+
+That makes `_find_cycle` an oracle: it finds a doubly nonzero cycle
+avoiding a given vertex set, or proves that none exists.  τ comes from the
+implicit hitting-set loop over it: a minimum hitting set of the witness
+cycles found so far (`packing._min_hitting_set`), then one oracle call,
+until the oracle finds no cycle avoiding the hitting set.
 """
 
 from __future__ import annotations
@@ -270,17 +276,6 @@ class _Shape:
     value: groups.GroupElement
 
 
-def _coordinates(value: groups.GroupElement):
-    if value.descriptor.kind == groups.KIND_DIRECT_SUM:
-        return groups.project(value, 0), groups.project(value, 1)
-    return value, value
-
-
-def _doubly_nonzero(value: groups.GroupElement) -> bool:
-    a, b = _coordinates(value)
-    return not groups.is_zero(a) and not groups.is_zero(b)
-
-
 def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
     """All cycle shapes over nonempty attachment subsets, up to rotation
     and reflection; only shapes with doubly nonzero value are yielded."""
@@ -295,7 +290,8 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
                     for att, o in zip(seq, orients):
                         v = att.value if o == 0 else groups.inv(att.value)
                         value = groups.op(value, v)
-                    if not _doubly_nonzero(value):
+                    g1, g2 = groups.coordinates(value)
+                    if groups.is_zero(g1) or groups.is_zero(g2):
                         continue
                     chords, chord_pos = [], []
                     for k in range(size):
@@ -486,43 +482,29 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
     return [cycles[i] for i in chosen]
 
 
-def _structural_cover(inst: WallInstance) -> FrozenSet[int]:
-    """A smallest set of attachment interior vertices meeting every
-    attachment subset that can carry a doubly nonzero value."""
-    name_sets = {
-        frozenset(a.name for a in shape.sequence)
-        for shape in _shapes(inst.attachments, inst.graph.descriptor)
-    }
-    if not name_sets:
-        return frozenset()
-    mid = {a.name: a.interior[0] for a in inst.attachments}
-    index = {a.name: i for i, a in enumerate(inst.attachments)}
-    hit = packing._min_hitting_set([frozenset(index[n] for n in s) for s in name_sets])
-    return frozenset(mid[inst.attachments[i].name] for i in hit)
+def _exact_transversal(inst: WallInstance) -> FrozenSet[int]:
+    """A minimum vertex set meeting every doubly nonzero cycle, found by
+    the implicit hitting-set loop (Karp and Moreno-Centeno, 2013).
 
-
-def _exact_transversal(inst: WallInstance) -> int:
-    """Exact minimum transversal of the doubly nonzero cycles: an upper
-    bound comes from covering the attachment interiors; it is certified by
-    exhibiting a witness cycle avoiding every smaller vertex set."""
-    cover = _structural_cover(inst)
-    t = len(cover)
-    verts = sorted(inst.graph.vertices)
-    while t > 0:
-        counterexample = None
-        for subset in itertools.combinations(verts, t - 1):
-            if _find_cycle(inst, frozenset(subset)) is None:
-                counterexample = subset
-                break
-        if counterexample is None:
-            return t
-        t = len(counterexample)  # the counterexample is itself a cover
-    return 0
+    X is a minimum hitting set of the vertex sets of the witness cycles
+    found so far (at first there are none, and X is empty).  `_find_cycle`
+    either finds a doubly nonzero cycle avoiding X, which joins the
+    witnesses, or proves that none exists; then X is a transversal, and no
+    smaller one exists, because X is already minimum for the witnesses.
+    """
+    found: List[FrozenSet[int]] = []
+    while True:
+        hit = packing._min_hitting_set(found)
+        cycle = _find_cycle(inst, hit)
+        if cycle is None:
+            return hit
+        found.append(cycle.vertex_set())
 
 
 def verify_instance(inst: WallInstance, h: int) -> dict:
     """Exact ν, ν½ (best witnessed family), and τ for a wall instance,
-    checked against the obstruction requirements ν = 1 and τ > h."""
+    checked against the obstruction requirements ν = 1 and τ > h; τ is
+    the size of the minimum transversal `_exact_transversal` certifies."""
     for e in inst.wall.graph.edges.values():
         if not groups.is_zero(e.label):
             raise ObstructionFormatError("the wall part must be null-labeled")
@@ -532,7 +514,7 @@ def verify_instance(inst: WallInstance, h: int) -> dict:
     else:
         nu = 2 if _find_two_disjoint(inst) is not None else 1
     nu_half = max(len(_half_integral_family(inst)), nu)
-    tau = _exact_transversal(inst) if nu else 0
+    tau = len(_exact_transversal(inst))
     return {
         "nu": nu,
         "nu_half": nu_half,
@@ -575,8 +557,7 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
         if pos[a] > pos[b]:
             walk = walk.reversed()
         value = walk_value(graph, walk)
-        g1, g2 = _coordinates(value)
-        kind = "P" if not groups.is_zero(g1) else "Q"
+        kind = "Q" if groups.is_zero(groups.coordinates(value)[0]) else "P"
         atts.append(
             Attachment(
                 name=f"A{i + 1}",

@@ -4,6 +4,10 @@ All solvers enumerate candidate cycles/paths explicitly and then run a
 deterministic branch-and-bound; ties break lexicographically on sorted
 edge-id tuples.  Intended for desk-scale instances.
 
+`_min_hitting_set` is the package's one exact hitting-set solver: here over
+every enumerated cycle or A-path, and on wall instances over the witness
+cycles of the implicit hitting-set loop (`obstructions._exact_transversal`).
+
 The packing search (`_max_disjoint`, for ν with each vertex used once and
 ν½ with each vertex used at most twice) keeps its vertex-use state in int
 bitmasks, hands each branch only the candidates that still fit, and cuts a
@@ -19,19 +23,19 @@ limit, `NONZERO_CYCLES_LIMIT` included, as cycle enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import groups
 from .cycles import (
     LIMIT_ENV_VAR,
-    ClassifiedCycle,
     EnumerationLimitError,
     classify,
     enumerate_cycles,
     enumeration_limit,
+    nonzero_cycles,
 )
-from .graphs import Cycle, GraphFormatError, LabeledGraph, Walk, cycle_from_edges, walk_value
+from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges, walk_value
 
 
 @dataclass(frozen=True)
@@ -45,10 +49,6 @@ class PackCoverReport:
     packing: Tuple[FrozenSet[int], ...]
     half_packing: Tuple[FrozenSet[int], ...]
     transversal: FrozenSet[int]
-
-
-def _canonical(cands: Sequence[ClassifiedCycle]) -> List[ClassifiedCycle]:
-    return sorted(cands, key=lambda c: c.canonical_key())
 
 
 def _max_disjoint(items: List[Tuple[FrozenSet[int], FrozenSet[int]]], max_use: int) -> List[int]:
@@ -170,7 +170,7 @@ def _min_hitting_set(sets: List[FrozenSet[int]]) -> FrozenSet[int]:
 
 def pack_and_cover(graph: LabeledGraph, limit: Optional[int] = None) -> PackCoverReport:
     """Exact nu, nu_half and tau over the doubly-nonzero cycles."""
-    cycles = [c for c in _canonical(enumerate_cycles(graph, limit)) if c.doubly_nonzero]
+    cycles = nonzero_cycles(graph, limit)
     items = [(c.rep.vertex_set(), c.edges) for c in cycles]
     pack_idx = _max_disjoint(items, max_use=1)
     half_idx = _max_disjoint(items, max_use=2)
@@ -183,6 +183,12 @@ def pack_and_cover(graph: LabeledGraph, limit: Optional[int] = None) -> PackCove
         half_packing=tuple(cycles[i].edges for i in half_idx),
         transversal=transversal,
     )
+
+
+def min_transversal(graph: LabeledGraph, limit: Optional[int] = None) -> FrozenSet[int]:
+    """Exact minimum vertex set meeting every doubly-nonzero cycle: the
+    transversal of `pack_and_cover`, without the two packing searches."""
+    return _min_hitting_set([c.rep.vertex_set() for c in nonzero_cycles(graph, limit)])
 
 
 def verify_transversal(graph: LabeledGraph, transversal, limit: Optional[int] = None) -> bool:

@@ -173,6 +173,19 @@ def test_pack_and_cover_agree(tmp_path, capsys):
     assert json.loads(out)["tau"] == pack_doc["tau"]
 
 
+@pytest.mark.parametrize("gen", [["random", "--seed", str(s)] for s in range(6)] + [["escher", "--h", "2"]])
+def test_cover_prints_the_transversal_of_pack(tmp_path, capsys, gen):
+    inst = tmp_path / "g.json"
+    run(["gen", *gen, "--out", str(inst)], capsys)
+    code, out, _ = run(["pack", str(inst)], capsys)
+    assert code == 0
+    pack_doc = json.loads(out)
+    code, out, _ = run(["cover", str(inst)], capsys)
+    assert code == 0
+    expected = {"tau": pack_doc["tau"], "transversal": pack_doc["transversal"]}
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_experiment_deterministic(tmp_path, capsys, seed):
     outs = []

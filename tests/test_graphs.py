@@ -144,6 +144,59 @@ def test_is_gamma_bipartite_matches_enumeration_oracle():
             assert not groups.is_zero(walk_value(g, cert))
 
 
+def bipartite_by_shifting(g):
+    """The shifts and the first non-tree edge left nonzero when the graph
+    itself is shifted at each vertex in turn, breadth first from the
+    smallest vertex of each component, zeroing the tree edge to it."""
+    parent, order, seen = {}, [], set()
+    for start in sorted(g.vertices):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for eid in sorted(g.incident(v)):
+                w = g.other_end(eid, v)
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = eid
+                    queue.append(w)
+    shifts, work = [], g
+    for v in order:
+        label = work.edge(parent[v]).label if v in parent else None
+        if label is not None and not groups.is_zero(label):
+            alpha = groups.inv(label) if work.edge(parent[v]).head == v else label
+            shifts.append((v, alpha))
+            work = shift(work, v, alpha)
+    tree = set(parent.values())
+    bad = [eid for eid in work.edge_ids() if eid not in tree and not groups.is_zero(work.edge(eid).label)]
+    return shifts, (bad[0] if bad else None)
+
+
+def test_is_gamma_bipartite_matches_shifting_the_graph():
+    rng = random.Random(7)
+    descs = [Z5, F2, groups.direct_sum(Z5, F2)]
+    flat = 0
+    for i in range(200):
+        desc = rng.choice(descs)
+        g = random_graph(desc, rng)
+        if i % 2:
+            # a bipartite graph with non-zero labels: shift a null graph
+            g = g.with_labels({eid: groups.identity(desc) for eid in g.edge_ids()})
+            for v in rng.sample(sorted(g.vertices), len(g.vertices) // 2 + 1):
+                g = shift(g, v, groups.random_element(desc, rng))
+        shifts, bad = bipartite_by_shifting(g)
+        verdict, cert = is_gamma_bipartite(g)
+        if bad is None:
+            flat += 1
+            assert verdict and cert == shifts
+        else:
+            assert not verdict and cert.edges[-1] == bad
+    assert flat >= 100
+
+
 def test_normalize_to_null():
     g = triangle(Z, [1, 2, -3])
     flat = normalize_to_null(g)

@@ -12,6 +12,8 @@ from nonzero_cycles.obstructions import (
     ObstructionSpec,
     WallInstance,
     _attach,
+    _exact_transversal,
+    _find_cycle,
     _row_slots,
     build_obstruction,
     build_obstruction_instance,
@@ -248,7 +250,7 @@ def test_verify_obstruction_reconstructs_built_instances():
 def test_verify_obstruction_on_bare_wall():
     g = elementary_wall(4, groups.direct_sum(Z3, Z3)).graph
     rep = verify_obstruction(g, 1)
-    assert rep["nu"] == 0
+    assert rep["nu"] == 0 and rep["tau"] == 0
     assert not rep["nu_ok"]
 
 
@@ -294,3 +296,36 @@ def test_distinct_series_values_still_pack_one():
     spec = simple_spec(2, "series", "crossing", p_values=(ONE3, two))
     rep = verify_instance(build_obstruction_instance(spec), 2)
     assert rep["nu"] == 1
+
+
+# ---------------------------------------------------------------------------
+# τ by the implicit hitting-set loop
+
+
+@pytest.mark.parametrize("p_type,q_type", TYPE_PAIRS)
+def test_exact_transversal_height_three(p_type, q_type):
+    # the subset scan that came before the implicit hitting-set loop gave
+    # τ = 3 for every type pair; `_find_two_disjoint` alone takes seconds
+    # here, so the transversal is asked for directly
+    inst = build_obstruction_instance(simple_spec(3, p_type, q_type))
+    hit = _exact_transversal(inst)
+    assert len(hit) == 3
+    assert _find_cycle(inst, hit) is None
+    # each vertex of the transversal is needed
+    for v in hit:
+        assert _find_cycle(inst, hit - {v}) is not None
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_exact_transversal_of_escher_wall_passes_enumeration(h):
+    inst = escher_instance(h)
+    hit = _exact_transversal(inst)
+    assert len(hit) == h
+    assert packing.verify_transversal(inst.graph, hit)
+
+
+def test_exact_transversal_of_two_linkage_passes_enumeration():
+    inst = build_obstruction_instance(simple_spec(1, "nested", "series"))
+    hit = _exact_transversal(inst)
+    assert len(hit) == 1
+    assert packing.verify_transversal(inst.graph, hit)

@@ -10,6 +10,7 @@ from nonzero_cycles.graphs import Edge, LabeledGraph
 from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
     _max_disjoint,
+    _min_hitting_set,
     a_path_pack_and_cover,
     enumerate_nonzero_a_paths,
     pack_and_cover,
@@ -73,6 +74,17 @@ def brute_force_tau(graph):
             if all(s & c for c in cycles):
                 return k
     return len(universe)
+
+
+def brute_force_hitting_number(sets):
+    """The fewest vertices meeting every set, by trying every vertex subset
+    of the union in order of size."""
+    universe = sorted(set().union(*sets)) if sets else []
+    for k in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, k):
+            if all(s.intersection(combo) for s in sets):
+                return k
+    raise AssertionError("the union meets every set")
 
 
 def test_pack_and_cover_matches_brute_force():
@@ -234,3 +246,21 @@ def test_limit_variable_caps_a_path_enumeration(monkeypatch):
     with pytest.raises(EnumerationLimitError, match=f"more than 2 A-paths; raise {LIMIT_ENV_VAR}"):
         enumerate_nonzero_a_paths(g, [0, 1])
     assert len(enumerate_nonzero_a_paths(g, [0, 1], limit=3)) == 3
+
+
+@pytest.mark.parametrize("large", [False, True])
+def test_min_hitting_set_is_a_minimum_on_random_families(large):
+    # small sets over a few vertices, and sets of 8-16 of 48 vertices, the
+    # size of witness cycles on walls, with minima of 1 to 4
+    rng = random.Random(60 + large)
+    for _ in range(120 if large else 300):
+        if large:
+            sets = [frozenset(rng.sample(range(48), rng.randint(8, 16))) for _ in range(rng.randint(1, 16))]
+        else:
+            n = rng.randint(1, 9)
+            sets = [frozenset(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(0, 12))]
+        hit = _min_hitting_set(sets)
+        assert all(s & hit for s in sets)
+        assert hit <= set().union(*sets)
+        assert len(hit) == brute_force_hitting_number(sets)
+        assert _min_hitting_set(list(sets)) == hit

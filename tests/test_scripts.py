@@ -1,0 +1,49 @@
+"""Smoke tests: each script in scripts/ runs as a program on small input."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_wall_census():
+    assert run_script("wall_census.py", "2", "4") == (
+        "  r  vertices   edges  bricks  nails\n"
+        "  2        16      19       4      6\n"
+        "  3        30      38       9     10\n"
+        "  4        48      63      16     14\n"
+    )
+
+
+def test_duality_sweep():
+    lines = run_script("duality_sweep.py", "--seed", "1", "--count", "5").splitlines()
+    assert lines[0] == "index\tn\tm\tnu\tnu_half\ttau"
+    assert [line.split("\t")[0] for line in lines[1:-1]] == ["0", "1", "2", "3", "4"]
+    assert lines[-1].startswith("max tau/nu_half = ")
+
+
+def test_obstruction_report_height_two():
+    assert run_script("obstruction_report.py", "2") == (
+        "height h = 2\n"
+        "P-type    Q-type      nu  nu_half  tau\n"
+        "series    nested       1        2    2\n"
+        "series    crossing     1        2    2\n"
+        "nested    series       1        2    2\n"
+        "nested    crossing     1        3    2\n"
+        "crossing  series       1        2    2\n"
+        "crossing  nested       1        3    2\n"
+        "escher                 1        3    2\n"
+    )
