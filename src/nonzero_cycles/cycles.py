@@ -6,7 +6,9 @@ for a single group both coordinates coincide.
 
 Enumeration runs one DFS per root over `LabeledGraph.adjacency()`, with the
 vertices on the current path, the root and every vertex before the root
-held in one int bitmask.
+held in one int bitmask, and the edges of the path in another.  Each cycle
+is met once, in one orientation (see `enumerate_cycles`), and keeps the
+coordinate values `classify` computed for it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ class ClassifiedCycle:
     edges: FrozenSet[int]
     rep: Cycle
     zero: Tuple[bool, bool]
+    values: Tuple[groups.GroupElement, groups.GroupElement]  # of `rep`, per coordinate
 
     @property
     def doubly_nonzero(self) -> bool:
@@ -59,50 +62,83 @@ def coordinate_values(graph: LabeledGraph, walk) -> Tuple[groups.GroupElement, g
 
 def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
     v1, v2 = coordinate_values(graph, cycle)
-    return ClassifiedCycle(cycle.edge_set(), cycle, (groups.is_zero(v1), groups.is_zero(v2)))
+    return ClassifiedCycle(cycle.edge_set(), cycle, (groups.is_zero(v1), groups.is_zero(v2)), (v1, v2))
 
 
 def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[ClassifiedCycle]:
     """All simple cycles (as edge sets) with classified representatives,
     sorted by (length, sorted edge ids).  Raises EnumerationLimitError when
-    more than `limit` cycles exist."""
-    ceiling = enumeration_limit(limit)
-    found: Dict[FrozenSet[int], Cycle] = {}
+    more than `limit` cycles exist.
 
-    def record(verts: Tuple[int, ...], eids: Tuple[int, ...]):
-        key = frozenset(eids)
-        if key not in found:
-            if len(found) >= ceiling:
-                raise EnumerationLimitError(
-                    f"more than {ceiling} cycles; raise {LIMIT_ENV_VAR} to continue"
-                )
-            found[key] = Cycle(verts, eids)
+    A cycle is found from its smallest vertex, the root, and its
+    representative is the orientation that leaves the root by the later of
+    its two root edges (in `adjacency()[root]` order among the edges to
+    later vertices) and comes back by the earlier one: the orientation a
+    last-in first-out DFS over every root edge meets first.  So the DFS
+    skips the subtree of the root's first such edge, closes a cycle in the
+    subtree of the k-th one only through an edge before k, and cuts a
+    branch once every vertex such an edge leads to is on the path (the
+    branch at one of them still closes there)."""
+    ceiling = enumeration_limit(limit)
+    found: Dict[int, Cycle] = {}  # edge mask -> representative
+
+    def record(node, eid: int, key: int):
+        # node = (vertex, edge into it, parent node), back to (root, None, None)
+        if key in found:
+            return
+        if len(found) >= ceiling:
+            raise EnumerationLimitError(
+                f"more than {ceiling} cycles; raise {LIMIT_ENV_VAR} to continue"
+            )
+        # lists, then one tuple each: short-lived tuples of every length
+        # would stay in the interpreter's tuple free lists and raise the
+        # process's peak memory
+        verts, eids = [], [eid]
+        while node[1] is not None:
+            verts.append(node[0])
+            eids.append(node[1])
+            node = node[2]
+        verts.append(node[0])
+        verts.reverse()
+        verts.append(node[0])
+        eids.reverse()
+        found[key] = Cycle(tuple(verts), tuple(eids))
 
     # a DFS path from `root` may use only vertices after root in sorted
     # order, so the bits of root and every earlier vertex start out used
-    adjacency = graph.adjacency()
     order = sorted(graph.vertices)
     bit = {v: 1 << i for i, v in enumerate(order)}
+    ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
+    steps = graph.steps()
+    adj = {
+        v: tuple((eid, w, bit[w], ebit[eid]) for eid, w in pairs)
+        for v, pairs in graph.adjacency().items()
+    }
     before = 0
     for root in order:
         before |= bit[root]
+        top = (root, None, None)
         for eid in graph.incident(root):
-            e = graph.edge(eid)
-            if e.tail == e.head:
-                record((root, root), (eid,))
-        stack = [(root, (root,), (), before, None)]
-        while stack:
-            v, verts, eids, used, last = stack.pop()
-            for eid, w in adjacency[v]:
-                if eid == last:
-                    continue
-                if w == root:
-                    record(verts + (root,), eids + (eid,))
-                    continue
-                b = bit[w]
-                if used & b:
-                    continue
-                stack.append((w, verts + (w,), eids + (eid,), used | b, eid))
+            if steps[eid][0] == steps[eid][1]:
+                record(top, eid, ebit[eid])
+        starts = [step for step in adj[root] if not before & step[2]]
+        for k in range(len(starts) - 1, 0, -1):
+            closing = 0  # root edges this subtree may close through
+            ends = 0  # the vertices they lead to
+            for _, _, wb, eb in starts[:k]:
+                closing |= eb
+                ends |= wb
+            eid, w, wb, eb = starts[k]
+            stack = [((w, eid, top), before | wb, eb)]
+            while stack:
+                node, used, emask = stack.pop()
+                grow = ends & ~used  # 0: no vertex off the path can close
+                for eid, w, wb, eb in adj[node[0]]:
+                    if used & wb:
+                        if eb & closing:
+                            record(node, eid, emask | eb)
+                    elif grow:
+                        stack.append(((w, eid, node), used | wb, emask | eb))
     cycles = [classify(graph, c) for c in found.values()]
     cycles.sort(key=lambda c: c.canonical_key())
     return cycles
@@ -153,31 +189,43 @@ def is_robust(
     vertex they can be traversed with equal values.  Returns (True, None)
     or (False, witness).  `cycles`, when given, is the output of
     `enumerate_cycles(graph)`, and saves enumerating again.
+
+    Edge sets are int masks.  Split each nonzero cycle's mask into its
+    part inside the zero-edge mask of the coordinate and its part outside
+    it: a pair is a candidate exactly when the inside parts meet and the
+    outside parts do not, and a cycle with no inside part is never one.
+    Pairs are scanned in enumeration order, so the witness is the first
+    confusable pair in that order.
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
+    ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
+    masks = [sum(ebit[e] for e in c.edges) for c in cycles]
     coords = 2 if graph.descriptor.kind == groups.KIND_DIRECT_SUM else 1
     for i in range(coords):
-        zi = zero_edge_set(graph, i, cycles)
-        hot = [c for c in cycles if c.nonzero_in(i)]
+        zmask = 0
+        for c, m in zip(cycles, masks):
+            if c.zero[i]:
+                zmask |= m
+        hot, inside, outside = [], [], []
+        for c, m in zip(cycles, masks):
+            if c.nonzero_in(i) and m & zmask:
+                hot.append(c)
+                inside.append(m & zmask)
+                outside.append(m & ~zmask)
         abelian = _coordinate_abelian(graph.descriptor, i)
-        vals = {}
-        rooted = {}  # (index in hot, root) -> rooted_coordinate_values
         if abelian:
-            for c in hot:
-                v = coordinate_values(graph, c.rep)[i]
-                vals[c.edges] = {v, groups.inv(v)}
+            vals = [{c.values[i], groups.inv(c.values[i])} for c in hot]
+        rooted = {}  # (index in hot, root) -> rooted_coordinate_values
         for a in range(len(hot)):
+            ina, outa = inside[a], outside[a]
             for b in range(a + 1, len(hot)):
+                if not ina & inside[b] or outa & outside[b]:
+                    continue
                 c1, c2 = hot[a], hot[b]
-                shared = c1.edges & c2.edges
-                if not shared or not shared <= zi:
-                    continue
                 common = c1.rep.vertex_set() & c2.rep.vertex_set()
-                if not common:
-                    continue
                 if abelian:
-                    if vals[c1.edges] & vals[c2.edges]:
+                    if vals[a] & vals[b]:
                         root = min(common)
                         return False, RobustnessWitness(i, c1.rep.rooted_at(root), c2.rep.rooted_at(root), root)
                 else:

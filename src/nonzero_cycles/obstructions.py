@@ -482,7 +482,7 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
     return [cycles[i] for i in chosen]
 
 
-def _exact_transversal(inst: WallInstance) -> FrozenSet[int]:
+def _exact_transversal(inst: WallInstance, first: Optional[Cycle]) -> FrozenSet[int]:
     """A minimum vertex set meeting every doubly nonzero cycle, found by
     the implicit hitting-set loop (Karp and Moreno-Centeno, 2013).
 
@@ -491,14 +491,17 @@ def _exact_transversal(inst: WallInstance) -> FrozenSet[int]:
     either finds a doubly nonzero cycle avoiding X, which joins the
     witnesses, or proves that none exists; then X is a transversal, and no
     smaller one exists, because X is already minimum for the witnesses.
+    `first` is `_find_cycle(inst)`, the oracle's answer for the empty X,
+    which `verify_instance` has already asked for ν.
     """
     found: List[FrozenSet[int]] = []
-    while True:
+    hit: FrozenSet[int] = frozenset()
+    cycle = first
+    while cycle is not None:
+        found.append(cycle.vertex_set())
         hit = packing._min_hitting_set(found)
         cycle = _find_cycle(inst, hit)
-        if cycle is None:
-            return hit
-        found.append(cycle.vertex_set())
+    return hit
 
 
 def verify_instance(inst: WallInstance, h: int) -> dict:
@@ -514,7 +517,7 @@ def verify_instance(inst: WallInstance, h: int) -> dict:
     else:
         nu = 2 if _find_two_disjoint(inst) is not None else 1
     nu_half = max(len(_half_integral_family(inst)), nu)
-    tau = len(_exact_transversal(inst))
+    tau = len(_exact_transversal(inst, one))
     return {
         "nu": nu,
         "nu_half": nu_half,

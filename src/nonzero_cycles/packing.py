@@ -240,13 +240,14 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
     if not a_set <= graph.vertices:
         raise ValueError("terminals must be vertices of the graph")
     adjacency = graph.adjacency()
+    bit = {v: 1 << i for i, v in enumerate(sorted(graph.vertices))}
     found: Dict[Tuple[FrozenSet[int], FrozenSet[int]], Walk] = {}
     for start in sorted(a_set):
-        stack = [(start, (start,), (), {start})]
+        stack = [(start, (start,), (), bit[start])]
         while stack:
             v, verts, eids, used = stack.pop()
             for eid, w in adjacency[v]:
-                if w in used:
+                if used & bit[w]:
                     continue
                 if w in a_set:
                     if w > start:
@@ -258,7 +259,7 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
                                 )
                             found[key] = Walk(verts + (w,), eids + (eid,))
                     continue
-                stack.append((w, verts + (w,), eids + (eid,), used | {w}))
+                stack.append((w, verts + (w,), eids + (eid,), used | bit[w]))
     hot = [w for w in found.values() if not groups.is_zero(walk_value(graph, w))]
     hot.sort(key=lambda w: (len(w.edges), tuple(sorted(w.edges))))
     return hot

@@ -8,12 +8,16 @@ import pytest
 from nonzero_cycles import groups
 from nonzero_cycles.cycles import (
     EnumerationLimitError,
+    _coordinate_abelian,
+    coordinate_values,
     enumerate_cycles,
     is_robust,
     nonzero_cycles,
+    rooted_coordinate_values,
     zero_edge_set,
 )
-from nonzero_cycles.graphs import Edge, LabeledGraph, decode_graph
+from nonzero_cycles.graphs import Cycle, Edge, LabeledGraph, decode_graph
+from nonzero_cycles.walls import elementary_wall
 
 Z = groups.integers()
 
@@ -170,3 +174,166 @@ def test_is_robust_with_given_cycles_matches_its_own_enumeration():
         assert is_robust(g, cycles=enumerate_cycles(g)) == expected
         verdicts.add(expected[0])
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the pruned DFS and the mask pair scan against the implementations they
+# replaced: a DFS that meets every cycle from both root edges and keeps the
+# first traversal, and an all-pairs scan with frozenset tests
+
+
+def reference_enumeration(graph):
+    """(edges, rep.vertices, rep.edges, zero) per cycle, in output order."""
+    found = {}
+
+    def record(verts, eids):
+        key = frozenset(eids)
+        if key not in found:
+            found[key] = Cycle(verts, eids)
+
+    adjacency = graph.adjacency()
+    order = sorted(graph.vertices)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    before = 0
+    for root in order:
+        before |= bit[root]
+        for eid in graph.incident(root):
+            e = graph.edge(eid)
+            if e.tail == e.head:
+                record((root, root), (eid,))
+        stack = [(root, (root,), (), before, None)]
+        while stack:
+            v, verts, eids, used, last = stack.pop()
+            for eid, w in adjacency[v]:
+                if eid == last:
+                    continue
+                if w == root:
+                    record(verts + (root,), eids + (eid,))
+                    continue
+                b = bit[w]
+                if used & b:
+                    continue
+                stack.append((w, verts + (w,), eids + (eid,), used | b, eid))
+    out = []
+    for key, c in found.items():
+        v1, v2 = coordinate_values(graph, c)
+        out.append((key, c.vertices, c.edges, (groups.is_zero(v1), groups.is_zero(v2))))
+    out.sort(key=lambda t: (len(t[0]), tuple(sorted(t[0]))))
+    return out
+
+
+def reference_is_robust(graph, cycles):
+    coords = 2 if graph.descriptor.kind == groups.KIND_DIRECT_SUM else 1
+    for i in range(coords):
+        zi = zero_edge_set(graph, i, cycles)
+        hot = [c for c in cycles if c.nonzero_in(i)]
+        abelian = _coordinate_abelian(graph.descriptor, i)
+        for a in range(len(hot)):
+            for b in range(a + 1, len(hot)):
+                c1, c2 = hot[a], hot[b]
+                shared = c1.edges & c2.edges
+                if not shared or not shared <= zi:
+                    continue
+                common = c1.rep.vertex_set() & c2.rep.vertex_set()
+                if not common:
+                    continue
+                if abelian:
+                    v1 = coordinate_values(graph, c1.rep)[i]
+                    v2 = coordinate_values(graph, c2.rep)[i]
+                    if {v1, groups.inv(v1)} & {v2, groups.inv(v2)}:
+                        return False, (i, c1.rep, c2.rep, min(common))
+                else:
+                    for root in sorted(common):
+                        if rooted_coordinate_values(graph, c1.rep, root, i) & rooted_coordinate_values(
+                            graph, c2.rep, root, i
+                        ):
+                            return False, (i, c1.rep, c2.rep, root)
+    return True, None
+
+
+def robust_summary(graph, verdict):
+    ok, witness = verdict
+    if witness is None:
+        return ok, None
+    if isinstance(witness, tuple):
+        i, c1, c2, root = witness
+        first, second = c1.rooted_at(root), c2.rooted_at(root)
+    else:
+        i, first, second, root = witness.coordinate, witness.first, witness.second, witness.root
+    return ok, (i, first.vertices, first.edges, second.vertices, second.edges, root)
+
+
+DESCRIPTORS = (
+    groups.integers(),
+    groups.cyclic(6),
+    groups.free_group(2),
+    groups.direct_sum(groups.cyclic(2), groups.cyclic(3)),
+    groups.direct_sum(groups.free_group(2), groups.free_group(2)),
+)
+
+
+def sparse_label(desc, rng):
+    # identity often enough that zero cycles, and so confusable pairs, occur
+    if rng.random() < 0.4:
+        return groups.identity(desc)
+    return groups.random_element(desc, rng, span=1)
+
+
+def random_multigraph(rng, desc):
+    """Loops, parallel edges, one to three components plus isolated
+    vertices; vertex and edge ids neither contiguous nor in edge order."""
+    verts = rng.sample(range(40), rng.randint(2, 9))
+    blocks = [[v] for v in verts[: rng.randint(1, 3)]]
+    for v in verts[len(blocks):]:
+        rng.choice(blocks).append(v)
+    pairs = []
+    for block in blocks:
+        for _ in range(rng.randint(0, 2 * len(block) + 1)):
+            pairs.append((rng.choice(block), rng.choice(block)))
+    eids = rng.sample(range(100), len(pairs))
+    edges = [Edge(eid, u, v, sparse_label(desc, rng)) for eid, (u, v) in zip(eids, pairs)]
+    return LabeledGraph(desc, verts + [40 + rng.randrange(5)], edges)
+
+
+def labelled_wall(r, desc, rng):
+    g = elementary_wall(r, desc).graph
+    return g.with_labels({eid: sparse_label(desc, rng) for eid in g.edge_ids()})
+
+
+def comparison_graphs():
+    rng = random.Random(2024)
+    graphs = [random_multigraph(rng, DESCRIPTORS[k % len(DESCRIPTORS)]) for k in range(200)]
+    for desc in DESCRIPTORS:
+        graphs.append(labelled_wall(2, desc, rng))
+    for desc in DESCRIPTORS[:4]:
+        graphs.append(labelled_wall(3, desc, rng))
+    return graphs
+
+
+def test_pruned_enumeration_matches_reference_dfs():
+    sizes = set()
+    for g in comparison_graphs():
+        got = [(c.edges, c.rep.vertices, c.rep.edges, c.zero) for c in enumerate_cycles(g)]
+        assert got == reference_enumeration(g)
+        sizes.add(len(got))
+    assert 0 in sizes and max(sizes) >= 288  # the 3-wall's cycles are all met
+
+
+def test_kept_values_are_the_representatives_values():
+    for g in comparison_graphs()[::3]:
+        for c in enumerate_cycles(g):
+            assert c.values == coordinate_values(g, c.rep)
+            assert c.zero == (groups.is_zero(c.values[0]), groups.is_zero(c.values[1]))
+
+
+def test_mask_pair_scan_matches_all_pairs_reference():
+    data = json.loads((Path(__file__).parent / "data" / "analyze_walls.json").read_text())
+    graphs = comparison_graphs() + [decode_graph(case["graph"]) for case in data]
+    seen = set()
+    for g in graphs:
+        found = enumerate_cycles(g)
+        got = robust_summary(g, is_robust(g, cycles=found))
+        assert got == robust_summary(g, reference_is_robust(g, found))
+        if not got[0]:
+            seen.add(_coordinate_abelian(g.descriptor, got[1][0]))
+    assert seen == {True, False}  # witnesses in abelian and non-abelian coordinates

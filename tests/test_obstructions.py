@@ -5,7 +5,7 @@ import itertools
 import networkx as nx
 import pytest
 
-from nonzero_cycles import cycles, groups, packing
+from nonzero_cycles import cycles, groups, obstructions, packing
 from nonzero_cycles.graphs import LabeledGraph
 from nonzero_cycles.obstructions import (
     ObstructionFormatError,
@@ -308,7 +308,7 @@ def test_exact_transversal_height_three(p_type, q_type):
     # τ = 3 for every type pair; `_find_two_disjoint` alone takes seconds
     # here, so the transversal is asked for directly
     inst = build_obstruction_instance(simple_spec(3, p_type, q_type))
-    hit = _exact_transversal(inst)
+    hit = _exact_transversal(inst, _find_cycle(inst))
     assert len(hit) == 3
     assert _find_cycle(inst, hit) is None
     # each vertex of the transversal is needed
@@ -319,13 +319,48 @@ def test_exact_transversal_height_three(p_type, q_type):
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_exact_transversal_of_escher_wall_passes_enumeration(h):
     inst = escher_instance(h)
-    hit = _exact_transversal(inst)
+    hit = _exact_transversal(inst, _find_cycle(inst))
     assert len(hit) == h
     assert packing.verify_transversal(inst.graph, hit)
 
 
 def test_exact_transversal_of_two_linkage_passes_enumeration():
     inst = build_obstruction_instance(simple_spec(1, "nested", "series"))
-    hit = _exact_transversal(inst)
+    hit = _exact_transversal(inst, _find_cycle(inst))
     assert len(hit) == 1
     assert packing.verify_transversal(inst.graph, hit)
+
+
+def _reference_transversal(inst):
+    """The implicit hitting-set loop asking the oracle for every X, ∅
+    included.  Returns (the last X, every X asked, in order)."""
+    asked, found = [], []
+    while True:
+        hit = packing._min_hitting_set(found)
+        asked.append(hit)
+        cycle = _find_cycle(inst, hit)
+        if cycle is None:
+            return hit, asked
+        found.append(cycle.vertex_set())
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [escher_instance(1), escher_instance(2), escher_instance(3),
+     build_obstruction_instance(simple_spec(2, "nested", "series"))],
+    ids=["escher1", "escher2", "escher3", "nested_series2"],
+)
+def test_verify_instance_asks_the_oracle_once_for_the_empty_set(inst, monkeypatch):
+    hit, asked = _reference_transversal(inst)
+    assert _exact_transversal(inst, _find_cycle(inst)) == hit
+    calls = []
+
+    def counted(inst, removed=frozenset()):
+        calls.append(removed)
+        return _find_cycle(inst, removed)
+
+    monkeypatch.setattr(obstructions, "_find_cycle", counted)
+    rep = verify_instance(inst, 2)
+    # the same X values in the same order, with ∅ asked once, not twice
+    assert calls == asked
+    assert rep["tau"] == len(hit)
