@@ -276,6 +276,8 @@ def cmd_verify(args) -> int:
         return 0
     if kind == "obstruction":
         h = _cert_int(cert.get("h", 1), "h")
+        if h < 1:
+            raise CliError("bad certificate: h must be at least 1", PARSE_ERROR)
         report = verify_obstruction(graph, h, limit=args.limit)
         if not report["nu_ok"]:
             raise CliError("instance packs more or fewer than one cycle", CERT_ERROR)

@@ -508,16 +508,23 @@ def encode_graph(graph: LabeledGraph) -> dict:
 
 
 def decode_graph(data: dict) -> LabeledGraph:
+    """Parse an `encode_graph` payload.  Each distinct label is decoded once,
+    keyed by the `repr` of its raw JSON value (which tells `0` from `"0"`);
+    only successful decodes are kept, so a bad label raises every time."""
+    decoded: Dict[str, GroupElement] = {}
+
+    def label(desc: GroupDescriptor, raw) -> GroupElement:
+        key = repr(raw)
+        value = decoded.get(key)
+        if value is None:
+            value = decoded[key] = groups.decode_element(desc, raw)
+        return value
+
     try:
         desc = groups.parse_descriptor(data["group"])
         vertices = [int(v) for v in data["vertices"]]
         edges = [
-            Edge(
-                int(item["id"]),
-                int(item["tail"]),
-                int(item["head"]),
-                groups.decode_element(desc, item["label"]),
-            )
+            Edge(int(item["id"]), int(item["tail"]), int(item["head"]), label(desc, item["label"]))
             for item in data["edges"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

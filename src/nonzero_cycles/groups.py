@@ -14,6 +14,10 @@ switches on the kind of group for arithmetic; `op`, `inv`, `identity` and
 `is_zero` go through it.  A free-group sum cancels only at the seam of two
 reduced words, and a direct sum pairs the tables of its summands.  Hot
 loops (`graphs.walk_value`) unwrap once, fold raw payloads and wrap once.
+
+Every constructor (`integers`, `cyclic`, `direct_sum`, `parse_descriptor`,
+unpickling, ...) goes through one intern table, so each distinct group has
+one descriptor and one table per process.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 KIND_INTEGERS = "Z"
 KIND_CYCLIC = "Zn"
@@ -69,7 +73,7 @@ class GroupDescriptor:
         return format_descriptor(self)
 
     def __reduce__(self):
-        return GroupDescriptor, (self.kind, self.n, self.parts)
+        return _intern, (self.kind, self.n, self.parts)
 
 
 @dataclass(frozen=True)
@@ -97,24 +101,40 @@ class GroupElement:
         return repr(self.payload)
 
 
+# every descriptor the constructors hand out, by (kind, n, parts)
+_INTERNED: Dict[tuple, GroupDescriptor] = {}
+
+
+def _intern(kind: str, n: int = 0, parts: tuple = ()) -> GroupDescriptor:
+    """The one descriptor of this group in the process, made on first
+    request.  Descriptors and their tables then live as long as the
+    process, so no call leaves a descriptor-table cycle to the collector,
+    and equal descriptors are identical."""
+    key = (kind, n, parts)
+    desc = _INTERNED.get(key)
+    if desc is None:
+        desc = _INTERNED[key] = GroupDescriptor(kind, n, parts)
+    return desc
+
+
 def integers() -> GroupDescriptor:
-    return GroupDescriptor(KIND_INTEGERS)
+    return _intern(KIND_INTEGERS)
 
 
 def cyclic(n: int) -> GroupDescriptor:
-    return GroupDescriptor(KIND_CYCLIC, n=n)
+    return _intern(KIND_CYCLIC, n=n)
 
 
 def free_abelian(k: int) -> GroupDescriptor:
-    return GroupDescriptor(KIND_FREE_ABELIAN, n=k)
+    return _intern(KIND_FREE_ABELIAN, n=k)
 
 
 def free_group(g: int) -> GroupDescriptor:
-    return GroupDescriptor(KIND_FREE_GROUP, n=g)
+    return _intern(KIND_FREE_GROUP, n=g)
 
 
 def direct_sum(left: GroupDescriptor, right: GroupDescriptor) -> GroupDescriptor:
-    return GroupDescriptor(KIND_DIRECT_SUM, parts=(left, right))
+    return _intern(KIND_DIRECT_SUM, parts=(left, right))
 
 
 def quotient(factors: Iterable[int]) -> GroupDescriptor:
@@ -132,7 +152,7 @@ def quotient(factors: Iterable[int]) -> GroupDescriptor:
         if b % a != 0:
             raise GroupParseError("invariant factors must form a divisibility chain")
     ordered = tuple(fin) + tuple(0 for d in kept if d == 0)
-    return GroupDescriptor(KIND_QUOTIENT, parts=ordered)
+    return _intern(KIND_QUOTIENT, parts=ordered)
 
 
 def identity(desc: GroupDescriptor) -> GroupElement:

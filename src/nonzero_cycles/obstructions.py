@@ -13,10 +13,16 @@ avoiding a given vertex set, or proves that none exists.  τ comes from the
 implicit hitting-set loop over it: a minimum hitting set of the witness
 cycles found so far (`packing._min_hitting_set`), then one oracle call,
 until the oracle finds no cycle avoiding the hitting set.
+
+Each `WallInstance` builds its table of non-crossing cycle shapes once
+(`WallInstance.shapes`), and `_find_cycle`, `_find_two_disjoint` and
+`_half_integral_family` all read it; the walls under the instances are the
+shared, read-only walls that `walls` memoises.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -72,6 +78,18 @@ class WallInstance:
     graph: LabeledGraph
     wall: Wall
     attachments: Tuple[Attachment, ...]
+
+    @functools.cached_property
+    def shapes(self) -> Tuple[Tuple[int, "_Shape"], ...]:
+        """`(members, shape)` for each non-crossing shape of `_shapes(
+        attachments)`, in its order; bit i of `members` is set when the
+        shape uses attachment i.  Every reader skips crossing shapes."""
+        index = {id(a): i for i, a in enumerate(self.attachments)}
+        return tuple(
+            (sum(1 << index[id(a)] for a in shape.sequence), shape)
+            for shape in _shapes(self.attachments, self.graph.descriptor)
+            if _noncrossing(shape.chord_pos)
+        )
 
 
 def _boundary_positions(wall: Wall) -> Dict[int, int]:
@@ -278,7 +296,11 @@ class _Shape:
 
 def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
     """All cycle shapes over nonempty attachment subsets, up to rotation
-    and reflection; only shapes with doubly nonzero value are yielded."""
+    and reflection; only shapes with doubly nonzero value are yielded.
+    Values are folded over raw payloads (see `groups.Table`)."""
+    t = groups.table(desc)
+    # raw value of each attachment walked left to right (0) and back (1)
+    raw = {id(a): (t.unwrap(a.value), t.neg(t.unwrap(a.value))) for a in attachments}
     for size in range(1, len(attachments) + 1):
         for subset in itertools.combinations(attachments, size):
             first, rest = subset[0], subset[1:]
@@ -286,10 +308,10 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
                 seq = (first,) + perm
                 for tail in itertools.product((0, 1), repeat=size - 1):
                     orients = (0,) + tail
-                    value = groups.identity(desc)
+                    total = t.zero
                     for att, o in zip(seq, orients):
-                        v = att.value if o == 0 else groups.inv(att.value)
-                        value = groups.op(value, v)
+                        total = t.add(total, raw[id(att)][o])
+                    value = t.wrap(total)
                     g1, g2 = groups.coordinates(value)
                     if groups.is_zero(g1) or groups.is_zero(g2):
                         continue
@@ -398,15 +420,14 @@ def _assemble_cycle(graph: LabeledGraph, shape: _Shape, routes: Sequence[Walk]) 
 def _find_cycle(inst: WallInstance, removed: FrozenSet[int] = frozenset()) -> Optional[Cycle]:
     """A doubly nonzero cycle avoiding `removed`, or None if provably none
     exists.  Raises if a non-crossing candidate resists routing."""
-    alive = [
-        a
-        for a in inst.attachments
-        if not (set(a.walk.vertices) & removed)
-    ]
+    dead = sum(
+        1 << i for i, a in enumerate(inst.attachments) if not removed.isdisjoint(a.walk.vertices)
+    )
     wall_removed = frozenset(v for v in removed if v in inst.wall.graph.vertices)
     routing_failed = False
-    for shape in _shapes(alive, inst.graph.descriptor):
-        if not _noncrossing(shape.chord_pos):
+    # the shapes over the live attachments, in the order `_shapes` gives them
+    for members, shape in inst.shapes:
+        if members & dead:
             continue
         routes = _route_chords(inst.wall.graph, shape.chords, wall_removed)
         if routes is None:
@@ -423,11 +444,9 @@ def _find_cycle(inst: WallInstance, removed: FrozenSet[int] = frozenset()) -> Op
 def _find_two_disjoint(inst: WallInstance) -> Optional[Tuple[Cycle, Cycle]]:
     """Two vertex-disjoint doubly nonzero cycles, or None if provably
     impossible (every joint chord system crosses)."""
-    shapes = list(_shapes(inst.attachments, inst.graph.descriptor))
     routing_failed = False
-    for s1, s2 in itertools.combinations(shapes, 2):
-        names1 = {a.name for a in s1.sequence}
-        if names1 & {a.name for a in s2.sequence}:
+    for (m1, s1), (m2, s2) in itertools.combinations(inst.shapes, 2):
+        if m1 & m2:
             continue
         combined = s1.chord_pos + s2.chord_pos
         if not _noncrossing(combined):
@@ -454,11 +473,9 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
     most twice, drawn from the individually routable shapes."""
     cycles: List[Cycle] = []
     seen = set()
-    for shape in _shapes(inst.attachments, inst.graph.descriptor):
+    for _, shape in inst.shapes:
         if len(cycles) >= 32:
             break
-        if not _noncrossing(shape.chord_pos):
-            continue
         routes = _route_chords(inst.wall.graph, shape.chords)
         if routes is None:
             continue

@@ -1,12 +1,20 @@
 """Wall construction and anatomy: elementary walls, subwalls, nails,
 bricks, and local rerouting of a vertical segment through an external
-path."""
+path.
+
+A `Wall` is read-only (its `coords` is a `MappingProxyType`), so elementary
+walls are memoised on `(r, descriptor)`: every caller asking for the same
+wall shares one validated wall, its graph and the graph's lazily built
+tables.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import groups
 from .graphs import Cycle, Edge, LabeledGraph, Walk, decode_graph, encode_graph
@@ -24,11 +32,13 @@ class Wall:
     downward); `branch` is the set of vertices corresponding to the
     unsubdivided wall.  Horizontal paths run left to right, vertical paths
     top to bottom; corners are listed clockwise starting at the top left.
+    A wall is read-only: `coords` is stored as a `MappingProxyType` over a
+    copy of the mapping it is given.
     """
 
     graph: LabeledGraph
     r: int
-    coords: Dict[int, Tuple[int, int]]
+    coords: Mapping[int, Tuple[int, int]]
     branch: FrozenSet[int]
     corners: Tuple[int, int, int, int]
     nails: Tuple[int, ...]
@@ -41,12 +51,16 @@ class Wall:
     rows: Tuple[Walk, ...] = ()
     snakes: Tuple[Walk, ...] = ()
 
+    def __post_init__(self):
+        if not isinstance(self.coords, MappingProxyType):
+            object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
+
 
 # ---------------------------------------------------------------------------
 # planar faces from coordinates
 
 
-def trace_faces(graph: LabeledGraph, coords: Dict[int, Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
+def trace_faces(graph: LabeledGraph, coords: Mapping[int, Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
     """Faces of the straight-line embedding, each as a list of directed
     edges (edge id, source vertex)."""
     rotation: Dict[int, List[Tuple[int, int]]] = {}
@@ -110,7 +124,7 @@ def _strip(walk: Walk, head_set: Iterable[int], tail_set: Iterable[int]) -> Walk
 
 def _assemble(
     graph: LabeledGraph,
-    coords: Dict[int, Tuple[int, int]],
+    coords: Mapping[int, Tuple[int, int]],
     rows: Sequence[Walk],
     snakes: Sequence[Walk],
 ) -> Wall:
@@ -171,7 +185,7 @@ def _assemble(
     wall = Wall(
         graph=graph,
         r=r,
-        coords=dict(coords),
+        coords=coords,
         branch=branch,
         corners=corners,
         nails=_canonical_nails(graph, branch, boundary, corners),
@@ -214,7 +228,13 @@ def _elementary(r: int, descriptor: Optional[groups.GroupDescriptor] = None) -> 
     is allowed here and used for height-1 attachment constructions."""
     if r < 1:
         raise WallFormatError("wall size must be at least 1")
-    desc = descriptor if descriptor is not None else groups.integers()
+    return _build_elementary(r, descriptor if descriptor is not None else groups.integers())
+
+
+@functools.lru_cache(maxsize=16)
+def _build_elementary(r: int, desc: groups.GroupDescriptor) -> Wall:
+    """The validated elementary r-wall over `desc`, built once per
+    `(r, desc)` while it stays among the 16 most recently used."""
     width, height = 2 * (r + 1), r + 1
 
     def vid(x, y):
@@ -478,7 +498,7 @@ def local_reroute(wall: Wall, pprime: Walk, q: Walk, host: Optional[LabeledGraph
     rerouted = Wall(
         graph=new_graph,
         r=wall.r,
-        coords=dict(wall.coords),
+        coords=wall.coords,
         branch=wall.branch,
         corners=wall.corners,
         nails=wall.nails,

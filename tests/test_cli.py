@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -57,6 +58,18 @@ def test_gen_obstruction_and_verify(tmp_path, capsys):
     code, out, _ = run(["verify", str(inst), str(cert)], capsys)
     assert code == 0
     assert json.loads(out)["nu_ok"] is True
+
+
+@pytest.mark.parametrize("h", [0, -1])
+def test_verify_obstruction_height_below_one_is_parse_error(h, tmp_path, capsys):
+    # without the check no wall is recognised and verify falls back to
+    # enumerating every cycle of the 4-wall instance
+    inst = tmp_path / "o.json"
+    cert = tmp_path / "c.json"
+    run(["gen", "obstruction", "--h", "1", "--p", "series", "--q", "nested", "--out", str(inst)], capsys)
+    cert.write_text(json.dumps({"type": "obstruction", "h": h}))
+    code, out, err = run(["verify", str(inst), str(cert)], capsys)
+    assert (code, out, err) == (2, "", "bad certificate: h must be at least 1\n")
 
 
 def test_verify_bad_transversal_names_uncovered_cycle(tmp_path, capsys):
@@ -238,3 +251,26 @@ def test_verify_non_integer_certificate_entries_are_parse_errors(cert, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith("bad certificate: ") and err.count("\n") == 1
+
+
+def test_analyze_leaves_no_descriptor_or_table_to_the_collector(tmp_path, capsys):
+    # descriptors are interned, so the descriptor-table reference cycle of
+    # each decoded graph is never garbage
+    paths = []
+    for case in ANALYZE_GOLDEN:
+        path = tmp_path / f"{case['name']}.json"
+        path.write_text(json.dumps(case["graph"]))
+        paths.append(str(path))
+        run(["analyze", paths[-1]], capsys)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for i in range(40):
+            run(["analyze", paths[i % len(paths)]], capsys)
+        gc.collect()
+        left = [type(o) for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left.count(groups.GroupDescriptor) == 0
+    assert left.count(groups.Table) == 0

@@ -250,6 +250,25 @@ def test_decode_rejects_malformed():
         decode_graph({"group": "z", "vertices": [0], "edges": [{"id": 0, "tail": 0, "head": 3, "label": "0"}]})
 
 
+def test_decode_repeated_labels_once_and_bad_labels_every_time():
+    edge = lambda i, label: {"id": i, "tail": 0, "head": 1, "label": label}
+    # the same raw label decodes to one shared element; 1 and "1" are two keys
+    g = decode_graph({"group": "z", "vertices": [0, 1], "edges": [edge(0, "1"), edge(1, "1"), edge(2, 1)]})
+    assert g.edge(0).label is g.edge(1).label
+    assert g.edge(0).label == g.edge(2).label == lab(Z, 1)
+    # a repeated malformed label raises the error of its first occurrence,
+    # on every decode
+    data = {"group": "z", "vertices": [0, 1], "edges": [edge(0, "1"), edge(1, "x"), edge(2, "x")]}
+    with pytest.raises(groups.GroupParseError) as first:
+        groups.decode_element(Z, "x")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(GraphFormatError) as exc:
+            decode_graph(data)
+        messages.append(str(exc.value))
+    assert messages == [f"malformed graph payload: {first.value}"] * 2
+
+
 WALK_GROUPS = [
     Z,
     Z5,

@@ -221,3 +221,10 @@ def test_descriptor_pickles_after_its_table_is_built(desc):
     back = pickle.loads(pickle.dumps(desc))
     assert back == desc and hash(back) == hash(desc)
     assert pickle.loads(pickle.dumps(op(x, x))) == op(x, x)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=str)
+def test_each_group_has_one_descriptor_and_one_table(desc):
+    assert parse_descriptor(format_descriptor(desc)) is desc
+    assert pickle.loads(pickle.dumps(desc)) is desc
+    assert groups.table(parse_descriptor(str(desc))) is groups.table(desc)

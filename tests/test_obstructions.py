@@ -1,6 +1,7 @@
 """Tests for Escher walls and the doubly-labeled wall obstructions."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -10,11 +11,19 @@ from nonzero_cycles.graphs import LabeledGraph
 from nonzero_cycles.obstructions import (
     ObstructionFormatError,
     ObstructionSpec,
+    VerificationUndecidedError,
     WallInstance,
+    _assemble_cycle,
     _attach,
     _exact_transversal,
     _find_cycle,
+    _find_two_disjoint,
+    _half_integral_family,
+    _noncrossing,
+    _reconstruct,
+    _route_chords,
     _row_slots,
+    _shapes,
     build_obstruction,
     build_obstruction_instance,
     escher_instance,
@@ -364,3 +373,102 @@ def test_verify_instance_asks_the_oracle_once_for_the_empty_set(inst, monkeypatc
     # the same X values in the same order, with ∅ asked once, not twice
     assert calls == asked
     assert rep["tau"] == len(hit)
+
+
+# ---------------------------------------------------------------------------
+# one shape table per instance: the same answers as a fresh `_shapes` pass
+
+
+def _reference_find_cycle(inst, removed=frozenset()):
+    """`_find_cycle` as a loop over `_shapes` of the live attachments."""
+    alive = [a for a in inst.attachments if not (set(a.walk.vertices) & removed)]
+    wall_removed = frozenset(v for v in removed if v in inst.wall.graph.vertices)
+    routing_failed = False
+    for shape in _shapes(alive, inst.graph.descriptor):
+        if not _noncrossing(shape.chord_pos):
+            continue
+        routes = _route_chords(inst.wall.graph, shape.chords, wall_removed)
+        if routes is None:
+            routing_failed = True
+            continue
+        return _assemble_cycle(inst.graph, shape, routes)
+    if routing_failed:
+        raise VerificationUndecidedError("a non-crossing chord system could not be routed")
+    return None
+
+
+def _reference_two_disjoint(inst):
+    shapes = list(_shapes(inst.attachments, inst.graph.descriptor))
+    for s1, s2 in itertools.combinations(shapes, 2):
+        if {a.name for a in s1.sequence} & {a.name for a in s2.sequence}:
+            continue
+        if not _noncrossing(s1.chord_pos + s2.chord_pos):
+            continue
+        routes = _route_chords(inst.wall.graph, s1.chords + s2.chords)
+        if routes is None:
+            raise VerificationUndecidedError("unroutable")
+        k = len(s1.chords)
+        return (_assemble_cycle(inst.graph, s1, routes[:k]), _assemble_cycle(inst.graph, s2, routes[k:]))
+    return None
+
+
+def _reference_half_integral_family(inst):
+    cycles_, seen = [], set()
+    for shape in _shapes(inst.attachments, inst.graph.descriptor):
+        if len(cycles_) >= 32:
+            break
+        if not _noncrossing(shape.chord_pos):
+            continue
+        routes = _route_chords(inst.wall.graph, shape.chords)
+        if routes is None:
+            continue
+        variants = [routes]
+        interior = frozenset(v for w in routes for v in w.vertices[1:-1])
+        alt = _route_chords(inst.wall.graph, shape.chords, interior)
+        if alt is not None:
+            variants.append(alt)
+        for variant in variants:
+            cycle = _assemble_cycle(inst.graph, shape, variant)
+            if cycle.edge_set() not in seen:
+                seen.add(cycle.edge_set())
+                cycles_.append(cycle)
+    chosen = packing._max_disjoint([(c.vertex_set(), c.edge_set()) for c in cycles_], max_use=2)
+    return [cycles_[i] for i in chosen]
+
+
+SHAPE_TABLE_INSTANCES = [
+    pytest.param(build_obstruction_instance(simple_spec(2, p, q)), id=f"{p}_{q}2") for p, q in TYPE_PAIRS
+] + [pytest.param(escher_instance(h), id=f"escher{h}") for h in (1, 2, 3)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except VerificationUndecidedError:
+        return "undecided"
+
+
+@pytest.mark.parametrize("inst", SHAPE_TABLE_INSTANCES)
+def test_find_cycle_matches_a_fresh_shape_pass_for_random_removals(inst):
+    rng = random.Random(len(inst.attachments))
+    on_attachments = sorted({v for a in inst.attachments for v in a.walk.vertices})
+    on_wall = sorted(inst.wall.graph.vertices)
+    for _ in range(40):
+        removed = frozenset(
+            rng.sample(on_attachments, rng.randint(0, 3)) + rng.sample(on_wall, rng.randint(0, 4))
+        )
+        assert _outcome(_find_cycle, inst, removed) == _outcome(_reference_find_cycle, inst, removed)
+
+
+@pytest.mark.parametrize("inst", SHAPE_TABLE_INSTANCES)
+def test_pair_and_half_integral_family_match_a_fresh_shape_pass(inst):
+    assert _outcome(_find_two_disjoint, inst) == _outcome(_reference_two_disjoint, inst)
+    assert _half_integral_family(inst) == _reference_half_integral_family(inst)
+
+
+def test_reconstructed_instances_share_the_built_wall():
+    inst = build_obstruction_instance(simple_spec(2, "nested", "series"))
+    again = _reconstruct(inst.graph, 2)
+    assert again.wall is inst.wall
+    assert [a.walk for a in again.attachments] == [a.walk for a in inst.attachments]
+    assert again.shapes is again.shapes

@@ -253,3 +253,31 @@ def test_rerouted_wall_round_trip():
     w3 = decode_wall(encode_wall(w2))
     validate_wall(w3)
     assert w3.graph == w2.graph
+
+
+# ---------------------------------------------------------------------------
+# memoised, read-only elementary walls
+
+
+def test_equal_descriptors_give_the_same_wall_object():
+    parsed = groups.parse_descriptor("sum(z2,z3)")
+    built = groups.direct_sum(groups.cyclic(2), groups.cyclic(3))
+    assert elementary_wall(4, parsed) is elementary_wall(4, built)
+    assert elementary_wall(3) is elementary_wall(3, groups.integers())
+    assert elementary_wall(3, parsed) is not elementary_wall(4, parsed)
+
+
+def test_wall_coords_are_read_only():
+    w = elementary_wall(3)
+    v = next(iter(w.coords))
+    with pytest.raises(TypeError):
+        w.coords[v] = (0, 0)
+    with pytest.raises(TypeError):
+        w.coords[10_000] = (0, 0)
+    # a wall given a plain dict keeps a read-only copy of it
+    coords = dict(w.coords)
+    copy = Wall(**{**w.__dict__, "coords": coords})
+    coords[v] = (99, 99)
+    assert copy.coords == w.coords
+    with pytest.raises(TypeError):
+        copy.coords[v] = (0, 0)
