@@ -3,7 +3,8 @@
 
 For a chosen height h, builds the obstruction instance for every ordered
 pair of distinct linkage types and prints nu, nu_half, and tau, computed
-by the outer-face chord solver (exact for these wall-based instances).
+by the outer-face chord solver: nu and tau are exact for these wall-based
+instances, nu_half is a witnessed lower bound.
 
 Usage: obstruction_report.py [h]
 """

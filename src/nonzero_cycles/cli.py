@@ -257,14 +257,11 @@ def cmd_verify(args) -> int:
     kind = cert.get("type")
     if kind == "transversal":
         removed = _cert_ints(cert.get("vertices", ()), "vertices")
-        rest = graph.without_vertices(removed)
-        for c in cycles.enumerate_cycles(rest, limit=args.limit):
-            if c.doubly_nonzero:
-                raise CliError(
-                    "transversal misses the doubly nonzero cycle with edges "
-                    f"{sorted(c.edges)}",
-                    CERT_ERROR,
-                )
+        missed = packing.missed_cycle(graph, removed, args.limit)
+        if missed is not None:
+            raise CliError(
+                f"transversal misses the doubly nonzero cycle with edges {sorted(missed.edges)}", CERT_ERROR
+            )
         _dump({"verified": True, "type": "transversal"}, args.out)
         return 0
     if kind == "packing":

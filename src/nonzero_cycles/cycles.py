@@ -4,18 +4,17 @@ A cycle is identified with its edge set; representatives store one rooted
 traversal.  For direct-sum labels each coordinate is classified separately,
 for a single group both coordinates coincide.
 
-Enumeration runs one DFS per root over `LabeledGraph.adjacency()`, with the
-vertices on the current path, the root and every vertex before the root
-held in one int bitmask, and the edges of the path in another.  Each cycle
-is met once, in one orientation (see `enumerate_cycles`), and keeps the
-coordinate values `classify` computed for it.
+Cycles and A-paths (`packing.enumerate_nonzero_a_paths`) come from one
+simple-path DFS over int bitmasks, `_simple_paths`, under one enumeration
+limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`),
+and keeps the coordinate values `classify` computed for it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from . import groups
 from .graphs import Cycle, LabeledGraph, walk_value
@@ -65,6 +64,58 @@ def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
     return ClassifiedCycle(cycle.edge_set(), cycle, (groups.is_zero(v1), groups.is_zero(v2)), (v1, v2))
 
 
+def _bit_steps(graph: LabeledGraph):
+    """`(bit, adj)`: a bit per vertex, in sorted order, and per vertex its
+    steps `(eid, neighbour, neighbour's bit, edge's bit)` in `incident`
+    order, a loop being a step back to its vertex."""
+    bit = {v: 1 << i for i, v in enumerate(sorted(graph.vertices))}
+    ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
+    adj = {}
+    for v in bit:
+        steps = ((eid, graph.other_end(eid, v)) for eid in graph.incident(v))
+        adj[v] = tuple((eid, w, bit[w], ebit[eid]) for eid, w in steps)
+    return bit, adj
+
+
+def _simple_paths(adj, jobs, limit: Optional[int], what: str, make) -> list:
+    """The paths a DFS from each job closes over the `_bit_steps` adjacency,
+    as `make(vertices, edge ids)`.  A job `(node, used, closing, ends)`
+    starts from the path `node`, `(vertex, edge into it, parent node)` back
+    to `(start, None, None)`: a step by an edge of the bitmask `closing` to
+    a vertex of the bitmask `used` closes a path, and a step to any other
+    vertex extends it while a vertex of `ends` is off `used`.  Raises
+    EnumerationLimitError when more than `limit` paths close."""
+    ceiling = enumeration_limit(limit)
+    out = []
+    for top, used, closing, ends in jobs:
+        stack = [(top, used)]
+        while stack:
+            node, used = stack.pop()
+            grow = ends & ~used  # 0: no vertex off the path can close
+            for eid, w, wb, eb in adj[node[0]]:
+                if used & wb:
+                    if eb & closing:
+                        if len(out) >= ceiling:
+                            raise EnumerationLimitError(
+                                f"more than {ceiling} {what}; raise {LIMIT_ENV_VAR} to continue"
+                            )
+                        # lists, then one tuple each: short-lived tuples of
+                        # every length would stay in the interpreter's tuple
+                        # free lists and raise the process's peak memory
+                        verts, eids, at = [w], [eid], node
+                        while at[1] is not None:
+                            verts.append(at[0])
+                            eids.append(at[1])
+                            at = at[2]
+                        verts.append(at[0])
+                        verts.reverse()
+                        eids.reverse()
+                        out.append(make(tuple(verts), tuple(eids)))
+                elif grow:
+                    stack.append(((w, eid, node), used | wb))
+    return out
+
+
 def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[ClassifiedCycle]:
     """All simple cycles (as edge sets) with classified representatives,
     sorted by (length, sorted edge ids).  Raises EnumerationLimitError when
@@ -72,74 +123,30 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
 
     A cycle is found from its smallest vertex, the root, and its
     representative is the orientation that leaves the root by the later of
-    its two root edges (in `adjacency()[root]` order among the edges to
-    later vertices) and comes back by the earlier one: the orientation a
+    its two root edges (in `incident(root)` order among the edges to later
+    vertices) and comes back by the earlier one: the orientation a
     last-in first-out DFS over every root edge meets first.  So the DFS
     skips the subtree of the root's first such edge, closes a cycle in the
     subtree of the k-th one only through an edge before k, and cuts a
     branch once every vertex such an edge leads to is on the path (the
-    branch at one of them still closes there)."""
-    ceiling = enumeration_limit(limit)
-    found: Dict[int, Cycle] = {}  # edge mask -> representative
-
-    def record(node, eid: int, key: int):
-        # node = (vertex, edge into it, parent node), back to (root, None, None)
-        if key in found:
-            return
-        if len(found) >= ceiling:
-            raise EnumerationLimitError(
-                f"more than {ceiling} cycles; raise {LIMIT_ENV_VAR} to continue"
-            )
-        # lists, then one tuple each: short-lived tuples of every length
-        # would stay in the interpreter's tuple free lists and raise the
-        # process's peak memory
-        verts, eids = [], [eid]
-        while node[1] is not None:
-            verts.append(node[0])
-            eids.append(node[1])
-            node = node[2]
-        verts.append(node[0])
-        verts.reverse()
-        verts.append(node[0])
-        eids.reverse()
-        found[key] = Cycle(tuple(verts), tuple(eids))
-
-    # a DFS path from `root` may use only vertices after root in sorted
-    # order, so the bits of root and every earlier vertex start out used
-    order = sorted(graph.vertices)
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
-    steps = graph.steps()
-    adj = {
-        v: tuple((eid, w, bit[w], ebit[eid]) for eid, w in pairs)
-        for v, pairs in graph.adjacency().items()
-    }
+    branch at one of them still closes there).  A loop closes at its root."""
+    bit, adj = _bit_steps(graph)
+    jobs = []
+    # a path from `root` may use only vertices after root in sorted order,
+    # so the bits of root and every earlier vertex start out used
     before = 0
-    for root in order:
-        before |= bit[root]
+    for root, rb in bit.items():
+        before |= rb
         top = (root, None, None)
-        for eid in graph.incident(root):
-            if steps[eid][0] == steps[eid][1]:
-                record(top, eid, ebit[eid])
-        starts = [step for step in adj[root] if not before & step[2]]
-        for k in range(len(starts) - 1, 0, -1):
-            closing = 0  # root edges this subtree may close through
-            ends = 0  # the vertices they lead to
-            for _, _, wb, eb in starts[:k]:
+        jobs.append((top, before, sum(eb for _, w, _, eb in adj[root] if w == root), 0))
+        closing = ends = 0  # the root edges before this one, the vertices they lead to
+        for eid, w, wb, eb in adj[root]:
+            if not before & wb:
+                if closing:
+                    jobs.append(((w, eid, top), before | wb, closing, ends))
                 closing |= eb
                 ends |= wb
-            eid, w, wb, eb = starts[k]
-            stack = [((w, eid, top), before | wb, eb)]
-            while stack:
-                node, used, emask = stack.pop()
-                grow = ends & ~used  # 0: no vertex off the path can close
-                for eid, w, wb, eb in adj[node[0]]:
-                    if used & wb:
-                        if eb & closing:
-                            record(node, eid, emask | eb)
-                    elif grow:
-                        stack.append(((w, eid, node), used | wb, emask | eb))
-    cycles = [classify(graph, c) for c in found.values()]
+    cycles = [classify(graph, c) for c in _simple_paths(adj, jobs, limit, "cycles", Cycle)]
     cycles.sort(key=lambda c: c.canonical_key())
     return cycles
 

@@ -8,8 +8,7 @@ A graph builds two read-only tables lazily, once each, for the hot loops:
 `steps()`, per edge its tail, head and the raw label payloads (see
 `groups.Table`) seen arriving at either end, which `walk_value` folds; and
 `adjacency()`, per vertex its non-loop `(eid, neighbour)` pairs in
-`incident` order, which cycle and A-path enumeration and the chord router
-walk.
+`incident` order, which the chord router walks.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ as quotients of Z^k (canonicalised through invariant factors).
 
 Elements are immutable and hashable; all arithmetic is exact.
 
-Each descriptor compiles its arithmetic once, on first use, into a
-`Table`: add, negate and zero over raw payloads, plus wrap and unwrap
-between raw payloads and `GroupElement`s.  It is the only place that
-switches on the kind of group for arithmetic; `op`, `inv`, `identity` and
-`is_zero` go through it.  A free-group sum cancels only at the seam of two
-reduced words, and a direct sum pairs the tables of its summands.  Hot
-loops (`graphs.walk_value`) unwrap once, fold raw payloads and wrap once.
+Each descriptor compiles once, on first use, into a `Table` over raw
+payloads: add, negate and zero, wrap and unwrap to and from
+`GroupElement`s, and make, encode and draw, which check, serialise and
+randomly draw payloads.  `_compile` is the only place that switches on
+the kind of group for elements: `op`, `inv`, `identity`, `is_zero`,
+`element`, `random_element`, `encode_element` and `decode_element` all go
+through the table (the descriptor grammar still reads the kind).  A
+free-group sum cancels only at the seam of two reduced words, and a direct
+sum pairs the tables of its summands.  Hot loops (`graphs.walk_value`)
+unwrap once, fold raw payloads and wrap once.
 
 Every constructor (`integers`, `cyclic`, `direct_sum`, `parse_descriptor`,
 unpickling, ...) goes through one intern table, so each distinct group has
@@ -162,37 +165,8 @@ def identity(desc: GroupDescriptor) -> GroupElement:
 
 def element(desc: GroupDescriptor, payload) -> GroupElement:
     """Build an element from a raw payload, normalising to canonical form."""
-    k = desc.kind
-    if k == KIND_INTEGERS:
-        return GroupElement(desc, int(payload))
-    if k == KIND_CYCLIC:
-        return GroupElement(desc, int(payload) % desc.n)
-    if k == KIND_FREE_ABELIAN:
-        vec = tuple(int(x) for x in payload)
-        if len(vec) != desc.n:
-            raise GroupParseError("free abelian payload has wrong length")
-        return GroupElement(desc, vec)
-    if k == KIND_FREE_GROUP:
-        word = tuple(int(x) for x in payload)
-        for x in word:
-            if x == 0 or abs(x) > desc.n:
-                raise GroupParseError("free group letter out of range")
-        return GroupElement(desc, _reduce_word(word))
-    if k == KIND_DIRECT_SUM:
-        a, b = payload
-        if not isinstance(a, GroupElement):
-            a = element(desc.parts[0], a)
-        if not isinstance(b, GroupElement):
-            b = element(desc.parts[1], b)
-        if a.descriptor != desc.parts[0] or b.descriptor != desc.parts[1]:
-            raise GroupParseError("direct sum components in wrong groups")
-        return GroupElement(desc, (a, b))
-    if k == KIND_QUOTIENT:
-        vec = tuple(int(x) for x in payload)
-        if len(vec) != len(desc.parts):
-            raise GroupParseError("quotient payload has wrong length")
-        return GroupElement(desc, tuple(x % d if d else x for x, d in zip(vec, desc.parts)))
-    raise GroupParseError(f"unknown group kind {k!r}")
+    t = table(desc)
+    return t.wrap(t.make(payload))
 
 
 def _reduce_word(word: Sequence[int]) -> Tuple[int, ...]:
@@ -212,7 +186,11 @@ class Table(NamedTuple):
     payload; a direct sum's raw payload is the pair of its summands' raw
     payloads.  `wrap` and `unwrap` convert between raw payloads and
     `GroupElement`s, so a long computation unwraps its inputs once, folds
-    `add` and `neg` over raw values, and wraps the result once.
+    `add` and `neg` over raw values, and wraps the result once.  `make`
+    checks a loose payload (an int or decimal string, or a list or tuple
+    for the vector, word and direct-sum kinds) and returns the canonical raw
+    payload, `encode` turns a raw payload into its JSON value, and
+    `draw(rng, span)` draws a pseudo-random raw payload.
     """
 
     add: Callable[[Any, Any], Any]
@@ -220,6 +198,9 @@ class Table(NamedTuple):
     zero: Any
     wrap: Callable[[Any], GroupElement]
     unwrap: Callable[[GroupElement], Any]
+    make: Callable[[Any], Any]
+    encode: Callable[[Any], Any]
+    draw: Callable[[Any, int], Any]
 
 
 def table(desc: GroupDescriptor) -> Table:
@@ -232,22 +213,46 @@ def table(desc: GroupDescriptor) -> Table:
     return t
 
 
+def _entries(payload, what: str, length: Optional[int]):
+    """A list or tuple payload, checked to have `length` entries unless
+    `length` is None."""
+    if not isinstance(payload, (list, tuple)):
+        raise GroupParseError(f"{what} payload must be a list")
+    if length is not None and len(payload) != length:
+        raise GroupParseError(f"{what} payload has wrong length")
+    return payload
+
+
 def _compile(desc: GroupDescriptor) -> Table:
-    k = desc.kind
+    k, n = desc.kind, desc.n
     wrap = functools.partial(GroupElement, desc)
     unwrap = operator.attrgetter("payload")
     if k == KIND_INTEGERS:
-        return Table(operator.add, operator.neg, 0, wrap, unwrap)
+        # a decimal string keeps arbitrary precision portable
+        return Table(
+            operator.add, operator.neg, 0, wrap, unwrap, int, str, lambda rng, span: rng.randint(-span, span)
+        )
     if k == KIND_CYCLIC:
-        n = desc.n
-        return Table(lambda p, q: (p + q) % n, lambda p: -p % n, 0, wrap, unwrap)
+        return Table(
+            lambda p, q: (p + q) % n,
+            lambda p: -p % n,
+            0,
+            wrap,
+            unwrap,
+            lambda p: int(p) % n,
+            lambda p: p,
+            lambda rng, span: rng.randrange(n),
+        )
     if k == KIND_FREE_ABELIAN:
         return Table(
             lambda p, q: tuple(map(operator.add, p, q)),
             lambda p: tuple(map(operator.neg, p)),
-            (0,) * desc.n,
+            (0,) * n,
             wrap,
             unwrap,
+            lambda p: tuple(int(x) for x in _entries(p, "free abelian", n)),
+            list,
+            lambda rng, span: tuple(rng.randint(-span, span) for _ in range(n)),
         )
     if k == KIND_FREE_GROUP:
 
@@ -260,27 +265,65 @@ def _compile(desc: GroupDescriptor) -> Table:
                 i += 1
             return p[: len(p) - i] + q[i:]
 
+        def make(p):
+            word = tuple(int(x) for x in _entries(p, "free group", None))
+            for x in word:
+                if x == 0 or abs(x) > n:
+                    raise GroupParseError("free group letter out of range")
+            return _reduce_word(word)
+
+        def draw(rng, span):
+            length = rng.randint(0, span)
+            word = []
+            for _ in range(length if n else 0):
+                g = rng.randint(1, n)
+                word.append(g if rng.random() < 0.5 else -g)
+            return _reduce_word(word)
+
         # inversion reverses the word and negates each letter
-        return Table(add, lambda p: tuple(-x for x in reversed(p)), (), wrap, unwrap)
+        return Table(add, lambda p: tuple(-x for x in reversed(p)), (), wrap, unwrap, make, list, draw)
     if k == KIND_DIRECT_SUM:
-        left, right = table(desc.parts[0]), table(desc.parts[1])
+        parts = desc.parts
+        left, right = table(parts[0]), table(parts[1])
         ladd, radd, lneg, rneg = left.add, right.add, left.neg, right.neg
         lwrap, rwrap, lunwrap, runwrap = left.wrap, right.wrap, left.unwrap, right.unwrap
+
+        def make(p):
+            a, b = _entries(p, "direct sum", 2)
+            if not isinstance(a, GroupElement):
+                a = element(parts[0], a)
+            if not isinstance(b, GroupElement):
+                b = element(parts[1], b)
+            if a.descriptor != parts[0] or b.descriptor != parts[1]:
+                raise GroupParseError("direct sum components in wrong groups")
+            return lunwrap(a), runwrap(b)
+
         return Table(
             lambda p, q: (ladd(p[0], q[0]), radd(p[1], q[1])),
             lambda p: (lneg(p[0]), rneg(p[1])),
             (left.zero, right.zero),
             lambda p: GroupElement(desc, (lwrap(p[0]), rwrap(p[1]))),
             lambda a: (lunwrap(a.payload[0]), runwrap(a.payload[1])),
+            make,
+            lambda p: [left.encode(p[0]), right.encode(p[1])],
+            lambda rng, span: (left.draw(rng, span), right.draw(rng, span)),
         )
     if k == KIND_QUOTIENT:
         factors = desc.parts
+
+        def make(p):
+            vec = map(int, _entries(p, "quotient", len(factors)))
+            return tuple(x % d if d else x for x, d in zip(vec, factors))
+
         return Table(
             lambda p, q: tuple((x + y) % d if d else x + y for x, y, d in zip(p, q, factors)),
             lambda p: tuple(-x % d if d else -x for x, d in zip(p, factors)),
             (0,) * len(factors),
             wrap,
             unwrap,
+            make,
+            list,
+            lambda rng, span: make(tuple(rng.randint(-span, span) for _ in factors)),
         )
     raise GroupParseError(f"unknown group kind {k!r}")
 
@@ -320,39 +363,10 @@ def coordinates(a: GroupElement) -> Tuple[GroupElement, GroupElement]:
     return a, a
 
 
-def accumulate(desc: GroupDescriptor, items: Iterable[GroupElement]) -> GroupElement:
-    total = identity(desc)
-    for x in items:
-        total = op(total, x)
-    return total
-
-
 def random_element(desc: GroupDescriptor, rng, span: int = 4) -> GroupElement:
     """Draw a pseudo-random element (used by generators and fuzz tests)."""
-    k = desc.kind
-    if k == KIND_INTEGERS:
-        return GroupElement(desc, rng.randint(-span, span))
-    if k == KIND_CYCLIC:
-        return GroupElement(desc, rng.randrange(desc.n))
-    if k == KIND_FREE_ABELIAN:
-        return GroupElement(desc, tuple(rng.randint(-span, span) for _ in range(desc.n)))
-    if k == KIND_FREE_GROUP:
-        length = rng.randint(0, span)
-        word = []
-        for _ in range(length):
-            g = rng.randint(1, desc.n) if desc.n else 0
-            if g == 0:
-                break
-            word.append(g if rng.random() < 0.5 else -g)
-        return element(desc, word)
-    if k == KIND_DIRECT_SUM:
-        return GroupElement(
-            desc,
-            (random_element(desc.parts[0], rng, span), random_element(desc.parts[1], rng, span)),
-        )
-    if k == KIND_QUOTIENT:
-        return element(desc, tuple(rng.randint(-span, span) for _ in desc.parts))
-    raise GroupParseError(f"unknown group kind {k!r}")
+    t = table(desc)
+    return t.wrap(t.draw(rng, span))
 
 
 # ---------------------------------------------------------------------------
@@ -427,35 +441,16 @@ def _take_int(text: str) -> tuple[int, str]:
 
 
 def encode_element(a: GroupElement):
-    k = a.descriptor.kind
-    if k == KIND_INTEGERS:
-        return str(a.payload)  # decimal string keeps arbitrary precision portable
-    if k == KIND_CYCLIC:
-        return a.payload
-    if k in (KIND_FREE_ABELIAN, KIND_FREE_GROUP, KIND_QUOTIENT):
-        return list(a.payload)
-    if k == KIND_DIRECT_SUM:
-        return [encode_element(a.payload[0]), encode_element(a.payload[1])]
-    raise GroupParseError(f"unknown group kind {k!r}")
+    t = table(a.descriptor)
+    return t.encode(t.unwrap(a))
 
 
 def decode_element(desc: GroupDescriptor, data) -> GroupElement:
-    k = desc.kind
+    t = table(desc)
     try:
-        if k == KIND_INTEGERS:
-            return element(desc, int(data))
-        if k == KIND_CYCLIC:
-            return element(desc, int(data))
-        if k in (KIND_FREE_ABELIAN, KIND_FREE_GROUP, KIND_QUOTIENT):
-            return element(desc, data)
-        if k == KIND_DIRECT_SUM:
-            return element(
-                desc,
-                (decode_element(desc.parts[0], data[0]), decode_element(desc.parts[1], data[1])),
-            )
+        return t.wrap(t.make(data))
     except (TypeError, ValueError) as exc:
         raise GroupParseError(f"bad element payload {data!r}: {exc}") from exc
-    raise GroupParseError(f"unknown group kind {k!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ the carried graph walks and their group values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import groups

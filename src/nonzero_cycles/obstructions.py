@@ -1,12 +1,14 @@
 """Escher walls and doubly-labeled wall obstructions.
 
 Both constructions attach labeled two-edge paths to the top (and, for
-Escher walls, bottom) row of a null-labeled wall.  Exact packing and
-covering numbers of such instances are computed structurally: every
-nonzero cycle must traverse whole attachment paths, the wall itself
-contributes nothing to cycle values, and the attachment endpoints all lie
-on the outer face of the wall, so disjoint routings exist exactly for
-families of pairwise non-crossing endpoint chords.
+Escher walls, bottom) row of a null-labeled wall.  The exact ν and τ of
+such instances are computed structurally: every nonzero cycle must
+traverse whole attachment paths, the wall itself contributes nothing to
+cycle values, and the attachment endpoints all lie on the outer face of
+the wall, so disjoint routings exist exactly for families of pairwise
+non-crossing endpoint chords.  ν½ is only a witnessed lower bound: it
+packs the routed cycles collected until there are 32 (4 on the h=3 Escher
+wall, where `packing.pack_and_cover` over every cycle finds 5).
 
 That makes `_find_cycle` an oracle: it finds a doubly nonzero cycle
 avoiding a given vertex set, or proves that none exists.  τ comes from the
@@ -470,7 +472,8 @@ def _find_two_disjoint(inst: WallInstance) -> Optional[Tuple[Cycle, Cycle]]:
 
 def _half_integral_family(inst: WallInstance) -> List[Cycle]:
     """A maximum family of distinct witness cycles using each vertex at
-    most twice, drawn from the individually routable shapes."""
+    most twice among the routed cycles of the individually routable shapes,
+    collected until there are 32, so only a lower bound on ν½."""
     cycles: List[Cycle] = []
     seen = set()
     for _, shape in inst.shapes:
@@ -522,9 +525,10 @@ def _exact_transversal(inst: WallInstance, first: Optional[Cycle]) -> FrozenSet[
 
 
 def verify_instance(inst: WallInstance, h: int) -> dict:
-    """Exact ν, ν½ (best witnessed family), and τ for a wall instance,
-    checked against the obstruction requirements ν = 1 and τ > h; τ is
-    the size of the minimum transversal `_exact_transversal` certifies."""
+    """Exact ν and τ for a wall instance, and a lower bound on ν½ (the
+    size of the family `_half_integral_family` witnesses), checked against
+    the obstruction requirements ν = 1 and τ > h; τ is the size of the
+    minimum transversal `_exact_transversal` certifies."""
     for e in inst.wall.graph.edges.values():
         if not groups.is_zero(e.label):
             raise ObstructionFormatError("the wall part must be null-labeled")

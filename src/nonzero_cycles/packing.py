@@ -17,8 +17,9 @@ so its answer is the lexicographically smallest optimal index tuple.  The
 branches live on an explicit stack, so a packing of any size stays clear of
 the interpreter's recursion limit.
 
-A-path enumeration walks `LabeledGraph.adjacency()` and obeys the same
-limit, `NONZERO_CYCLES_LIMIT` included, as cycle enumeration.
+A-paths come from the DFS that enumerates cycles (`cycles._simple_paths`),
+one start per terminal, so they obey the same limit, `NONZERO_CYCLES_LIMIT`
+included.  `missed_cycle` is the one transversal check.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import groups
-from .cycles import (
-    LIMIT_ENV_VAR,
-    EnumerationLimitError,
-    classify,
-    enumerate_cycles,
-    enumeration_limit,
-    nonzero_cycles,
-)
+from .cycles import ClassifiedCycle, _bit_steps, _simple_paths, classify, enumerate_cycles, nonzero_cycles
 from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges, walk_value
 
 
@@ -191,10 +185,16 @@ def min_transversal(graph: LabeledGraph, limit: Optional[int] = None) -> FrozenS
     return _min_hitting_set([c.rep.vertex_set() for c in nonzero_cycles(graph, limit)])
 
 
+def missed_cycle(graph: LabeledGraph, transversal, limit: Optional[int] = None) -> Optional[ClassifiedCycle]:
+    """The first doubly-nonzero cycle of the graph minus `transversal`, in
+    `enumerate_cycles` order, or None when the transversal meets them all."""
+    rest = graph.without_vertices(transversal)
+    return next((c for c in enumerate_cycles(rest, limit) if c.doubly_nonzero), None)
+
+
 def verify_transversal(graph: LabeledGraph, transversal, limit: Optional[int] = None) -> bool:
     """Re-check a transversal by deleting it and looking for survivors."""
-    rest = graph.without_vertices(transversal)
-    return not any(c.doubly_nonzero for c in enumerate_cycles(rest, limit))
+    return missed_cycle(graph, transversal, limit) is None
 
 
 def verify_packing(graph: LabeledGraph, edge_sets: Sequence[FrozenSet[int]], max_use: int = 1) -> bool:
@@ -234,33 +234,24 @@ class APathReport:
 
 def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[int] = None) -> List[Walk]:
     """All nonzero-valued paths with both (distinct) ends in `terminals`
-    and no internal vertex there."""
-    ceiling = enumeration_limit(limit)
+    and no internal vertex there, each from its smaller end, sorted by
+    (length, sorted edge ids)."""
     a_set = set(terminals)
     if not a_set <= graph.vertices:
         raise ValueError("terminals must be vertices of the graph")
-    adjacency = graph.adjacency()
-    bit = {v: 1 << i for i, v in enumerate(sorted(graph.vertices))}
-    found: Dict[Tuple[FrozenSet[int], FrozenSet[int]], Walk] = {}
-    for start in sorted(a_set):
-        stack = [(start, (start,), (), bit[start])]
-        while stack:
-            v, verts, eids, used = stack.pop()
-            for eid, w in adjacency[v]:
-                if used & bit[w]:
-                    continue
-                if w in a_set:
-                    if w > start:
-                        key = (frozenset(eids + (eid,)), frozenset((start, w)))
-                        if key not in found:
-                            if len(found) >= ceiling:
-                                raise EnumerationLimitError(
-                                    f"more than {ceiling} A-paths; raise {LIMIT_ENV_VAR} to continue"
-                                )
-                            found[key] = Walk(verts + (w,), eids + (eid,))
-                    continue
-                stack.append((w, verts + (w,), eids + (eid,), used | bit[w]))
-    hot = [w for w in found.values() if not groups.is_zero(walk_value(graph, w))]
+    bit, adj = _bit_steps(graph)
+    used = sum(bit[t] for t in a_set)
+    # one job per start s, every terminal used: a path closes by an edge at
+    # a later terminal, so it grows only while a neighbour of one is free
+    jobs = []
+    closing = ends = 0
+    for s in sorted(a_set, reverse=True):
+        jobs.append(((s, None, None), used, closing, ends))
+        for _, _, wb, eb in adj[s]:
+            closing |= eb
+            ends |= wb
+    paths = _simple_paths(adj, jobs, limit, "A-paths", Walk)
+    hot = [w for w in paths if not groups.is_zero(walk_value(graph, w))]
     hot.sort(key=lambda w: (len(w.edges), tuple(sorted(w.edges))))
     return hot
 

@@ -11,10 +11,10 @@ the plain, S-, and S1-S2 encodings rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from . import cycles, groups
-from .graphs import Cycle, Edge, GraphFormatError, LabeledGraph, Walk
+from .graphs import Cycle, Edge, GraphFormatError, LabeledGraph
 
 
 # ---------------------------------------------------------------------------
@@ -44,11 +44,6 @@ def _relabel(
         for i, (eid, u, v) in enumerate(_canonical_arcs(graph))
     ]
     return LabeledGraph(desc, graph.vertices, edges)
-
-
-def _touches(graph: LabeledGraph, eid: int, s: FrozenSet[int]) -> bool:
-    e = graph.edge(eid)
-    return e.tail in s or e.head in s
 
 
 # ---------------------------------------------------------------------------

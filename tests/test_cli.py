@@ -274,3 +274,16 @@ def test_analyze_leaves_no_descriptor_or_table_to_the_collector(tmp_path, capsys
         gc.garbage.clear()
     assert left.count(groups.GroupDescriptor) == 0
     assert left.count(groups.Table) == 0
+
+
+@pytest.mark.parametrize("labels", [[[1, 2, 5], [0, 1], [0, 0]], [[1, 1], "10", [0, 0]], [[1, 2], [1], [0, 0]]])
+def test_pack_rejects_malformed_direct_sum_labels(tmp_path, capsys, labels):
+    # a sum(z2,z3) triangle with one label of three entries, one string
+    # label or one label of one entry
+    edges = [{"id": i, "tail": i, "head": (i + 1) % 3, "label": lab} for i, lab in enumerate(labels)]
+    inst = tmp_path / "t.json"
+    inst.write_text(json.dumps({"group": "sum(z2,z3)", "vertices": [0, 1, 2], "edges": edges}))
+    code, out, err = run(["pack", str(inst)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "bad instance" in err

@@ -131,6 +131,27 @@ def test_element_json_round_trip(desc):
         assert decode_element(desc, encode_element(a)) == a
 
 
+@pytest.mark.parametrize(
+    "text, data",
+    [
+        ("za2", "12"),
+        ("za2", 12),
+        ("free2", "12"),
+        ("q(2,6,0)", "120"),
+        ("sum(z2,z3)", "10"),
+        ("sum(z2,z3)", [1, 2, 5]),
+        ("sum(z2,z3)", [1]),
+        ("sum(za2,z3)", [[1, 0], 2, 0]),
+        ("sum(z2,za2)", [1, "12"]),
+    ],
+)
+def test_decode_rejects_non_list_and_wrong_arity_payloads(text, data):
+    # a string is not read character by character, and a direct sum takes
+    # exactly two entries
+    with pytest.raises(GroupParseError, match="bad element payload"):
+        decode_element(parse_descriptor(text), data)
+
+
 def test_integers_encode_as_strings():
     big = element(integers(), 2**200)
     assert encode_element(big) == str(2**200)

@@ -88,13 +88,15 @@ def test_escher_wall_rejects_zero_height():
         escher_wall(0)
 
 
-@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("h", [1, 2, 3])
 def test_escher_wall_matches_brute_force(h):
     g = escher_wall(h)
     full = packing.pack_and_cover(g)
     rep = verify_instance(escher_instance(h), h)
     assert rep["nu"] == full.nu == 1
     assert rep["tau"] == full.tau == h
+    # the chord solver's nu_half packs the routed cycles collected until
+    # there are 32, a lower bound (4 against the exact 5 at h=3)
     assert rep["nu_half"] <= full.nu_half
 
 

@@ -2,17 +2,19 @@ import itertools
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from nonzero_cycles import groups
 from nonzero_cycles.cycles import LIMIT_ENV_VAR, EnumerationLimitError, enumerate_cycles
-from nonzero_cycles.graphs import Edge, LabeledGraph
+from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, walk_value
 from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
     _max_disjoint,
     _min_hitting_set,
     a_path_pack_and_cover,
     enumerate_nonzero_a_paths,
+    missed_cycle,
     pack_and_cover,
     verify_packing,
     verify_transversal,
@@ -113,6 +115,19 @@ def test_pack_and_cover_matches_brute_force():
         assert report.nu <= report.tau
 
 
+def test_missed_cycle_is_the_first_surviving_doubly_nonzero_cycle():
+    rng = random.Random(33)
+    missed = 0
+    for _ in range(40):
+        g = random_graph(ZZ, rng)
+        for removed in (frozenset(), frozenset(rng.sample(sorted(g.vertices), 1))):
+            survivors = [c for c in enumerate_cycles(g.without_vertices(removed)) if c.doubly_nonzero]
+            assert missed_cycle(g, removed) == (survivors[0] if survivors else None)
+            assert verify_transversal(g, removed) == (not survivors)
+            missed += bool(survivors)
+    assert 10 < missed < 70
+
+
 def test_pack_and_cover_empty():
     g = LabeledGraph(ZZ, [0, 1], [Edge(0, 0, 1, groups.identity(ZZ))])
     report = pack_and_cover(g)
@@ -165,6 +180,76 @@ def test_a_paths_enumeration_and_duality():
         rest = g.without_vertices(report.cover)
         surviving_terms = [t for t in terms if t in rest.vertices]
         assert not enumerate_nonzero_a_paths(rest, surviving_terms)
+
+
+def reference_a_paths(graph, terminals):
+    """The A-path DFS `enumerate_nonzero_a_paths` ran on its own before it
+    shared the cycle DFS (without its limit): every path from each start
+    terminal, kept from its smaller end, keyed by edge set and ends."""
+    a_set = set(terminals)
+    adjacency = graph.adjacency()
+    bit = {v: 1 << i for i, v in enumerate(sorted(graph.vertices))}
+    found = {}
+    for start in sorted(a_set):
+        stack = [(start, (start,), (), bit[start])]
+        while stack:
+            v, verts, eids, used = stack.pop()
+            for eid, w in adjacency[v]:
+                if used & bit[w]:
+                    continue
+                if w in a_set:
+                    if w > start:
+                        key = (frozenset(eids + (eid,)), frozenset((start, w)))
+                        if key not in found:
+                            found[key] = Walk(verts + (w,), eids + (eid,))
+                    continue
+                stack.append((w, verts + (w,), eids + (eid,), used | bit[w]))
+    hot = [w for w in found.values() if not groups.is_zero(walk_value(graph, w))]
+    hot.sort(key=lambda w: (len(w.edges), tuple(sorted(w.edges))))
+    return hot
+
+
+def networkx_a_path_edge_sets(graph, terminals):
+    """Edge sets of the nonzero paths between two terminals with no
+    terminal inside, from `networkx.all_simple_edge_paths`."""
+    mg = nx.MultiGraph()
+    mg.add_nodes_from(graph.vertices)
+    for e in graph.edges.values():
+        mg.add_edge(e.tail, e.head, key=e.id)
+    out = set()
+    for s, t in itertools.combinations(sorted(set(terminals)), 2):
+        for path in nx.all_simple_edge_paths(mg, s, t):
+            if any(v in terminals for _, v, _ in path[:-1]):
+                continue
+            walk = Walk((s,) + tuple(v for _, v, _ in path), tuple(k for _, _, k in path))
+            if not groups.is_zero(walk_value(graph, walk)):
+                out.add(frozenset(walk.edges))
+    return out
+
+
+@pytest.mark.parametrize("desc", [Z3, groups.free_group(2), groups.direct_sum(groups.cyclic(2), groups.cyclic(3))], ids=str)
+def test_a_paths_are_all_nonzero_a_paths_in_reference_order(desc):
+    rng = random.Random(90)
+    loops = parallel = found = 0
+    for _ in range(70):
+        n = rng.randint(2, 7)
+        edges = []
+        for i in range(rng.randint(1, 11)):
+            if edges and rng.random() < 0.2:  # parallel to an earlier edge
+                u, v = rng.choice(edges).tail, rng.choice(edges).head
+            else:
+                u, v = rng.randrange(n), rng.randrange(n)
+            edges.append(Edge(i, u, v, groups.random_element(desc, rng, span=1)))
+        g = LabeledGraph(desc, range(n), edges)
+        loops += any(e.tail == e.head for e in edges)
+        parallel += len({frozenset((e.tail, e.head)) for e in edges}) < len(edges)
+        terms = rng.sample(range(n), min(n, rng.randint(2, 4)))
+        paths = enumerate_nonzero_a_paths(g, terms)
+        assert {w.edge_set() for w in paths} == networkx_a_path_edge_sets(g, terms)
+        assert len(paths) == len({w.edge_set() for w in paths})
+        assert paths == reference_a_paths(g, terms)
+        found += len(paths)
+    assert loops > 20 and parallel > 20 and found > 80
 
 
 def random_family(rng):
