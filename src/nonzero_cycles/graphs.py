@@ -9,6 +9,11 @@ A graph builds two read-only tables lazily, once each, for the hot loops:
 `groups.Table`) seen arriving at either end, which `walk_value` folds; and
 `adjacency()`, per vertex its non-loop `(eid, neighbour)` pairs in
 `incident` order, which the chord router walks.
+
+One breadth-first spanning forest (`_bfs_forest`) and one walk along its
+parent links (`_tree_walk`) serve the package: the fundamental cycle of
+`is_gamma_bipartite`, the null shift of `lemmas.combine_brick`, the tree
+paths of clique models and the column snakes of elementary walls.
 """
 
 from __future__ import annotations
@@ -154,25 +159,6 @@ class LabeledGraph:
         ]
         return LabeledGraph(self.descriptor, self._vertices - gone, edges)
 
-    def components(self) -> List[frozenset]:
-        seen = set()
-        out = []
-        for start in sorted(self._vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for eid in self.incident(v):
-                    w = self.other_end(eid, v)
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, LabeledGraph)
@@ -301,7 +287,7 @@ def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
     return t.wrap(total)
 
 
-def cycle_from_edges(graph: LabeledGraph, edge_ids: Iterable[int], root: Optional[int] = None) -> Cycle:
+def cycle_from_edges(graph: LabeledGraph, edge_ids: Iterable[int]) -> Cycle:
     """Reassemble a cycle walk from an edge set (must form a single cycle)."""
     eids = sorted(set(edge_ids))
     if not eids:
@@ -321,9 +307,7 @@ def cycle_from_edges(graph: LabeledGraph, edge_ids: Iterable[int], root: Optiona
     for v, inc in adj.items():
         if len(inc) != 2:
             raise GraphFormatError("edge set is not a single cycle")
-    start = root if root is not None else min(adj)
-    if start not in adj:
-        raise GraphFormatError(f"root {root} not on the cycle")
+    start = min(adj)
     verts = [start]
     edges: List[int] = []
     prev_edge = None
@@ -391,28 +375,10 @@ def is_gamma_bipartite(graph: LabeledGraph):
         left = groups.inv(alpha.get(e.tail, ident))
         return groups.op(groups.op(left, e.label), alpha.get(e.head, ident))
 
-    parent: Dict[int, Tuple[int, int]] = {}  # vertex -> (parent vertex, edge id)
-    order: List[int] = []
-    roots = set()
-    seen = set()
-    for start in sorted(graph.vertices):
-        if start in seen:
-            continue
-        roots.add(start)
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for eid in sorted(graph.incident(v)):
-                w = graph.other_end(eid, v)
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = (v, eid)
-                    queue.append(w)
+    order, parent = _bfs_forest(graph)
     tree_edges = {eid for (_, eid) in parent.values()}
     for v in order:
-        if v in roots:
+        if v not in parent:
             continue
         # only the parent end of the tree edge is shifted so far
         e = graph.edge(parent[v][1])
@@ -426,31 +392,56 @@ def is_gamma_bipartite(graph: LabeledGraph):
         e = graph.edge(eid)
         if eid in tree_edges or groups.is_zero(shifted(e)):
             continue
-        if e.tail == e.head:
-            return False, Cycle((e.tail, e.tail), (eid,))
-        # fundamental cycle: tree path head -> tail, closed by the edge
-        path_t = _tree_path_to_root(graph, parent, e.tail)
-        path_h = _tree_path_to_root(graph, parent, e.head)
-        ct = {v: i for i, v in enumerate(path_t)}
-        meet = next(v for v in path_h if v in ct)
-        up = path_h[: path_h.index(meet) + 1]  # head .. meet
-        down = path_t[: ct[meet] + 1]  # tail .. meet
-        vseq = list(up) + list(reversed(down[:-1]))  # head .. meet .. tail
-        eseq = []
-        for i in range(len(vseq) - 1):
-            a, b = vseq[i], vseq[i + 1]
-            child = a if (a in parent and parent[a][0] == b) else b
-            eseq.append(parent[child][1])
-        return False, Cycle(tuple(vseq) + (e.head,), tuple(eseq) + (eid,))
+        # fundamental cycle: tree walk head -> tail, closed by the edge
+        walk = _tree_walk(parent, e.head, e.tail)
+        return False, Cycle(walk.vertices + (e.head,), walk.edges + (eid,))
     return True, shifts
 
 
-def _tree_path_to_root(graph, parent, v) -> List[int]:
-    path = [v]
-    while v in parent:
-        v = parent[v][0]
-        path.append(v)
-    return path
+def _bfs_forest(graph: LabeledGraph) -> Tuple[List[int], Dict[int, Tuple[int, int]]]:
+    """Breadth-first spanning forest: the visiting order, and for each
+    non-root vertex its (parent vertex, tree edge id).  Roots are taken in
+    sorted order and each vertex's edges in `incident` order."""
+    adjacency = graph.adjacency()
+    parent: Dict[int, Tuple[int, int]] = {}
+    order: List[int] = []
+    seen = set()
+    for root in sorted(graph.vertices):
+        if root in seen:
+            continue
+        seen.add(root)
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for eid, w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = (v, eid)
+                    order.append(w)
+    return order, parent
+
+
+def _tree_walk(parent: Mapping[int, Tuple[int, int]], a: int, b: int) -> Optional[Walk]:
+    """The walk from a to b in the forest of `parent` links (as returned by
+    `_bfs_forest`), or None when a and b lie in different trees."""
+    up = [a]
+    while up[-1] in parent:
+        up.append(parent[up[-1]][0])
+    depth = {v: i for i, v in enumerate(up)}
+    down_vs, down_es = [b], []
+    while down_vs[-1] not in depth:
+        if down_vs[-1] not in parent:
+            return None
+        u, eid = parent[down_vs[-1]]
+        down_vs.append(u)
+        down_es.append(eid)
+    k = depth[down_vs[-1]]
+    return Walk(
+        tuple(up[:k]) + tuple(reversed(down_vs)),
+        tuple(parent[v][1] for v in up[:k]) + tuple(reversed(down_es)),
+    )
 
 
 def normalize_to_null(graph: LabeledGraph) -> LabeledGraph:

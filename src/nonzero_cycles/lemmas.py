@@ -13,7 +13,15 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import groups
 from .cycles import classify, coordinate_values
-from .graphs import Cycle, LabeledGraph, Walk, shift
+from .graphs import (
+    Cycle,
+    LabeledGraph,
+    Walk,
+    _bfs_forest,
+    _tree_walk,
+    is_gamma_bipartite,
+    shift_sequence,
+)
 
 
 class HypothesisError(ValueError):
@@ -112,37 +120,6 @@ def combine_two_cycles(graph: LabeledGraph, c1: Cycle, c2: Cycle, p1: Walk, p2: 
 # brick combiner
 
 
-def _null_shifts_for_forest(graph: LabeledGraph, edge_ids: FrozenSet[int]) -> LabeledGraph:
-    """Shift the graph so every edge in the (acyclic) edge set is null."""
-    adj: Dict[int, List[int]] = {}
-    for eid in sorted(edge_ids):
-        e = graph.edge(eid)
-        _require(e.tail != e.head, "skeleton is a forest", "loop present")
-        adj.setdefault(e.tail, []).append(eid)
-        adj.setdefault(e.head, []).append(eid)
-    seen: set = set()
-    work = graph
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for eid in adj[v]:
-                e = work.edge(eid)
-                w = e.head if v == e.tail else e.tail
-                if w in seen:
-                    continue
-                seen.add(w)
-                lab = work.edge(eid).label
-                if not groups.is_zero(lab):
-                    alpha = groups.inv(lab) if work.edge(eid).head == w else lab
-                    work = shift(work, w, alpha)
-                queue.append(w)
-    return work
-
-
 def combine_brick(
     graph: LabeledGraph,
     c: Cycle,
@@ -211,7 +188,7 @@ def combine_brick(
     skeleton = frozenset(i1.edges) | frozenset(i2.edges)
     for w in paths:
         skeleton |= w.edge_set()
-    shifted = _null_shifts_for_forest(graph, skeleton)
+    shifted = shift_sequence(graph, is_gamma_bipartite(graph.subgraph(skeleton))[1])
 
     arcs1 = _cycle_arcs(c1, q1, q1p)  # q1 -> q1p
     arcs2 = _cycle_arcs(c2, q2, q2p)  # q2 -> q2p
@@ -357,33 +334,10 @@ class ModelFormatError(ValueError):
 
 
 def _tree_path(graph: LabeledGraph, tree_vertices, tree_edges, a: int, b: int) -> Walk:
-    if a == b:
-        return Walk((a,), ())
-    parent: Dict[int, Tuple[int, int]] = {}
-    queue = [a]
-    seen = {a}
-    while queue:
-        v = queue.pop(0)
-        for eid in graph.incident(v):
-            if eid not in tree_edges:
-                continue
-            w = graph.other_end(eid, v)
-            if w in seen or w not in tree_vertices:
-                continue
-            seen.add(w)
-            parent[w] = (v, eid)
-            queue.append(w)
-    if b not in parent:
+    walk = _tree_walk(_bfs_forest(graph.subgraph(tree_edges, tree_vertices))[1], a, b)
+    if walk is None:
         raise ModelFormatError(f"tree does not connect {a} and {b}")
-    verts = [b]
-    eids = []
-    v = b
-    while v != a:
-        u, eid = parent[v]
-        eids.append(eid)
-        verts.append(u)
-        v = u
-    return Walk(tuple(reversed(verts)), tuple(reversed(eids)))
+    return walk
 
 
 def _validate_model(graph: LabeledGraph, model: KtModel, t: int):
@@ -402,7 +356,9 @@ def _validate_model(graph: LabeledGraph, model: KtModel, t: int):
             e = graph.edge(eid)
             if e.tail not in vs or e.head not in vs:
                 raise ModelFormatError(f"tree {node} edge {eid} leaves the tree")
-        _tree_path(graph, vs, es, min(vs), max(vs))  # connectivity check
+        # |vs| - 1 edges inside vs form a tree exactly when they connect vs
+        if len(_bfs_forest(graph.subgraph(es, vs))[1]) != len(vs) - 1:
+            raise ModelFormatError(f"tree {node} is not connected")
     for (u, v), eids in model.connectors.items():
         if not (0 <= u < v < t):
             raise ModelFormatError(f"bad connector key {(u, v)}")

@@ -309,27 +309,3 @@ def check_clean(paths: Sequence[LinkPath], graph: LabeledGraph, ctx: CleanContex
     if kind in (CROSSING, NESTED) and len({v for v in values}) > 1:
         violations.append("crossing/nested paths must share one value")
     return (not violations), violations
-
-
-def check_clean_pair(ps, qs, graph: LabeledGraph, ctx: CleanContext):
-    """A clean pair: ps clean in coordinate 0, qs clean in coordinate 1,
-    equal sizes, disjoint walks, and the interval clause holds."""
-    violations: List[str] = []
-    ok_p, vp = check_clean(ps, graph, ctx, 0)
-    ok_q, vq = check_clean(qs, graph, ctx, 1)
-    violations += [f"first: {v}" for v in vp]
-    violations += [f"second: {v}" for v in vq]
-    if len(ps) != len(qs):
-        violations.append("families must have equal size")
-    used = set()
-    for fam, name in ((ps, "first"), (qs, "second")):
-        for idx, p in enumerate(fam):
-            if p.walk is None:
-                continue
-            vs = set(p.walk.vertices)
-            if used & vs:
-                violations.append(f"{name} path {idx} meets another path")
-            used |= vs
-    if not satisfies_interval_clause(ps, qs):
-        violations.append("interval clause fails")
-    return (not violations), violations

@@ -115,37 +115,44 @@ def _row_slots(wall: Wall, row_index: int) -> List[int]:
 
 def _attach(
     wall: Wall,
-    ends: Sequence[Tuple[str, str, int, int, groups.GroupElement]],
+    ends: Sequence[Tuple[str, int, int, groups.GroupElement]],
 ) -> WallInstance:
     """Glue a two-edge path (a, m, b) with the given value for each
-    (name, kind, a, b, value) request; the value sits on the first edge."""
+    (name, a, b, value) request; the value sits on the first edge."""
     desc = wall.graph.descriptor
     ident = groups.identity(desc)
     edges = list(wall.graph.edges.values())
     next_eid = max(wall.graph.edge_ids(), default=-1) + 1
     next_vid = max(wall.graph.vertices) + 1
     verts = set(wall.graph.vertices)
-    raw = []
-    for name, kind, a, b, value in ends:
+    walks = []
+    for name, a, b, value in ends:
         m = next_vid
         next_vid += 1
         verts.add(m)
         edges.append(Edge(next_eid, a, m, value))
         edges.append(Edge(next_eid + 1, m, b, ident))
-        raw.append((name, kind, Walk((a, m, b), (next_eid, next_eid + 1))))
+        walks.append((name, Walk((a, m, b), (next_eid, next_eid + 1))))
         next_eid += 2
-    graph = LabeledGraph(desc, verts, edges)
+    return _instance(LabeledGraph(desc, verts, edges), wall, walks)
+
+
+def _instance(graph: LabeledGraph, wall: Wall, walks: Sequence[Tuple[str, Walk]]) -> WallInstance:
+    """The instance whose attachments are the named two-edge walks, each
+    oriented from its boundary-earlier end and sorted by that end; its kind
+    is "P" when the first coordinate of its value is nonzero, else "Q"."""
     pos = _boundary_positions(wall)
     atts = []
-    for name, kind, walk in raw:
+    for name, walk in walks:
         if pos[walk.start] > pos[walk.end]:
             walk = walk.reversed()
+        value = walk_value(graph, walk)
         atts.append(
             Attachment(
                 name=name,
-                kind=kind,
+                kind="Q" if groups.is_zero(groups.coordinates(value)[0]) else "P",
                 walk=walk,
-                value=walk_value(graph, walk),
+                value=value,
                 left_pos=pos[walk.start],
                 right_pos=pos[walk.end],
             )
@@ -169,7 +176,7 @@ def escher_instance(h: int) -> WallInstance:
     bottom = _row_slots(wall, wall.r)
     one = groups.element(desc, 1)
     ends = [
-        (f"P{i + 1}", "P", top[i], bottom[h - 1 - i], one) for i in range(h)
+        (f"P{i + 1}", top[i], bottom[h - 1 - i], one) for i in range(h)
     ]
     return _attach(wall, ends)
 
@@ -269,10 +276,10 @@ def build_obstruction_instance(spec: ObstructionSpec) -> WallInstance:
     ends = []
     for i, (l, r) in enumerate(p_pairs):
         value = groups.element(desc, (spec.p_values[i], ident2))
-        ends.append((f"P{i + 1}", "P", slots[l], slots[r], value))
+        ends.append((f"P{i + 1}", slots[l], slots[r], value))
     for i, (l, r) in enumerate(q_pairs):
         value = groups.element(desc, (ident1, spec.q_values[i]))
-        ends.append((f"Q{i + 1}", "Q", slots[l], slots[r], value))
+        ends.append((f"Q{i + 1}", slots[l], slots[r], value))
     return _attach(wall, ends)
 
 
@@ -293,7 +300,6 @@ class _Shape:
     orients: Tuple[int, ...]  # 0 = left-to-right
     chords: Tuple[Tuple[int, int], ...]  # (exit vertex, entry vertex)
     chord_pos: Tuple[Tuple[int, int], ...]  # boundary positions of the same
-    value: groups.GroupElement
 
 
 def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
@@ -313,8 +319,7 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
                     total = t.zero
                     for att, o in zip(seq, orients):
                         total = t.add(total, raw[id(att)][o])
-                    value = t.wrap(total)
-                    g1, g2 = groups.coordinates(value)
+                    g1, g2 = groups.coordinates(t.wrap(total))
                     if groups.is_zero(g1) or groups.is_zero(g2):
                         continue
                     chords, chord_pos = [], []
@@ -327,7 +332,7 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
                         entry_p = b.left_pos if ob == 0 else b.right_pos
                         chords.append((exit_v, entry_v))
                         chord_pos.append((exit_p, entry_p))
-                    yield _Shape(seq, orients, tuple(chords), tuple(chord_pos), value)
+                    yield _Shape(seq, orients, tuple(chords), tuple(chord_pos))
 
 
 def _chords_cross(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
@@ -571,29 +576,14 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
     if core != ref.graph:
         return None
     pos = _boundary_positions(ref)
-    atts = []
+    walks = []
     for i, m in enumerate(middles):
         e1, e2 = graph.incident(m)
         a, b = graph.other_end(e1, m), graph.other_end(e2, m)
         if a not in pos or b not in pos:
             return None
-        walk = Walk((a, m, b), (e1, e2))
-        if pos[a] > pos[b]:
-            walk = walk.reversed()
-        value = walk_value(graph, walk)
-        kind = "Q" if groups.is_zero(groups.coordinates(value)[0]) else "P"
-        atts.append(
-            Attachment(
-                name=f"A{i + 1}",
-                kind=kind,
-                walk=walk,
-                value=value,
-                left_pos=pos[walk.start],
-                right_pos=pos[walk.end],
-            )
-        )
-    atts.sort(key=lambda a: a.left_pos)
-    return WallInstance(graph=graph, wall=ref, attachments=tuple(atts))
+        walks.append((f"A{i + 1}", Walk((a, m, b), (e1, e2))))
+    return _instance(graph, ref, walks)
 
 
 def verify_obstruction(graph: LabeledGraph, h: int, limit: Optional[int] = None) -> dict:

@@ -52,8 +52,7 @@ def _relabel(
 
 def reduce_plain_cycles(graph: LabeledGraph) -> LabeledGraph:
     """Every cycle becomes doubly nonzero: edge i carries (2^i, 2^i)."""
-    desc = groups.direct_sum(groups.integers(), groups.integers())
-    return _relabel(graph, desc, lambda i, eid, u, v: groups.element(desc, (2**i, 2**i)))
+    return reduce_S1_S2_cycles(graph, graph.vertices, graph.vertices)
 
 
 def reduce_odd_cycles(graph: LabeledGraph) -> LabeledGraph:
@@ -66,13 +65,7 @@ def reduce_S_cycles(graph: LabeledGraph, s: Iterable[int]) -> LabeledGraph:
     """Cycles meeting S become doubly nonzero: edge i carries (2^i, 2^i)
     when it has an end in S and (0, 0) otherwise."""
     s = frozenset(s)
-    desc = groups.direct_sum(groups.integers(), groups.integers())
-
-    def lab(i, eid, u, v):
-        hot = u in s or v in s
-        return groups.element(desc, (2**i, 2**i) if hot else (0, 0))
-
-    return _relabel(graph, desc, lab)
+    return reduce_S1_S2_cycles(graph, s, s)
 
 
 def reduce_odd_S_cycles(graph: LabeledGraph, s: Iterable[int]) -> LabeledGraph:
@@ -184,54 +177,46 @@ class EmbeddedGraph:
                 raise GraphFormatError(f"sign for unknown edge {eid}")
 
 
-def _dart_ends(graph: LabeledGraph, dart: Dart) -> Tuple[int, int]:
-    e = graph.edge(dart[0])
-    return (e.tail, e.head) if dart[1] == 0 else (e.head, e.tail)
-
-
 def trace_embedded_faces(emb: EmbeddedGraph) -> List[List[Dart]]:
     """Face boundary walks of the embedding.  States are (dart, side):
     after arriving along a dart the side flips on negative edges, and the
     next dart is the rotation successor (positive side) or predecessor
-    (negative side) of the reversed dart.  Each face and its mirror
-    traversal are identified."""
+    (negative side) of the reversed dart.  A face is traced once: the
+    mirror of state (dart (e, d), side s) is ((e, 1 - d), -s * sign(e)),
+    the same edge walked back on the other side, and the mirror of each
+    traced orbit is skipped.  Start states are tried in edge-id and
+    direction order, all on side +1 before any on side -1, so on an
+    orientable embedding each face comes out in its side +1 direction."""
     emb.validate()
     g = emb.graph
-    index: Dict[int, Dict[Dart, int]] = {
-        v: {d: i for i, d in enumerate(rot)} for v, rot in emb.rotations.items()
+    sign = {eid: emb.sign(eid) for eid in g.edge_ids()}
+    # each dart's rotation (that of the vertex it leaves) and its place there
+    place: Dict[Dart, Tuple[Tuple[Dart, ...], int]] = {
+        dart: (rot, i) for rot in emb.rotations.values() for i, dart in enumerate(rot)
     }
 
     def step(dart: Dart, side: int) -> Tuple[Dart, int]:
-        side = side * emb.sign(dart[0])
-        _, head = _dart_ends(g, dart)
-        rot = emb.rotations[head]
-        back = (dart[0], 1 - dart[1])
-        k = index[head][back]
-        nxt = rot[(k + side) % len(rot)]
-        return nxt, side
+        side *= sign[dart[0]]
+        rot, k = place[(dart[0], 1 - dart[1])]
+        return rot[(k + side) % len(rot)], side
 
-    orbits: List[List[Tuple[Dart, int]]] = []
+    faces: List[List[Dart]] = []
     seen = set()
-    starts = [((eid, d), s) for eid in sorted(g.edge_ids()) for d in (0, 1) for s in (1, -1)]
-    for start in starts:
+    darts = [(eid, d) for eid in sorted(g.edge_ids()) for d in (0, 1)]
+    for start in [(dart, s) for s in (1, -1) for dart in darts]:
         if start in seen:
             continue
-        orbit = []
+        face = []
         state = start
-        while state not in seen:
+        while True:
+            dart, side = state
+            face.append(dart)
             seen.add(state)
-            orbit.append(state)
+            seen.add(((dart[0], 1 - dart[1]), -side * sign[dart[0]]))
             state = step(*state)
-        orbits.append(orbit)
-    faces: List[List[Dart]] = []
-    taken = set()
-    for orbit in orbits:
-        key = frozenset(orbit)
-        mirror = frozenset(((eid, 1 - d), -s) for (eid, d), s in orbit)
-        if key in taken or mirror in taken:
-            continue
-        taken.add(key)
-        faces.append([dart for dart, _ in orbit])
+            if state == start:
+                break
+        faces.append(face)
     total = sum(len(f) for f in faces)
     if total != 2 * len(g.edge_ids()):
         raise GraphFormatError("face tracing must cover every edge twice")

@@ -2,6 +2,11 @@
 bricks, and local rerouting of a vertical segment through an external
 path.
 
+Bricks are the faces of the straight-line drawing: `trace_faces` sorts the
+darts at each vertex by angle into a rotation system and traces it with
+`reductions.trace_embedded_faces`, the package's one face tracer.  Column
+snakes are walks in a breadth-first forest (`graphs._tree_walk`).
+
 A `Wall` is read-only (its `coords` is a `MappingProxyType`), so elementary
 walls are memoised on `(r, descriptor)`: every caller asking for the same
 wall shares one validated wall, its graph and the graph's lazily built
@@ -17,7 +22,8 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import groups
-from .graphs import Cycle, Edge, LabeledGraph, Walk, decode_graph, encode_graph
+from .graphs import Cycle, Edge, LabeledGraph, Walk, _bfs_forest, _tree_walk, decode_graph, encode_graph
+from .reductions import EmbeddedGraph, trace_embedded_faces
 
 
 class WallFormatError(ValueError):
@@ -62,39 +68,22 @@ class Wall:
 
 def trace_faces(graph: LabeledGraph, coords: Mapping[int, Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
     """Faces of the straight-line embedding, each as a list of directed
-    edges (edge id, source vertex)."""
-    rotation: Dict[int, List[Tuple[int, int]]] = {}
+    edges (edge id, source vertex): the darts at each vertex are sorted by
+    angle into a rotation system, traced by `trace_embedded_faces`."""
+    rotations = {}
     for v in graph.vertices:
-        outs = []
+        x, y = coords[v]
+        darts = []
         for eid in graph.incident(v):
-            w = graph.other_end(eid, v)
-            dx = coords[w][0] - coords[v][0]
-            dy = coords[w][1] - coords[v][1]
-            outs.append((math.atan2(dy, dx), eid, w))
-        outs.sort()
-        rotation[v] = [(eid, w) for _, eid, w in outs]
-    unused = {(eid, 0) for eid in graph.edge_ids()} | {(eid, 1) for eid in graph.edge_ids()}
-    faces = []
-    while unused:
-        start = min(unused)
-        face = []
-        half = start
-        while True:
-            unused.discard(half)
-            eid, d = half
             e = graph.edge(eid)
-            u, v = (e.tail, e.head) if d == 0 else (e.head, e.tail)
-            face.append((eid, u))
-            # continue with the successor of the reverse half-edge at v
-            rot = rotation[v]
-            idx = rot.index((eid, u))
-            next_eid, next_w = rot[(idx + 1) % len(rot)]
-            ne = graph.edge(next_eid)
-            half = (next_eid, 0 if ne.tail == v else 1)
-            if half == start:
-                break
-        faces.append(face)
-    return faces
+            d, w = (0, e.head) if e.tail == v else (1, e.tail)
+            darts.append((math.atan2(coords[w][1] - y, coords[w][0] - x), (eid, d)))
+        darts.sort()
+        rotations[v] = tuple(dart for _, dart in darts)
+    return [
+        [(eid, graph.edge(eid).head if d else graph.edge(eid).tail) for eid, d in face]
+        for face in trace_embedded_faces(EmbeddedGraph(graph, rotations))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +266,11 @@ def _build_elementary(r: int, desc: groups.GroupDescriptor) -> Wall:
     snakes = []
     for i in range(r + 1):
         cols = {2 * i, 2 * i + 1}
-        sub_vs = {v for v in verts if coords[v][0] in cols}
-        adj: Dict[int, List[int]] = {v: [] for v in sub_vs}
-        for e in edges:
-            if e.tail in sub_vs and e.head in sub_vs:
-                adj[e.tail].append(e.head)
-                adj[e.head].append(e.tail)
-        tips = sorted(v for v in sub_vs if len(adj[v]) == 1)
-        order = [min(tips, key=lambda v: (coords[v][1], coords[v][0]))]
-        while len(order) < len(sub_vs):
-            nxt = [w for w in adj[order[-1]] if len(order) < 2 or w != order[-2]]
-            order.append(nxt[0])
-        snakes.append(walk_of(order))
+        column = graph.subgraph(
+            e.id for e in edges if coords[e.tail][0] in cols and coords[e.head][0] in cols
+        )
+        tips = sorted((coords[v][1], coords[v][0], v) for v in column.vertices if column.degree(v) == 1)
+        snakes.append(_tree_walk(_bfs_forest(column)[1], tips[0][2], tips[1][2]))
     return _assemble(graph, coords, rows, snakes)
 
 

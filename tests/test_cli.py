@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 from pathlib import Path
 
@@ -287,3 +288,21 @@ def test_pack_rejects_malformed_direct_sum_labels(tmp_path, capsys, labels):
     assert code == 2
     assert out == ""
     assert "bad instance" in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("gen wall --r 4", "4208eeb9849dd92f10b83f2303a97a269f6fb6371384f86be862b7a67869c632"),
+        (
+            "gen obstruction --h 2 --p nested --q series --seed 3",
+            "7a9a90d13ce1eafc2e2285f4e208846a5e02dd880fa6f7eb78af90a98b039853",
+        ),
+        ("experiment --seed 1 --count 100", "0b6867f0401b0388b432a17e9a9474f8a129ae940247c1ec94055f9e20ea5679"),
+    ],
+    ids=["wall_r4", "obstruction_h2_nested_series", "experiment_seed1"],
+)
+def test_fixed_seed_stdout_is_pinned(argv, digest, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from nonzero_cycles.graphs import (
     LabeledGraph,
     NotGammaBipartiteError,
     Walk,
+    _bfs_forest,
+    _tree_walk,
     contract_null_edge,
     cycle_from_edges,
     decode_graph,
@@ -195,6 +198,42 @@ def test_is_gamma_bipartite_matches_shifting_the_graph():
         else:
             assert not verdict and cert.edges[-1] == bad
     assert flat >= 100
+
+
+def test_bfs_forest_and_tree_walk_match_networkx():
+    rng = random.Random(3)
+    across = 0
+    for _ in range(200):
+        g = random_graph(Z, rng, max_vertices=10, max_edges=rng.randint(1, 12))
+        order, parent = _bfs_forest(g)
+        assert sorted(order) == sorted(g.vertices)
+        forest = nx.Graph()
+        forest.add_nodes_from(g.vertices)
+        for v, (u, eid) in parent.items():
+            assert {v, u} == {g.edge(eid).tail, g.edge(eid).head}
+            forest.add_edge(u, v)
+        assert nx.is_forest(forest)
+        full = nx.MultiGraph([(e.tail, e.head) for e in g.edges.values()])
+        full.add_nodes_from(g.vertices)
+        roots = [v for v in order if v not in parent]
+        assert roots == sorted(roots)
+        assert nx.number_connected_components(forest) == len(roots)
+        assert nx.number_connected_components(full) == len(roots)
+        for root in roots:
+            # breadth first: tree depths are graph distances
+            dist = nx.single_source_shortest_path_length(full, root)
+            assert nx.single_source_shortest_path_length(forest, root) == dist
+        for _ in range(10):
+            a, b = rng.choice(sorted(g.vertices)), rng.choice(sorted(g.vertices))
+            walk = _tree_walk(parent, a, b)
+            if not nx.has_path(forest, a, b):
+                assert walk is None
+                across += 1
+                continue
+            assert list(walk.vertices) == nx.shortest_path(forest, a, b)
+            assert set(walk.edges) <= {eid for _, eid in parent.values()}
+            walk.validate(g)
+    assert across >= 100
 
 
 def test_normalize_to_null():

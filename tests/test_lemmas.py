@@ -1,10 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
 from nonzero_cycles import groups
 from nonzero_cycles.cycles import coordinate_values, enumerate_cycles
-from nonzero_cycles.graphs import Cycle, Edge, LabeledGraph, Walk
+from nonzero_cycles.graphs import (
+    Cycle,
+    Edge,
+    LabeledGraph,
+    Walk,
+    is_gamma_bipartite,
+    shift,
+    shift_sequence,
+)
 from nonzero_cycles.lemmas import (
     HypothesisError,
     KtModel,
@@ -215,6 +224,62 @@ def test_combine_brick_fuzz():
         done += 1
 
 
+def reference_null_shifts(graph, edge_ids):
+    """The breadth-first shifter that made a forest's edges null for
+    `combine_brick` before it called `is_gamma_bipartite`, kept as the
+    oracle for its null shift."""
+    adj = {}
+    for eid in sorted(edge_ids):
+        e = graph.edge(eid)
+        assert e.tail != e.head
+        adj.setdefault(e.tail, []).append(eid)
+        adj.setdefault(e.head, []).append(eid)
+    seen = set()
+    work = graph
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            for eid in adj[v]:
+                e = work.edge(eid)
+                w = e.head if v == e.tail else e.tail
+                if w in seen:
+                    continue
+                seen.add(w)
+                if not groups.is_zero(e.label):
+                    work = shift(work, w, groups.inv(e.label) if e.head == w else e.label)
+                queue.append(w)
+    return work
+
+
+# sha256 of the repr of the (vertices, edges) pairs combine_brick returns on
+# the 1,000 instances of test_combine_brick_fuzz
+BRICK_FUZZ_CYCLES_SHA256 = "a181ae54c95f6730a25e477900483c914afc9c060659c413807c4394214ef5f9"
+
+
+def test_combine_brick_null_shift_and_cycles_are_unchanged():
+    rng = random.Random(424242)
+    outs = []
+    while len(outs) < 1000:
+        inst = brick_instance(rng)
+        if inst is None:
+            continue
+        graph, c, c1, c2, (p1, p1p, p2, p2p) = inst
+        out = combine_brick(graph, c, c1, c2, p1, p1p, p2, p2p)
+        outs.append((out.vertices, out.edges))
+        skeleton = frozenset(
+            central_arc_edges(c, p2p.start, p1.start, p2.start)
+            | central_arc_edges(c, p1p.start, p2.start, p1.start)
+            | {eid for w in (p1, p1p, p2, p2p) for eid in w.edges}
+        )
+        null = shift_sequence(graph, is_gamma_bipartite(graph.subgraph(skeleton))[1])
+        assert null == reference_null_shifts(graph, skeleton)
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == BRICK_FUZZ_CYCLES_SHA256
+
+
 def test_combine_brick_rejects_bad_hypotheses():
     rng = random.Random(5)
     inst = None
@@ -411,6 +476,22 @@ def test_model_format_errors():
     del missing[(2, 3)]
     with pytest.raises(ModelFormatError, match="missing connector"):
         verify_odd_kt_model(graph, KtModel(model.trees, missing), 4)
+
+
+def test_model_tree_with_a_cycle_is_rejected():
+    # tree 0 lists |V| - 1 edges on its four vertices, but they close a
+    # triangle on 0, 1, 3 and leave vertex 2 out
+    zero = pair(Z2Z2, 0, 0)
+    arcs = [(0, 1), (1, 3), (0, 3), (2, 10), (0, 10), (2, 11), (0, 11), (10, 11)]
+    graph = LabeledGraph(Z2Z2, [0, 1, 2, 3, 10, 11], [Edge(i, t, h, zero) for i, (t, h) in enumerate(arcs)])
+    trees = {
+        0: (frozenset([0, 1, 2, 3]), frozenset([0, 1, 2])),
+        1: (frozenset([10]), frozenset()),
+        2: (frozenset([11]), frozenset()),
+    }
+    model = KtModel(trees, {(0, 1): (4,), (0, 2): (6,), (1, 2): (7,)})
+    with pytest.raises(ModelFormatError, match="tree 0 is not connected"):
+        verify_odd_kt_model(graph, model, 3)
 
 
 def test_triangle_color():

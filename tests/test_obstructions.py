@@ -293,7 +293,7 @@ def test_small_instance_matches_brute_force():
     q_val = groups.element(desc, (0, 1))
     inst = _attach(
         wall,
-        [("P1", "P", top[0], top[1], p_val), ("Q1", "Q", bottom[0], bottom[1], q_val)],
+        [("P1", top[0], top[1], p_val), ("Q1", bottom[0], bottom[1], q_val)],
     )
     rep = verify_instance(inst, 1)
     full = packing.pack_and_cover(inst.graph)

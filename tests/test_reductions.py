@@ -215,6 +215,77 @@ def test_embedded_graph_validates_rotations():
         EmbeddedGraph(g, {0: ((0, 0),), 1: ((0, 1),)}, {0: 3}).validate()
 
 
+def theta_embedding(signs):
+    """Three parallel edges 0 -> 1 listed in the same order at both ends."""
+    g = plain(range(2), [(0, 1)] * 3)
+    return EmbeddedGraph(g, {0: ((0, 0), (1, 0), (2, 0)), 1: ((0, 1), (1, 1), (2, 1))}, signs)
+
+
+def test_signed_theta_graphs_trace():
+    # all edges negative: the sphere, three digon faces
+    sphere = theta_embedding({0: -1, 1: -1, 2: -1})
+    assert euler_characteristic(sphere) == 2
+    assert sorted(len(f) for f in trace_embedded_faces(sphere)) == [2, 2, 2]
+    h1 = homology_labeling(sphere).descriptor.parts[0]
+    assert h1 == groups.quotient(())
+    # one edge negative: the Klein bottle, one face, H1 = Z + Z2
+    klein = theta_embedding({0: -1})
+    assert euler_characteristic(klein) == 0
+    assert [len(f) for f in trace_embedded_faces(klein)] == [6]
+    h1 = homology_labeling(klein).descriptor.parts[0]
+    assert sorted(h1.parts) == [0, 2]
+    # no edge negative: the torus
+    assert euler_characteristic(theta_embedding({})) == 0
+
+
+def random_signed_embedding(rng):
+    """A connected multigraph with loops and parallel edges, a random
+    rotation at each vertex and random edge signs."""
+    n = rng.randint(1, 6)
+    arcs = [(rng.randrange(v), v) for v in range(1, n)]
+    while len(arcs) < n - 1 + rng.randint(1, 5):
+        arcs.append((rng.randrange(n), rng.randrange(n)))
+    g = plain(range(n), arcs)
+    rotations = {v: [] for v in range(n)}
+    for eid, (t, h) in enumerate(arcs):
+        rotations[t].append((eid, 0))
+        rotations[h].append((eid, 1))
+    for rot in rotations.values():
+        rng.shuffle(rot)
+    signs = {eid: rng.choice((1, -1)) for eid in range(len(arcs))}
+    return EmbeddedGraph(g, {v: tuple(rot) for v, rot in rotations.items()}, signs)
+
+
+def switched(emb, v):
+    """Vertex switching at v: reverse its rotation and negate the signs of
+    its non-loop edges.  The surface is unchanged."""
+    signs = dict(emb.signs)
+    for eid in emb.graph.incident(v):
+        e = emb.graph.edge(eid)
+        if e.tail != e.head:
+            signs[eid] = -emb.sign(eid)
+    rotations = dict(emb.rotations)
+    rotations[v] = tuple(reversed(emb.rotations[v]))
+    return EmbeddedGraph(emb.graph, rotations, signs)
+
+
+def test_euler_characteristic_is_invariant_under_vertex_switching():
+    rng = random.Random(11)
+    loops = parallel = 0
+    for _ in range(300):
+        emb = random_signed_embedding(rng)
+        g = emb.graph
+        loops += any(g.edge(eid).tail == g.edge(eid).head for eid in g.edge_ids())
+        parallel += len({frozenset((e.tail, e.head)) for e in g.edges.values()}) < len(g.edge_ids())
+        chi = euler_characteristic(emb)
+        darts = sorted(eid for face in trace_embedded_faces(emb) for eid, _ in face)
+        assert darts == sorted(g.edge_ids() * 2)
+        for v in rng.sample(sorted(g.vertices), rng.randint(1, len(g.vertices))):
+            emb = switched(emb, v)
+            assert euler_characteristic(emb) == chi
+    assert loops >= 100 and parallel >= 100
+
+
 def test_disconnected_sphere_pair_rejected():
     # two disjoint planar triangles: v - e + f exceeds 2
     g = plain(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

@@ -1,5 +1,7 @@
 """Tests for wall construction, subwalls, and local rerouting."""
 
+import math
+
 import networkx as nx
 import pytest
 
@@ -8,6 +10,7 @@ from nonzero_cycles.graphs import Edge, LabeledGraph, Walk
 from nonzero_cycles.walls import (
     Wall,
     WallFormatError,
+    _elementary,
     containment_indices,
     decode_wall,
     elementary_wall,
@@ -16,6 +19,7 @@ from nonzero_cycles.walls import (
     local_reroute,
     subwall,
     top_nails,
+    trace_faces,
     validate_wall,
 )
 
@@ -281,3 +285,73 @@ def test_wall_coords_are_read_only():
     assert copy.coords == w.coords
     with pytest.raises(TypeError):
         copy.coords[v] = (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# face tracing from coordinates
+
+
+def reference_trace_faces(graph, coords):
+    """The straight-line face tracer that walked darts by angle directly,
+    kept as the oracle for `trace_faces`."""
+    rotation = {}
+    for v in graph.vertices:
+        outs = []
+        for eid in graph.incident(v):
+            w = graph.other_end(eid, v)
+            dx = coords[w][0] - coords[v][0]
+            dy = coords[w][1] - coords[v][1]
+            outs.append((math.atan2(dy, dx), eid, w))
+        outs.sort()
+        rotation[v] = [(eid, w) for _, eid, w in outs]
+    unused = {(eid, 0) for eid in graph.edge_ids()} | {(eid, 1) for eid in graph.edge_ids()}
+    faces = []
+    while unused:
+        start = min(unused)
+        face = []
+        half = start
+        while True:
+            unused.discard(half)
+            eid, d = half
+            e = graph.edge(eid)
+            u, v = (e.tail, e.head) if d == 0 else (e.head, e.tail)
+            face.append((eid, u))
+            rot = rotation[v]
+            idx = rot.index((eid, u))
+            next_eid, _ = rot[(idx + 1) % len(rot)]
+            ne = graph.edge(next_eid)
+            half = (next_eid, 0 if ne.tail == v else 1)
+            if half == start:
+                break
+        faces.append(face)
+    return faces
+
+
+def _rerouted_with_coords():
+    """A rerouted 4-wall whose detour vertices bend into a brick, with
+    coordinates for them."""
+    w = elementary_wall(4)
+    seg = _vertical_segment(w)
+    fresh = [10_000, 10_001]
+    host, q = _host_with_detour(w, seg, fresh)
+    w2 = local_reroute(w, seg, q, host=host)
+    (x0, y0), (x1, y1) = w.coords[seg.start], w.coords[seg.end]
+    coords = dict(w.coords)
+    for k, v in enumerate(fresh, start=1):
+        t = k / (len(fresh) + 1)
+        coords[v] = (x0 + t * (x1 - x0) + 0.3 * (y1 - y0), y0 + t * (y1 - y0) - 0.3 * (x1 - x0))
+    return w2.graph, coords
+
+
+def test_trace_faces_matches_the_reference_tracer():
+    cases = [(_elementary(r).graph, _elementary(r).coords) for r in range(1, 9)]
+    w = elementary_wall(6)
+    for sub in (subwall(w, range(5), range(5)), subwall(w, [1, 2, 4, 6], [0, 2, 3, 5])):
+        cases.append((sub.graph, sub.coords))
+    cases.append(_rerouted_with_coords())
+    for graph, coords in cases:
+        assert trace_faces(graph, coords) == reference_trace_faces(graph, coords)
+    for r in range(1, 9):
+        wall = _elementary(r)
+        faces = {frozenset(eid for eid, _ in f) for f in reference_trace_faces(wall.graph, wall.coords)}
+        assert all(b.edge_set() in faces for b in wall.bricks)
