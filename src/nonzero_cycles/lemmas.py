@@ -333,17 +333,25 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _tree_path(graph: LabeledGraph, tree_vertices, tree_edges, a: int, b: int) -> Walk:
-    walk = _tree_walk(_bfs_forest(graph.subgraph(tree_edges, tree_vertices))[1], a, b)
+def _tree_forest(graph: LabeledGraph, model: KtModel, node: int) -> Dict[int, Tuple[int, int]]:
+    """The `_bfs_forest` parent links of the model's tree at `node`."""
+    vs, es = model.trees[node]
+    return _bfs_forest(graph.subgraph(es, vs))[1]
+
+
+def _tree_path(parent: Dict[int, Tuple[int, int]], a: int, b: int) -> Walk:
+    walk = _tree_walk(parent, a, b)
     if walk is None:
         raise ModelFormatError(f"tree does not connect {a} and {b}")
     return walk
 
 
-def _validate_model(graph: LabeledGraph, model: KtModel, t: int):
+def _validate_model(graph: LabeledGraph, model: KtModel, t: int) -> Dict[int, Dict[int, Tuple[int, int]]]:
+    """Check the model; returns each tree's `_tree_forest` parent links."""
     if sorted(model.trees) != list(range(t)):
         raise ModelFormatError("model must have trees 0..t-1")
     used: set = set()
+    forests = {}
     for node, (vs, es) in model.trees.items():
         if not vs:
             raise ModelFormatError(f"tree {node} is empty")
@@ -357,7 +365,8 @@ def _validate_model(graph: LabeledGraph, model: KtModel, t: int):
             if e.tail not in vs or e.head not in vs:
                 raise ModelFormatError(f"tree {node} edge {eid} leaves the tree")
         # |vs| - 1 edges inside vs form a tree exactly when they connect vs
-        if len(_bfs_forest(graph.subgraph(es, vs))[1]) != len(vs) - 1:
+        forests[node] = _tree_forest(graph, model, node)
+        if len(forests[node]) != len(vs) - 1:
             raise ModelFormatError(f"tree {node} is not connected")
     for (u, v), eids in model.connectors.items():
         if not (0 <= u < v < t):
@@ -373,10 +382,17 @@ def _validate_model(graph: LabeledGraph, model: KtModel, t: int):
         for v in range(u + 1, t):
             if (u, v) not in model.connectors:
                 raise ModelFormatError(f"missing connector {(u, v)}")
+    return forests
 
 
 def triangle_cycle(graph: LabeledGraph, model: KtModel, triple, selection) -> Cycle:
     """The unique cycle through the three selected connector edges."""
+    return _triangle_cycle(graph, model, {n: _tree_forest(graph, model, n) for n in triple}, triple, selection)
+
+
+def _triangle_cycle(graph: LabeledGraph, model: KtModel, forests, triple, selection) -> Cycle:
+    """`triangle_cycle` walking the trees through their `_tree_forest`
+    parent links in `forests`."""
     x, y, z = sorted(triple)
     exy, exz, eyz = selection
 
@@ -389,16 +405,12 @@ def triangle_cycle(graph: LabeledGraph, model: KtModel, triple, selection) -> Cy
             return e.head
         raise ModelFormatError(f"edge {eid} has no end in tree {node}")
 
-    pieces = []
     # tree x: from end of exz to end of exy; then edge exy into tree y; etc.
-    vx, ex = model.trees[x]
-    vy, ey = model.trees[y]
-    vz, ez = model.trees[z]
-    walk = _tree_path(graph, vx, ex, end_in(exz, x), end_in(exy, x))
+    walk = _tree_path(forests[x], end_in(exz, x), end_in(exy, x))
     walk = walk.concat(Walk((end_in(exy, x), end_in(exy, y)), (exy,)))
-    walk = walk.concat(_tree_path(graph, vy, ey, end_in(exy, y), end_in(eyz, y)))
+    walk = walk.concat(_tree_path(forests[y], end_in(exy, y), end_in(eyz, y)))
     walk = walk.concat(Walk((end_in(eyz, y), end_in(eyz, z)), (eyz,)))
-    walk = walk.concat(_tree_path(graph, vz, ez, end_in(eyz, z), end_in(exz, z)))
+    walk = walk.concat(_tree_path(forests[z], end_in(eyz, z), end_in(exz, z)))
     walk = walk.concat(Walk((end_in(exz, z), end_in(exz, x)), (exz,)))
     return Cycle(walk.vertices, walk.edges)
 
@@ -408,7 +420,7 @@ def verify_odd_kt_model(graph: LabeledGraph, model: KtModel, t: int):
     coordinate, a connector selection whose triangle cycle is nonzero
     there.  Returns (ok, witness); the witness names the failing triple and
     coordinate."""
-    _validate_model(graph, model, t)
+    forests = _validate_model(graph, model, t)
     import itertools
 
     for triple in itertools.combinations(range(t), 3):
@@ -421,7 +433,7 @@ def verify_odd_kt_model(graph: LabeledGraph, model: KtModel, t: int):
         for coordinate in (0, 1):
             ok = False
             for selection in itertools.product(*options):
-                cyc = triangle_cycle(graph, model, triple, selection)
+                cyc = _triangle_cycle(graph, model, forests, triple, selection)
                 if _nonzero_in(graph, cyc, coordinate):
                     ok = True
                     break

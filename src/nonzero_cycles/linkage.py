@@ -2,17 +2,13 @@
 
 Paths are abstracted as intervals (left < right positions in a fixed
 terminal order).  A linkage is pure when all pairs relate the same way:
-in series, nested, or crossing.  Richer checks (cleanliness) also look at
-the carried graph walks and their group values.
+in series, nested, or crossing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-from . import groups
-from .graphs import LabeledGraph, Walk, walk_value
 
 SERIES = "series"
 NESTED = "nested"
@@ -25,12 +21,10 @@ class LinkageError(ValueError):
 
 @dataclass(frozen=True)
 class LinkPath:
-    """A path with endpoints at terminal positions left < right; the walk
-    (when present) is traversed from the left endpoint to the right one."""
+    """A path with endpoints at terminal positions left < right."""
 
     left: int
     right: int
-    walk: Optional[Walk] = None
 
     def __post_init__(self):
         if self.left >= self.right:
@@ -265,47 +259,3 @@ def satisfies_interval_clause(ps: Sequence[LinkPath], qs: Sequence[LinkPath]) ->
     if _interleaved(ps, qs):
         return linkage_type(ps) != SERIES and linkage_type(qs) != SERIES
     return False
-
-
-# ---------------------------------------------------------------------------
-# cleanliness
-
-
-@dataclass(frozen=True)
-class CleanContext:
-    """Separation context: positions index the ordered terminal row, and
-    `interior_forbidden` holds the vertices the paths may touch only at
-    their endpoints."""
-
-    positions: Tuple[int, ...]  # terminal position -> vertex id
-    interior_forbidden: frozenset
-
-
-def check_clean(paths: Sequence[LinkPath], graph: LabeledGraph, ctx: CleanContext, coordinate: int):
-    """Clean = pure + internally avoids the forbidden side + every path
-    nonzero in the coordinate + equal values when crossing or nested.
-    Returns (ok, violations)."""
-    violations: List[str] = []
-    kind = linkage_type(paths)
-    if kind is None:
-        violations.append("not pure")
-    values = []
-    for idx, p in enumerate(paths):
-        if p.walk is None:
-            violations.append(f"path {idx} carries no walk")
-            continue
-        p.walk.validate(graph)
-        if not p.walk.is_path():
-            violations.append(f"path {idx} revisits a vertex")
-        expected = (ctx.positions[p.left], ctx.positions[p.right])
-        if (p.walk.start, p.walk.end) != expected:
-            violations.append(f"path {idx} does not join terminals {expected}")
-        if any(v in ctx.interior_forbidden for v in p.walk.vertices[1:-1]):
-            violations.append(f"path {idx} passes through the forbidden side")
-        val = groups.coordinates(walk_value(graph, p.walk))[coordinate]
-        values.append(val)
-        if groups.is_zero(val):
-            violations.append(f"path {idx} has zero value in coordinate {coordinate}")
-    if kind in (CROSSING, NESTED) and len({v for v in values}) > 1:
-        violations.append("crossing/nested paths must share one value")
-    return (not violations), violations

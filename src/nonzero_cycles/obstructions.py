@@ -16,10 +16,11 @@ implicit hitting-set loop over it: a minimum hitting set of the witness
 cycles found so far (`packing._min_hitting_set`), then one oracle call,
 until the oracle finds no cycle avoiding the hitting set.
 
-Each `WallInstance` builds its table of non-crossing cycle shapes once
-(`WallInstance.shapes`), and `_find_cycle`, `_find_two_disjoint` and
-`_half_integral_family` all read it; the walls under the instances are the
-shared, read-only walls that `walls` memoises.
+Each `WallInstance` builds its table of cycle shapes once
+(`WallInstance.shapes`) by a DFS that drops a branch at its first crossing
+chord, and `_find_cycle`, `_find_two_disjoint` and `_half_integral_family`
+all read it; the walls under the instances are the shared, read-only walls
+that `walls` memoises.
 """
 
 from __future__ import annotations
@@ -82,16 +83,10 @@ class WallInstance:
     attachments: Tuple[Attachment, ...]
 
     @functools.cached_property
-    def shapes(self) -> Tuple[Tuple[int, "_Shape"], ...]:
-        """`(members, shape)` for each non-crossing shape of `_shapes(
-        attachments)`, in its order; bit i of `members` is set when the
-        shape uses attachment i.  Every reader skips crossing shapes."""
-        index = {id(a): i for i, a in enumerate(self.attachments)}
-        return tuple(
-            (sum(1 << index[id(a)] for a in shape.sequence), shape)
-            for shape in _shapes(self.attachments, self.graph.descriptor)
-            if _noncrossing(shape.chord_pos)
-        )
+    def shapes(self) -> Tuple["_Shape", ...]:
+        """Every doubly nonzero shape whose chords do not cross, in the
+        order `_shapes` gives them."""
+        return tuple(_shapes(self.attachments, self.graph.descriptor))
 
 
 def _boundary_positions(wall: Wall) -> Dict[int, int]:
@@ -300,53 +295,63 @@ class _Shape:
     orients: Tuple[int, ...]  # 0 = left-to-right
     chords: Tuple[Tuple[int, int], ...]  # (exit vertex, entry vertex)
     chord_pos: Tuple[Tuple[int, int], ...]  # boundary positions of the same
+    members: int  # bit i set when the shape uses attachment i
 
 
 def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
-    """All cycle shapes over nonempty attachment subsets, up to rotation
-    and reflection; only shapes with doubly nonzero value are yielded.
-    Values are folded over raw payloads (see `groups.Table`)."""
+    """The doubly nonzero cycle shapes over nonempty attachment subsets
+    whose chords do not cross, up to rotation and reflection: each starts
+    at its lowest-index attachment, walked left to right.  A DFS extends a
+    sequence by an unused later-index attachment in either orientation and
+    drops a branch at its first chord crossing an earlier one, as no later
+    chord can uncross them; a node is a shape when its closing chord
+    crosses none and its value, folded over raw payloads (see
+    `groups.Table`), is doubly nonzero.  Shapes come out by size, subset,
+    visiting order, then orientations."""
     t = groups.table(desc)
-    # raw value of each attachment walked left to right (0) and back (1)
-    raw = {id(a): (t.unwrap(a.value), t.neg(t.unwrap(a.value))) for a in attachments}
-    for size in range(1, len(attachments) + 1):
-        for subset in itertools.combinations(attachments, size):
-            first, rest = subset[0], subset[1:]
-            for perm in itertools.permutations(rest):
-                seq = (first,) + perm
-                for tail in itertools.product((0, 1), repeat=size - 1):
-                    orients = (0,) + tail
-                    total = t.zero
-                    for att, o in zip(seq, orients):
-                        total = t.add(total, raw[id(att)][o])
-                    g1, g2 = groups.coordinates(t.wrap(total))
-                    if groups.is_zero(g1) or groups.is_zero(g2):
-                        continue
-                    chords, chord_pos = [], []
-                    for k in range(size):
-                        a, oa = seq[k], orients[k]
-                        b, ob = seq[(k + 1) % size], orients[(k + 1) % size]
-                        exit_v = a.right if oa == 0 else a.left
-                        exit_p = a.right_pos if oa == 0 else a.left_pos
-                        entry_v = b.left if ob == 0 else b.right
-                        entry_p = b.left_pos if ob == 0 else b.right_pos
-                        chords.append((exit_v, entry_v))
-                        chord_pos.append((exit_p, entry_p))
-                    yield _Shape(seq, orients, tuple(chords), tuple(chord_pos))
+    # per attachment and orientation (0 = left to right): raw value, and the
+    # entry and exit ends as (vertex, boundary position)
+    steps = []
+    for a in attachments:
+        raw, left, right = t.unwrap(a.value), (a.left, a.left_pos), (a.right, a.right_pos)
+        steps.append(((raw, left, right), (t.neg(raw), right, left)))
+    found = []
+    stack = [((i,), (0,), steps[i][0][0], (), ()) for i in range(len(steps))]
+    while stack:
+        seq, orients, total, chords, chord_pos = stack.pop()
+        exit_v, exit_p = steps[seq[-1]][orients[-1]][2]
+        entry_v, entry_p = steps[seq[0]][0][1]
+        closing = (exit_p, entry_p)
+        if not any(_chords_cross(closing, c) for c in chord_pos):
+            g1, g2 = groups.coordinates(t.wrap(total))
+            if not (groups.is_zero(g1) or groups.is_zero(g2)):
+                shape = _Shape(
+                    tuple(attachments[i] for i in seq),
+                    orients,
+                    chords + ((exit_v, entry_v),),
+                    chord_pos + (closing,),
+                    sum(1 << i for i in seq),
+                )
+                found.append(((len(seq), sorted(seq), seq, orients), shape))
+        for j in range(seq[0] + 1, len(steps)):
+            if j in seq:
+                continue
+            for o, (raw, (v, p), _) in enumerate(steps[j]):
+                pos = (exit_p, p)
+                if not any(_chords_cross(pos, c) for c in chord_pos):
+                    stack.append(
+                        (seq + (j,), orients + (o,), t.add(total, raw),
+                         chords + ((exit_v, v),), chord_pos + (pos,))
+                    )
+    found.sort(key=lambda item: item[0])
+    for _, shape in found:
+        yield shape
 
 
 def _chords_cross(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
     a1, a2 = sorted(a)
     inside = sum(1 for p in b if a1 < p < a2)
     return inside == 1
-
-
-def _noncrossing(chord_pos: Sequence[Tuple[int, int]]) -> bool:
-    return all(
-        not _chords_cross(chord_pos[i], chord_pos[j])
-        for i in range(len(chord_pos))
-        for j in range(i + 1, len(chord_pos))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +389,8 @@ def _route_chords(
     forbidden: Iterable[int] = (),
 ) -> Optional[List[Walk]]:
     """Vertex-disjoint wall paths realizing the chords, or None.  The
-    router is greedy per chord, retrying every insertion order."""
+    router is greedy per chord; with at most four chords it retries every
+    insertion order, with more it tries only the given order."""
     n = len(chords)
     terminals = {v for c in chords for v in c}
     base = set(forbidden)
@@ -433,8 +439,8 @@ def _find_cycle(inst: WallInstance, removed: FrozenSet[int] = frozenset()) -> Op
     wall_removed = frozenset(v for v in removed if v in inst.wall.graph.vertices)
     routing_failed = False
     # the shapes over the live attachments, in the order `_shapes` gives them
-    for members, shape in inst.shapes:
-        if members & dead:
+    for shape in inst.shapes:
+        if shape.members & dead:
             continue
         routes = _route_chords(inst.wall.graph, shape.chords, wall_removed)
         if routes is None:
@@ -452,11 +458,11 @@ def _find_two_disjoint(inst: WallInstance) -> Optional[Tuple[Cycle, Cycle]]:
     """Two vertex-disjoint doubly nonzero cycles, or None if provably
     impossible (every joint chord system crosses)."""
     routing_failed = False
-    for (m1, s1), (m2, s2) in itertools.combinations(inst.shapes, 2):
-        if m1 & m2:
-            continue
-        combined = s1.chord_pos + s2.chord_pos
-        if not _noncrossing(combined):
+    for s1, s2 in itertools.combinations(inst.shapes, 2):
+        # each shape's own chords do not cross; only the pair's can
+        if s1.members & s2.members or any(
+            _chords_cross(a, b) for a in s1.chord_pos for b in s2.chord_pos
+        ):
             continue
         routes = _route_chords(inst.wall.graph, s1.chords + s2.chords)
         if routes is None:
@@ -481,7 +487,7 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
     collected until there are 32, so only a lower bound on ν½."""
     cycles: List[Cycle] = []
     seen = set()
-    for _, shape in inst.shapes:
+    for shape in inst.shapes:
         if len(cycles) >= 32:
             break
         routes = _route_chords(inst.wall.graph, shape.chords)

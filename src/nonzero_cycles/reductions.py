@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from . import cycles, groups
-from .graphs import Cycle, Edge, GraphFormatError, LabeledGraph
+from .graphs import Cycle, Edge, GraphFormatError, LabeledGraph, _bfs_forest
 
 
 # ---------------------------------------------------------------------------
@@ -235,32 +235,13 @@ def euler_characteristic(emb: EmbeddedGraph) -> int:
 # homology labeling
 
 
-def _spanning_forest(graph: LabeledGraph) -> FrozenSet[int]:
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = set()
-    for eid in sorted(graph.edge_ids()):
-        e = graph.edge(eid)
-        ru, rv = find(e.tail), find(e.head)
-        if ru != rv:
-            parent[ru] = rv
-            tree.add(eid)
-    return frozenset(tree)
-
-
 def homology_labeling(emb: EmbeddedGraph) -> LabeledGraph:
     """Label the embedded graph over H1 + H1 so the value of every closed
     walk is (h, h) with h the walk's homology class: spanning-forest edges
     get 0 and each remaining edge the class of its fundamental cycle.
     Homology is Z^(non-tree edges) modulo the face-boundary relations."""
     g = emb.graph
-    tree = _spanning_forest(g)
+    tree = {eid for _, eid in _bfs_forest(g)[1].values()}
     cotree = [eid for eid in sorted(g.edge_ids()) if eid not in tree]
     col = {eid: i for i, eid in enumerate(cotree)}
     rows = []

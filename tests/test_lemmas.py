@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nonzero_cycles import groups
+from nonzero_cycles import groups, lemmas
 from nonzero_cycles.cycles import coordinate_values, enumerate_cycles
 from nonzero_cycles.graphs import (
     Cycle,
@@ -22,6 +22,7 @@ from nonzero_cycles.lemmas import (
     combine_two_cycles,
     exchange_reroute,
     triangle_color,
+    triangle_cycle,
     verify_odd_kt_model,
 )
 
@@ -463,6 +464,69 @@ def test_verify_odd_kt_model_with_real_trees():
     connectors = {(0, 1): (1,), (0, 2): (2,), (1, 2): (3,)}
     ok, witness = verify_odd_kt_model(graph, KtModel(trees, connectors), 3)
     assert ok
+
+
+def path_tree_model(t, size, seed):
+    """A K_t model on path trees of `size` vertices over Z2 + Z2, with two
+    connectors per pair of trees between random tree vertices; every edge
+    gets a random label."""
+    rng = random.Random(seed)
+    edges, trees, connectors = [], {}, {}
+
+    def add(a, b):
+        label = pair(Z2Z2, rng.randint(0, 1), rng.randint(0, 1))
+        edges.append(Edge(len(edges), a, b, label))
+        return len(edges) - 1
+
+    for node in range(t):
+        vs = range(node * size, (node + 1) * size)
+        trees[node] = (frozenset(vs), frozenset(add(a, a + 1) for a in vs[:-1]))
+    for u in range(t):
+        for v in range(u + 1, t):
+            connectors[(u, v)] = tuple(
+                add(rng.choice(sorted(trees[u][0])), rng.choice(sorted(trees[v][0]))) for _ in range(2)
+            )
+    graph = LabeledGraph(Z2Z2, range(t * size), edges)
+    return graph, KtModel(trees, connectors)
+
+
+def _reference_verify_odd_kt_model(graph, model, t):
+    """`verify_odd_kt_model` through the public `triangle_cycle`."""
+    import itertools
+
+    for triple in itertools.combinations(range(t), 3):
+        x, y, z = triple
+        options = [model.connectors[(x, y)], model.connectors[(x, z)], model.connectors[(y, z)]]
+        for coordinate in (0, 1):
+            if not any(
+                not groups.is_zero(coordinate_values(graph, triangle_cycle(graph, model, triple, sel))[coordinate])
+                for sel in itertools.product(*options)
+            ):
+                return False, {"triple": triple, "coordinate": coordinate}
+    return True, None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_odd_kt_model_builds_each_tree_forest_once(seed, monkeypatch):
+    t = 5 + seed % 3
+    graph, model = path_tree_model(t, 4, seed)
+    expected = _reference_verify_odd_kt_model(graph, model, t)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    real = lemmas._bfs_forest
+    monkeypatch.setattr(lemmas, "_bfs_forest", counted)
+    assert verify_odd_kt_model(graph, model, t) == expected
+    assert len(calls) == t
+    calls.clear()
+    cycle = triangle_cycle(graph, model, (0, 1, 2), (model.connectors[(0, 1)][0],
+                                                     model.connectors[(0, 2)][1],
+                                                     model.connectors[(1, 2)][0]))
+    assert len(calls) == 3
+    cycle.validate(graph)  # a `Cycle` is simple by construction
 
 
 def test_model_format_errors():

@@ -19,11 +19,11 @@ from nonzero_cycles.obstructions import (
     _find_cycle,
     _find_two_disjoint,
     _half_integral_family,
-    _noncrossing,
     _reconstruct,
     _route_chords,
     _row_slots,
-    _shapes,
+    _Shape,
+    _chords_cross,
     build_obstruction,
     build_obstruction_instance,
     escher_instance,
@@ -378,7 +378,44 @@ def test_verify_instance_asks_the_oracle_once_for_the_empty_set(inst, monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# one shape table per instance: the same answers as a fresh `_shapes` pass
+# one shape table per instance: the same answers as a fresh pass over every
+# generated shape
+
+
+def _reference_shapes(attachments, desc):
+    """Every cycle shape over nonempty attachment subsets, up to rotation
+    and reflection, crossing or not; only doubly nonzero ones are yielded,
+    by size, subset, visiting order and orientations."""
+    t = groups.table(desc)
+    raw = {id(a): (t.unwrap(a.value), t.neg(t.unwrap(a.value))) for a in attachments}
+    index = {id(a): i for i, a in enumerate(attachments)}
+    for size in range(1, len(attachments) + 1):
+        for subset in itertools.combinations(attachments, size):
+            first, rest = subset[0], subset[1:]
+            for perm in itertools.permutations(rest):
+                seq = (first,) + perm
+                for tail in itertools.product((0, 1), repeat=size - 1):
+                    orients = (0,) + tail
+                    total = t.zero
+                    for att, o in zip(seq, orients):
+                        total = t.add(total, raw[id(att)][o])
+                    g1, g2 = groups.coordinates(t.wrap(total))
+                    if groups.is_zero(g1) or groups.is_zero(g2):
+                        continue
+                    chords, chord_pos = [], []
+                    for k in range(size):
+                        a, oa = seq[k], orients[k]
+                        b, ob = seq[(k + 1) % size], orients[(k + 1) % size]
+                        exit_v, exit_p = (a.right, a.right_pos) if oa == 0 else (a.left, a.left_pos)
+                        entry_v, entry_p = (b.left, b.left_pos) if ob == 0 else (b.right, b.right_pos)
+                        chords.append((exit_v, entry_v))
+                        chord_pos.append((exit_p, entry_p))
+                    members = sum(1 << index[id(a)] for a in seq)
+                    yield _Shape(seq, orients, tuple(chords), tuple(chord_pos), members)
+
+
+def _noncrossing(chord_pos):
+    return not any(_chords_cross(a, b) for a, b in itertools.combinations(chord_pos, 2))
 
 
 def _reference_find_cycle(inst, removed=frozenset()):
@@ -386,7 +423,7 @@ def _reference_find_cycle(inst, removed=frozenset()):
     alive = [a for a in inst.attachments if not (set(a.walk.vertices) & removed)]
     wall_removed = frozenset(v for v in removed if v in inst.wall.graph.vertices)
     routing_failed = False
-    for shape in _shapes(alive, inst.graph.descriptor):
+    for shape in _reference_shapes(alive, inst.graph.descriptor):
         if not _noncrossing(shape.chord_pos):
             continue
         routes = _route_chords(inst.wall.graph, shape.chords, wall_removed)
@@ -400,7 +437,7 @@ def _reference_find_cycle(inst, removed=frozenset()):
 
 
 def _reference_two_disjoint(inst):
-    shapes = list(_shapes(inst.attachments, inst.graph.descriptor))
+    shapes = list(_reference_shapes(inst.attachments, inst.graph.descriptor))
     for s1, s2 in itertools.combinations(shapes, 2):
         if {a.name for a in s1.sequence} & {a.name for a in s2.sequence}:
             continue
@@ -416,7 +453,7 @@ def _reference_two_disjoint(inst):
 
 def _reference_half_integral_family(inst):
     cycles_, seen = [], set()
-    for shape in _shapes(inst.attachments, inst.graph.descriptor):
+    for shape in _reference_shapes(inst.attachments, inst.graph.descriptor):
         if len(cycles_) >= 32:
             break
         if not _noncrossing(shape.chord_pos):
@@ -466,6 +503,43 @@ def test_find_cycle_matches_a_fresh_shape_pass_for_random_removals(inst):
 def test_pair_and_half_integral_family_match_a_fresh_shape_pass(inst):
     assert _outcome(_find_two_disjoint, inst) == _outcome(_reference_two_disjoint, inst)
     assert _half_integral_family(inst) == _reference_half_integral_family(inst)
+
+
+def _instances(h):
+    return [
+        pytest.param(build_obstruction_instance(simple_spec(h, p, q)), id=f"{p}_{q}{h}") for p, q in TYPE_PAIRS
+    ] + [pytest.param(escher_instance(h), id=f"escher{h}")]
+
+
+@pytest.mark.parametrize("inst", _instances(1) + _instances(2) + _instances(3))
+def test_shape_table_is_the_noncrossing_part_of_every_shape(inst):
+    reference = _reference_shapes(inst.attachments, inst.graph.descriptor)
+    assert inst.shapes == tuple(s for s in reference if _noncrossing(s.chord_pos))
+
+
+@pytest.mark.parametrize(
+    "inst, size",
+    [pytest.param(p.values[0], n, id=p.id) for p, n in zip(_instances(4), (292, 490, 292, 2092, 490, 2092, 12))],
+)
+def test_shape_table_at_height_four(inst, size):
+    # sizes checked once against the generate-and-filter reference, which
+    # takes 15-20 s per two-linkage instance
+    table = inst.shapes
+    assert len(table) == size
+    index = {a.name: i for i, a in enumerate(inst.attachments)}
+    keys = []
+    for shape in table:
+        seq = tuple(index[a.name] for a in shape.sequence)
+        keys.append((len(seq), sorted(seq), seq, shape.orients))
+        assert seq[0] == min(seq) and shape.orients[0] == 0
+        assert shape.members == sum(1 << i for i in seq)
+        assert _noncrossing(shape.chord_pos)
+        value = groups.identity(inst.graph.descriptor)
+        for a, o in zip(shape.sequence, shape.orients):
+            value = groups.op(value, a.value if o == 0 else groups.inv(a.value))
+        assert not any(groups.is_zero(g) for g in groups.coordinates(value))
+    # strictly increasing: the DFS order, each shape once
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 def test_reconstructed_instances_share_the_built_wall():

@@ -8,6 +8,7 @@ import pytest
 from nonzero_cycles import cycles, groups
 from nonzero_cycles.graphs import (
     Cycle,
+    Edge,
     GraphFormatError,
     LabeledGraph,
     Walk,
@@ -344,6 +345,63 @@ def test_homology_facial_cycles_are_zero():
                 lbl = hg.edge(eid).label
                 total = groups.op(total, lbl if d == 0 else groups.inv(lbl))
             assert groups.is_zero(total)
+
+
+def _union_find_forest(graph):
+    """A spanning forest by union-find over the edges in id order."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = set()
+    for eid in sorted(graph.edge_ids()):
+        e = graph.edge(eid)
+        ru, rv = find(e.tail), find(e.head)
+        if ru != rv:
+            parent[ru] = rv
+            tree.add(eid)
+    return tree
+
+
+def _reference_homology_labeling(emb):
+    """`homology_labeling` over the union-find forest."""
+    g = emb.graph
+    tree = _union_find_forest(g)
+    cotree = [eid for eid in sorted(g.edge_ids()) if eid not in tree]
+    col = {eid: i for i, eid in enumerate(cotree)}
+    rows = []
+    for face in trace_embedded_faces(emb):
+        row = [0] * len(cotree)
+        for eid, d in face:
+            if eid in col:
+                row[col[eid]] += 1 if d == 0 else -1
+        rows.append(row)
+    h1, proj = groups.quotient_with_projection(rows, len(cotree))
+    desc = groups.direct_sum(h1, h1)
+    edges = []
+    for eid in sorted(g.edge_ids()):
+        e = g.edge(eid)
+        alpha = groups.identity(h1) if eid in tree else proj([int(c == eid) for c in cotree])
+        edges.append(Edge(eid, e.tail, e.head, groups.element(desc, (alpha, alpha))))
+    return LabeledGraph(desc, g.vertices, edges)
+
+
+def test_homology_labeling_matches_a_union_find_forest():
+    # the forest changes the labels, not H1 or which cycles are zero
+    rng = random.Random(11)
+    nonnull = 0
+    for _ in range(300):
+        emb = random_signed_embedding(rng)
+        hg, ref = homology_labeling(emb), _reference_homology_labeling(emb)
+        assert hg.descriptor == ref.descriptor
+        status = [(c.edges, c.zero) for c in cycles.enumerate_cycles(hg)]
+        assert status == [(c.edges, c.zero) for c in cycles.enumerate_cycles(ref)]
+        nonnull += any(not zero[0] for _, zero in status)
+    assert nonnull == 256
 
 
 def test_orientable_embeddings_have_free_homology():

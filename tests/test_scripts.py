@@ -47,3 +47,11 @@ def test_obstruction_report_height_two():
         "crossing  nested       1        3    2\n"
         "escher                 1        3    2\n"
     )
+
+
+def test_obstruction_report_height_three():
+    lines = run_script("obstruction_report.py", "3").splitlines()
+    assert lines[:2] == ["height h = 3", "P-type    Q-type      nu  nu_half  tau"]
+    assert len(lines) == 9
+    # ν is not pinned: two-linkage instances with ν = 2 at h=3 are an open bug
+    assert [line.split()[-1] for line in lines[2:]] == ["3"] * 7
