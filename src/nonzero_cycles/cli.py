@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import cycles, groups, packing, reductions
-from .cycles import EnumerationLimitError
+from .cycles import EnumerationLimitError, LimitFormatError
 from .graphs import (
     Edge,
     GraphFormatError,
@@ -45,7 +45,9 @@ class CliError(Exception):
 
 
 def _dump(doc, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write `doc` to the file `out`, or to stdout when there is none: a
+    string as it is, anything else as indented JSON."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -267,6 +269,8 @@ def cmd_verify(args) -> int:
     if kind == "packing":
         edge_sets = [_cert_ints(es, "cycles") for es in cert.get("cycles", ())]
         max_use = _cert_int(cert.get("max_use", 1), "max_use")
+        if max_use not in (1, 2):
+            raise CliError("bad certificate: max_use must be 1 or 2", PARSE_ERROR)
         if not packing.verify_packing(graph, edge_sets, max_use=max_use):
             raise CliError("packing certificate violates disjointness", CERT_ERROR)
         _dump({"verified": True, "type": "packing"}, args.out)
@@ -298,17 +302,19 @@ def cmd_experiment(args) -> int:
         if report.nu_half and report.tau / report.nu_half > best[0]:
             best = (report.tau / report.nu_half, f"{report.tau}/{report.nu_half}")
     lines.append(f"max tau/nu_half = {best[1]}")
-    text = "index\tn\tm\tnu\tnu_half\ttau\n" + "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _dump("index\tn\tm\tnu\tnu_half\ttau\n" + "\n".join(lines) + "\n", args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _limit(text: str) -> int:
+    try:
+        return cycles.parse_limit(text)
+    except LimitFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,7 +329,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--limit", type=int, help="enumeration limit override")
+        p.add_argument("--limit", type=_limit, help="enumeration limit override")
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("kind", choices=["wall", "escher", "obstruction", "random"])
@@ -383,6 +389,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except LimitFormatError as exc:
+        print(str(exc), file=sys.stderr)
+        return PARSE_ERROR
     except EnumerationLimitError as exc:
         print(str(exc), file=sys.stderr)
         return LIMIT_ERROR

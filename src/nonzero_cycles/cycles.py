@@ -27,11 +27,30 @@ class EnumerationLimitError(RuntimeError):
     """Raised when cycle enumeration exceeds the configured ceiling."""
 
 
+class LimitFormatError(ValueError):
+    """An enumeration limit that is not a non-negative integer."""
+
+
+def parse_limit(text: str) -> int:
+    """The enumeration limit written as `text`; LimitFormatError unless it
+    is a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise LimitFormatError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
 def enumeration_limit(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     raw = os.environ.get(LIMIT_ENV_VAR)
-    return int(raw) if raw else DEFAULT_LIMIT
+    try:
+        return parse_limit(raw) if raw else DEFAULT_LIMIT
+    except LimitFormatError as exc:
+        raise LimitFormatError(f"{LIMIT_ENV_VAR} {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,17 @@ non-crossing endpoint chords.  ν½ is only a witnessed lower bound: it
 packs the routed cycles collected until there are 32 (4 on the h=3 Escher
 wall, where `packing.pack_and_cover` over every cycle finds 5).
 
-That makes `_find_cycle` an oracle: it finds a doubly nonzero cycle
-avoiding a given vertex set, or proves that none exists.  τ comes from the
-implicit hitting-set loop over it: a minimum hitting set of the witness
-cycles found so far (`packing._min_hitting_set`), then one oracle call,
-until the oracle finds no cycle avoiding the hitting set.
+That makes `_find_cycles` an oracle: it finds k vertex-disjoint doubly
+nonzero cycles avoiding a given vertex set, or proves that none exist; ν
+is the largest k whose family of shapes routes.  τ comes from the implicit
+hitting-set loop over its k = 1 case, `_find_cycle`: a minimum hitting set
+of the witness cycles found so far (`packing._min_hitting_set`), then one
+oracle call, until the oracle finds no cycle avoiding the hitting set.
 
 Each `WallInstance` builds its table of cycle shapes once
 (`WallInstance.shapes`) by a DFS that drops a branch at its first crossing
-chord, and `_find_cycle`, `_find_two_disjoint` and `_half_integral_family`
-all read it; the walls under the instances are the shared, read-only walls
-that `walls` memoises.
+chord, and `_find_cycles` and `_half_integral_family` read it; the walls
+under the instances are the shared, read-only walls that `walls` memoises.
 """
 
 from __future__ import annotations
@@ -413,12 +413,13 @@ def _route_chords(
     return None
 
 
-def _assemble_cycle(graph: LabeledGraph, shape: _Shape, routes: Sequence[Walk]) -> Cycle:
+def _assemble_cycle(graph: LabeledGraph, shape: _Shape, routes: Iterable[Walk]) -> Cycle:
+    """The shape's cycle, taking the next of `routes` after each attachment."""
     walk = None
-    for k, (att, o) in enumerate(zip(shape.sequence, shape.orients)):
+    for att, o, route in zip(shape.sequence, shape.orients, routes):
         part = att.walk if o == 0 else att.walk.reversed()
         walk = part if walk is None else walk.concat(part)
-        walk = walk.concat(routes[k])
+        walk = walk.concat(route)
     cycle = Cycle(walk.vertices, walk.edges)
     g1, g2 = coordinate_values(graph, cycle)
     if groups.is_zero(g1) or groups.is_zero(g2):
@@ -430,55 +431,52 @@ def _assemble_cycle(graph: LabeledGraph, shape: _Shape, routes: Sequence[Walk]) 
 # exact packing and covering on wall instances
 
 
-def _find_cycle(inst: WallInstance, removed: FrozenSet[int] = frozenset()) -> Optional[Cycle]:
-    """A doubly nonzero cycle avoiding `removed`, or None if provably none
-    exists.  Raises if a non-crossing candidate resists routing."""
+def _families(shapes, k: int, start: int, taken: int, chord_pos):
+    """Each family of k shapes from `shapes[start:]`, in table order, with
+    members pairwise disjoint and off the bitmask `taken`, and with chords
+    crossing neither each other nor `chord_pos` (a shape's own never do)."""
+    for i in range(start, len(shapes)):
+        s = shapes[i]
+        if s.members & taken or chord_pos and any(
+            _chords_cross(a, b) for a in s.chord_pos for b in chord_pos
+        ):
+            continue
+        if k == 1:
+            yield (s,)
+            continue
+        for rest in _families(shapes, k - 1, i + 1, taken | s.members, chord_pos + s.chord_pos):
+            yield (s,) + rest
+
+
+def _find_cycles(
+    inst: WallInstance, k: int, removed: FrozenSet[int] = frozenset()
+) -> Optional[Tuple[Cycle, ...]]:
+    """k vertex-disjoint doubly nonzero cycles avoiding `removed`, from the
+    first family of live shapes whose chords route jointly, or None if
+    provably none exist.  Raises if such families exist but none routes."""
     dead = sum(
         1 << i for i, a in enumerate(inst.attachments) if not removed.isdisjoint(a.walk.vertices)
     )
-    wall_removed = frozenset(v for v in removed if v in inst.wall.graph.vertices)
     routing_failed = False
-    # the shapes over the live attachments, in the order `_shapes` gives them
-    for shape in inst.shapes:
-        if shape.members & dead:
-            continue
-        routes = _route_chords(inst.wall.graph, shape.chords, wall_removed)
+    for family in _families(inst.shapes, k, 0, dead, ()):
+        routes = _route_chords(inst.wall.graph, [c for s in family for c in s.chords], removed)
         if routes is None:
             routing_failed = True
             continue
-        return _assemble_cycle(inst.graph, shape, routes)
-    if routing_failed:
-        raise VerificationUndecidedError(
-            "a non-crossing chord system could not be routed"
-        )
-    return None
-
-
-def _find_two_disjoint(inst: WallInstance) -> Optional[Tuple[Cycle, Cycle]]:
-    """Two vertex-disjoint doubly nonzero cycles, or None if provably
-    impossible (every joint chord system crosses)."""
-    routing_failed = False
-    for s1, s2 in itertools.combinations(inst.shapes, 2):
-        # each shape's own chords do not cross; only the pair's can
-        if s1.members & s2.members or any(
-            _chords_cross(a, b) for a in s1.chord_pos for b in s2.chord_pos
-        ):
-            continue
-        routes = _route_chords(inst.wall.graph, s1.chords + s2.chords)
-        if routes is None:
-            routing_failed = True
-            continue
-        k = len(s1.chords)
-        c1 = _assemble_cycle(inst.graph, s1, routes[:k])
-        c2 = _assemble_cycle(inst.graph, s2, routes[k:])
-        if c1.vertex_set() & c2.vertex_set():
+        routes = iter(routes)  # each shape takes its own chords' routes
+        cycles = tuple(_assemble_cycle(inst.graph, s, routes) for s in family)
+        sets = [c.vertex_set() for c in cycles]
+        if len(frozenset().union(*sets)) < sum(map(len, sets)):
             raise VerificationUndecidedError("routed witnesses intersect")
-        return c1, c2
+        return cycles
     if routing_failed:
-        raise VerificationUndecidedError(
-            "a non-crossing joint chord system could not be routed"
-        )
+        raise VerificationUndecidedError("a non-crossing chord system could not be routed")
     return None
+
+
+def _find_cycle(inst: WallInstance, removed: FrozenSet[int] = frozenset()) -> Optional[Cycle]:
+    found = _find_cycles(inst, 1, removed)
+    return None if found is None else found[0]
 
 
 def _half_integral_family(inst: WallInstance) -> List[Cycle]:
@@ -538,16 +536,16 @@ def _exact_transversal(inst: WallInstance, first: Optional[Cycle]) -> FrozenSet[
 def verify_instance(inst: WallInstance, h: int) -> dict:
     """Exact ν and τ for a wall instance, and a lower bound on ν½ (the
     size of the family `_half_integral_family` witnesses), checked against
-    the obstruction requirements ν = 1 and τ > h; τ is the size of the
-    minimum transversal `_exact_transversal` certifies."""
+    the obstruction requirements ν = 1 and τ > h.  ν is the largest k for
+    which `_find_cycles` routes a family of k shapes, and τ is the size of
+    the minimum transversal `_exact_transversal` certifies."""
     for e in inst.wall.graph.edges.values():
         if not groups.is_zero(e.label):
             raise ObstructionFormatError("the wall part must be null-labeled")
     one = _find_cycle(inst)
-    if one is None:
-        nu = 0
-    else:
-        nu = 2 if _find_two_disjoint(inst) is not None else 1
+    nu = 0 if one is None else 1
+    while nu and _find_cycles(inst, nu + 1) is not None:
+        nu += 1
     nu_half = max(len(_half_integral_family(inst)), nu)
     tau = len(_exact_transversal(inst, one))
     return {

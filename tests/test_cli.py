@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nonzero_cycles import cli, groups
+from nonzero_cycles import cli, cycles, groups
 from nonzero_cycles.graphs import decode_graph
 
 
@@ -93,6 +93,21 @@ def test_verify_packing_with_unknown_edge_is_cert_error(tmp_path, capsys):
     assert "violates disjointness" in err
 
 
+@pytest.mark.parametrize("max_use", [0, 3])
+def test_verify_packing_max_use_other_than_one_or_two_is_parse_error(max_use, tmp_path, capsys):
+    # three distinct doubly nonzero cycles of the Escher 2-wall: with
+    # max_use 3 any three cycles would pass the disjointness check
+    inst = tmp_path / "e.json"
+    cert = tmp_path / "c.json"
+    run(["gen", "escher", "--h", "2", "--out", str(inst)], capsys)
+    graph = decode_graph(json.loads(inst.read_text())["graph"])
+    found = cycles.nonzero_cycles(graph)[:3]
+    assert len(found) == 3
+    cert.write_text(json.dumps({"type": "packing", "cycles": [sorted(c.edges) for c in found], "max_use": max_use}))
+    code, out, err = run(["verify", str(inst), str(cert)], capsys)
+    assert (code, out, err) == (2, "", "bad certificate: max_use must be 1 or 2\n")
+
+
 def test_verify_escher_h3_obstruction_by_enumeration(tmp_path, capsys):
     # the Escher wall is not a two-linkage instance, so verify enumerates its
     # 1,016 doubly nonzero cycles and packs them half-integrally
@@ -164,6 +179,27 @@ def test_limit_exceeded_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "limit" in err.lower() or "cycles" in err.lower()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_limit_in_the_environment_is_parse_error(value, tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "r.json"
+    run(["gen", "random", "--seed", "8", "--out", str(inst)], capsys)
+    monkeypatch.setenv("NONZERO_CYCLES_LIMIT", value)
+    code, out, err = run(["pack", str(inst)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"NONZERO_CYCLES_LIMIT must be a non-negative integer, not {value!r}\n"
+
+
+def test_negative_limit_option_is_parse_error(tmp_path, capsys):
+    inst = tmp_path / "r.json"
+    run(["gen", "random", "--seed", "8", "--out", str(inst)], capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pack", str(inst), "--limit", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --limit: must be a non-negative integer, not '-1'" in captured.err
 
 
 def test_reduce_outputs_decodable_graph(tmp_path, capsys):

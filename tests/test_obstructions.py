@@ -17,7 +17,7 @@ from nonzero_cycles.obstructions import (
     _attach,
     _exact_transversal,
     _find_cycle,
-    _find_two_disjoint,
+    _find_cycles,
     _half_integral_family,
     _reconstruct,
     _route_chords,
@@ -302,6 +302,24 @@ def test_small_instance_matches_brute_force():
     assert rep["nu_half"] <= full.nu_half
 
 
+def test_nu_counts_a_third_disjoint_cycle_like_enumeration():
+    # a 3-wall with three (1,1)-valued attachments: top slots 0-1, bottom
+    # slots 0-1, and last top slot to last bottom slot; each attachment
+    # closes a doubly nonzero cycle of its own, and the three are disjoint
+    desc = groups.direct_sum(Z3, Z3)
+    wall = _elementary(3, desc)
+    top, bottom = _row_slots(wall, 0), _row_slots(wall, 3)
+    one = groups.element(desc, (1, 1))
+    inst = _attach(
+        wall,
+        [("A1", top[0], top[1], one), ("A2", bottom[0], bottom[1], one), ("A3", top[-1], bottom[-1], one)],
+    )
+    found = cycles.nonzero_cycles(inst.graph)
+    assert len(found) == 1046
+    nu = len(packing._max_disjoint([(c.rep.vertex_set(), c.edges) for c in found], max_use=1))
+    assert verify_instance(inst, 1)["nu"] == nu == 3
+
+
 def test_distinct_series_values_still_pack_one():
     two = groups.element(Z3, 2)
     spec = simple_spec(2, "series", "crossing", p_values=(ONE3, two))
@@ -316,8 +334,8 @@ def test_distinct_series_values_still_pack_one():
 @pytest.mark.parametrize("p_type,q_type", TYPE_PAIRS)
 def test_exact_transversal_height_three(p_type, q_type):
     # the subset scan that came before the implicit hitting-set loop gave
-    # τ = 3 for every type pair; `_find_two_disjoint` alone takes seconds
-    # here, so the transversal is asked for directly
+    # τ = 3 for every type pair; the transversal is asked for directly,
+    # without the ν and ν½ searches of `verify_instance`
     inst = build_obstruction_instance(simple_spec(3, p_type, q_type))
     hit = _exact_transversal(inst, _find_cycle(inst))
     assert len(hit) == 3
@@ -501,7 +519,7 @@ def test_find_cycle_matches_a_fresh_shape_pass_for_random_removals(inst):
 
 @pytest.mark.parametrize("inst", SHAPE_TABLE_INSTANCES)
 def test_pair_and_half_integral_family_match_a_fresh_shape_pass(inst):
-    assert _outcome(_find_two_disjoint, inst) == _outcome(_reference_two_disjoint, inst)
+    assert _outcome(_find_cycles, inst, 2) == _outcome(_reference_two_disjoint, inst)
     assert _half_integral_family(inst) == _reference_half_integral_family(inst)
 
 
