@@ -8,6 +8,7 @@ clique-models.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -287,8 +288,6 @@ def exchange_reroute(graph: LabeledGraph, s, q_paths: Sequence[Walk], r_paths: S
                 tail_a = Walk(r1.vertices[at:], r1.edges[at:])  # meet .. end of r1
                 tail_b = Walk(r1.vertices[: at + 1], r1.edges[:at]).reversed()  # meet .. start
                 for tail in (tail_a, tail_b):
-                    if not tail.edges and prefix.end == tail.start and len(prefix.edges) == 0:
-                        continue
                     candidate = prefix.concat(tail) if tail.edges else prefix
                     if not candidate.is_path() or len(candidate.edges) == 0:
                         continue
@@ -421,8 +420,6 @@ def verify_odd_kt_model(graph: LabeledGraph, model: KtModel, t: int):
     there.  Returns (ok, witness); the witness names the failing triple and
     coordinate."""
     forests = _validate_model(graph, model, t)
-    import itertools
-
     for triple in itertools.combinations(range(t), 3):
         x, y, z = triple
         options = [

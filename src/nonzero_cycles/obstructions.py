@@ -6,9 +6,9 @@ such instances are computed structurally: every nonzero cycle must
 traverse whole attachment paths, the wall itself contributes nothing to
 cycle values, and the attachment endpoints all lie on the outer face of
 the wall, so disjoint routings exist exactly for families of pairwise
-non-crossing endpoint chords.  ν½ is only a witnessed lower bound: it
-packs the routed cycles collected until there are 32 (4 on the h=3 Escher
-wall, where `packing.pack_and_cover` over every cycle finds 5).
+non-crossing endpoint chords.  ν½ is only a witnessed lower bound, reported
+with `nu_half_exact` false: it packs the routed cycles collected until there
+are 32 (4 on the h=3 Escher wall, where `packing.pack_and_cover` finds 5).
 
 That makes `_find_cycles` an oracle: it finds k vertex-disjoint doubly
 nonzero cycles avoiding a given vertex set, or proves that none exist; ν
@@ -506,8 +506,7 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
                 continue
             seen.add(cycle.edge_set())
             cycles.append(cycle)
-    items = [(c.vertex_set(), c.edge_set()) for c in cycles]
-    chosen = packing._max_disjoint(items, max_use=2)
+    chosen = packing._max_disjoint([c.vertex_set() for c in cycles], max_use=2)
     return [cycles[i] for i in chosen]
 
 
@@ -520,17 +519,32 @@ def _exact_transversal(inst: WallInstance, first: Optional[Cycle]) -> FrozenSet[
     either finds a doubly nonzero cycle avoiding X, which joins the
     witnesses, or proves that none exists; then X is a transversal, and no
     smaller one exists, because X is already minimum for the witnesses.
-    `first` is `_find_cycle(inst)`, the oracle's answer for the empty X,
-    which `verify_instance` has already asked for ν.
+    Each round passes |X| on as a lower bound, since a new witness cannot
+    shrink the minimum.  `first` is `_find_cycle(inst)`, the oracle's answer
+    for the empty X, which `verify_instance` has already asked for ν.
     """
     found: List[FrozenSet[int]] = []
     hit: FrozenSet[int] = frozenset()
     cycle = first
     while cycle is not None:
         found.append(cycle.vertex_set())
-        hit = packing._min_hitting_set(found)
+        hit = packing._min_hitting_set(found, at_least=len(hit))
         cycle = _find_cycle(inst, hit)
     return hit
+
+
+def _report(nu: int, nu_half: int, tau: int, h: int, method: str) -> dict:
+    """The verify report, checked against the obstruction requirements
+    ν = 1 and τ > h; ν½ is exact only when every cycle was enumerated."""
+    return {
+        "nu": nu,
+        "nu_half": nu_half,
+        "nu_half_exact": method == "enumeration",
+        "tau": tau,
+        "nu_ok": nu == 1,
+        "tau_ok": tau > h,
+        "method": method,
+    }
 
 
 def verify_instance(inst: WallInstance, h: int) -> dict:
@@ -548,14 +562,7 @@ def verify_instance(inst: WallInstance, h: int) -> dict:
         nu += 1
     nu_half = max(len(_half_integral_family(inst)), nu)
     tau = len(_exact_transversal(inst, one))
-    return {
-        "nu": nu,
-        "nu_half": nu_half,
-        "tau": tau,
-        "nu_ok": nu == 1,
-        "tau_ok": tau > h,
-        "method": "chords",
-    }
+    return _report(nu, nu_half, tau, h, "chords")
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +598,12 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
 
 
 def verify_obstruction(graph: LabeledGraph, h: int, limit: Optional[int] = None) -> dict:
-    """Exact {ν, ν½, τ} report for a desk-scale instance, with pass/fail
-    against ν = 1 and τ > h.  Recognized wall-plus-attachment instances
-    are solved structurally; anything else falls back to full cycle
-    enumeration (subject to the enumeration limit)."""
+    """{ν, ν½, τ} report for a desk-scale instance, with pass/fail against
+    ν = 1 and τ > h.  Recognized wall-plus-attachment instances are solved
+    structurally, with ν½ a lower bound; anything else falls back to full
+    cycle enumeration (subject to the enumeration limit), all three exact."""
     inst = _reconstruct(graph, h)
     if inst is not None:
         return verify_instance(inst, h)
     report = packing.pack_and_cover(graph, limit=limit)
-    return {
-        "nu": report.nu,
-        "nu_half": report.nu_half,
-        "tau": report.tau,
-        "nu_ok": report.nu == 1,
-        "tau_ok": report.tau > h,
-        "method": "enumeration",
-    }
+    return _report(report.nu, report.nu_half, report.tau, h, "enumeration")

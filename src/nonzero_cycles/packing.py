@@ -2,20 +2,21 @@
 
 All solvers enumerate candidate cycles/paths explicitly and then run a
 deterministic branch-and-bound; ties break lexicographically on sorted
-edge-id tuples.  Intended for desk-scale instances.
-
-`_min_hitting_set` is the package's one exact hitting-set solver: here over
-every enumerated cycle or A-path, and on wall instances over the witness
-cycles of the implicit hitting-set loop (`obstructions._exact_transversal`).
+edge-id tuples.  Intended for desk-scale instances.  Both searches read
+vertex sets as the int bitmasks of `_vertex_masks` and keep their open
+branches on an explicit stack.
 
 The packing search (`_max_disjoint`, for ν with each vertex used once and
-ν½ with each vertex used at most twice) keeps its vertex-use state in int
-bitmasks, hands each branch only the candidates that still fit, and cuts a
-branch when the vertex uses left cannot hold enough further candidates to
-beat the best packing found.  It returns the first optimum in branch order,
-so its answer is the lexicographically smallest optimal index tuple.  The
-branches live on an explicit stack, so a packing of any size stays clear of
-the interpreter's recursion limit.
+ν½ with each vertex used at most twice) hands each branch only the
+candidates that still fit, and cuts a branch when the vertex uses left
+cannot hold enough further candidates to beat the best packing found.  Its
+answer is the lexicographically smallest optimal index tuple.
+
+`_min_hitting_set` is the package's one exact hitting-set solver: over
+every enumerated cycle or A-path, and on wall instances over the witness
+cycles of the implicit hitting-set loop (`obstructions._exact_transversal`).
+It stops once it holds a hitting set as small as the lower bound its caller
+has proved: ν here, the previous round's minimum in that loop.
 
 A-paths come from the DFS that enumerates cycles (`cycles._simple_paths`),
 one start per terminal, so they obey the same limit, `NONZERO_CYCLES_LIMIT`
@@ -24,8 +25,10 @@ included.  `missed_cycle` is the one transversal check.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import groups
 from .cycles import ClassifiedCycle, _bit_steps, _simple_paths, classify, enumerate_cycles, nonzero_cycles
@@ -45,44 +48,36 @@ class PackCoverReport:
     transversal: FrozenSet[int]
 
 
-def _max_disjoint(items: List[Tuple[FrozenSet[int], FrozenSet[int]]], max_use: int) -> List[int]:
-    """Largest selection of (vertex_set, edge_set) items that uses every
-    vertex at most `max_use` times (1 or 2); returns the indices of the
-    lexicographically smallest such selection.
+def _vertex_masks(sets: Sequence[AbstractSet[int]]) -> Tuple[List[int], Dict[int, int]]:
+    """Each (non-empty) vertex set as an int bitmask, and the bit of each
+    vertex: bit i for the i-th smallest vertex of the union, in that order."""
+    if not all(sets):
+        raise ValueError("every vertex set must be non-empty")
+    bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*sets)))}
+    return [sum(map(bit.__getitem__, s)) for s in sets], bit
 
-    Only the vertex sets are read: callers pass distinct cycles or paths,
-    so two items with one vertex set may both be chosen.  Every vertex set
-    must be non-empty, which keeps the capacity bound finite.
 
-    Each vertex set becomes an int bitmask, bits in order of first
-    appearance.  The search carries `once`, the vertices one more use would
-    fill (with `max_use=1` every vertex starts there); the vertices that are
-    already full are implicit, because each child gets only the later
-    candidates whose masks miss them.  Choosing an item fills
-    `once & mask`, so only the candidates meeting those vertices drop out,
-    and feasibility only shrinks down a branch.  A branch is cut when even
-    `min(len(cands), capacity // smallest candidate size)` more items, where
-    capacity is `max_use * |V|` minus the vertex uses so far, cannot beat the
-    best found.  Branches run in index order and `best` changes only on a
-    strictly larger selection; a bound cuts only branches that cannot hold
-    one, so the first optimum found is still the one returned.  The search
-    keeps its open branches on an explicit stack rather than recursing.
+def _max_disjoint(vertex_sets: Sequence[AbstractSet[int]], max_use: int) -> List[int]:
+    """Largest selection of vertex sets that uses every vertex at most
+    `max_use` times (1 or 2); returns the indices of the lexicographically
+    smallest such selection.
+
+    Two equal sets (distinct cycles through the same vertices) may both be
+    chosen.  Sets must be non-empty, which keeps the capacity bound finite.
+
+    The search carries `once`, the vertices one more use would fill (with
+    `max_use=1` every vertex starts there); full vertices are implicit, as
+    each child gets only the later candidates whose masks miss them.  A
+    branch is cut when even `min(len(cands), capacity // smallest candidate
+    size)` more items, where capacity is `max_use * |V|` minus the vertex
+    uses so far, cannot beat the best found.  Branches run in index order
+    and `best` changes only on a strictly larger selection, so the first
+    optimum found is the one returned.
     """
     if max_use not in (1, 2):
         raise ValueError("max_use must be 1 or 2")
-    bits: Dict[int, int] = {}
-    masks: List[int] = []
-    sizes: List[int] = []
-    for vertex_set, _ in items:
-        if not vertex_set:
-            raise ValueError("every item needs a non-empty vertex set")
-        mask = 0
-        for v in vertex_set:
-            if v not in bits:
-                bits[v] = 1 << len(bits)
-            mask |= bits[v]
-        masks.append(mask)
-        sizes.append(len(vertex_set))
+    masks, bit = _vertex_masks(vertex_sets)
+    sizes = [len(s) for s in vertex_sets]
     best: List[int] = []
     chosen: List[int] = []
     # the open branches above the current one, as (candidates, once,
@@ -94,9 +89,9 @@ def _max_disjoint(items: List[Tuple[FrozenSet[int], FrozenSet[int]]], max_use: i
         room = capacity // min(map(sizes.__getitem__, cands))
         return depth + min(len(cands), room) > len(best)
 
-    cands = list(range(len(items)))
-    once = (1 << len(bits)) - 1 if max_use == 1 else 0
-    capacity = max_use * len(bits)
+    cands = list(range(len(masks)))
+    once = (1 << len(bit)) - 1 if max_use == 1 else 0
+    capacity = max_use * len(bit)
     k = 0 if cands and promising(cands, capacity, 0) else len(cands)
     while True:
         if k == len(cands) or len(chosen) + len(cands) - k <= len(best):
@@ -119,56 +114,64 @@ def _max_disjoint(items: List[Tuple[FrozenSet[int], FrozenSet[int]]], max_use: i
             cands, once, capacity, k = rest, once ^ masks[i], capacity - sizes[i], 0
 
 
-def _min_hitting_set(sets: List[FrozenSet[int]]) -> FrozenSet[int]:
-    """Exact minimum vertex set meeting every set; deterministic."""
-    if not sets:
-        return frozenset()
-    # greedy upper bound
-    remaining = list(sets)
-    greedy: set = set()
+def _disjoint_count(masks: List[int]) -> int:
+    """How many masks a greedy pass keeps pairwise disjoint; each needs its own vertex."""
+    count = used = 0
+    for m in masks:
+        if not m & used:
+            count += 1
+            used |= m
+    return count
+
+
+def _min_hitting_set(sets: Sequence[AbstractSet[int]], at_least: int = 0) -> FrozenSet[int]:
+    """Exact minimum vertex set meeting every set; deterministic.  It stops
+    at a hitting set of `at_least` vertices, a proved lower bound (or 0).
+    The greedy set (the vertex in most unmet sets, ties to the smaller) is
+    the first incumbent, replaced only by a strictly smaller hitting set.
+    A branch pivots on the smallest unmet set by (size, sorted vertices),
+    tries its vertices in ascending order when entered, and is cut when
+    its chosen vertices plus `_disjoint_count` of its unmet sets reach the
+    incumbent.  So the answer is the greedy set when that is optimal, and
+    otherwise the first optimum in branch order, for any valid `at_least`.
+    """
+    masks, bit = _vertex_masks(sets)
+    best = 0
+    remaining = range(len(masks))
     while remaining:
-        counts: Dict[int, int] = {}
-        for s in remaining:
-            for v in s:
-                counts[v] = counts.get(v, 0) + 1
-        v = min(counts, key=lambda x: (-counts[x], x))
-        greedy.add(v)
-        remaining = [s for s in remaining if v not in s]
-    best: Optional[frozenset] = frozenset(greedy)
-
-    def search(uncovered: List[FrozenSet[int]], chosen: set):
-        nonlocal best
-        if not uncovered:
-            if best is None or len(chosen) < len(best):
-                best = frozenset(chosen)
-            return
-        # lower bound: disjoint uncovered sets each need a separate vertex
-        lb = 0
-        used: set = set()
-        for s in uncovered:
-            if not (s & used):
-                lb += 1
-                used |= s
-        if best is not None and len(chosen) + lb >= len(best):
-            return
-        pivot = min(uncovered, key=lambda s: (len(s), tuple(sorted(s))))
-        for v in sorted(pivot):
-            rest = [s for s in uncovered if v not in s]
-            chosen.add(v)
-            search(rest, chosen)
-            chosen.discard(v)
-
-    search(list(sets), set())
-    return best if best is not None else frozenset()
+        counts = Counter(itertools.chain.from_iterable(sets[i] for i in remaining))
+        v = bit[min(counts, key=lambda u: (-counts[u], u))]
+        best |= v
+        remaining = [i for i in remaining if not masks[i] & v]
+    size = best.bit_count()
+    # open branches: (unmet masks, chosen, its size, bound, untried pivot bits)
+    stack = []
+    if size > max(at_least, _disjoint_count(masks)):
+        unmet = [masks[i] for i in sorted(range(len(sets)), key=lambda i: (len(sets[i]), sorted(sets[i])))]
+        stack.append((unmet, 0, 0, 0, unmet[0]))
+    while stack:
+        unmet, chosen, depth, lb, pending = stack.pop()
+        if not pending or depth + lb >= size:
+            continue
+        v = pending & -pending
+        stack.append((unmet, chosen, depth, lb, pending ^ v))
+        rest = [m for m in unmet if not m & v]
+        if rest:
+            stack.append((rest, chosen | v, depth + 1, _disjoint_count(rest), rest[0]))
+        else:
+            best, size = chosen | v, depth + 1
+            if size <= at_least:
+                break
+    return frozenset(v for v, b in bit.items() if best & b)
 
 
 def pack_and_cover(graph: LabeledGraph, limit: Optional[int] = None) -> PackCoverReport:
     """Exact nu, nu_half and tau over the doubly-nonzero cycles."""
     cycles = nonzero_cycles(graph, limit)
-    items = [(c.rep.vertex_set(), c.edges) for c in cycles]
-    pack_idx = _max_disjoint(items, max_use=1)
-    half_idx = _max_disjoint(items, max_use=2)
-    transversal = _min_hitting_set([c.rep.vertex_set() for c in cycles])
+    vertex_sets = [c.rep.vertex_set() for c in cycles]
+    pack_idx = _max_disjoint(vertex_sets, max_use=1)
+    half_idx = _max_disjoint(vertex_sets, max_use=2)
+    transversal = _min_hitting_set(vertex_sets, at_least=len(pack_idx))
     return PackCoverReport(
         nu=len(pack_idx),
         nu_half=len(half_idx),
@@ -258,9 +261,9 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
 
 def a_path_pack_and_cover(graph: LabeledGraph, terminals, limit: Optional[int] = None) -> APathReport:
     paths = enumerate_nonzero_a_paths(graph, terminals, limit)
-    items = [(frozenset(w.vertices), w.edge_set()) for w in paths]
-    pack_idx = _max_disjoint(items, max_use=1)
-    cover = _min_hitting_set([frozenset(w.vertices) for w in paths])
+    vertex_sets = [frozenset(w.vertices) for w in paths]
+    pack_idx = _max_disjoint(vertex_sets, max_use=1)
+    cover = _min_hitting_set(vertex_sets, at_least=len(pack_idx))
     nu, tau = len(pack_idx), len(cover)
     return APathReport(
         nu=nu,

@@ -120,6 +120,7 @@ def test_verify_escher_h3_obstruction_by_enumeration(tmp_path, capsys):
     report = json.loads(out)
     assert report["nu_ok"] is True
     assert (report["method"], report["nu_half"], report["tau"]) == ("enumeration", 5, 3)
+    assert report["nu_half_exact"] is True
 
 
 def test_parser_is_built_once_and_reused_after_errors(capsys):

@@ -32,6 +32,7 @@ from nonzero_cycles.obstructions import (
     verify_obstruction,
 )
 from nonzero_cycles.walls import _elementary, elementary_wall
+from test_packing import reference_min_hitting_set
 
 Z2 = groups.cyclic(2)
 Z3 = groups.cyclic(3)
@@ -258,6 +259,12 @@ def test_verify_obstruction_reconstructs_built_instances():
     assert rep["nu"] == 1 and rep["nu_ok"]
 
 
+def test_escher_h3_nu_half_is_reported_as_a_bound():
+    # the 32 routed cycles pack to 4; enumeration over every cycle gives 5
+    rep = verify_instance(escher_instance(3), 3)
+    assert (rep["nu_half"], rep["nu_half_exact"]) == (4, False)
+
+
 def test_verify_obstruction_on_bare_wall():
     g = elementary_wall(4, groups.direct_sum(Z3, Z3)).graph
     rep = verify_obstruction(g, 1)
@@ -316,7 +323,7 @@ def test_nu_counts_a_third_disjoint_cycle_like_enumeration():
     )
     found = cycles.nonzero_cycles(inst.graph)
     assert len(found) == 1046
-    nu = len(packing._max_disjoint([(c.rep.vertex_set(), c.edges) for c in found], max_use=1))
+    nu = len(packing._max_disjoint([c.rep.vertex_set() for c in found], max_use=1))
     assert verify_instance(inst, 1)["nu"] == nu == 3
 
 
@@ -360,17 +367,51 @@ def test_exact_transversal_of_two_linkage_passes_enumeration():
     assert packing.verify_transversal(inst.graph, hit)
 
 
+@pytest.mark.parametrize("kind", ["nested_series", "escher"])
+def test_exact_transversal_height_four(kind):
+    # about 3 s: 291 rounds of the implicit hitting-set loop for nested/series
+    if kind == "escher":
+        inst = escher_instance(4)
+    else:
+        inst = build_obstruction_instance(simple_spec(4, "nested", "series"))
+    hit = _exact_transversal(inst, _find_cycle(inst))
+    assert len(hit) == 4
+    assert _find_cycle(inst, hit) is None
+    for v in hit:
+        assert _find_cycle(inst, hit - {v}) is not None
+
+
 def _reference_transversal(inst):
     """The implicit hitting-set loop asking the oracle for every X, ∅
-    included.  Returns (the last X, every X asked, in order)."""
+    included, with the recursive hitting-set search of the test suite.
+    Returns (the last X, every X asked, in order, the witness vertex sets)."""
     asked, found = [], []
     while True:
-        hit = packing._min_hitting_set(found)
+        hit = reference_min_hitting_set(found)
         asked.append(hit)
         cycle = _find_cycle(inst, hit)
         if cycle is None:
-            return hit, asked
+            return hit, asked, found
         found.append(cycle.vertex_set())
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        pytest.param(build_obstruction_instance(simple_spec(h, p, q)), id=f"{p}_{q}{h}")
+        for h in (1, 2, 3)
+        for p, q in TYPE_PAIRS
+    ]
+    + [pytest.param(escher_instance(h), id=f"escher{h}") for h in (1, 2, 3)],
+)
+def test_min_hitting_set_matches_the_old_search_on_witness_lists(inst):
+    hit, asked, found = _reference_transversal(inst)
+    # after i witnesses the old search chose asked[i]; the loop's bound is
+    # the size of the X before it
+    for i in range(1, len(found) + 1):
+        assert packing._min_hitting_set(found[:i]) == asked[i]
+        assert packing._min_hitting_set(found[:i], at_least=len(asked[i - 1])) == asked[i]
+    assert _exact_transversal(inst, _find_cycle(inst)) == hit
 
 
 @pytest.mark.parametrize(
@@ -380,7 +421,7 @@ def _reference_transversal(inst):
     ids=["escher1", "escher2", "escher3", "nested_series2"],
 )
 def test_verify_instance_asks_the_oracle_once_for_the_empty_set(inst, monkeypatch):
-    hit, asked = _reference_transversal(inst)
+    hit, asked, _ = _reference_transversal(inst)
     assert _exact_transversal(inst, _find_cycle(inst)) == hit
     calls = []
 
@@ -489,7 +530,7 @@ def _reference_half_integral_family(inst):
             if cycle.edge_set() not in seen:
                 seen.add(cycle.edge_set())
                 cycles_.append(cycle)
-    chosen = packing._max_disjoint([(c.vertex_set(), c.edge_set()) for c in cycles_], max_use=2)
+    chosen = packing._max_disjoint([c.vertex_set() for c in cycles_], max_use=2)
     return [cycles_[i] for i in chosen]
 
 

@@ -54,12 +54,12 @@ def brute_force_nu(graph, max_use):
     return best
 
 
-def lexmin_max_disjoint(items, max_use):
+def lexmin_max_disjoint(vertex_sets, max_use):
     """The lexicographically smallest index tuple of maximum size whose
     vertex sets use no vertex more than `max_use` times."""
-    for k in range(len(items), 0, -1):
-        for combo in itertools.combinations(range(len(items)), k):
-            usage = Counter(v for i in combo for v in items[i][0])
+    for k in range(len(vertex_sets), 0, -1):
+        for combo in itertools.combinations(range(len(vertex_sets)), k):
+            usage = Counter(v for i in combo for v in vertex_sets[i])
             if all(n <= max_use for n in usage.values()):
                 return list(combo)
     return []
@@ -104,9 +104,9 @@ def test_pack_and_cover_matches_brute_force():
         assert report.tau == brute_force_tau(g)
         # the witnesses are the lexicographically first optima over the
         # cycles in enumeration order
-        items = [(c.rep.vertex_set(), c.edges) for c in cycles]
+        vertex_sets = [c.rep.vertex_set() for c in cycles]
         for found, max_use in ((report.packing, 1), (report.half_packing, 2)):
-            assert found == tuple(cycles[i].edges for i in lexmin_max_disjoint(items, max_use))
+            assert found == tuple(cycles[i].edges for i in lexmin_max_disjoint(vertex_sets, max_use))
         assert verify_packing(g, report.packing, max_use=1)
         assert verify_packing(g, report.half_packing, max_use=2)
         assert verify_transversal(g, report.transversal)
@@ -253,18 +253,19 @@ def test_a_paths_are_all_nonzero_a_paths_in_reference_order(desc):
 
 
 def random_family(rng):
-    """Up to 12 items over a few vertices, with loops (one vertex) and items
-    that repeat an earlier vertex set under a new edge set."""
+    """Up to 12 vertex sets over a few vertices, with loops (one vertex) and
+    sets that repeat an earlier one, as a second cycle through the same
+    vertices would."""
     n = rng.randint(1, 8)
-    items = []
-    for eid in range(rng.randint(0, 12)):
-        if items and rng.random() < 0.25:
-            vertex_set = rng.choice(items)[0]
+    vertex_sets = []
+    for _ in range(rng.randint(0, 12)):
+        if vertex_sets and rng.random() < 0.25:
+            vertex_set = rng.choice(vertex_sets)
         else:
             size = min(n, rng.choice((1, 1, 2, 3, 4)))
             vertex_set = frozenset(rng.sample(range(n), size))
-        items.append((vertex_set, frozenset({eid})))
-    return items
+        vertex_sets.append(vertex_set)
+    return vertex_sets
 
 
 @pytest.mark.parametrize("max_use", [1, 2])
@@ -272,11 +273,10 @@ def test_max_disjoint_is_lexmin_optimum_on_random_families(max_use):
     rng = random.Random(40 + max_use)
     loops = shared = 0
     for _ in range(250):
-        items = random_family(rng)
-        vertex_sets = [vs for vs, _ in items]
+        vertex_sets = random_family(rng)
         loops += any(len(vs) == 1 for vs in vertex_sets)
         shared += len(set(vertex_sets)) < len(vertex_sets)
-        assert _max_disjoint(items, max_use) == lexmin_max_disjoint(items, max_use)
+        assert _max_disjoint(vertex_sets, max_use) == lexmin_max_disjoint(vertex_sets, max_use)
     assert loops > 60 and shared > 60
 
 
@@ -291,9 +291,9 @@ def test_max_disjoint_is_lexmin_optimum_on_a_path_families(max_use):
         if not paths or len(paths) > 12:
             continue
         done += 1
-        items = [(frozenset(w.vertices), w.edge_set()) for w in paths]
-        expected = lexmin_max_disjoint(items, max_use)
-        assert _max_disjoint(items, max_use) == expected
+        vertex_sets = [frozenset(w.vertices) for w in paths]
+        expected = lexmin_max_disjoint(vertex_sets, max_use)
+        assert _max_disjoint(vertex_sets, max_use) == expected
         if max_use == 1:
             report = a_path_pack_and_cover(g, terms)
             assert report.packing == tuple(paths[i] for i in expected)
@@ -301,9 +301,9 @@ def test_max_disjoint_is_lexmin_optimum_on_a_path_families(max_use):
 
 def test_max_disjoint_rejects_empty_vertex_sets_and_other_use_limits():
     with pytest.raises(ValueError):
-        _max_disjoint([(frozenset({0}), frozenset({0})), (frozenset(), frozenset({1}))], 1)
+        _max_disjoint([frozenset({0}), frozenset()], 1)
     with pytest.raises(ValueError):
-        _max_disjoint([(frozenset({0}), frozenset({0}))], 3)
+        _max_disjoint([frozenset({0})], 3)
 
 
 def test_escher_wall_h3_packing_numbers():
@@ -318,8 +318,8 @@ def test_escher_wall_h3_packing_numbers():
 
 
 def test_max_disjoint_takes_1200_disjoint_items_without_recursion():
-    items = [(frozenset({v}), frozenset({v})) for v in range(1200)]
-    assert _max_disjoint(items, 1) == list(range(1200))
+    vertex_sets = [frozenset({v}) for v in range(1200)]
+    assert _max_disjoint(vertex_sets, 1) == list(range(1200))
 
 
 def test_limit_variable_caps_a_path_enumeration(monkeypatch):
@@ -331,6 +331,49 @@ def test_limit_variable_caps_a_path_enumeration(monkeypatch):
     with pytest.raises(EnumerationLimitError, match=f"more than 2 A-paths; raise {LIMIT_ENV_VAR}"):
         enumerate_nonzero_a_paths(g, [0, 1])
     assert len(enumerate_nonzero_a_paths(g, [0, 1], limit=3)) == 3
+
+
+def reference_min_hitting_set(sets):
+    """The recursive frozenset search `_min_hitting_set` replaced: the same
+    greedy incumbent, pivot and branch order, with no caller's bound."""
+    if not sets:
+        return frozenset()
+    # greedy upper bound
+    remaining = list(sets)
+    greedy: set = set()
+    while remaining:
+        counts = {}
+        for s in remaining:
+            for v in s:
+                counts[v] = counts.get(v, 0) + 1
+        v = min(counts, key=lambda x: (-counts[x], x))
+        greedy.add(v)
+        remaining = [s for s in remaining if v not in s]
+    best = frozenset(greedy)
+
+    def search(uncovered, chosen):
+        nonlocal best
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = frozenset(chosen)
+            return
+        # lower bound: disjoint uncovered sets each need a separate vertex
+        lb = 0
+        used: set = set()
+        for s in uncovered:
+            if not (s & used):
+                lb += 1
+                used |= s
+        if len(chosen) + lb >= len(best):
+            return
+        pivot = min(uncovered, key=lambda s: (len(s), tuple(sorted(s))))
+        for v in sorted(pivot):
+            chosen.add(v)
+            search([s for s in uncovered if v not in s], chosen)
+            chosen.discard(v)
+
+    search(list(sets), set())
+    return best
 
 
 @pytest.mark.parametrize("large", [False, True])
@@ -349,3 +392,17 @@ def test_min_hitting_set_is_a_minimum_on_random_families(large):
         assert hit <= set().union(*sets)
         assert len(hit) == brute_force_hitting_number(sets)
         assert _min_hitting_set(list(sets)) == hit
+        # the set the old search returns, whatever valid lower bound it is told
+        assert hit == reference_min_hitting_set(sets)
+        for at_least in range(len(hit) + 1):
+            assert _min_hitting_set(sets, at_least) == hit
+
+
+def test_min_hitting_set_goes_on_past_a_larger_set_to_the_minimum():
+    # the greedy set is {0, 1, 2, 3}: decoy d meets 2 * (16, 8, 4, 2)[d] sets,
+    # more than 4 or 5 still meets at each step; the first branch then finds
+    # {0, 4, 5}, one above the minimum {4, 5}, which only later branches find
+    sets = [frozenset({d, end}) for d, n in enumerate((16, 8, 4, 2)) for _ in range(n) for end in (4, 5)]
+    assert reference_min_hitting_set(sets) == frozenset({4, 5})
+    for at_least in range(3):
+        assert _min_hitting_set(sets, at_least) == frozenset({4, 5})
