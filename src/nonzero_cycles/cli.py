@@ -3,7 +3,9 @@ and run randomized duality experiments over labeled graphs.
 
 All output is a single JSON document (or plain table for `experiment`) on
 stdout unless --out is given.  Exit codes: 0 success, 1 failed
-certificate, 2 parse/parameter error, 3 enumeration limit exceeded.
+certificate, 2 parse/parameter error, 3 enumeration limit exceeded or
+verification undecided (the chord router could not settle an obstruction
+instance).
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from .graphs import (
 from .obstructions import (
     ObstructionFormatError,
     ObstructionSpec,
+    VerificationUndecidedError,
     build_obstruction,
     escher_wall,
     verify_obstruction,
 )
 from .walls import WallFormatError, elementary_wall, encode_wall
 
-PARSE_ERROR, CERT_ERROR, LIMIT_ERROR = 2, 1, 3
+PARSE_ERROR, CERT_ERROR, UNDECIDED = 2, 1, 3
 
 
 class CliError(Exception):
@@ -392,9 +395,9 @@ def main(argv=None) -> int:
     except LimitFormatError as exc:
         print(str(exc), file=sys.stderr)
         return PARSE_ERROR
-    except EnumerationLimitError as exc:
+    except (EnumerationLimitError, VerificationUndecidedError) as exc:
         print(str(exc), file=sys.stderr)
-        return LIMIT_ERROR
+        return UNDECIDED
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ A graph builds two read-only tables lazily, once each, for the hot loops:
 `adjacency()`, per vertex its non-loop `(eid, neighbour)` pairs in
 `incident` order, which the chord router walks.
 
+Shifting has one rule, `shifted_value`.  `shift_sequence` relabels by it
+into one graph however many shifts it applies; `is_gamma_bipartite` and
+`lemmas.combine_brick` read shifted values through it and build none.
+
 One breadth-first spanning forest (`_bfs_forest`) and one walk along its
 parent links (`_tree_walk`) serve the package: the fundamental cycle of
 `is_gamma_bipartite`, the null shift of `lemmas.combine_brick`, the tree
@@ -330,32 +334,38 @@ def cycle_from_edges(graph: LabeledGraph, edge_ids: Iterable[int]) -> Cycle:
 # shifting
 
 
+def shifted_value(alpha: Mapping[int, GroupElement], u: int, x: GroupElement, v: int) -> GroupElement:
+    """The value x of a walk from u to v once each vertex w is shifted by
+    alpha[w] (the identity without an entry): inv(alpha[u])·x·alpha[v],
+    the switching rule of Zaslavsky, "Biased graphs I" (JCTB 1989)."""
+    if u in alpha:
+        x = groups.op(groups.inv(alpha[u]), x)
+    if v in alpha:
+        x = groups.op(x, alpha[v])
+    return x
+
+
 def shift(graph: LabeledGraph, v: int, alpha: GroupElement) -> LabeledGraph:
     """Shift at v by alpha: edges with head v gain alpha on the right, edges
-    with tail v gain the inverse of alpha on the left; loops at v get both."""
-    if v not in graph.vertices:
-        raise GraphFormatError(f"no vertex {v}")
-    if alpha.descriptor != graph.descriptor:
-        raise GraphFormatError("shift value lives in the wrong group")
-    neg = groups.inv(alpha)
-    labels: Dict[int, GroupElement] = {}
-    for eid in graph.incident(v):
-        e = graph.edge(eid)
-        lab = e.label
-        if e.tail == e.head:
-            lab = groups.op(groups.op(neg, lab), alpha)
-        elif e.head == v:
-            lab = groups.op(lab, alpha)
-        else:
-            lab = groups.op(neg, lab)
-        labels[eid] = lab
-    return graph.with_labels(labels)
+    with tail v gain the inverse of alpha on the left; loops at v get both.
+    This is `shift_sequence` with the one shift (v, alpha)."""
+    return shift_sequence(graph, [(v, alpha)])
 
 
 def shift_sequence(graph: LabeledGraph, shifts: Sequence[Tuple[int, GroupElement]]) -> LabeledGraph:
-    for v, alpha in shifts:
-        graph = shift(graph, v, alpha)
-    return graph
+    """Apply the shifts in order, building one graph.  Shifting at v by a,
+    then by b, is shifting at v by a·b; shifts at different vertices
+    commute.  Each edge is relabelled by `shifted_value`."""
+    alpha: Dict[int, GroupElement] = {}
+    for v, a in shifts:
+        if v not in graph.vertices:
+            raise GraphFormatError(f"no vertex {v}")
+        if a.descriptor != graph.descriptor:
+            raise GraphFormatError("shift value lives in the wrong group")
+        alpha[v] = groups.op(alpha[v], a) if v in alpha else a
+    return graph.with_labels(
+        {e.id: shifted_value(alpha, e.tail, e.label, e.head) for e in graph.edges.values()}
+    )
 
 
 def is_gamma_bipartite(graph: LabeledGraph):
@@ -363,18 +373,12 @@ def is_gamma_bipartite(graph: LabeledGraph):
 
     Returns (True, shifts) where applying `shifts` makes every label zero,
     or (False, witness) with a nonzero-valued cycle of the input graph.
+    Each vertex appears at most once in `shifts`.
 
-    No shifted graph is built: with `alpha` the shift value per vertex, an
-    edge from t to h labelled x carries inv(alpha[t])·x·alpha[h].
+    No shifted graph is built: with `alpha` the shift value per vertex so
+    far, an edge carries its `shifted_value`.
     """
-    shifts: List[Tuple[int, GroupElement]] = []
     alpha: Dict[int, GroupElement] = {}
-    ident = groups.identity(graph.descriptor)
-
-    def shifted(e: Edge) -> GroupElement:
-        left = groups.inv(alpha.get(e.tail, ident))
-        return groups.op(groups.op(left, e.label), alpha.get(e.head, ident))
-
     order, parent = _bfs_forest(graph)
     tree_edges = {eid for (_, eid) in parent.values()}
     for v in order:
@@ -382,20 +386,19 @@ def is_gamma_bipartite(graph: LabeledGraph):
             continue
         # only the parent end of the tree edge is shifted so far
         e = graph.edge(parent[v][1])
-        lab = shifted(e)
+        lab = shifted_value(alpha, e.tail, e.label, e.head)
         if groups.is_zero(lab):
             continue
         # choose alpha so the tree edge becomes zero after shifting at v
         alpha[v] = groups.inv(lab) if e.head == v else lab
-        shifts.append((v, alpha[v]))
     for eid in graph.edge_ids():
         e = graph.edge(eid)
-        if eid in tree_edges or groups.is_zero(shifted(e)):
+        if eid in tree_edges or groups.is_zero(shifted_value(alpha, e.tail, e.label, e.head)):
             continue
         # fundamental cycle: tree walk head -> tail, closed by the edge
         walk = _tree_walk(parent, e.head, e.tail)
         return False, Cycle(walk.vertices + (e.head,), walk.edges + (eid,))
-    return True, shifts
+    return True, list(alpha.items())
 
 
 def _bfs_forest(graph: LabeledGraph) -> Tuple[List[int], Dict[int, Tuple[int, int]]]:
@@ -445,7 +448,8 @@ def _tree_walk(parent: Mapping[int, Tuple[int, int]], a: int, b: int) -> Optiona
 
 
 def normalize_to_null(graph: LabeledGraph) -> LabeledGraph:
-    """Shift until every edge label is zero; requires all cycles zero."""
+    """Shift every edge label to zero by one `shift_sequence`, so building
+    one graph; requires all cycles zero."""
     ok, cert = is_gamma_bipartite(graph)
     if not ok:
         raise NotGammaBipartiteError(f"graph has a nonzero cycle through edges {sorted(cert.edges)}")

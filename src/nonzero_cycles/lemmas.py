@@ -21,7 +21,8 @@ from .graphs import (
     _bfs_forest,
     _tree_walk,
     is_gamma_bipartite,
-    shift_sequence,
+    shifted_value,
+    walk_value,
 )
 
 
@@ -137,8 +138,10 @@ def combine_brick(
     Hypotheses: the three cycles are pairwise disjoint; the attachment
     ends appear on c in the cyclic order p1, p1p, p2, p2p; c1 is nonzero
     in coordinate 0 and zero in coordinate 1; c2 is nonzero in
-    coordinate 1.  The connective skeleton is shifted to null (on a working
-    copy only) so the arc choice reduces to a sign analysis; the returned
+    coordinate 1.  The arc choice reduces to a sign analysis once the
+    connective skeleton is shifted to null.  No shifted graph is built: a
+    shift changes a walk's value only at the walk's two ends, so each arc's
+    null-shifted value is the `shifted_value` of its value.  The returned
     cycle lives in the original labeling.
     """
     for cyc in (c, c1, c2):
@@ -189,23 +192,19 @@ def combine_brick(
     skeleton = frozenset(i1.edges) | frozenset(i2.edges)
     for w in paths:
         skeleton |= w.edge_set()
-    shifted = shift_sequence(graph, is_gamma_bipartite(graph.subgraph(skeleton))[1])
+    alpha = dict(is_gamma_bipartite(graph.subgraph(skeleton))[1])
+
+    def null_values(w: Walk):
+        return groups.coordinates(shifted_value(alpha, w.start, walk_value(graph, w), w.end))
 
     arcs1 = _cycle_arcs(c1, q1, q1p)  # q1 -> q1p
     arcs2 = _cycle_arcs(c2, q2, q2p)  # q2 -> q2p
-    y1a = coordinate_values(shifted, arcs1[0])[1]
-    y1b = coordinate_values(shifted, arcs1[1])[1]
+    (_, y1a), (_, y1b) = map(null_values, arcs1)
     if y1a != y1b:  # pragma: no cover - guarded by the c1 coordinate-1 zero hypothesis
         raise AssertionError("arcs of c1 disagree in coordinate 1")
-    arc2 = next(
-        a for a in arcs2
-        if not groups.is_zero(groups.op(y1a, coordinate_values(shifted, a)[1]))
-    )
-    x2 = coordinate_values(shifted, arc2)[0]
-    arc1 = next(
-        a for a in arcs1
-        if not groups.is_zero(groups.op(coordinate_values(shifted, a)[0], x2))
-    )
+    arc2 = next(a for a in arcs2 if not groups.is_zero(groups.op(y1a, null_values(a)[1])))
+    x2 = null_values(arc2)[0]
+    arc1 = next(a for a in arcs1 if not groups.is_zero(groups.op(null_values(a)[0], x2)))
     walk = (
         p1
         .concat(arc1)
@@ -235,14 +234,35 @@ def _check_s_path(graph: LabeledGraph, walk: Walk, s: FrozenSet[int], coordinate
     _require(_nonzero_in(graph, walk, coordinate), f"{name} is nonzero in coordinate {coordinate}")
 
 
+def _rewirings(q_paths: Sequence[Walk], rs: Sequence[Walk]):
+    """Each rewiring (index in `rs`, new path), by Q path, direction, then
+    tail: along a touched Q path with no end on an R path to the first
+    vertex `meet` of an R path, then along that to its end or back to its
+    start.  It is an S-path off the other R paths: `meet` lies inside the
+    Q path, and the Q part before it meets no R path."""
+    owner = {v: i for i, r in enumerate(rs) for v in r.vertices}
+    for qw in q_paths:
+        if owner.keys().isdisjoint(qw.vertices) or qw.start in owner or qw.end in owner:
+            continue
+        for path in (qw, qw.reversed()):
+            hit = next(k for k, v in enumerate(path.vertices) if v in owner)
+            meet = path.vertices[hit]
+            r = rs[owner[meet]]
+            at = r.vertices.index(meet)
+            prefix = Walk(path.vertices[: hit + 1], path.edges[:hit])
+            yield owner[meet], prefix.concat(Walk(r.vertices[at:], r.edges[at:]))
+            yield owner[meet], prefix.concat(Walk(r.vertices[: at + 1], r.edges[:at]).reversed())
+
+
 def exchange_reroute(graph: LabeledGraph, s, q_paths: Sequence[Walk], r_paths: Sequence[Walk]) -> List[Walk]:
     """From 3t disjoint coordinate-0-nonzero S-paths and t disjoint
     coordinate-1-nonzero S-paths, produce 2t disjoint S-paths: the first t
     nonzero in coordinate 0, the last t in coordinate 1.
 
-    Repeatedly reroutes an R-side path along a Q-path it crosses (taking
-    the first-listed of the two candidate rewirings that works); the count
-    of R-side edges outside the Q-side strictly decreases.
+    While more than 2t Q paths touch an R path, replaces an R path by the
+    first of `_rewirings` that is nonzero in coordinate 1 and has fewer
+    edges outside the Q paths; that count (the potential) falls at every
+    step, so the loop ends.
     """
     s = frozenset(s)
     t = len(r_paths)
@@ -256,62 +276,21 @@ def exchange_reroute(graph: LabeledGraph, s, q_paths: Sequence[Walk], r_paths: S
 
     q_edges = {eid for w in q_paths for eid in w.edges}
 
-    def potential(fam: Sequence[Walk]) -> int:
-        return sum(1 for w in fam for eid in w.edges if eid not in q_edges)
+    def potential(w: Walk) -> int:
+        return sum(1 for eid in w.edges if eid not in q_edges)
 
     rs = list(r_paths)
-    guard = sum(len(w.edges) for w in rs) + 1
-    for _ in range(guard + 1):
-        r_vertices: Dict[int, int] = {}
-        for idx, r in enumerate(rs):
-            for v in r.vertices:
-                r_vertices[v] = idx
-        touched = [qi for qi, qw in enumerate(q_paths) if any(v in r_vertices for v in qw.vertices)]
-        if len(touched) <= 2 * t:
-            free = [qw for qi, qw in enumerate(q_paths) if qi not in touched]
-            return list(free[:t]) + rs
-        replaced = False
-        for qi in touched:
-            qw = q_paths[qi]
-            if qw.start in r_vertices or qw.end in r_vertices:
-                continue
-            for start_at_end in (False, True):
-                path = qw.reversed() if start_at_end else qw
-                hit = next((k for k, v in enumerate(path.vertices) if v in r_vertices), None)
-                if hit is None:
-                    continue
-                r_idx = r_vertices[path.vertices[hit]]
-                r1 = rs[r_idx]
-                prefix = Walk(path.vertices[: hit + 1], path.edges[:hit])  # q .. r
-                meet = path.vertices[hit]
-                at = r1.vertices.index(meet)
-                tail_a = Walk(r1.vertices[at:], r1.edges[at:])  # meet .. end of r1
-                tail_b = Walk(r1.vertices[: at + 1], r1.edges[:at]).reversed()  # meet .. start
-                for tail in (tail_a, tail_b):
-                    candidate = prefix.concat(tail) if tail.edges else prefix
-                    if not candidate.is_path() or len(candidate.edges) == 0:
-                        continue
-                    if candidate.start not in s or candidate.end not in s:
-                        continue
-                    if any(v in s for v in candidate.vertices[1:-1]):
-                        continue
-                    if not _nonzero_in(graph, candidate, 1):
-                        continue
-                    others = [r for k, r in enumerate(rs) if k != r_idx]
-                    if any(set(candidate.vertices) & set(o.vertices) for o in others):
-                        continue
-                    new_rs = [candidate if k == r_idx else r for k, r in enumerate(rs)]
-                    if potential(new_rs) >= potential(rs):
-                        continue
-                    rs = new_rs
-                    replaced = True
-                    break
-                if replaced:
-                    break
-            if replaced:
+    while True:
+        r_vertices = {v for r in rs for v in r.vertices}
+        free = [qw for qw in q_paths if r_vertices.isdisjoint(qw.vertices)]
+        if len(free) >= t:  # at most 2t Q paths touched
+            return free[:t] + rs
+        for i, w in _rewirings(q_paths, rs):
+            if potential(w) < potential(rs[i]) and _nonzero_in(graph, w, 1):
+                rs[i] = w
                 break
-        _require(replaced, "an exchange step exists", "no valid rewiring found")
-    raise AssertionError("exchange loop failed to terminate")  # pragma: no cover
+        else:
+            raise HypothesisError("an exchange step exists", "no valid rewiring found")
 
 
 # ---------------------------------------------------------------------------

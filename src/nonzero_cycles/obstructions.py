@@ -135,7 +135,11 @@ def _attach(
 def _instance(graph: LabeledGraph, wall: Wall, walks: Sequence[Tuple[str, Walk]]) -> WallInstance:
     """The instance whose attachments are the named two-edge walks, each
     oriented from its boundary-earlier end and sorted by that end; its kind
-    is "P" when the first coordinate of its value is nonzero, else "Q"."""
+    is "P" when the first coordinate of its value is nonzero, else "Q".
+    The chord router needs the 2k wall ends of k walks pairwise distinct."""
+    ends = [v for _, walk in walks for v in (walk.start, walk.end)]
+    if len(set(ends)) < len(ends):
+        raise ObstructionFormatError("attachments must have pairwise distinct wall ends")
     pos = _boundary_positions(wall)
     atts = []
     for name, walk in walks:
@@ -570,8 +574,10 @@ def verify_instance(inst: WallInstance, h: int) -> dict:
 
 
 def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
-    """Recognize a 4h-wall with two-edge attachments on it; None if the
-    graph is not of that shape."""
+    """Recognize a 4h-wall with two-edge attachments on it whose wall ends
+    are pairwise distinct; None if the graph is not of that shape.  The
+    wall is built only when the core has the 2(4h+1)² − 2 vertices of a
+    4h-wall, so a large h costs nothing."""
     middles = []
     for v in sorted(graph.vertices):
         if graph.degree(v) != 2:
@@ -580,6 +586,8 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
         if any(not groups.is_zero(graph.edge(e).label) for e in eids):
             middles.append(v)
     core = graph.without_vertices(middles)
+    if len(core.vertices) != 2 * (4 * h + 1) ** 2 - 2:
+        return None
     try:
         ref = elementary_wall(4 * h, graph.descriptor)
     except WallFormatError:
@@ -594,7 +602,10 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
         if a not in pos or b not in pos:
             return None
         walks.append((f"A{i + 1}", Walk((a, m, b), (e1, e2))))
-    return _instance(graph, ref, walks)
+    try:
+        return _instance(graph, ref, walks)
+    except ObstructionFormatError:
+        return None
 
 
 def verify_obstruction(graph: LabeledGraph, h: int, limit: Optional[int] = None) -> dict:

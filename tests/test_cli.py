@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from nonzero_cycles import cli, cycles, groups
-from nonzero_cycles.graphs import decode_graph
+from nonzero_cycles import cli, cycles, groups, obstructions
+from nonzero_cycles.graphs import decode_graph, encode_graph
+from test_obstructions import shared_end_graph
 
 
 def run(argv, capsys):
@@ -121,6 +122,45 @@ def test_verify_escher_h3_obstruction_by_enumeration(tmp_path, capsys):
     assert report["nu_ok"] is True
     assert (report["method"], report["nu_half"], report["tau"]) == ("enumeration", 5, 3)
     assert report["nu_half_exact"] is True
+
+
+def test_verify_attachments_sharing_a_wall_end_by_enumeration(tmp_path, capsys):
+    # the chord router assumes distinct attachment ends, so the instance is
+    # not taken for a wall instance, and verify enumerates its cycles
+    inst = tmp_path / "s.json"
+    cert = tmp_path / "c.json"
+    inst.write_text(json.dumps({"graph": encode_graph(shared_end_graph())}))
+    cert.write_text(json.dumps({"type": "obstruction", "h": 1}))
+    code, out, err = run(["verify", str(inst), str(cert), "--limit", "2000"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("more than 2000 cycles")
+
+
+def test_verify_undecided_routing_exits_3(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "o.json"
+    cert = tmp_path / "c.json"
+    run(["gen", "obstruction", "--h", "1", "--p", "crossing", "--q", "nested", "--out", str(inst)], capsys)
+    cert.write_text(json.dumps({"type": "obstruction", "h": 1}))
+    monkeypatch.setattr(obstructions, "_route_chords", lambda *args: None)
+    code, out, err = run(["verify", str(inst), str(cert)], capsys)
+    assert (code, out, err) == (3, "", "a non-crossing chord system could not be routed\n")
+
+
+def test_verify_builds_no_wall_for_a_certificate_h_the_graph_cannot_have(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "e.json"
+    cert = tmp_path / "c.json"
+    run(["gen", "escher", "--h", "2", "--out", str(inst)], capsys)
+    cert.write_text(json.dumps({"type": "obstruction", "h": 10**6}))
+    built = []
+
+    def spy(r, *args):
+        built.append(r)
+        raise AssertionError("verify built a wall")
+
+    monkeypatch.setattr(obstructions, "elementary_wall", spy)
+    code, out, _ = run(["verify", str(inst), str(cert)], capsys)
+    assert (code, built) == (0, [])
+    assert json.loads(out)["method"] == "enumeration"
 
 
 def test_parser_is_built_once_and_reused_after_errors(capsys):

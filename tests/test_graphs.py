@@ -114,6 +114,74 @@ def test_shift_loop_conjugates():
     assert shifted.edge(0).label.payload == (-2, 1, 2)
 
 
+def reference_shift(graph, v, alpha):
+    """The single shift as `shift` computed it case by case before it
+    became `shift_sequence` over `shifted_value`, kept as the oracle."""
+    if v not in graph.vertices:
+        raise GraphFormatError(f"no vertex {v}")
+    if alpha.descriptor != graph.descriptor:
+        raise GraphFormatError("shift value lives in the wrong group")
+    neg = groups.inv(alpha)
+    labels = {}
+    for eid in graph.incident(v):
+        e = graph.edge(eid)
+        lab = e.label
+        if e.tail == e.head:
+            lab = groups.op(groups.op(neg, lab), alpha)
+        elif e.head == v:
+            lab = groups.op(lab, alpha)
+        else:
+            lab = groups.op(neg, lab)
+        labels[eid] = lab
+    return graph.with_labels(labels)
+
+
+def test_shift_sequence_equals_folding_the_reference_shift():
+    rng = random.Random(11)
+    descs = [Z5, F2, groups.direct_sum(Z5, F2)]
+    loops = parallels = repeats = 0
+    for _ in range(300):
+        desc = rng.choice(descs)
+        g = random_graph(desc, rng, max_vertices=6, max_edges=14)
+        ends = [(e.tail, e.head) for e in g.edges.values()]
+        loops += any(t == h for t, h in ends)
+        parallels += len({frozenset(p) for p in ends}) < len(ends)
+        verts = sorted(g.vertices)
+        seq = [(rng.choice(verts), groups.random_element(desc, rng)) for _ in range(rng.randint(0, 8))]
+        repeats += len({v for v, _ in seq}) < len(seq)
+        folded = g
+        for v, alpha in seq:
+            folded = reference_shift(folded, v, alpha)
+        assert shift_sequence(g, seq) == folded
+        if seq:
+            assert shift(g, *seq[0]) == reference_shift(g, *seq[0])
+        # a bad shift anywhere in the sequence raises the reference's error
+        bad = rng.choice([(max(verts) + 1, seq[0][1] if seq else groups.identity(desc)), (verts[0], lab(Z, 1))])
+        at = rng.randint(0, len(seq))
+        with pytest.raises(GraphFormatError) as expected:
+            for v, alpha in seq[:at] + [bad]:
+                reference_shift(g, v, alpha)
+        with pytest.raises(GraphFormatError, match=f"^{expected.value}$"):
+            shift_sequence(g, seq[:at] + [bad] + seq[at:])
+    assert min(loops, parallels, repeats) >= 50
+
+
+def test_normalize_to_null_builds_one_graph(monkeypatch):
+    g = reference_shift(reference_shift(triangle(F2, [[], [], []]), 1, lab(F2, [1, 2])), 2, lab(F2, [-2]))
+    assert len(is_gamma_bipartite(g)[1]) == 2
+    built = []
+    init = LabeledGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LabeledGraph, "__init__", counting_init)
+    flat = normalize_to_null(g)
+    assert built == [flat]
+    assert all(groups.is_zero(e.label) for e in flat.edges.values())
+
+
 def test_shift_preserves_cycle_values_up_to_conjugacy():
     rng = random.Random(0)
     for _ in range(60):
@@ -172,7 +240,7 @@ def bipartite_by_shifting(g):
         if label is not None and not groups.is_zero(label):
             alpha = groups.inv(label) if work.edge(parent[v]).head == v else label
             shifts.append((v, alpha))
-            work = shift(work, v, alpha)
+            work = reference_shift(work, v, alpha)
     tree = set(parent.values())
     bad = [eid for eid in work.edge_ids() if eid not in tree and not groups.is_zero(work.edge(eid).label)]
     return shifts, (bad[0] if bad else None)

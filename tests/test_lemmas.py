@@ -11,7 +11,6 @@ from nonzero_cycles.graphs import (
     LabeledGraph,
     Walk,
     is_gamma_bipartite,
-    shift,
     shift_sequence,
 )
 from nonzero_cycles.lemmas import (
@@ -25,6 +24,7 @@ from nonzero_cycles.lemmas import (
     triangle_cycle,
     verify_odd_kt_model,
 )
+from test_graphs import reference_shift
 
 Z5Z7 = groups.direct_sum(groups.cyclic(5), groups.cyclic(7))
 FZ = groups.direct_sum(groups.free_group(2), groups.integers())
@@ -251,7 +251,7 @@ def reference_null_shifts(graph, edge_ids):
                     continue
                 seen.add(w)
                 if not groups.is_zero(e.label):
-                    work = shift(work, w, groups.inv(e.label) if e.head == w else e.label)
+                    work = reference_shift(work, w, groups.inv(e.label) if e.head == w else e.label)
                 queue.append(w)
     return work
 
@@ -375,19 +375,162 @@ def test_exchange_reroute_fuzz():
     for trial in range(200):
         t = rng.choice([1, 2])
         graph, s, qs, rs = reroute_instance(rng, t)
+        assert_exchange_contract(graph, s, t, exchange_reroute(graph, s, qs, rs))
+
+
+def threaded_reroute_instance(rng, t):
+    """3t Q paths, each with two to four interior vertices, and t R paths
+    that each thread through the interiors of three to five distinct Q
+    paths (fresh vertices here and there between them), together touching
+    more than 2t Q paths, so the exchange must rewire.  Labels are random
+    in Z3 ⊕ Z3, the last edge of each path fixing its coordinate nonzero."""
+    desc = Z3Z3
+    next_v = 0
+
+    def fresh(k):
+        nonlocal next_v
+        next_v += k
+        return list(range(next_v - k, next_v))
+
+    def labelled(verts, coord):
+        labels = [pair(desc, rng.randrange(3), rng.randrange(3)) for _ in verts[1:]]
+        if sum(lab.payload[coord].payload for lab in labels) % 3 == 0:
+            labels[-1] = groups.op(labels[-1], pair(desc, 1 - coord, coord))
+        return labels
+
+    s, paths = [], []
+    q_paths = [fresh(rng.randint(4, 6)) for _ in range(3 * t)]
+    for pv in q_paths:
+        s += [pv[0], pv[-1]]
+        paths.append((pv, labelled(pv, 0)))
+    free_mids = [pv[1:-1] for pv in q_paths]
+    for pv in free_mids:
+        rng.shuffle(pv)
+    must = rng.sample(range(3 * t), rng.randint(2 * t + 1, 3 * t))
+    threads = [{q: free_mids[q].pop() for q in must[i::t]} for i in range(t)]
+    r_paths = []
+    for mine in threads:
+        others = [q for q in range(3 * t) if q not in mine and free_mids[q]]
+        for q in rng.sample(others, min(len(others), max(0, rng.randint(3, 5) - len(mine)))):
+            mine[q] = free_mids[q].pop()
+        mids = list(mine.values())
+        rng.shuffle(mids)
+        pv = fresh(1)
+        for v in mids:
+            pv += fresh(rng.randint(0, 1)) + [v]
+        pv += fresh(1)
+        s += [pv[0], pv[-1]]
+        paths.append((pv, labelled(pv, 1)))
+        r_paths.append(pv)
+    edges = []
+    for pv, labels in paths:
+        for a, b, label in zip(pv, pv[1:], labels):
+            edges.append(Edge(len(edges), a, b, label) if rng.random() < 0.5
+                         else Edge(len(edges), b, a, groups.inv(label)))
+    graph = LabeledGraph(desc, range(next_v), edges)
+    qs = [walk_through_ids(graph, pv) for pv in q_paths]
+    rs = [walk_through_ids(graph, pv) for pv in r_paths]
+    return graph, frozenset(s), qs, rs
+
+
+def reference_exchange_reroute(graph, s, q_paths, r_paths):
+    """`exchange_reroute` as it was before its rewirings came from one
+    generator, kept as the oracle for its output."""
+    s = frozenset(s)
+    t = len(r_paths)
+    lemmas._require(len(q_paths) == 3 * t, "3t paths on the Q side")
+    for fam, coord, name in ((q_paths, 0, "Q"), (r_paths, 1, "R")):
+        used = set()
+        for i, w in enumerate(fam):
+            lemmas._check_s_path(graph, w, s, coord, f"{name}[{i}]")
+            lemmas._require(not (set(w.vertices) & used), f"{name} paths are pairwise disjoint")
+            used |= set(w.vertices)
+    q_edges = {eid for w in q_paths for eid in w.edges}
+
+    def potential(fam):
+        return sum(1 for w in fam for eid in w.edges if eid not in q_edges)
+
+    rs = list(r_paths)
+    guard = sum(len(w.edges) for w in rs) + 1
+    for _ in range(guard + 1):
+        r_vertices = {}
+        for idx, r in enumerate(rs):
+            for v in r.vertices:
+                r_vertices[v] = idx
+        touched = [qi for qi, qw in enumerate(q_paths) if any(v in r_vertices for v in qw.vertices)]
+        if len(touched) <= 2 * t:
+            free = [qw for qi, qw in enumerate(q_paths) if qi not in touched]
+            return list(free[:t]) + rs
+        replaced = False
+        for qi in touched:
+            qw = q_paths[qi]
+            if qw.start in r_vertices or qw.end in r_vertices:
+                continue
+            for start_at_end in (False, True):
+                path = qw.reversed() if start_at_end else qw
+                hit = next((k for k, v in enumerate(path.vertices) if v in r_vertices), None)
+                if hit is None:
+                    continue
+                r_idx = r_vertices[path.vertices[hit]]
+                r1 = rs[r_idx]
+                prefix = Walk(path.vertices[: hit + 1], path.edges[:hit])
+                meet = path.vertices[hit]
+                at = r1.vertices.index(meet)
+                tail_a = Walk(r1.vertices[at:], r1.edges[at:])
+                tail_b = Walk(r1.vertices[: at + 1], r1.edges[:at]).reversed()
+                for tail in (tail_a, tail_b):
+                    candidate = prefix.concat(tail) if tail.edges else prefix
+                    if not candidate.is_path() or len(candidate.edges) == 0:
+                        continue
+                    if candidate.start not in s or candidate.end not in s:
+                        continue
+                    if any(v in s for v in candidate.vertices[1:-1]):
+                        continue
+                    if not lemmas._nonzero_in(graph, candidate, 1):
+                        continue
+                    others = [r for k, r in enumerate(rs) if k != r_idx]
+                    if any(set(candidate.vertices) & set(o.vertices) for o in others):
+                        continue
+                    new_rs = [candidate if k == r_idx else r for k, r in enumerate(rs)]
+                    if potential(new_rs) >= potential(rs):
+                        continue
+                    rs = new_rs
+                    replaced = True
+                    break
+                if replaced:
+                    break
+            if replaced:
+                break
+        lemmas._require(replaced, "an exchange step exists", "no valid rewiring found")
+    raise AssertionError("exchange loop failed to terminate")
+
+
+def assert_exchange_contract(graph, s, t, out):
+    assert len(out) == 2 * t
+    seen = set()
+    for i, w in enumerate(out):
+        w.validate(graph)
+        assert w.is_path() and w.edges
+        assert w.start in s and w.end in s
+        assert all(v not in s for v in w.vertices[1:-1])
+        assert not groups.is_zero(coordinate_values(graph, w)[0 if i < t else 1])
+        assert not (set(w.vertices) & seen)
+        seen |= set(w.vertices)
+
+
+def test_exchange_reroute_rewires_and_matches_the_reference():
+    rng = random.Random(1)
+    for _ in range(600):
+        t = rng.randint(1, 3)
+        graph, s, qs, rs = threaded_reroute_instance(rng, t)
+        r_vertices = {v for r in rs for v in r.vertices}
+        assert sum(not r_vertices.isdisjoint(q.vertices) for q in qs) > 2 * t
+        for r in rs:
+            assert 3 <= sum(not set(r.vertices[1:-1]).isdisjoint(q.vertices) for q in qs) <= 5
         out = exchange_reroute(graph, s, qs, rs)
-        assert len(out) == 2 * t
-        seen = set()
-        for i, w in enumerate(out):
-            w.validate(graph)
-            assert w.is_path() and w.edges
-            assert w.start in s and w.end in s
-            assert all(v not in s for v in w.vertices[1:-1])
-            coord = 0 if i < t else 1
-            val = coordinate_values(graph, w)[coord]
-            assert not groups.is_zero(val)
-            assert not (set(w.vertices) & seen)
-            seen |= set(w.vertices)
+        assert out[t:] != rs  # at least one exchange step was taken
+        assert_exchange_contract(graph, s, t, out)
+        assert out == reference_exchange_reroute(graph, s, qs, rs)
 
 
 def test_exchange_reroute_rejects_wrong_counts():

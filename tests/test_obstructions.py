@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from nonzero_cycles import cycles, groups, obstructions, packing
-from nonzero_cycles.graphs import LabeledGraph
+from nonzero_cycles.graphs import Edge, LabeledGraph
 from nonzero_cycles.obstructions import (
     ObstructionFormatError,
     ObstructionSpec,
@@ -307,6 +307,36 @@ def test_small_instance_matches_brute_force():
     assert rep["nu"] == full.nu
     assert rep["tau"] == full.tau
     assert rep["nu_half"] <= full.nu_half
+
+
+def shared_end_graph():
+    """A 4-wall over Z3 ⊕ Z3 with P = (1,0) and Q = (0,1) both attached
+    between the first two top nails, glued by hand as `_attach` would."""
+    desc = groups.direct_sum(Z3, Z3)
+    wall = elementary_wall(4, desc)
+    a, b = _row_slots(wall, 0)[:2]
+    edges = list(wall.graph.edges.values())
+    eid, m = max(wall.graph.edge_ids()) + 1, max(wall.graph.vertices) + 1
+    for value in ((1, 0), (0, 1)):
+        edges += [Edge(eid, a, m, groups.element(desc, value)), Edge(eid + 1, m, b, groups.identity(desc))]
+        eid, m = eid + 2, m + 1
+    return LabeledGraph(desc, wall.graph.vertices | {m - 2, m - 1}, edges)
+
+
+def test_attachments_must_have_distinct_wall_ends():
+    desc = groups.direct_sum(Z3, Z3)
+    wall = elementary_wall(4, desc)
+    top = _row_slots(wall, 0)
+    p_val, q_val = groups.element(desc, (1, 0)), groups.element(desc, (0, 1))
+    for ends in (
+        [("P1", top[0], top[1], p_val), ("Q1", top[0], top[1], q_val)],
+        [("P1", top[0], top[1], p_val), ("Q1", top[1], top[2], q_val)],
+        [("P1", top[0], top[0], p_val)],
+    ):
+        with pytest.raises(ObstructionFormatError, match="pairwise distinct wall ends"):
+            _attach(wall, ends)
+    # a bare graph of that shape is not taken for a wall instance
+    assert _reconstruct(shared_end_graph(), 1) is None
 
 
 def test_nu_counts_a_third_disjoint_cycle_like_enumeration():
