@@ -13,6 +13,7 @@ import itertools
 import sys
 
 from nonzero_cycles import groups
+from nonzero_cycles.linkage import LINKAGE_TYPES
 from nonzero_cycles.obstructions import (
     ObstructionSpec,
     build_obstruction_instance,
@@ -27,7 +28,7 @@ def main() -> int:
     one = groups.element(z3, 1)
     print(f"height h = {h}")
     print(f"{'P-type':<10}{'Q-type':<10}{'nu':>4}{'nu_half':>9}{'tau':>5}")
-    for tp, tq in itertools.permutations(("series", "nested", "crossing"), 2):
+    for tp, tq in itertools.permutations(LINKAGE_TYPES, 2):
         spec = ObstructionSpec(
             h=h, p_type=tp, q_type=tq, gamma1=z3, gamma2=z3,
             p_values=(one,) * h, q_values=(one,) * h,

@@ -28,6 +28,7 @@ from .graphs import (
     encode_graph,
     is_gamma_bipartite,
 )
+from .linkage import LINKAGE_TYPES
 from .obstructions import (
     ObstructionFormatError,
     ObstructionSpec,
@@ -83,7 +84,18 @@ def _descriptor(text: str) -> groups.GroupDescriptor:
         raise CliError(str(exc), PARSE_ERROR)
 
 
+def _vertex_ids(text: Optional[str], option: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise CliError(f"{option} takes comma-separated vertex ids, not {text!r}", PARSE_ERROR)
+
+
 def _random_graph(rng: random.Random, desc, max_n: int, max_m: int) -> LabeledGraph:
+    if max_n < 2:
+        raise CliError("--max-n must be at least 2", PARSE_ERROR)
+    if max_m < 1:
+        raise CliError("--max-m must be at least 1", PARSE_ERROR)
     n = rng.randint(2, max_n)
     pairs = list(itertools.combinations(range(n), 2))
     m = rng.randint(1, min(max_m, len(pairs)))
@@ -125,12 +137,14 @@ def cmd_gen(args) -> int:
             raise CliError("--groups takes two comma-separated descriptors", PARSE_ERROR)
         g1, g2 = _descriptor(names[0]), _descriptor(names[1])
         rng = random.Random(args.seed)
-        def nonzero(desc):
+        def nonzero(name, desc):
+            if desc.is_trivial:
+                raise CliError(f"--groups summand {name} is the trivial group: it has no nonzero value", PARSE_ERROR)
             while True:
                 x = groups.random_element(desc, rng)
                 if not groups.is_zero(x):
                     return x
-        v1, v2 = nonzero(g1), nonzero(g2)
+        v1, v2 = nonzero(names[0], g1), nonzero(names[1], g2)
         spec = ObstructionSpec(
             h=args.h,
             p_type=args.p,
@@ -222,8 +236,8 @@ def cmd_cover(args) -> int:
 
 def cmd_reduce(args) -> int:
     graph = _load_graph(args.file)
-    s1 = [int(x) for x in args.s1.split(",")] if args.s1 else []
-    s2 = [int(x) for x in args.s2.split(",")] if args.s2 else []
+    s1 = _vertex_ids(args.s1, "--s1")
+    s2 = _vertex_ids(args.s2, "--s2")
     if args.kind == "plain":
         reduced = reductions.reduce_plain_cycles(graph)
     elif args.kind == "odd":
@@ -338,8 +352,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["wall", "escher", "obstruction", "random"])
     p.add_argument("--r", type=int, help="wall size")
     p.add_argument("--h", type=int, help="height")
-    p.add_argument("--p", choices=["series", "nested", "crossing"])
-    p.add_argument("--q", choices=["series", "nested", "crossing"])
+    p.add_argument("--p", choices=LINKAGE_TYPES)
+    p.add_argument("--q", choices=LINKAGE_TYPES)
     p.add_argument("--groups", help="group descriptor(s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=int, default=7)

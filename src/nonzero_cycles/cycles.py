@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
 from . import groups
-from .graphs import Cycle, LabeledGraph, walk_value
+from .graphs import Cycle, LabeledGraph, Walk, shifted_value, walk_value
 
 DEFAULT_LIMIT = 10**6
 LIMIT_ENV_VAR = "NONZERO_CYCLES_LIMIT"
@@ -222,6 +222,11 @@ def is_robust(
     outside parts do not, and a cycle with no inside part is never one.
     Pairs are scanned in enumeration order, so the witness is the first
     confusable pair in that order.
+
+    Rerooting is the shift rule: from the j-th vertex v of its
+    representative, a cycle of value x has value p⁻¹·x·p (`shifted_value`
+    at v by p), p the value of the first j edges, or its inverse the other
+    way.  An abelian coordinate tries only the smallest common vertex.
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
@@ -240,28 +245,29 @@ def is_robust(
                 inside.append(m & zmask)
                 outside.append(m & ~zmask)
         abelian = _coordinate_abelian(graph.descriptor, i)
-        if abelian:
-            vals = [{c.values[i], groups.inv(c.values[i])} for c in hot]
-        rooted = {}  # (index in hot, root) -> rooted_coordinate_values
+        rooted = {}  # (index in hot, root) -> values from root, both ways
+
+        def values(a: int, root: int):
+            if (a, root) not in rooted:
+                rep = hot[a].rep
+                j = rep.vertices.index(root)
+                p = coordinate_values(graph, Walk(rep.vertices[: j + 1], rep.edges[:j]))[i]
+                x = shifted_value({root: p}, root, hot[a].values[i], root)
+                # a loop reversed keeps its value rather than inverting it,
+                # but no loop is ever a candidate: no other cycle has its edge
+                rooted[a, root] = {x, groups.inv(x)}
+            return rooted[a, root]
+
         for a in range(len(hot)):
             ina, outa = inside[a], outside[a]
             for b in range(a + 1, len(hot)):
                 if not ina & inside[b] or outa & outside[b]:
                     continue
-                c1, c2 = hot[a], hot[b]
-                common = c1.rep.vertex_set() & c2.rep.vertex_set()
-                if abelian:
-                    if vals[a] & vals[b]:
-                        root = min(common)
-                        return False, RobustnessWitness(i, c1.rep.rooted_at(root), c2.rep.rooted_at(root), root)
-                else:
-                    for root in sorted(common):
-                        if (a, root) not in rooted:
-                            rooted[a, root] = rooted_coordinate_values(graph, c1.rep, root, i)
-                        if (b, root) not in rooted:
-                            rooted[b, root] = rooted_coordinate_values(graph, c2.rep, root, i)
-                        if rooted[a, root] & rooted[b, root]:
-                            return False, RobustnessWitness(i, c1.rep.rooted_at(root), c2.rep.rooted_at(root), root)
+                c1, c2 = hot[a].rep, hot[b].rep
+                common = c1.vertex_set() & c2.vertex_set()
+                for root in [min(common)] if abelian else sorted(common):
+                    if values(a, root) & values(b, root):
+                        return False, RobustnessWitness(i, c1.rooted_at(root), c2.rooted_at(root), root)
     return True, None
 
 

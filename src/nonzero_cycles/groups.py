@@ -72,6 +72,17 @@ class GroupDescriptor:
             return self.parts[0].is_abelian and self.parts[1].is_abelian
         return True
 
+    @property
+    def is_trivial(self) -> bool:
+        """Whether the identity is the group's only element."""
+        if self.kind == KIND_DIRECT_SUM:
+            return self.parts[0].is_trivial and self.parts[1].is_trivial
+        if self.kind == KIND_QUOTIENT:
+            return not self.parts
+        if self.kind == KIND_CYCLIC:
+            return self.n == 1
+        return self.kind != KIND_INTEGERS and self.n == 0
+
     def __str__(self) -> str:
         return format_descriptor(self)
 

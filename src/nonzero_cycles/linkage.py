@@ -3,6 +3,9 @@
 Paths are abstracted as intervals (left < right positions in a fixed
 terminal order).  A linkage is pure when all pairs relate the same way:
 in series, nested, or crossing.
+
+`obstructions` takes its linkage types, chord crossing test (`crosses`)
+and linkage placement (`pure_linkage`) from here.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 SERIES = "series"
 NESTED = "nested"
 CROSSING = "crossing"
+LINKAGE_TYPES = (SERIES, NESTED, CROSSING)
 
 
 class LinkageError(ValueError):
@@ -35,16 +39,21 @@ class LinkPath:
         return (self.left, self.right)
 
 
+def crosses(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
+    """Whether the chords with end positions `a` and `b` cross: exactly one
+    end of `b` lies strictly between the ends of `a`."""
+    a1, a2 = sorted(a)
+    return sum(1 for p in b if a1 < p < a2) == 1
+
+
 def classify_pair(p: LinkPath, q: LinkPath) -> str:
     """Relation of two paths with four distinct endpoint positions."""
-    a, b = sorted((p.interval, q.interval))
     if len({p.left, p.right, q.left, q.right}) != 4:
         raise LinkageError("paths share a terminal position")
-    if a[1] < b[0]:
-        return SERIES
-    if b[1] < a[1]:
-        return NESTED
-    return CROSSING
+    if crosses(p.interval, q.interval):
+        return CROSSING
+    a, b = sorted((p.interval, q.interval))
+    return SERIES if a[1] < b[0] else NESTED
 
 
 def linkage_type(paths: Sequence[LinkPath]) -> Optional[str]:
@@ -61,6 +70,22 @@ def linkage_type(paths: Sequence[LinkPath]) -> Optional[str]:
     if len(kinds) == 1:
         return next(iter(kinds))
     return None
+
+
+def pure_linkage(kind: str, slots: Sequence[int]) -> List[LinkPath]:
+    """The pure linkage of the given type on 2h ascending positions `slots`:
+    in series it joins slots 2i and 2i+1, nested joins slot i to slot
+    2h−1−i, and crossing joins slot i to slot h+i, for i < h."""
+    h = len(slots) // 2
+    if kind == SERIES:
+        pairs = [(2 * i, 2 * i + 1) for i in range(h)]
+    elif kind == NESTED:
+        pairs = [(i, 2 * h - 1 - i) for i in range(h)]
+    elif kind == CROSSING:
+        pairs = [(i, h + i) for i in range(h)]
+    else:
+        raise LinkageError(f"unknown linkage type {kind!r}")
+    return [LinkPath(slots[i], slots[j]) for i, j in pairs]
 
 
 def is_pure(paths: Sequence[LinkPath]) -> bool:

@@ -21,6 +21,10 @@ Each `WallInstance` builds its table of cycle shapes once
 (`WallInstance.shapes`) by a DFS that drops a branch at its first crossing
 chord, and `_find_cycles` and `_half_integral_family` read it; the walls
 under the instances are the shared, read-only walls that `walls` memoises.
+
+The two linkages are placed by `linkage.pure_linkage` on the slot lists of
+`_slot_pattern` over the top-row nails (`_row_slots`); chords cross by
+`linkage.crosses`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from . import groups, packing
 from .cycles import coordinate_values
 from .graphs import Cycle, Edge, LabeledGraph, Walk, walk_value
+from .linkage import LINKAGE_TYPES, SERIES, crosses, pure_linkage
 from .walls import Wall, WallFormatError, _elementary, elementary_wall
 
 
@@ -43,9 +48,6 @@ class ObstructionFormatError(ValueError):
 
 class VerificationUndecidedError(RuntimeError):
     """The chord router could not settle a feasible-looking routing."""
-
-
-LINKAGE_TYPES = ("series", "nested", "crossing")
 
 
 # ---------------------------------------------------------------------------
@@ -93,19 +95,11 @@ def _boundary_positions(wall: Wall) -> Dict[int, int]:
     return {v: i for i, v in enumerate(wall.boundary.vertices[:-1])}
 
 
-def _row_slots(wall: Wall, row_index: int) -> List[int]:
-    """The nail of each brick along the given outer row, left to right."""
-    row = set(wall.horizontal[row_index].vertices)
-    nails = set(wall.nails)
-    slots = []
-    row_bricks = [b for b in wall.bricks if set(b.vertices) & row]
-    row_bricks.sort(key=lambda b: min(wall.coords[v][0] for v in b.vertex_set()))
-    for brick in row_bricks:
-        cand = sorted(brick.vertex_set() & row & nails, key=lambda v: wall.coords[v])
-        if len(cand) != 1:
-            raise WallFormatError("expected one nail per outer-row brick")
-        slots.append(cand[0])
-    return slots
+def _row_slots(wall: Wall, row: int) -> List[int]:
+    """The nails on the given outer row (0 for the top, `wall.r` for the
+    bottom), left to right: one per brick along that row."""
+    on_row = set(wall.horizontal[row].vertices)
+    return sorted((v for v in wall.nails if v in on_row), key=lambda v: wall.coords[v][0])
 
 
 def _attach(
@@ -223,42 +217,25 @@ def _validate_spec(spec: ObstructionSpec) -> None:
                 raise ObstructionFormatError(f"{label}-linkage value in wrong group")
             if groups.is_zero(v):
                 raise ObstructionFormatError(f"{label}-linkage values must be nonzero")
-        if t in ("nested", "crossing") and len(set(values)) > 1:
+        if t != SERIES and len(set(values)) > 1:
             raise ObstructionFormatError(
                 f"a {t} linkage must carry one common value"
             )
 
 
-def _interval_block(kind: str, offset: int, h: int) -> List[Tuple[int, int]]:
-    """Endpoint slot pairs of one linkage inside a block of 2h slots."""
-    if kind == "series":
-        return [(offset + 2 * i, offset + 2 * i + 1) for i in range(h)]
-    if kind == "nested":
-        return [(offset + i, offset + 2 * h - 1 - i) for i in range(h)]
-    return [(offset + i, offset + h + i) for i in range(h)]  # crossing
+def _slot_pattern(h: int, p_type: str, q_type: str) -> Tuple[Sequence[int], Sequence[int]]:
+    """The 0-based top-row slots of the first and of the second linkage,
+    2h each and ascending; `linkage.pure_linkage` joins them by type.
 
-
-def _interleaved_block(kind: str, left0: int, right0: int, h: int) -> List[Tuple[int, int]]:
-    if kind == "nested":
-        return [(left0 + i, right0 + h - 1 - i) for i in range(h)]
-    return [(left0 + i, right0 + i) for i in range(h)]  # crossing
-
-
-def _slot_pattern(h: int, p_type: str, q_type: str):
-    """0-based top-row slot indices for the 2h + 2h linkage endpoints.
-
-    When either linkage is in series the two interval families can sit on
-    disjoint slot ranges (first linkage strictly left of the second);
-    otherwise their ranges must interleave: all first-linkage left ends,
-    then all second-linkage left ends, then the right ends in the same
-    order.
+    When either linkage is in series the two families sit on disjoint slot
+    ranges, [0, 2h) and [2h, 4h), the first strictly left of the second.
+    Otherwise they interleave on [0, h) ∪ [2h, 3h) and [h, 2h) ∪ [3h, 4h):
+    all first-linkage left ends, then all second-linkage left ends, then
+    the right ends in the same order (`linkage.satisfies_interval_clause`).
     """
-    if "series" in (p_type, q_type):
-        return _interval_block(p_type, 0, h), _interval_block(q_type, 2 * h, h)
-    return (
-        _interleaved_block(p_type, 0, 2 * h, h),
-        _interleaved_block(q_type, h, 3 * h, h),
-    )
+    if SERIES in (p_type, q_type):
+        return range(2 * h), range(2 * h, 4 * h)
+    return [*range(h), *range(2 * h, 3 * h)], [*range(h, 2 * h), *range(3 * h, 4 * h)]
 
 
 def build_obstruction_instance(spec: ObstructionSpec) -> WallInstance:
@@ -269,16 +246,16 @@ def build_obstruction_instance(spec: ObstructionSpec) -> WallInstance:
     desc = groups.direct_sum(spec.gamma1, spec.gamma2)
     wall = elementary_wall(4 * spec.h, desc)
     slots = _row_slots(wall, 0)
-    p_pairs, q_pairs = _slot_pattern(spec.h, spec.p_type, spec.q_type)
+    p_slots, q_slots = _slot_pattern(spec.h, spec.p_type, spec.q_type)
     ident1 = groups.identity(spec.gamma1)
     ident2 = groups.identity(spec.gamma2)
     ends = []
-    for i, (l, r) in enumerate(p_pairs):
+    for i, path in enumerate(pure_linkage(spec.p_type, p_slots)):
         value = groups.element(desc, (spec.p_values[i], ident2))
-        ends.append((f"P{i + 1}", slots[l], slots[r], value))
-    for i, (l, r) in enumerate(q_pairs):
+        ends.append((f"P{i + 1}", slots[path.left], slots[path.right], value))
+    for i, path in enumerate(pure_linkage(spec.q_type, q_slots)):
         value = groups.element(desc, (ident1, spec.q_values[i]))
-        ends.append((f"Q{i + 1}", slots[l], slots[r], value))
+        ends.append((f"Q{i + 1}", slots[path.left], slots[path.right], value))
     return _attach(wall, ends)
 
 
@@ -326,7 +303,7 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
         exit_v, exit_p = steps[seq[-1]][orients[-1]][2]
         entry_v, entry_p = steps[seq[0]][0][1]
         closing = (exit_p, entry_p)
-        if not any(_chords_cross(closing, c) for c in chord_pos):
+        if not any(crosses(closing, c) for c in chord_pos):
             g1, g2 = groups.coordinates(t.wrap(total))
             if not (groups.is_zero(g1) or groups.is_zero(g2)):
                 shape = _Shape(
@@ -342,7 +319,7 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
                 continue
             for o, (raw, (v, p), _) in enumerate(steps[j]):
                 pos = (exit_p, p)
-                if not any(_chords_cross(pos, c) for c in chord_pos):
+                if not any(crosses(pos, c) for c in chord_pos):
                     stack.append(
                         (seq + (j,), orients + (o,), t.add(total, raw),
                          chords + ((exit_v, v),), chord_pos + (pos,))
@@ -350,12 +327,6 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
     found.sort(key=lambda item: item[0])
     for _, shape in found:
         yield shape
-
-
-def _chords_cross(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
-    a1, a2 = sorted(a)
-    inside = sum(1 for p in b if a1 < p < a2)
-    return inside == 1
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +413,7 @@ def _families(shapes, k: int, start: int, taken: int, chord_pos):
     for i in range(start, len(shapes)):
         s = shapes[i]
         if s.members & taken or chord_pos and any(
-            _chords_cross(a, b) for a in s.chord_pos for b in chord_pos
+            crosses(a, b) for a in s.chord_pos for b in chord_pos
         ):
             continue
         if k == 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from . import cycles, groups
-from .graphs import Cycle, Edge, GraphFormatError, LabeledGraph, _bfs_forest
+from .graphs import Cycle, Edge, GraphFormatError, LabeledGraph, _bfs_forest, decode_graph, encode_graph
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +272,6 @@ def homology_labeling(emb: EmbeddedGraph) -> LabeledGraph:
 
 
 def encode_embedded(emb: EmbeddedGraph) -> dict:
-    from .graphs import encode_graph
-
     return {
         "graph": encode_graph(emb.graph),
         "rotations": {str(v): [[eid, d] for eid, d in rot] for v, rot in emb.rotations.items()},
@@ -282,8 +280,6 @@ def encode_embedded(emb: EmbeddedGraph) -> dict:
 
 
 def decode_embedded(data: dict) -> EmbeddedGraph:
-    from .graphs import decode_graph
-
     emb = EmbeddedGraph(
         graph=decode_graph(data["graph"]),
         rotations={

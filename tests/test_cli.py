@@ -1,6 +1,9 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -383,3 +386,43 @@ def test_fixed_seed_stdout_is_pinned(argv, digest, capsys):
     code, out, err = run(argv.split(), capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("pair", ["z1,z3", "z3,free0", "za0,z3", "q(),z3", "z3,q(1)"])
+def test_gen_obstruction_with_a_trivial_summand_is_parse_error(pair):
+    # a trivial group has no nonzero value to draw; in a subprocess, so that
+    # a generator that keeps drawing fails the test by timing out
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["gen", "obstruction", "--h", "1", "--p", "series", "--q", "nested", "--groups", pair]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonzero_cycles.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "is the trivial group" in proc.stderr and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        ("gen random --max-n 1", "--max-n"),
+        ("gen random --max-m 0", "--max-m"),
+        ("experiment --max-n 1 --count 1", "--max-n"),
+        ("experiment --max-m 0 --count 1", "--max-m"),
+    ],
+)
+def test_random_graph_sizes_out_of_range_are_parse_errors(argv, option, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(option) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--s1", "--s2"])
+def test_reduce_non_integer_vertex_ids_are_parse_errors(option, tmp_path, capsys):
+    inst = tmp_path / "r.json"
+    run(["gen", "random", "--seed", "4", "--out", str(inst)], capsys)
+    code, out, err = run(["reduce", str(inst), "s1s2", "--s1", "0", "--s2", "0", option, "a,b"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(option) and err.count("\n") == 1

@@ -76,6 +76,23 @@ def test_free_group_is_not_abelian():
     assert free_group(1).is_abelian
 
 
+@pytest.mark.parametrize(
+    "text, trivial",
+    [
+        ("z", False), ("z1", True), ("z2", False), ("za0", True), ("za2", False),
+        ("free0", True), ("free1", False), ("q()", True), ("q(1)", True), ("q(1,1)", True),
+        ("q(2)", False), ("q(0)", False), ("sum(z1,q())", True), ("sum(z1,z2)", False),
+        ("sum(free0,za0)", True),
+    ],
+)
+def test_is_trivial_exactly_when_every_random_element_is_zero(text, trivial):
+    desc = parse_descriptor(text)
+    assert desc.is_trivial == trivial
+    rng = random.Random(3)
+    draws = [groups.random_element(desc, rng) for _ in range(30)]
+    assert all(is_zero(x) for x in draws) == trivial
+
+
 def test_free_group_reduction():
     desc = free_group(2)
     assert element(desc, [1, -1]).payload == ()

@@ -5,14 +5,17 @@ import pytest
 
 from nonzero_cycles.linkage import (
     CROSSING,
+    LINKAGE_TYPES,
     NESTED,
     SERIES,
     LinkPath,
     LinkageError,
     classify_pair,
+    crosses,
     extract_pure,
     is_pure,
     linkage_type,
+    pure_linkage,
     satisfies_interval_clause,
     satisfies_separation_clause,
     separate_linkages,
@@ -157,3 +160,41 @@ def test_interval_clause():
     assert satisfies_interval_clause(ps, qs)  # both crossing: fine
     qs_series = [lp(2, 3), lp(6, 7)]
     assert not satisfies_interval_clause([lp(0, 4), lp(1, 5)], qs_series)
+
+
+def reference_chords_cross(a, b):
+    """The chord crossing test `obstructions` kept for itself before
+    `crosses` replaced it."""
+    a1, a2 = sorted(a)
+    inside = sum(1 for p in b if a1 < p < a2)
+    return inside == 1
+
+
+def test_crosses_matches_the_old_chord_test_and_classify_pair():
+    chords = list(itertools.product(range(8), repeat=2))
+    for a, b in itertools.product(chords, repeat=2):
+        assert crosses(a, b) == reference_chords_cross(a, b)
+        if len({*a, *b}) == 4:
+            pair = classify_pair(LinkPath(*sorted(a)), LinkPath(*sorted(b)))
+            assert crosses(a, b) == (pair == CROSSING)
+
+
+def test_pure_linkage_has_its_type():
+    rng = random.Random(1)
+    for _ in range(200):
+        h = rng.randint(2, 8)
+        slots = sorted(rng.sample(range(50), 2 * h))
+        for kind in LINKAGE_TYPES:
+            paths = pure_linkage(kind, slots)
+            assert len(paths) == h
+            assert sorted(x for p in paths for x in p.interval) == slots
+            assert linkage_type(paths) == kind
+            assert paths == _family_from_slots(slots, kind, h)
+
+
+def test_pure_linkage_hand_cases():
+    assert pure_linkage(SERIES, [0, 1, 2, 3]) == [lp(0, 1), lp(2, 3)]
+    assert pure_linkage(NESTED, [0, 1, 2, 3]) == [lp(0, 3), lp(1, 2)]
+    assert pure_linkage(CROSSING, [0, 1, 2, 3]) == [lp(0, 2), lp(1, 3)]
+    with pytest.raises(LinkageError):
+        pure_linkage("spiral", [0, 1])

@@ -8,6 +8,14 @@ import pytest
 
 from nonzero_cycles import cycles, groups, obstructions, packing
 from nonzero_cycles.graphs import Edge, LabeledGraph
+from nonzero_cycles.linkage import (
+    LINKAGE_TYPES,
+    LinkPath,
+    crosses,
+    linkage_type,
+    satisfies_interval_clause,
+    satisfies_separation_clause,
+)
 from nonzero_cycles.obstructions import (
     ObstructionFormatError,
     ObstructionSpec,
@@ -23,7 +31,6 @@ from nonzero_cycles.obstructions import (
     _route_chords,
     _row_slots,
     _Shape,
-    _chords_cross,
     build_obstruction,
     build_obstruction_instance,
     escher_instance,
@@ -37,7 +44,7 @@ from test_packing import reference_min_hitting_set
 Z2 = groups.cyclic(2)
 Z3 = groups.cyclic(3)
 ONE3 = groups.element(Z3, 1)
-TYPE_PAIRS = list(itertools.permutations(("series", "nested", "crossing"), 2))
+TYPE_PAIRS = list(itertools.permutations(LINKAGE_TYPES, 2))
 
 
 def simple_spec(h, p_type, q_type, p_values=None, q_values=None):
@@ -182,43 +189,66 @@ def test_build_obstruction_structure(p_type, q_type):
         seen |= set(a.walk.vertices)
 
 
+def linkage_paths(inst, kind):
+    """The attachments of one kind as paths between boundary positions."""
+    return [LinkPath(a.left_pos, a.right_pos) for a in inst.attachments if a.kind == kind]
+
+
 @pytest.mark.parametrize("p_type,q_type", TYPE_PAIRS)
 def test_build_obstruction_interval_clause(p_type, q_type):
-    h = 2
-    inst = build_obstruction_instance(simple_spec(h, p_type, q_type))
-    p = [a for a in inst.attachments if a.kind == "P"]
-    q = [a for a in inst.attachments if a.kind == "Q"]
-    p_range = (min(a.left_pos for a in p), max(a.right_pos for a in p))
-    q_range = (min(a.left_pos for a in q), max(a.right_pos for a in q))
-    disjoint = p_range[1] < q_range[0] or q_range[1] < p_range[0]
-    if "series" in (p_type, q_type):
-        # disjoint intervals with the first linkage strictly left
-        assert disjoint and p_range[1] < q_range[0]
-    else:
-        # interleaved: all left ends of P, then of Q, then the right ends
-        assert not disjoint
-        assert max(a.left_pos for a in p) < min(a.left_pos for a in q)
-        assert max(a.left_pos for a in q) < min(a.right_pos for a in p)
-        assert max(a.right_pos for a in p) < min(a.right_pos for a in q)
+    for h in range(1, 7):
+        inst = build_obstruction_instance(simple_spec(h, p_type, q_type))
+        p = [a for a in inst.attachments if a.kind == "P"]
+        q = [a for a in inst.attachments if a.kind == "Q"]
+        p_range = (min(a.left_pos for a in p), max(a.right_pos for a in p))
+        q_range = (min(a.left_pos for a in q), max(a.right_pos for a in q))
+        disjoint = p_range[1] < q_range[0] or q_range[1] < p_range[0]
+        if "series" in (p_type, q_type):
+            # disjoint intervals with the first linkage strictly left
+            assert disjoint and p_range[1] < q_range[0]
+        else:
+            # interleaved: all left ends of P, then of Q, then the right ends
+            assert not disjoint
+            assert max(a.left_pos for a in p) < min(a.left_pos for a in q)
+            assert max(a.left_pos for a in q) < min(a.right_pos for a in p)
+            assert max(a.right_pos for a in p) < min(a.right_pos for a in q)
+        # at h = 1 a single path is "series" by convention, so the linkage
+        # model's clauses speak about the pair only from h = 2 on
+        if h >= 2:
+            ps, qs = linkage_paths(inst, "P"), linkage_paths(inst, "Q")
+            assert satisfies_interval_clause(ps, qs)
+            assert satisfies_separation_clause(ps, qs, p_type, q_type)
 
 
 def test_build_obstruction_interval_types():
     # the attachment intervals realize the requested relation
-    def relation(a, b):
-        if a.right_pos < b.left_pos or b.right_pos < a.left_pos:
-            return "series"
-        if a.left_pos < b.left_pos < b.right_pos < a.right_pos:
-            return "nested"
-        if b.left_pos < a.left_pos < a.right_pos < b.right_pos:
-            return "nested"
-        return "crossing"
+    for h in range(2, 7):
+        for p_type, q_type in TYPE_PAIRS:
+            inst = build_obstruction_instance(simple_spec(h, p_type, q_type))
+            assert linkage_type(linkage_paths(inst, "P")) == p_type
+            assert linkage_type(linkage_paths(inst, "Q")) == q_type
 
-    for p_type, q_type in TYPE_PAIRS:
-        inst = build_obstruction_instance(simple_spec(3, p_type, q_type))
-        for kind, expected in (("P", p_type), ("Q", q_type)):
-            members = [a for a in inst.attachments if a.kind == kind]
-            for a, b in itertools.combinations(members, 2):
-                assert relation(a, b) == expected
+
+def reference_row_slots(wall, row_index):
+    """The brick scan `_row_slots` used to be: the one nail of each brick
+    along the outer row, bricks ordered by their leftmost x."""
+    row = set(wall.horizontal[row_index].vertices)
+    nails = set(wall.nails)
+    slots = []
+    row_bricks = [b for b in wall.bricks if set(b.vertices) & row]
+    row_bricks.sort(key=lambda b: min(wall.coords[v][0] for v in b.vertex_set()))
+    for brick in row_bricks:
+        cand = sorted(brick.vertex_set() & row & nails, key=lambda v: wall.coords[v])
+        assert len(cand) == 1
+        slots.append(cand[0])
+    return slots
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_row_slots_match_the_brick_scan(r):
+    wall = _elementary(r)
+    for row in (0, r):
+        assert _row_slots(wall, row) == reference_row_slots(wall, row)
 
 
 def test_nested_series_obstruction_is_planar():
@@ -504,7 +534,7 @@ def _reference_shapes(attachments, desc):
 
 
 def _noncrossing(chord_pos):
-    return not any(_chords_cross(a, b) for a, b in itertools.combinations(chord_pos, 2))
+    return not any(crosses(a, b) for a, b in itertools.combinations(chord_pos, 2))
 
 
 def _reference_find_cycle(inst, removed=frozenset()):
