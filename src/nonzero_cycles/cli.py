@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 import sys
-from typing import Optional
+from typing import List, Optional
 
 from . import cycles, groups, packing, reductions
 from .cycles import EnumerationLimitError, LimitFormatError
@@ -84,11 +84,31 @@ def _descriptor(text: str) -> groups.GroupDescriptor:
         raise CliError(str(exc), PARSE_ERROR)
 
 
-def _vertex_ids(text: Optional[str], option: str) -> list:
+def _vertex_ids(text: Optional[str], option: str, graph: LabeledGraph) -> list:
     try:
-        return [int(x) for x in text.split(",")] if text else []
+        ids = [int(x) for x in text.split(",")] if text else []
     except ValueError:
         raise CliError(f"{option} takes comma-separated vertex ids, not {text!r}", PARSE_ERROR)
+    for v in ids:
+        if v not in graph.vertices:
+            raise CliError(f"{option} names vertex {v}, which is not in the graph", PARSE_ERROR)
+    return ids
+
+
+def _top_level_parts(text: str) -> List[str]:
+    """`text` split at the commas outside parentheses, so that a summand
+    such as `sum(z2,z3)` stays whole."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def _random_graph(rng: random.Random, desc, max_n: int, max_m: int) -> LabeledGraph:
@@ -132,7 +152,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "obstruction":
         if args.h is None or not args.p or not args.q:
             raise CliError("gen obstruction needs --h, --p, --q", PARSE_ERROR)
-        names = (args.groups or "z3,z3").split(",")
+        names = _top_level_parts(args.groups or "z3,z3")
         if len(names) != 2:
             raise CliError("--groups takes two comma-separated descriptors", PARSE_ERROR)
         g1, g2 = _descriptor(names[0]), _descriptor(names[1])
@@ -236,8 +256,8 @@ def cmd_cover(args) -> int:
 
 def cmd_reduce(args) -> int:
     graph = _load_graph(args.file)
-    s1 = _vertex_ids(args.s1, "--s1")
-    s2 = _vertex_ids(args.s2, "--s2")
+    s1 = _vertex_ids(args.s1, "--s1", graph)
+    s2 = _vertex_ids(args.s2, "--s2", graph)
     if args.kind == "plain":
         reduced = reductions.reduce_plain_cycles(graph)
     elif args.kind == "odd":

@@ -6,9 +6,9 @@ the inverse.  Loops and parallel edges are allowed.
 
 A graph builds two read-only tables lazily, once each, for the hot loops:
 `steps()`, per edge its tail, head and the raw label payloads (see
-`groups.Table`) seen arriving at either end, which `walk_value` folds; and
-`adjacency()`, per vertex its non-loop `(eid, neighbour)` pairs in
-`incident` order, which the chord router walks.
+`groups.Table`) seen arriving at either end, None where zero, which
+`walk_value` folds; and `adjacency()`, per vertex its non-loop
+`(eid, neighbour)` pairs in `incident` order, which the chord router walks.
 
 Shifting has one rule, `shifted_value`.  `shift_sequence` relabels by it
 into one graph however many shifts it applies; `is_gamma_bipartite` and
@@ -98,13 +98,18 @@ class LabeledGraph:
         """Read-only `eid -> (tail, head, forward, backward)`, where forward
         is the raw payload (see `groups.Table`) of the label as seen
         arriving at the head and backward as seen arriving at the tail; a
-        loop contributes its label either way.  Built on first use."""
+        loop contributes its label either way.  A zero payload is stored as
+        None, so a fold can skip it: adding zero is the identity.  Built on
+        first use."""
         if self._steps is None:
             t = groups.table(self.descriptor)
             steps = {}
             for e in self._edges.values():
                 fwd = t.unwrap(e.label)
-                steps[e.id] = (e.tail, e.head, fwd, fwd if e.tail == e.head else t.neg(fwd))
+                if fwd == t.zero:
+                    steps[e.id] = (e.tail, e.head, None, None)
+                else:
+                    steps[e.id] = (e.tail, e.head, fwd, fwd if e.tail == e.head else t.neg(fwd))
             self._steps = MappingProxyType(steps)
         return self._steps
 
@@ -268,7 +273,9 @@ def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
     """Ordered sum of edge labels as seen from each step's arrival vertex.
 
     Checks each step as `Walk.validate` does, with the same errors, while
-    folding the raw payloads of `graph.steps()`."""
+    folding the raw payloads of `graph.steps()`.  Zero payloads, stored as
+    None, are skipped: adding zero leaves the sum as it is, so only the
+    non-zero labels of a walk cost an addition."""
     t = groups.table(graph.descriptor)
     steps = graph.steps()
     add = t.add
@@ -282,11 +289,13 @@ def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
             raise GraphFormatError(f"no edge with id {eid}") from None
         v = verts[i + 1]
         if u == tail and v == head:
-            total = add(total, fwd)
+            x = fwd
         elif u == head and v == tail:
-            total = add(total, bwd)
+            x = bwd
         else:
             raise GraphFormatError(f"step {i} of walk does not follow edge {eid}")
+        if x is not None:
+            total = add(total, x)
         u = v
     return t.wrap(total)
 

@@ -334,26 +334,31 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
 
 
 def _bfs_walk(graph: LabeledGraph, s: int, t: int, blocked) -> Optional[Walk]:
-    if s in blocked or t in blocked:
+    """A shortest s–t walk of `graph` through no vertex of `blocked`, or None:
+    breadth-first from s, FIFO, each vertex's neighbours in `adjacency()`
+    order.  The search ends when it discovers t, not when it pops t: t's
+    parent link is set once, at discovery, so the walk read back then is the
+    walk read back at the pop.  `parent` starts with the blocked vertices in
+    it, so one membership test skips both seen and blocked neighbours."""
+    if s in blocked or t in blocked or s == t:
         return None
-    if s == t:
-        return None
-    parent: Dict[int, Tuple[int, int]] = {s: (-1, -1)}
+    parent: Dict[int, Optional[Tuple[int, int]]] = dict.fromkeys(blocked)
+    parent[s] = (-1, -1)
     adjacency = graph.adjacency()
     queue = deque([s])
     while queue:
         v = queue.popleft()
-        if v == t:
-            verts, eids = [t], []
-            while verts[-1] != s:
-                pv, pe = parent[verts[-1]]
-                eids.append(pe)
-                verts.append(pv)
-            return Walk(tuple(reversed(verts)), tuple(reversed(eids)))
-        for eid, w in adjacency.get(v, ()):
-            if w in parent or (w in blocked and w != t):
+        for eid, w in adjacency[v]:
+            if w in parent:
                 continue
             parent[w] = (v, eid)
+            if w == t:
+                verts, eids = [t], []
+                while verts[-1] != s:
+                    pv, pe = parent[verts[-1]]
+                    eids.append(pe)
+                    verts.append(pv)
+                return Walk(tuple(reversed(verts)), tuple(reversed(eids)))
             queue.append(w)
     return None
 
@@ -365,7 +370,12 @@ def _route_chords(
 ) -> Optional[List[Walk]]:
     """Vertex-disjoint wall paths realizing the chords, or None.  The
     router is greedy per chord; with at most four chords it retries every
-    insertion order, with more it tries only the given order."""
+    insertion order, with more it tries only the given order.
+
+    A chord that fails while first in an order ends the search with None:
+    first, its BFS blocks only `forbidden` and the other chords' terminals,
+    and in any other order it blocks a superset of those, so BFS, being
+    complete, fails for it in every order."""
     n = len(chords)
     terminals = {v for c in chords for v in c}
     base = set(forbidden)
@@ -373,18 +383,17 @@ def _route_chords(
     for order in orders:
         used = set(base)
         walks: List[Optional[Walk]] = [None] * n
-        ok = True
-        for idx in order:
+        for i, idx in enumerate(order):
             s, t = chords[idx]
-            blocked = used | (terminals - {s, t})
-            walk = _bfs_walk(graph, s, t, blocked)
+            walk = _bfs_walk(graph, s, t, used | (terminals - {s, t}))
             if walk is None:
-                ok = False
+                if i == 0:
+                    return None
                 break
             walks[idx] = walk
-            used |= set(walk.vertices)
-        if ok:
-            return [w for w in walks if w is not None]
+            used.update(walk.vertices)
+        else:
+            return walks
     return None
 
 
@@ -548,7 +557,14 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
     """Recognize a 4h-wall with two-edge attachments on it whose wall ends
     are pairwise distinct; None if the graph is not of that shape.  The
     wall is built only when the core has the 2(4h+1)² − 2 vertices of a
-    4h-wall, so a large h costs nothing."""
+    4h-wall, so a large h costs nothing.
+
+    The core (the graph without the attachment middles) is compared with
+    the wall in place, and no core graph is built: it equals the wall
+    exactly when each edge touching no middle equals the wall's edge of the
+    same id and there are as many such edges as the wall has.  Its vertex
+    set is then the wall's too: every wall vertex ends a wall edge, so it is
+    in the core, and the core has as many vertices as the wall."""
     middles = []
     for v in sorted(graph.vertices):
         if graph.degree(v) != 2:
@@ -556,14 +572,22 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
         eids = graph.incident(v)
         if any(not groups.is_zero(graph.edge(e).label) for e in eids):
             middles.append(v)
-    core = graph.without_vertices(middles)
-    if len(core.vertices) != 2 * (4 * h + 1) ** 2 - 2:
+    if len(graph.vertices) - len(middles) != 2 * (4 * h + 1) ** 2 - 2:
         return None
     try:
         ref = elementary_wall(4 * h, graph.descriptor)
     except WallFormatError:
         return None
-    if core != ref.graph:
+    gone = frozenset(middles)
+    wall_edges = ref.graph.edges
+    kept = 0
+    for e in graph.edges.values():
+        if e.tail in gone or e.head in gone:
+            continue
+        if wall_edges.get(e.id) != e:
+            return None
+        kept += 1
+    if kept != len(wall_edges):
         return None
     pos = _boundary_positions(ref)
     walks = []

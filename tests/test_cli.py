@@ -426,3 +426,30 @@ def test_reduce_non_integer_vertex_ids_are_parse_errors(option, tmp_path, capsys
     code, out, err = run(["reduce", str(inst), "s1s2", "--s1", "0", "--s2", "0", option, "a,b"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(option) and err.count("\n") == 1
+
+
+def test_gen_obstruction_groups_split_only_at_top_level_commas(tmp_path, capsys):
+    inst, cert = tmp_path / "o.json", tmp_path / "c.json"
+    argv = ["gen", "obstruction", "--h", "2", "--p", "nested", "--q", "series", "--seed", "1"]
+    code, _, err = run(argv + ["--groups", "sum(z2,z3),z3", "--out", str(inst)], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(inst.read_text())
+    assert doc["graph"]["group"] == "sum(sum(z2,z3),z3)"
+    cert.write_text(json.dumps({"type": "obstruction", "h": 2}))
+    code, out, _ = run(["verify", str(inst), str(cert)], capsys)
+    assert code == 0 and json.loads(out)["method"] == "chords"
+    for groups_arg in ("sum(z2,z3)", "z3,z3,z3", "sum(z2,z3),z3,z3"):
+        code, out, err = run(argv + ["--groups", groups_arg], capsys)
+        assert (code, out, err) == (2, "", "--groups takes two comma-separated descriptors\n")
+
+
+@pytest.mark.parametrize("option", ["--s1", "--s2"])
+def test_reduce_unknown_vertex_ids_are_parse_errors(option, tmp_path, capsys):
+    inst = tmp_path / "r.json"
+    run(["gen", "random", "--seed", "4", "--out", str(inst)], capsys)
+    code, out, err = run(["reduce", str(inst), "s1s2", "--s1", "0", "--s2", "0", option, "99"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"{option} names vertex 99, which is not in the graph\n"
+    code, out, err = run(["reduce", str(inst), "s", "--s1", "99"], capsys)
+    assert (code, out) == (2, "")
+    assert "vertex 99" in err

@@ -403,22 +403,26 @@ def reference_walk_value(graph, walk):
     return total
 
 
+def random_walk(graph, rng, length):
+    v = rng.choice(sorted(graph.vertices))
+    verts, eids = [v], []
+    for _ in range(length):
+        if not graph.incident(v):
+            break
+        eid = rng.choice(graph.incident(v))
+        e = graph.edge(eid)
+        v = e.head if v == e.tail else e.tail
+        verts.append(v)
+        eids.append(eid)
+    return Walk(tuple(verts), tuple(eids))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(WALK_GROUPS), st.integers(0, 2**32), st.integers(0, 12))
 def test_walk_value_equals_reference_fold(desc, seed, length):
     rng = random.Random(seed)
     g = random_graph(desc, rng, max_vertices=5, max_edges=10)
-    v = rng.choice(sorted(g.vertices))
-    verts, eids = [v], []
-    for _ in range(length):
-        if not g.incident(v):
-            break
-        eid = rng.choice(g.incident(v))
-        e = g.edge(eid)
-        v = e.head if v == e.tail else e.tail
-        verts.append(v)
-        eids.append(eid)
-    walk = Walk(tuple(verts), tuple(eids))
+    walk = random_walk(g, rng, length)
     for w in (walk, walk.reversed()):
         value = walk_value(g, w)
         assert value == reference_walk_value(g, w)
@@ -441,6 +445,44 @@ def test_walk_value_errors_name_the_first_bad_step():
         with pytest.raises(GraphFormatError) as info:
             walk.validate(g)
         assert str(info.value) == message
+        with pytest.raises(GraphFormatError) as info:
+            walk_value(g, walk)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("desc", WALK_GROUPS, ids=str)
+def test_walk_value_skips_zero_steps(desc):
+    # about half the labels, loops included, are zero; steps() stores None
+    # for them, and the value is still the plain fold of every step
+    t = groups.table(desc)
+    rng = random.Random(7)
+    for _ in range(40):
+        g = random_graph(desc, rng, max_vertices=5, max_edges=10)
+        g = g.with_labels({eid: groups.identity(desc) for eid in g.edge_ids() if rng.random() < 0.5})
+        steps = g.steps()
+        for eid, (tail, head, fwd, bwd) in steps.items():
+            zero = groups.is_zero(g.edge(eid).label)
+            assert (fwd is None, bwd is None) == (zero, zero)
+        walk = random_walk(g, rng, rng.randint(0, 12))
+        for w in (walk, walk.reversed()):
+            folded = t.zero
+            for i, eid in enumerate(w.edges):
+                tail, head, fwd, bwd = steps[eid]
+                x = fwd if (w.vertices[i], w.vertices[i + 1]) == (tail, head) else bwd
+                folded = t.add(folded, t.zero if x is None else x)
+            assert walk_value(g, w) == t.wrap(folded) == reference_walk_value(g, w)
+
+
+def test_walk_value_errors_are_unchanged_on_zero_edges():
+    zero = groups.identity(Z)
+    g = LabeledGraph(Z, [0, 1, 2], [Edge(0, 0, 1, zero), Edge(1, 1, 2, zero), Edge(2, 2, 2, zero)])
+    assert walk_value(g, Walk((0, 1, 2, 2), (0, 1, 2))) == zero
+    cases = [
+        (Walk((0, 1, 2), (0, 9)), "no edge with id 9"),
+        (Walk((0, 1, 0), (0, 1)), "step 1 of walk does not follow edge 1"),
+        (Walk((1, 1), (2,)), "step 0 of walk does not follow edge 2"),
+    ]
+    for walk, message in cases:
         with pytest.raises(GraphFormatError) as info:
             walk_value(g, walk)
         assert str(info.value) == message

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
 
 from nonzero_cycles import cycles, groups, obstructions, packing
-from nonzero_cycles.graphs import Edge, LabeledGraph
+from nonzero_cycles.graphs import Edge, LabeledGraph, Walk
 from nonzero_cycles.linkage import (
     LINKAGE_TYPES,
     LinkPath,
@@ -23,6 +24,8 @@ from nonzero_cycles.obstructions import (
     WallInstance,
     _assemble_cycle,
     _attach,
+    _bfs_walk,
+    _boundary_positions,
     _exact_transversal,
     _find_cycle,
     _find_cycles,
@@ -667,3 +670,135 @@ def test_reconstructed_instances_share_the_built_wall():
     assert again.wall is inst.wall
     assert [a.walk for a in again.attachments] == [a.walk for a in inst.attachments]
     assert again.shapes is again.shapes
+
+
+# ---------------------------------------------------------------------------
+# the chord router ends early and the BFS stops at discovery: the same
+# routes, and the same None, as the router that tried every order
+
+
+def _reference_bfs_walk(graph, s, t, blocked):
+    if s in blocked or t in blocked:
+        return None
+    if s == t:
+        return None
+    parent = {s: (-1, -1)}
+    adjacency = graph.adjacency()
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        if v == t:
+            verts, eids = [t], []
+            while verts[-1] != s:
+                pv, pe = parent[verts[-1]]
+                eids.append(pe)
+                verts.append(pv)
+            return Walk(tuple(reversed(verts)), tuple(reversed(eids)))
+        for eid, w in adjacency.get(v, ()):
+            if w in parent or (w in blocked and w != t):
+                continue
+            parent[w] = (v, eid)
+            queue.append(w)
+    return None
+
+
+def _reference_route_chords(graph, chords, forbidden=()):
+    n = len(chords)
+    terminals = {v for c in chords for v in c}
+    base = set(forbidden)
+    orders = itertools.permutations(range(n)) if n <= 4 else [tuple(range(n))]
+    for order in orders:
+        used = set(base)
+        walks = [None] * n
+        ok = True
+        for idx in order:
+            s, t = chords[idx]
+            blocked = used | (terminals - {s, t})
+            walk = _reference_bfs_walk(graph, s, t, blocked)
+            if walk is None:
+                ok = False
+                break
+            walks[idx] = walk
+            used |= set(walk.vertices)
+        if ok:
+            return [w for w in walks if w is not None]
+    return None
+
+
+@pytest.mark.parametrize("inst", _instances(1) + _instances(2) + _instances(3))
+def test_route_chords_matches_the_every_order_router_in_verify(inst, monkeypatch):
+    calls = []
+
+    def checked(graph, chords, forbidden=()):
+        routes = _route_chords(graph, chords, forbidden)
+        assert routes == _reference_route_chords(graph, chords, forbidden)
+        calls.append(routes is None)
+        return routes
+
+    monkeypatch.setattr(obstructions, "_route_chords", checked)
+    verify_instance(inst, 2)
+    assert calls
+
+
+def _noncrossing_matching(ends, rng):
+    """A random perfect matching of the boundary-sorted `ends` whose chords
+    do not cross: the first end pairs with one an odd number of places on,
+    and the ends between them and after them are matched apart."""
+    if not ends:
+        return []
+    j = rng.randrange(1, len(ends), 2)
+    return [(ends[0], ends[j])] + _noncrossing_matching(ends[1:j], rng) + _noncrossing_matching(ends[j + 1 :], rng)
+
+
+@pytest.mark.parametrize("r", [4, 8])
+def test_route_chords_matches_the_every_order_router_on_random_systems(r):
+    wall = elementary_wall(r, Z3)
+    graph = wall.graph
+    pos = _boundary_positions(wall)
+    boundary, inner = sorted(pos, key=pos.get), sorted(graph.vertices)
+    rng = random.Random(r)
+    outcomes = {"routed": 0, "none": 0, "later": 0}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        ends = sorted(rng.sample(boundary, 2 * n), key=pos.get)
+        chords = _noncrossing_matching(ends, rng)
+        rng.shuffle(chords)
+        chords = [c if rng.random() < 0.5 else c[::-1] for c in chords]
+        assert _noncrossing([(pos[a], pos[b]) for a, b in chords])
+        forbidden = frozenset(rng.sample(inner, rng.randint(0, 6)))
+        routes = _route_chords(graph, chords, forbidden)
+        assert routes == _reference_route_chords(graph, chords, forbidden)
+        outcomes["routed" if routes else "none"] += 1
+        # the given order, greedily: a chord that first fails after the
+        # first position is the case the early exit must not cut short
+        terminals, used = {v for c in chords for v in c}, set(forbidden)
+        for i, (s, t) in enumerate(chords):
+            blocked = used | (terminals - {s, t})
+            walk = _bfs_walk(graph, s, t, blocked)
+            assert walk == _reference_bfs_walk(graph, s, t, blocked)
+            if walk is None:
+                outcomes["later"] += i > 0
+                break
+            used.update(walk.vertices)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_reconstruct_rejects_a_core_that_differs_from_the_wall_by_one_edge():
+    inst = build_obstruction_instance(simple_spec(1, "nested", "series"))
+    graph, wall = inst.graph, inst.wall.graph
+    assert _reconstruct(graph, 1) is not None
+    edges = list(graph.edges.values())
+    wall_eids = sorted(wall.edge_ids())
+    e = graph.edge(wall_eids[len(wall_eids) // 2])
+    zero = groups.identity(graph.descriptor)
+    a, b = sorted(wall.vertices)[0], sorted(wall.vertices)[-1]
+    assert b not in {wall.other_end(x, a) for x in wall.incident(a)}
+    fresh = max(graph.edge_ids()) + 1
+    cases = {
+        "extra chord": edges + [Edge(fresh, a, b, zero)],
+        "missing edge": [x for x in edges if x.id != e.id],
+        "reversed edge": [x._replace(tail=e.head, head=e.tail) if x.id == e.id else x for x in edges],
+        "renumbered edge": [x._replace(id=fresh) if x.id == e.id else x for x in edges],
+    }
+    for name, changed in cases.items():
+        assert _reconstruct(LabeledGraph(graph.descriptor, graph.vertices, changed), 1) is None, name
