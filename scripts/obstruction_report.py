@@ -4,9 +4,11 @@
 For a chosen height h, builds the obstruction instance for every ordered
 pair of distinct linkage types and prints nu, nu_half, and tau, computed
 by the outer-face chord solver: nu and tau are exact for these wall-based
-instances, nu_half is a witnessed lower bound.
+instances, since the chord router decides every routing exactly; nu_half is
+a witnessed lower bound.
 
-Usage: obstruction_report.py [h]
+Usage: obstruction_report.py [h]   (h a positive integer, 2 by default; any
+other h prints a usage line on stderr and exits 2)
 """
 
 import itertools
@@ -22,8 +24,17 @@ from nonzero_cycles.obstructions import (
 )
 
 
+USAGE = "usage: obstruction_report.py [h], with h a positive integer"
+
+
 def main() -> int:
-    h = int(sys.argv[1]) if len(sys.argv) > 1 else 2
+    try:
+        h = int(sys.argv[1]) if len(sys.argv) > 1 else 2
+    except ValueError:
+        h = 0
+    if h < 1:
+        print(USAGE, file=sys.stderr)
+        return 2
     z3 = groups.cyclic(3)
     one = groups.element(z3, 1)
     print(f"height h = {h}")

@@ -3,9 +3,10 @@ and run randomized duality experiments over labeled graphs.
 
 All output is a single JSON document (or plain table for `experiment`) on
 stdout unless --out is given.  Exit codes: 0 success, 1 failed
-certificate, 2 parse/parameter error, 3 enumeration limit exceeded or
-verification undecided (the chord router could not settle an obstruction
-instance).
+certificate (including an obstruction certificate whose h does not match a
+two-linkage instance), 2 parse/parameter error, 3 enumeration limit exceeded
+or verification undecided (a routed witness of the wall solver failed its
+check; routing itself always decides).
 """
 
 from __future__ import annotations
@@ -316,7 +317,10 @@ def cmd_verify(args) -> int:
         h = _cert_int(cert.get("h", 1), "h")
         if h < 1:
             raise CliError("bad certificate: h must be at least 1", PARSE_ERROR)
-        report = verify_obstruction(graph, h, limit=args.limit)
+        try:
+            report = verify_obstruction(graph, h, limit=args.limit)
+        except ObstructionFormatError as exc:
+            raise CliError(str(exc), CERT_ERROR) from None
         if not report["nu_ok"]:
             raise CliError("instance packs more or fewer than one cycle", CERT_ERROR)
         _dump(report, args.out)

@@ -5,8 +5,12 @@ Escher walls, bottom) row of a null-labeled wall.  The exact ν and τ of
 such instances are computed structurally: every nonzero cycle must
 traverse whole attachment paths, the wall itself contributes nothing to
 cycle values, and the attachment endpoints all lie on the outer face of
-the wall, so disjoint routings exist exactly for families of pairwise
-non-crossing endpoint chords.  ν½ is only a witnessed lower bound, reported
+the wall, so the wall paths of disjoint cycles join endpoints by chords that
+do not cross, and `_route_chords` decides exactly whether a family of
+non-crossing chords routes.  With nothing removed, every family of up to
+three pairwise disjoint shapes whose chords do not cross does route: tested
+for the six type pairs and the Escher walls at h = 1, 2 and 3, where no
+family of three exists.  ν½ is only a witnessed lower bound, reported
 with `nu_half_exact` false: it packs the routed cycles collected until there
 are 32 (4 on the h=3 Escher wall, where `packing.pack_and_cover` finds 5).
 
@@ -30,7 +34,7 @@ The two linkages are placed by `linkage.pure_linkage` on the slot lists of
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -39,7 +43,7 @@ from . import groups, packing
 from .cycles import coordinate_values
 from .graphs import Cycle, Edge, LabeledGraph, Walk, walk_value
 from .linkage import LINKAGE_TYPES, SERIES, crosses, pure_linkage
-from .walls import Wall, WallFormatError, _elementary, elementary_wall
+from .walls import Wall, _elementary, elementary_wall
 
 
 class ObstructionFormatError(ValueError):
@@ -47,7 +51,8 @@ class ObstructionFormatError(ValueError):
 
 
 class VerificationUndecidedError(RuntimeError):
-    """The chord router could not settle a feasible-looking routing."""
+    """A routed witness failed its check: an assembled cycle lost its value,
+    or the routed witnesses of one family intersect."""
 
 
 # ---------------------------------------------------------------------------
@@ -364,37 +369,96 @@ def _bfs_walk(graph: LabeledGraph, s: int, t: int, blocked) -> Optional[Walk]:
 
 
 def _route_chords(
-    graph: LabeledGraph,
+    wall: Wall,
     chords: Sequence[Tuple[int, int]],
     forbidden: Iterable[int] = (),
 ) -> Optional[List[Walk]]:
-    """Vertex-disjoint wall paths realizing the chords, or None.  The
-    router is greedy per chord; with at most four chords it retries every
-    insertion order, with more it tries only the given order.
+    """Vertex-disjoint paths of the wall joining the ends of each chord
+    (each walk runs from the chord's first end to its second), avoiding
+    `forbidden`, or None when no such paths exist.  The chords' ends must be
+    pairwise distinct vertices of the wall's boundary, and the chords must
+    not cross.
 
-    A chord that fails while first in an order ends the search with None:
-    first, its BFS blocks only `forbidden` and the other chords' terminals,
-    and in any other order it blocks a superset of those, so BFS, being
-    complete, fails for it in every order."""
-    n = len(chords)
+    The chords are routed greedily in the given order, each by `_bfs_walk`
+    around `forbidden`, the walks routed so far and the other chords' ends.
+    Breadth-first routes are short, which keeps the τ loop's witnesses
+    short; a routing found this way certifies itself.  If the first chord
+    fails, None is a proof: its search blocked only vertices that every
+    routing must avoid.  If a later chord fails, the greedy choice of the
+    earlier walks may be to blame, and `_outer_face_route` decides."""
     terminals = {v for c in chords for v in c}
-    base = set(forbidden)
-    orders = itertools.permutations(range(n)) if n <= 4 else [tuple(range(n))]
-    for order in orders:
-        used = set(base)
-        walks: List[Optional[Walk]] = [None] * n
-        for i, idx in enumerate(order):
-            s, t = chords[idx]
-            walk = _bfs_walk(graph, s, t, used | (terminals - {s, t}))
-            if walk is None:
-                if i == 0:
-                    return None
-                break
-            walks[idx] = walk
-            used.update(walk.vertices)
-        else:
-            return walks
-    return None
+    used = set(forbidden)
+    walks: List[Walk] = []
+    for s, t in chords:
+        walk = _bfs_walk(wall.graph, s, t, used | (terminals - {s, t}))
+        if walk is None:
+            return _outer_face_route(wall, chords, forbidden) if walks else None
+        walks.append(walk)
+        used.update(walk.vertices)
+    return walks
+
+
+def _outer_face_route(
+    wall: Wall,
+    chords: Sequence[Tuple[int, int]],
+    forbidden: Iterable[int] = (),
+) -> Optional[List[Walk]]:
+    """`_route_chords` decided exactly, with its preconditions: vertex-disjoint
+    paths for non-crossing chords whose ends are pairwise distinct boundary
+    vertices of the plane wall, or None, which is then a proof.
+
+    For terminal pairs on the outer face of a plane graph, routing the
+    pairs innermost first, each along the path nearest the boundary segment
+    it spans, is exact (Robertson and Seymour, Graph Minors VI; Ripphausen-
+    Lipa, Wagner and Weihe, "Efficient algorithms for disjoint paths in
+    planar graphs", 1995): any routing can trade the innermost pair's path
+    for the nearest one.  Deleting vertices keeps every remaining boundary
+    vertex on the outer face, so `forbidden` and the walks already routed
+    are simply deleted.
+
+    Each chord is oriented so that the boundary position grows from s to t,
+    and the chords go by increasing span: the spans of non-crossing chords
+    are nested or disjoint, so a chord's span holds only ends of chords
+    already routed.  The nearest path is found by a left-first DFS: at each
+    vertex it tries the edges in clockwise order (`Wall.rotations`),
+    starting just after the edge it came in by; s counts as entered by the
+    boundary edge from its predecessor, and the boundary runs clockwise."""
+    pos = _boundary_positions(wall)
+    terminals = {v for c in chords for v in c}
+    used = set(forbidden)
+    walks: List[Optional[Walk]] = [None] * len(chords)
+    for i in sorted(range(len(chords)), key=lambda i: abs(pos[chords[i][1]] - pos[chords[i][0]])):
+        s, t = sorted(chords[i], key=pos.__getitem__)
+        if s in used or t in used:
+            return None
+        seen = used | (terminals - {t})
+        verts, eids = [s], [wall.boundary.edges[pos[s] - 1]]
+        turns = [_turns_after(wall, s, eids[0])]
+        while turns and verts[-1] != t:
+            step = next(turns[-1], None)
+            if step is None:
+                turns.pop()
+                verts.pop()
+                eids.pop()
+            elif step[1] not in seen:
+                seen.add(step[1])
+                eids.append(step[0])
+                verts.append(step[1])
+                turns.append(_turns_after(wall, step[1], step[0]))
+        if not turns:
+            return None
+        walk = Walk(tuple(verts), tuple(eids[1:]))
+        walks[i] = walk if chords[i][0] == s else walk.reversed()
+        used.update(verts)
+    return walks
+
+
+def _turns_after(wall: Wall, v: int, entry: int):
+    """(edge id, neighbour) at v in clockwise order, starting just after the
+    edge `entry` and ending with it."""
+    turns = wall.rotations[v]
+    k = next(i for i, (eid, _) in enumerate(turns) if eid == entry) + 1
+    return iter(turns[k:] + turns[:k])
 
 
 def _assemble_cycle(graph: LabeledGraph, shape: _Shape, routes: Iterable[Walk]) -> Cycle:
@@ -436,16 +500,22 @@ def _find_cycles(
     inst: WallInstance, k: int, removed: FrozenSet[int] = frozenset()
 ) -> Optional[Tuple[Cycle, ...]]:
     """k vertex-disjoint doubly nonzero cycles avoiding `removed`, from the
-    first family of live shapes whose chords route jointly, or None if
-    provably none exist.  Raises if such families exist but none routes."""
+    first family of live shapes whose chords route jointly, or None, which
+    proves that none exist.
+
+    Every such cycle runs through whole attachments and joins them by
+    vertex-disjoint wall paths, one per chord of its shape, and k disjoint
+    cycles give a family of k shapes whose chords do not cross: the chord
+    ends are distinct vertices of the wall's outer face.  So the k cycles
+    exist exactly when some such family routes, and `_route_chords` answers
+    that exactly for non-crossing chords with distinct ends on the outer
+    face, which `_families` and `_instance` guarantee."""
     dead = sum(
         1 << i for i, a in enumerate(inst.attachments) if not removed.isdisjoint(a.walk.vertices)
     )
-    routing_failed = False
     for family in _families(inst.shapes, k, 0, dead, ()):
-        routes = _route_chords(inst.wall.graph, [c for s in family for c in s.chords], removed)
+        routes = _route_chords(inst.wall, [c for s in family for c in s.chords], removed)
         if routes is None:
-            routing_failed = True
             continue
         routes = iter(routes)  # each shape takes its own chords' routes
         cycles = tuple(_assemble_cycle(inst.graph, s, routes) for s in family)
@@ -453,8 +523,6 @@ def _find_cycles(
         if len(frozenset().union(*sets)) < sum(map(len, sets)):
             raise VerificationUndecidedError("routed witnesses intersect")
         return cycles
-    if routing_failed:
-        raise VerificationUndecidedError("a non-crossing chord system could not be routed")
     return None
 
 
@@ -472,7 +540,7 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
     for shape in inst.shapes:
         if len(cycles) >= 32:
             break
-        routes = _route_chords(inst.wall.graph, shape.chords)
+        routes = _route_chords(inst.wall, shape.chords)
         if routes is None:
             continue
         variants = [routes]
@@ -481,7 +549,7 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
         interior = frozenset(
             v for w in routes for v in w.vertices[1:-1]
         )
-        alt = _route_chords(inst.wall.graph, shape.chords, interior)
+        alt = _route_chords(inst.wall, shape.chords, interior)
         if alt is not None:
             variants.append(alt)
         for variant in variants:
@@ -553,11 +621,11 @@ def verify_instance(inst: WallInstance, h: int) -> dict:
 # verifying a bare labeled graph
 
 
-def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
-    """Recognize a 4h-wall with two-edge attachments on it whose wall ends
-    are pairwise distinct; None if the graph is not of that shape.  The
-    wall is built only when the core has the 2(4h+1)² − 2 vertices of a
-    4h-wall, so a large h costs nothing.
+def _reconstruct(graph: LabeledGraph) -> Optional[WallInstance]:
+    """Recognize a 4h-wall, for some h ≥ 1, with two-edge attachments on it
+    whose wall ends are pairwise distinct; None if the graph is not of that
+    shape.  h is read from the graph: the wall is built only when the core
+    has the 2(4h+1)² − 2 vertices of a 4h-wall.
 
     The core (the graph without the attachment middles) is compared with
     the wall in place, and no core graph is built: it equals the wall
@@ -572,12 +640,11 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
         eids = graph.incident(v)
         if any(not groups.is_zero(graph.edge(e).label) for e in eids):
             middles.append(v)
-    if len(graph.vertices) - len(middles) != 2 * (4 * h + 1) ** 2 - 2:
+    core = len(graph.vertices) - len(middles)
+    side = math.isqrt((core + 2) // 2)
+    if core != 2 * side * side - 2 or side < 5 or (side - 1) % 4:
         return None
-    try:
-        ref = elementary_wall(4 * h, graph.descriptor)
-    except WallFormatError:
-        return None
+    ref = elementary_wall(side - 1, graph.descriptor)
     gone = frozenset(middles)
     wall_edges = ref.graph.edges
     kept = 0
@@ -605,11 +672,22 @@ def _reconstruct(graph: LabeledGraph, h: int) -> Optional[WallInstance]:
 
 def verify_obstruction(graph: LabeledGraph, h: int, limit: Optional[int] = None) -> dict:
     """{ν, ν½, τ} report for a desk-scale instance, with pass/fail against
-    ν = 1 and τ > h.  Recognized wall-plus-attachment instances are solved
-    structurally, with ν½ a lower bound; anything else falls back to full
-    cycle enumeration (subject to the enumeration limit), all three exact."""
-    inst = _reconstruct(graph, h)
+    ν = 1 and τ > h.  Recognized wall-plus-attachment instances of height h
+    are solved structurally, with ν½ a lower bound; anything else falls back
+    to full cycle enumeration (subject to the enumeration limit), all three
+    exact.  A 4h'-wall with every attachment end on its top row, the shape of
+    the two-linkage obstructions, is not enumerated when h' ≠ h: that raises
+    `ObstructionFormatError` naming both heights."""
+    inst = _reconstruct(graph)
     if inst is not None:
-        return verify_instance(inst, h)
+        height = inst.wall.r // 4
+        if height == h:
+            return verify_instance(inst, h)
+        top = set(inst.wall.horizontal[0].vertices)
+        if all(a.left in top and a.right in top for a in inst.attachments):
+            raise ObstructionFormatError(
+                f"certificate height {h} does not match the instance's height {height} "
+                f"(a {4 * height}-wall with its attachments on the top row)"
+            )
     report = packing.pack_and_cover(graph, limit=limit)
     return _report(report.nu, report.nu_half, report.tau, h, "enumeration")

@@ -2,10 +2,13 @@
 bricks, and local rerouting of a vertical segment through an external
 path.
 
-Bricks are the faces of the straight-line drawing: `trace_faces` sorts the
-darts at each vertex by angle into a rotation system and traces it with
-`reductions.trace_embedded_faces`, the package's one face tracer.  Column
-snakes are walks in a breadth-first forest (`graphs._tree_walk`).
+Bricks are the faces of the straight-line drawing: `rotation_system` sorts
+the darts at each vertex by angle, the package's one angle sort, and
+`trace_faces` traces that rotation system with
+`reductions.trace_embedded_faces`, the package's one face tracer.  A `Wall`
+keeps each vertex's neighbours in that order (`Wall.rotations`) for the
+chord router.  Column snakes are walks in a breadth-first forest
+(`graphs._tree_walk`).
 
 A `Wall` is read-only (its `coords` is a `MappingProxyType`), so elementary
 walls are memoised on `(r, descriptor)`: every caller asking for the same
@@ -61,15 +64,24 @@ class Wall:
         if not isinstance(self.coords, MappingProxyType):
             object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
 
+    @functools.cached_property
+    def rotations(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """(edge id, neighbour) at each vertex, in the clockwise order of the
+        drawing's `rotation_system`, sorted once per wall."""
+        return {
+            v: tuple((eid, self.graph.other_end(eid, v)) for eid, _ in darts)
+            for v, darts in rotation_system(self.graph, self.coords).items()
+        }
+
 
 # ---------------------------------------------------------------------------
 # planar faces from coordinates
 
 
-def trace_faces(graph: LabeledGraph, coords: Mapping[int, Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
-    """Faces of the straight-line embedding, each as a list of directed
-    edges (edge id, source vertex): the darts at each vertex are sorted by
-    angle into a rotation system, traced by `trace_embedded_faces`."""
+def rotation_system(graph: LabeledGraph, coords: Mapping[int, Tuple[int, int]]) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+    """The darts (edge id, 0 leaving the tail or 1 leaving the head) at each
+    vertex of the straight-line drawing, sorted by angle: clockwise as
+    drawn, since y grows downward."""
     rotations = {}
     for v in graph.vertices:
         x, y = coords[v]
@@ -80,9 +92,16 @@ def trace_faces(graph: LabeledGraph, coords: Mapping[int, Tuple[int, int]]) -> L
             darts.append((math.atan2(coords[w][1] - y, coords[w][0] - x), (eid, d)))
         darts.sort()
         rotations[v] = tuple(dart for _, dart in darts)
+    return rotations
+
+
+def trace_faces(graph: LabeledGraph, coords: Mapping[int, Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
+    """Faces of the straight-line embedding, each as a list of directed
+    edges (edge id, source vertex): the `rotation_system` of the drawing,
+    traced by `trace_embedded_faces`."""
     return [
         [(eid, graph.edge(eid).head if d else graph.edge(eid).tail) for eid, d in face]
-        for face in trace_embedded_faces(EmbeddedGraph(graph, rotations))
+        for face in trace_embedded_faces(EmbeddedGraph(graph, rotation_system(graph, coords)))
     ]
 
 

@@ -139,14 +139,60 @@ def test_verify_attachments_sharing_a_wall_end_by_enumeration(tmp_path, capsys):
     assert err.startswith("more than 2000 cycles")
 
 
-def test_verify_undecided_routing_exits_3(tmp_path, capsys, monkeypatch):
+def test_verify_with_no_family_routing_reports_nu_zero(tmp_path, capsys, monkeypatch):
+    # the chord router's None is a proof, so a router that never routes
+    # means no doubly nonzero cycle: ν = 0 fails the certificate
     inst = tmp_path / "o.json"
     cert = tmp_path / "c.json"
     run(["gen", "obstruction", "--h", "1", "--p", "crossing", "--q", "nested", "--out", str(inst)], capsys)
     cert.write_text(json.dumps({"type": "obstruction", "h": 1}))
     monkeypatch.setattr(obstructions, "_route_chords", lambda *args: None)
     code, out, err = run(["verify", str(inst), str(cert)], capsys)
-    assert (code, out, err) == (3, "", "a non-crossing chord system could not be routed\n")
+    assert (code, out, err) == (1, "", "instance packs more or fewer than one cycle\n")
+
+
+def test_verify_failed_witness_check_exits_3(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "o.json"
+    cert = tmp_path / "c.json"
+    run(["gen", "obstruction", "--h", "1", "--p", "crossing", "--q", "nested", "--out", str(inst)], capsys)
+    cert.write_text(json.dumps({"type": "obstruction", "h": 1}))
+
+    def lost(*args):
+        raise obstructions.VerificationUndecidedError("assembled witness lost its value")
+
+    monkeypatch.setattr(obstructions, "_assemble_cycle", lost)
+    code, out, err = run(["verify", str(inst), str(cert)], capsys)
+    assert (code, out, err) == (3, "", "assembled witness lost its value\n")
+
+
+@pytest.mark.parametrize(
+    "gen, claimed, built",
+    [
+        (["obstruction", "--h", "2", "--p", "nested", "--q", "series", "--seed", "3"], 1, 2),
+        (["obstruction", "--h", "1", "--p", "nested", "--q", "series", "--seed", "3"], 2, 1),
+        # no attachments at all, so every one of them is on the top row
+        (["wall", "--r", "8", "--groups", "sum(z3,z3)"], 1, 2),
+    ],
+    ids=["h2_as_h1", "h1_as_h2", "bare_8_wall"],
+)
+def test_verify_rejects_an_obstruction_certificate_of_another_height(tmp_path, capsys, monkeypatch, gen, claimed, built):
+    # a two-linkage instance of height 2 checked against h = 1 used to fall
+    # back to enumerating every cycle, without bound on memory
+    inst = tmp_path / "o.json"
+    cert = tmp_path / "c.json"
+    run(["gen", *gen, "--out", str(inst)], capsys)
+    cert.write_text(json.dumps({"type": "obstruction", "h": claimed}))
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("verify enumerated cycles")
+
+    monkeypatch.setattr(obstructions.packing, "pack_and_cover", no_enumeration)
+    code, out, err = run(["verify", str(inst), str(cert)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"certificate height {claimed} does not match the instance's height {built} "
+        f"(a {4 * built}-wall with its attachments on the top row)\n"
+    )
 
 
 def test_verify_builds_no_wall_for_a_certificate_h_the_graph_cannot_have(tmp_path, capsys, monkeypatch):

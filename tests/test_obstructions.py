@@ -20,16 +20,17 @@ from nonzero_cycles.linkage import (
 from nonzero_cycles.obstructions import (
     ObstructionFormatError,
     ObstructionSpec,
-    VerificationUndecidedError,
     WallInstance,
     _assemble_cycle,
     _attach,
     _bfs_walk,
     _boundary_positions,
     _exact_transversal,
+    _families,
     _find_cycle,
     _find_cycles,
     _half_integral_family,
+    _outer_face_route,
     _reconstruct,
     _route_chords,
     _row_slots,
@@ -369,7 +370,7 @@ def test_attachments_must_have_distinct_wall_ends():
         with pytest.raises(ObstructionFormatError, match="pairwise distinct wall ends"):
             _attach(wall, ends)
     # a bare graph of that shape is not taken for a wall instance
-    assert _reconstruct(shared_end_graph(), 1) is None
+    assert _reconstruct(shared_end_graph()) is None
 
 
 def test_nu_counts_a_third_disjoint_cycle_like_enumeration():
@@ -544,17 +545,12 @@ def _reference_find_cycle(inst, removed=frozenset()):
     """`_find_cycle` as a loop over `_shapes` of the live attachments."""
     alive = [a for a in inst.attachments if not (set(a.walk.vertices) & removed)]
     wall_removed = frozenset(v for v in removed if v in inst.wall.graph.vertices)
-    routing_failed = False
     for shape in _reference_shapes(alive, inst.graph.descriptor):
         if not _noncrossing(shape.chord_pos):
             continue
-        routes = _route_chords(inst.wall.graph, shape.chords, wall_removed)
-        if routes is None:
-            routing_failed = True
-            continue
-        return _assemble_cycle(inst.graph, shape, routes)
-    if routing_failed:
-        raise VerificationUndecidedError("a non-crossing chord system could not be routed")
+        routes = _route_chords(inst.wall, shape.chords, wall_removed)
+        if routes is not None:
+            return _assemble_cycle(inst.graph, shape, routes)
     return None
 
 
@@ -565,9 +561,9 @@ def _reference_two_disjoint(inst):
             continue
         if not _noncrossing(s1.chord_pos + s2.chord_pos):
             continue
-        routes = _route_chords(inst.wall.graph, s1.chords + s2.chords)
+        routes = _route_chords(inst.wall, s1.chords + s2.chords)
         if routes is None:
-            raise VerificationUndecidedError("unroutable")
+            continue
         k = len(s1.chords)
         return (_assemble_cycle(inst.graph, s1, routes[:k]), _assemble_cycle(inst.graph, s2, routes[k:]))
     return None
@@ -580,12 +576,12 @@ def _reference_half_integral_family(inst):
             break
         if not _noncrossing(shape.chord_pos):
             continue
-        routes = _route_chords(inst.wall.graph, shape.chords)
+        routes = _route_chords(inst.wall, shape.chords)
         if routes is None:
             continue
         variants = [routes]
         interior = frozenset(v for w in routes for v in w.vertices[1:-1])
-        alt = _route_chords(inst.wall.graph, shape.chords, interior)
+        alt = _route_chords(inst.wall, shape.chords, interior)
         if alt is not None:
             variants.append(alt)
         for variant in variants:
@@ -602,13 +598,6 @@ SHAPE_TABLE_INSTANCES = [
 ] + [pytest.param(escher_instance(h), id=f"escher{h}") for h in (1, 2, 3)]
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except VerificationUndecidedError:
-        return "undecided"
-
-
 @pytest.mark.parametrize("inst", SHAPE_TABLE_INSTANCES)
 def test_find_cycle_matches_a_fresh_shape_pass_for_random_removals(inst):
     rng = random.Random(len(inst.attachments))
@@ -618,12 +607,12 @@ def test_find_cycle_matches_a_fresh_shape_pass_for_random_removals(inst):
         removed = frozenset(
             rng.sample(on_attachments, rng.randint(0, 3)) + rng.sample(on_wall, rng.randint(0, 4))
         )
-        assert _outcome(_find_cycle, inst, removed) == _outcome(_reference_find_cycle, inst, removed)
+        assert _find_cycle(inst, removed) == _reference_find_cycle(inst, removed)
 
 
 @pytest.mark.parametrize("inst", SHAPE_TABLE_INSTANCES)
 def test_pair_and_half_integral_family_match_a_fresh_shape_pass(inst):
-    assert _outcome(_find_cycles, inst, 2) == _outcome(_reference_two_disjoint, inst)
+    assert _find_cycles(inst, 2) == _reference_two_disjoint(inst)
     assert _half_integral_family(inst) == _reference_half_integral_family(inst)
 
 
@@ -666,15 +655,18 @@ def test_shape_table_at_height_four(inst, size):
 
 def test_reconstructed_instances_share_the_built_wall():
     inst = build_obstruction_instance(simple_spec(2, "nested", "series"))
-    again = _reconstruct(inst.graph, 2)
+    again = _reconstruct(inst.graph)
     assert again.wall is inst.wall
     assert [a.walk for a in again.attachments] == [a.walk for a in inst.attachments]
     assert again.shapes is again.shapes
 
 
 # ---------------------------------------------------------------------------
-# the chord router ends early and the BFS stops at discovery: the same
-# routes, and the same None, as the router that tried every order
+# the chord router: the given order by BFS, then the exact outer-face
+# router when a later chord fails.  Its routes are those of the router that
+# tried every order whenever the given order routes, it routes whenever that
+# router does, and it agrees with an exhaustive search
+
 
 
 def _reference_bfs_walk(graph, s, t, blocked):
@@ -725,13 +717,98 @@ def _reference_route_chords(graph, chords, forbidden=()):
     return None
 
 
+def _greedy_in_order(graph, chords, forbidden=()):
+    """The every-order router's first order: BFS per chord, in the given order."""
+    terminals, used, walks = {v for c in chords for v in c}, set(forbidden), []
+    for s, t in chords:
+        walk = _reference_bfs_walk(graph, s, t, used | (terminals - {s, t}))
+        if walk is None:
+            return None
+        walks.append(walk)
+        used |= set(walk.vertices)
+    return walks
+
+
+def exhaustive_routable(graph, chords, forbidden=()):
+    """Whether vertex-disjoint paths join the ends of every chord avoiding
+    `forbidden`: every simple path for each chord in turn, cut where some
+    remaining chord's ends are no longer connected around the paths so far."""
+    terminals = {v for c in chords for v in c}
+    adjacency = graph.adjacency()
+
+    def connected(s, t, blocked):
+        seen, stack = {s}, [s]
+        while stack:
+            v = stack.pop()
+            if v == t:
+                return True
+            for _, w in adjacency[v]:
+                if w not in seen and w not in blocked:
+                    seen.add(w)
+                    stack.append(w)
+        return False
+
+    def route(i, used):
+        if i == len(chords):
+            return True
+        if not all(connected(s, t, used | (terminals - {s, t})) for s, t in chords[i:]):
+            return False
+        s, t = chords[i]
+        blocked = used | (terminals - {s, t})
+        path = {s}
+
+        def extend(v):
+            if v == t:
+                return route(i + 1, used | path)
+            for _, w in adjacency[v]:
+                if w in path or w in blocked or not connected(w, t, blocked | path):
+                    continue
+                path.add(w)
+                if extend(w):
+                    return True
+                path.discard(w)
+            return False
+
+        return extend(s)
+
+    return terminals.isdisjoint(forbidden) and route(0, set(forbidden))
+
+
+def check_routing(wall, chords, forbidden, routes):
+    """Each walk follows wall edges from its chord's first end to its second,
+    is vertex-disjoint from the others, and avoids `forbidden` and the other
+    chords' ends."""
+    terminals, used = {v for c in chords for v in c}, set()
+    assert len(routes) == len(chords)
+    for (s, t), walk in zip(chords, routes):
+        walk.validate(wall.graph)
+        assert walk.is_path() and (walk.start, walk.end) == (s, t)
+        verts = set(walk.vertices)
+        assert verts.isdisjoint(used | set(forbidden) | (terminals - {s, t}))
+        used |= verts
+
+
+def check_against_reference(wall, chords, forbidden=()):
+    """`_route_chords` against the every-order router: the same routes when
+    the given order routes, and a valid routing whenever it routes."""
+    routes = _route_chords(wall, chords, forbidden)
+    greedy = _greedy_in_order(wall.graph, chords, forbidden)
+    reference = _reference_route_chords(wall.graph, chords, forbidden)
+    if greedy is not None:
+        assert routes == greedy == reference
+    if reference is not None:
+        assert routes is not None
+    if routes is not None:
+        check_routing(wall, chords, forbidden, routes)
+    return routes, greedy
+
+
 @pytest.mark.parametrize("inst", _instances(1) + _instances(2) + _instances(3))
 def test_route_chords_matches_the_every_order_router_in_verify(inst, monkeypatch):
     calls = []
 
-    def checked(graph, chords, forbidden=()):
-        routes = _route_chords(graph, chords, forbidden)
-        assert routes == _reference_route_chords(graph, chords, forbidden)
+    def checked(wall, chords, forbidden=()):
+        routes, _ = check_against_reference(wall, chords, forbidden)
         calls.append(routes is None)
         return routes
 
@@ -750,43 +827,83 @@ def _noncrossing_matching(ends, rng):
     return [(ends[0], ends[j])] + _noncrossing_matching(ends[1:j], rng) + _noncrossing_matching(ends[j + 1 :], rng)
 
 
+def random_chord_system(wall, rng, max_chords, max_forbidden):
+    """1 to `max_chords` non-crossing chords between distinct boundary
+    vertices, in random order and orientation, and up to `max_forbidden`
+    random wall vertices."""
+    pos = _boundary_positions(wall)
+    n = rng.randint(1, min(max_chords, len(pos) // 2))
+    ends = sorted(rng.sample(sorted(pos), 2 * n), key=pos.get)
+    chords = _noncrossing_matching(ends, rng)
+    rng.shuffle(chords)
+    chords = [c if rng.random() < 0.5 else c[::-1] for c in chords]
+    assert _noncrossing([(pos[a], pos[b]) for a, b in chords])
+    forbidden = frozenset(rng.sample(sorted(wall.graph.vertices), rng.randint(0, max_forbidden)))
+    return chords, forbidden
+
+
 @pytest.mark.parametrize("r", [4, 8])
 def test_route_chords_matches_the_every_order_router_on_random_systems(r):
     wall = elementary_wall(r, Z3)
     graph = wall.graph
-    pos = _boundary_positions(wall)
-    boundary, inner = sorted(pos, key=pos.get), sorted(graph.vertices)
     rng = random.Random(r)
-    outcomes = {"routed": 0, "none": 0, "later": 0}
+    outcomes = {"given order": 0, "exact router": 0, "none": 0}
     for _ in range(300):
-        n = rng.randint(1, 4)
-        ends = sorted(rng.sample(boundary, 2 * n), key=pos.get)
-        chords = _noncrossing_matching(ends, rng)
-        rng.shuffle(chords)
-        chords = [c if rng.random() < 0.5 else c[::-1] for c in chords]
-        assert _noncrossing([(pos[a], pos[b]) for a, b in chords])
-        forbidden = frozenset(rng.sample(inner, rng.randint(0, 6)))
-        routes = _route_chords(graph, chords, forbidden)
-        assert routes == _reference_route_chords(graph, chords, forbidden)
-        outcomes["routed" if routes else "none"] += 1
+        chords, forbidden = random_chord_system(wall, rng, 4, 6)
+        routes, greedy = check_against_reference(wall, chords, forbidden)
+        outcomes["none" if routes is None else "given order" if greedy else "exact router"] += 1
         # the given order, greedily: a chord that first fails after the
-        # first position is the case the early exit must not cut short
+        # first position is the case the exact router decides
         terminals, used = {v for c in chords for v in c}, set(forbidden)
-        for i, (s, t) in enumerate(chords):
+        for s, t in chords:
             blocked = used | (terminals - {s, t})
             walk = _bfs_walk(graph, s, t, blocked)
             assert walk == _reference_bfs_walk(graph, s, t, blocked)
             if walk is None:
-                outcomes["later"] += i > 0
                 break
             used.update(walk.vertices)
     assert min(outcomes.values()) > 0, outcomes
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_outer_face_route_matches_exhaustive_search(r):
+    # 800 systems per wall, 3,200 in all; r = 1 is the h = 1 Escher wall
+    wall = _elementary(r, Z3)
+    rng = random.Random(100 + r)
+    routed = 0
+    for _ in range(800):
+        chords, forbidden = random_chord_system(wall, rng, 4, min(20, len(wall.graph.vertices) // 2))
+        exact = _outer_face_route(wall, chords, forbidden)
+        assert (exact is not None) == exhaustive_routable(wall.graph, chords, forbidden), (chords, forbidden)
+        assert (_route_chords(wall, chords, forbidden) is not None) == (exact is not None)
+        if exact is not None:
+            check_routing(wall, chords, forbidden, exact)
+            routed += 1
+    assert 100 < routed < 700, routed
+
+
+def test_route_chords_routes_a_system_no_order_of_the_greedy_routes():
+    wall = elementary_wall(3, Z3)
+    chords, forbidden = [(7, 25), (29, 27), (1, 6), (22, 31)], {2}
+    assert _reference_route_chords(wall.graph, chords, forbidden) is None
+    assert exhaustive_routable(wall.graph, chords, forbidden)
+    routes = _route_chords(wall, chords, forbidden)
+    assert routes is not None
+    check_routing(wall, chords, forbidden, routes)
+
+
+@pytest.mark.parametrize("inst", _instances(1) + _instances(2) + _instances(3))
+def test_every_noncrossing_family_routes_with_nothing_removed(inst):
+    # the module docstring's claim, for families of up to three shapes
+    for k in (1, 2, 3):
+        for family in _families(inst.shapes, k, 0, 0, ()):
+            assert _route_chords(inst.wall, [c for s in family for c in s.chords]) is not None
+
+
 def test_reconstruct_rejects_a_core_that_differs_from_the_wall_by_one_edge():
     inst = build_obstruction_instance(simple_spec(1, "nested", "series"))
     graph, wall = inst.graph, inst.wall.graph
-    assert _reconstruct(graph, 1) is not None
+    assert _reconstruct(graph) is not None
     edges = list(graph.edges.values())
     wall_eids = sorted(wall.edge_ids())
     e = graph.edge(wall_eids[len(wall_eids) // 2])
@@ -801,4 +918,4 @@ def test_reconstruct_rejects_a_core_that_differs_from_the_wall_by_one_edge():
         "renumbered edge": [x._replace(id=fresh) if x.id == e.id else x for x in edges],
     }
     for name, changed in cases.items():
-        assert _reconstruct(LabeledGraph(graph.descriptor, graph.vertices, changed), 1) is None, name
+        assert _reconstruct(LabeledGraph(graph.descriptor, graph.vertices, changed)) is None, name

@@ -5,16 +5,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def start_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = start_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -55,3 +61,10 @@ def test_obstruction_report_height_three():
     assert len(lines) == 9
     # ν is not pinned: two-linkage instances with ν = 2 at h=3 are an open bug
     assert [line.split()[-1] for line in lines[2:]] == ["3"] * 7
+
+
+@pytest.mark.parametrize("h", ["0", "-1", "x"])
+def test_obstruction_report_rejects_a_bad_height(h):
+    proc = start_script("obstruction_report.py", h)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage: obstruction_report.py [h], with h a positive integer\n"
