@@ -12,12 +12,12 @@ A graph builds two read-only tables lazily, once each, for the hot loops:
 
 Shifting has one rule, `shifted_value`.  `shift_sequence` relabels by it
 into one graph however many shifts it applies; `is_gamma_bipartite` and
-`lemmas.combine_brick` read shifted values through it and build none.
+`cycles.is_robust` read shifted values through it and build none.
 
 One breadth-first spanning forest (`_bfs_forest`) and one walk along its
 parent links (`_tree_walk`) serve the package: the fundamental cycle of
-`is_gamma_bipartite`, the null shift of `lemmas.combine_brick`, the tree
-paths of clique models and the column snakes of elementary walls.
+`is_gamma_bipartite`, the tree paths of clique models and the column
+snakes of elementary walls.
 """
 
 from __future__ import annotations

@@ -4,6 +4,10 @@ These realise the proof steps that turn partially nonzero material into
 doubly nonzero cycles (two-cycle and brick combiners), exchange-reroute
 two path systems into a combined disjoint system, and verify odd
 clique-models.
+
+Each combiner searches the finite set of arc choices its proof names, in
+a fixed order, and returns the first cycle `classify` finds doubly
+nonzero; the proof, in its docstring, is why one exists.
 """
 
 from __future__ import annotations
@@ -14,16 +18,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import groups
 from .cycles import classify, coordinate_values
-from .graphs import (
-    Cycle,
-    LabeledGraph,
-    Walk,
-    _bfs_forest,
-    _tree_walk,
-    is_gamma_bipartite,
-    shifted_value,
-    walk_value,
-)
+from .graphs import Cycle, LabeledGraph, Walk, _bfs_forest, _tree_walk
 
 
 class HypothesisError(ValueError):
@@ -70,15 +65,31 @@ def _cycle_arcs(cycle: Cycle, a: int, b: int) -> Tuple[Walk, Walk]:
     return arcs[0], arcs[1]
 
 
+def _first_doubly_nonzero(graph: LabeledGraph, walks) -> Cycle:
+    """The first of the closed `walks` that is a doubly nonzero cycle."""
+    for walk in walks:
+        out = Cycle(walk.vertices, walk.edges)
+        if classify(graph, out).doubly_nonzero:
+            return out
+    raise AssertionError("no arc choice gives a doubly nonzero cycle")  # pragma: no cover - guarded by proof
+
+
 def combine_two_cycles(graph: LabeledGraph, c1: Cycle, c2: Cycle, p1: Walk, p2: Walk) -> Cycle:
     """Produce a doubly nonzero cycle inside c1 ∪ c2 ∪ p1 ∪ p2.
 
     Hypotheses: the cycles are disjoint, c1 is nonzero in the first
     coordinate, c2 in the second, and p1, p2 are disjoint paths from c1 to
-    c2.  Either some input cycle is already doubly nonzero, or a cycle
-    through both connecting paths is adjusted by swapping cycle arcs.
+    c2.  Returns c1 or c2 when it is already doubly nonzero, and otherwise
+    the first doubly nonzero cycle arc1·p2·arc2·p1⁻¹, trying the arc
+    choices (0, 0), (1, 0), (0, 1), (1, 1) of `_cycle_arcs` in that order.
+
+    One exists.  c1 is then zero in coordinate 1, so swapping c1's arc
+    multiplies the cycle's value by a conjugate of c1's value: coordinate
+    1 stays, and coordinate 0 is nonzero for at least one of c1's arcs.
+    Likewise c2 is zero in coordinate 0, and coordinate 1 is nonzero for at
+    least one of c2's arcs, whichever arc of c1 is chosen.
     """
-    for c, name in ((c1, "c1"), (c2, "c2")):
+    for c in (c1, c2):
         c.validate(graph)
     v1s = c1.vertex_set()
     v2s = c2.vertex_set()
@@ -94,28 +105,15 @@ def combine_two_cycles(graph: LabeledGraph, c1: Cycle, c2: Cycle, p1: Walk, p2: 
     p1.validate(graph)
     p2.validate(graph)
     _require(not (set(p1.vertices) & set(p2.vertices)), "p1 and p2 are disjoint")
-    a1, a2 = p1.start, p1.end
-    b1, b2 = p2.start, p2.end
-    arcs1 = _cycle_arcs(c1, a1, b1)  # walks a1 -> b1
-    arcs2 = _cycle_arcs(c2, b2, a2)  # walks b2 -> a2
-
-    def build(i: int, j: int) -> Cycle:
-        walk = arcs1[i].concat(p2).concat(arcs2[j]).concat(p1.reversed())
-        return Cycle(walk.vertices, walk.edges)
-
-    base = build(0, 0)
-    x, y = coordinate_values(graph, base)
-    if not groups.is_zero(x) and not groups.is_zero(y):
-        out = base
-    elif groups.is_zero(x) and not groups.is_zero(y):
-        out = build(1, 0)  # swap the c1 arc: changes coordinate 0 only
-    elif groups.is_zero(y) and not groups.is_zero(x):
-        out = build(0, 1)  # swap the c2 arc: changes coordinate 1 only
-    else:
-        out = build(1, 1)  # the symmetric difference with both arcs swapped
-    if not classify(graph, out).doubly_nonzero:  # pragma: no cover - guarded by proof
-        raise AssertionError("arc case analysis failed to produce a nonzero cycle")
-    return out
+    arcs1 = _cycle_arcs(c1, p1.start, p2.start)
+    arcs2 = _cycle_arcs(c2, p2.end, p1.end)
+    return _first_doubly_nonzero(
+        graph,
+        (
+            arcs1[i].concat(p2).concat(arcs2[j]).concat(p1.reversed())
+            for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +136,19 @@ def combine_brick(
     Hypotheses: the three cycles are pairwise disjoint; the attachment
     ends appear on c in the cyclic order p1, p1p, p2, p2p; c1 is nonzero
     in coordinate 0 and zero in coordinate 1; c2 is nonzero in
-    coordinate 1.  The arc choice reduces to a sign analysis once the
-    connective skeleton is shifted to null.  No shifted graph is built: a
-    shift changes a walk's value only at the walk's two ends, so each arc's
-    null-shifted value is the `shifted_value` of its value.  The returned
-    cycle lives in the original labeling.
+    coordinate 1.  Returns the first doubly nonzero cycle
+    p1·arc1·p1p⁻¹·i2·p2·arc2·p2p⁻¹·i1, where i1 and i2 are the arcs of c
+    between the attachments, trying each arc2 of c2 and, for each, each
+    arc1 of c1, in `_cycle_arcs` order.
+
+    One exists.  Shift the skeleton (i1, i2 and the four attachment paths)
+    to null; a shift does not change whether a cycle is zero.  The
+    candidate's value is then arc1·arc2 per coordinate.  c1's arcs agree
+    in coordinate 1, on some y₁, since c1 is zero there; as c2 is nonzero
+    in coordinate 1, its arcs differ there by a conjugate of that value,
+    so some arc2 has y₁·y(arc2) nonzero.  Likewise c1's arcs differ in
+    coordinate 0 by a nonzero value, so at most one of them makes
+    x(arc1)·x(arc2) zero.
     """
     for cyc in (c, c1, c2):
         cyc.validate(graph)
@@ -189,36 +195,23 @@ def combine_brick(
     _require(e1p not in i1.vertices, "arc i1 avoids p1p")
     _require(e2p not in i2.vertices, "arc i2 avoids p2p")
 
-    skeleton = frozenset(i1.edges) | frozenset(i2.edges)
-    for w in paths:
-        skeleton |= w.edge_set()
-    alpha = dict(is_gamma_bipartite(graph.subgraph(skeleton))[1])
-
-    def null_values(w: Walk):
-        return groups.coordinates(shifted_value(alpha, w.start, walk_value(graph, w), w.end))
-
     arcs1 = _cycle_arcs(c1, q1, q1p)  # q1 -> q1p
     arcs2 = _cycle_arcs(c2, q2, q2p)  # q2 -> q2p
-    (_, y1a), (_, y1b) = map(null_values, arcs1)
-    if y1a != y1b:  # pragma: no cover - guarded by the c1 coordinate-1 zero hypothesis
-        raise AssertionError("arcs of c1 disagree in coordinate 1")
-    arc2 = next(a for a in arcs2 if not groups.is_zero(groups.op(y1a, null_values(a)[1])))
-    x2 = null_values(arc2)[0]
-    arc1 = next(a for a in arcs1 if not groups.is_zero(groups.op(null_values(a)[0], x2)))
-    walk = (
-        p1
-        .concat(arc1)
-        .concat(p1p.reversed())
-        .concat(i2)
-        .concat(p2)
-        .concat(arc2)
-        .concat(p2p.reversed())
-        .concat(i1)
+    return _first_doubly_nonzero(
+        graph,
+        (
+            p1
+            .concat(arc1)
+            .concat(p1p.reversed())
+            .concat(i2)
+            .concat(p2)
+            .concat(arc2)
+            .concat(p2p.reversed())
+            .concat(i1)
+            for arc2 in arcs2
+            for arc1 in arcs1
+        ),
     )
-    out = Cycle(walk.vertices, walk.edges)
-    if not classify(graph, out).doubly_nonzero:  # pragma: no cover - guarded by proof
-        raise AssertionError("brick sign analysis failed to produce a nonzero cycle")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -178,38 +178,46 @@ def separate_linkages(ps: Sequence[LinkPath], qs: Sequence[LinkPath], t: int) ->
     8t, select size-t sublinkages whose endpoint intervals separate: hulls
     disjoint when both inputs are in series; the series family's hull clear
     of the other's endpoint runs when exactly one is; and all four endpoint
-    runs pairwise disjoint when neither is."""
+    runs pairwise disjoint when neither is (`satisfies_separation_clause`).
+
+    Each family, sorted by left end, is cut into four blocks of t
+    consecutive paths, and the first pair (P block outer, Q block inner)
+    that satisfies the clause is returned.  One exists.  The clause
+    compares a series block's hull, or a non-series block's two endpoint
+    runs, with the other block's.  Within one family these intervals are
+    pairwise disjoint: a series family is ordered, and a nested or
+    crossing family has every left end before every right end and its
+    right ends monotone in its left ends.  Two families of pairwise
+    disjoint intervals meet in a bipartite interval graph, which is
+    chordal and triangle-free, hence a forest.  So at most 15 pairs of
+    the at most 16 intervals meet, each ruling out one of the 16 block
+    pairs, and some block pair meets nowhere.
+    """
+    if t < 1:
+        raise LinkageError("t must be positive")
     if len(ps) != 4 * t or len(qs) != 4 * t:
         raise LinkageError("both linkages must have size exactly 4t")
     _check_linkage(list(ps) + list(qs))
     tp, tq = linkage_type(ps), linkage_type(qs)
     if tp is None or tq is None:
         raise LinkageError("input linkages must be pure")
-    ps = sorted(ps, key=lambda p: p.left)
-    qs = sorted(qs, key=lambda q: q.left)
-    if tp == SERIES:
-        return _separate_first_series(ps, qs, t, linkage_type(qs))
-    if tq == SERIES:
-        q_sel, p_sel = _separate_first_series(qs, ps, t, linkage_type(ps))
-        return p_sel, q_sel
-    return _separate_blocks(ps, qs, t)
 
+    def blocks(paths: Sequence[LinkPath]) -> List[List[LinkPath]]:
+        paths = sorted(paths, key=lambda p: p.left)
+        return [paths[i * t : (i + 1) * t] for i in range(4)]
 
-def _separate_first_series(ps, qs, t, other_type) -> Tuple[List[LinkPath], List[LinkPath]]:
-    """Case analysis with `ps` in series (both families sorted by left
-    endpoint; a series family is then totally ordered)."""
-    if qs[3 * t - 1].left > ps[t - 1].right:
-        return list(ps[:t]), list(qs[3 * t :])
-    if other_type == SERIES:
-        return list(ps[t : 2 * t]), list(qs[:t])
-    anchor = ps[2 * t - 1].right
-    if sum(1 for q in qs if q.right > anchor) >= 3 * t:
-        return list(ps[t : 2 * t]), list(qs[t : 2 * t])
-    q_sel = sorted((q for q in qs if q.right < anchor), key=lambda q: q.right)[:t]
-    return list(ps[2 * t : 3 * t]), q_sel
+    q_blocks = blocks(qs)
+    for pb in blocks(ps):
+        for qb in q_blocks:
+            if satisfies_separation_clause(pb, qb, tp, tq):
+                return pb, qb
+    raise LinkageError("no separable block pair found")  # pragma: no cover
 
 
 def _endpoint_runs(block: Sequence[LinkPath]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The span of the left ends and the span of the right ends; the
+    family's hull runs from the start of the first to the end of the
+    second."""
     lefts = [p.left for p in block]
     rights = [p.right for p in block]
     return (min(lefts), max(lefts)), (min(rights), max(rights))
@@ -217,27 +225,6 @@ def _endpoint_runs(block: Sequence[LinkPath]) -> Tuple[Tuple[int, int], Tuple[in
 
 def _intervals_disjoint(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
     return a[1] < b[0] or b[1] < a[0]
-
-
-def _separate_blocks(ps: Sequence[LinkPath], qs: Sequence[LinkPath], t: int) -> Tuple[List[LinkPath], List[LinkPath]]:
-    """Neither family in series: split each (ordered by left endpoints)
-    into four consecutive blocks of t paths.  The interval graph on the
-    sixteen endpoint-run intervals is a bipartite interval graph, hence a
-    forest with at most 15 edges, so among the 16 block pairs (a, b) some
-    pair has fully disjoint runs; take the lexicographically first."""
-    p_blocks = [list(ps[i * t : (i + 1) * t]) for i in range(4)]
-    q_blocks = [list(qs[i * t : (i + 1) * t]) for i in range(4)]
-    for pb in p_blocks:
-        pl, pr = _endpoint_runs(pb)
-        for qb in q_blocks:
-            ql, qr = _endpoint_runs(qb)
-            if all(
-                _intervals_disjoint(x, y)
-                for x in (pl, pr)
-                for y in (ql, qr)
-            ):
-                return pb, qb
-    raise LinkageError("no separable block pair found")  # pragma: no cover
 
 
 def satisfies_separation_clause(p_sel, q_sel, tp: str, tq: str) -> bool:
@@ -263,13 +250,9 @@ def satisfies_separation_clause(p_sel, q_sel, tp: str, tq: str) -> bool:
 def _interleaved(first: Sequence[LinkPath], second: Sequence[LinkPath]) -> bool:
     """All left ends of `first`, then all left ends of `second`, then all
     right ends of `first`, then all right ends of `second`."""
-    fl = max(p.left for p in first)
-    sl_min = min(p.left for p in second)
-    sl_max = max(p.left for p in second)
-    fr_min = min(p.right for p in first)
-    fr_max = max(p.right for p in first)
-    sr_min = min(p.right for p in second)
-    return fl < sl_min and sl_max < fr_min and fr_max < sr_min
+    fl, fr = _endpoint_runs(first)
+    sl, sr = _endpoint_runs(second)
+    return fl[1] < sl[0] and sl[1] < fr[0] and fr[1] < sr[0]
 
 
 def satisfies_interval_clause(ps: Sequence[LinkPath], qs: Sequence[LinkPath]) -> bool:
@@ -277,9 +260,8 @@ def satisfies_interval_clause(ps: Sequence[LinkPath], qs: Sequence[LinkPath]) ->
     lies entirely before the interval of qs, or the left endpoint runs and
     right endpoint runs strictly interleave and neither family is in
     series."""
-    ip = (min(p.left for p in ps), max(p.right for p in ps))
-    iq = (min(q.left for q in qs), max(q.right for q in qs))
-    if ip[1] < iq[0]:
+    (_, pr), (ql, _) = _endpoint_runs(ps), _endpoint_runs(qs)
+    if pr[1] < ql[0]:  # the hull of ps ends before the hull of qs starts
         return True
     if _interleaved(ps, qs):
         return linkage_type(ps) != SERIES and linkage_type(qs) != SERIES

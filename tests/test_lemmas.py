@@ -121,13 +121,25 @@ def assert_doubly_nonzero_cycle_of(graph, out):
     assert frozenset(out.edges) in found
 
 
-@pytest.mark.parametrize("desc", [Z5Z7, FZ], ids=["z5+z7", "free2+z"])
-def test_combine_two_cycles_fuzz(desc):
-    rng = random.Random(20240 + id(desc) % 97)
+# sha256 of the repr of the (vertices, edges) pairs combine_two_cycles
+# returns on the 1,000 instances test_combine_two_cycles_fuzz draws from
+# each seed
+TWO_CYCLES_FUZZ_SHA256 = {
+    20240: "6777e4072358f6ee490e76856f6f13599e66fc133728efd7a5e4c5d074db6eda",
+    20241: "e0fe1d52f4601cbe43a90948c90c94d32c7e03db67cee7fce5717890b04a5172",
+}
+
+
+@pytest.mark.parametrize("desc, seed", [(Z5Z7, 20240), (FZ, 20241)], ids=["z5+z7", "free2+z"])
+def test_combine_two_cycles_fuzz(desc, seed):
+    rng = random.Random(seed)
+    outs = []
     for trial in range(1000):
         graph, c1, c2, p1, p2 = two_cycle_instance(desc, rng, force_combination=trial % 2 == 0)
         out = combine_two_cycles(graph, c1, c2, p1, p2)
         assert_doubly_nonzero_cycle_of(graph, out)
+        outs.append((out.vertices, out.edges))
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == TWO_CYCLES_FUZZ_SHA256[seed]
 
 
 def test_combine_two_cycles_returns_input_when_already_doubly_nonzero():

@@ -11,6 +11,7 @@ from nonzero_cycles.linkage import (
     LinkPath,
     LinkageError,
     classify_pair,
+    _interleaved,
     crosses,
     extract_pure,
     is_pure,
@@ -131,6 +132,54 @@ def _family_from_slots(slots, kind, n):
     return [LinkPath(lefts[i], rights[i]) for i in range(n)]
 
 
+def assert_separated(ps, qs, t, tp, tq):
+    """`separate_linkages` returns a block of t consecutive paths (by left
+    end) of each family, pure, and meeting the clause for the input types."""
+    p_sel, q_sel = separate_linkages(ps, qs, t)
+    for sel, fam in ((p_sel, ps), (q_sel, qs)):
+        fam = sorted(fam, key=lambda x: x.left)
+        blocks = [fam[i * t : (i + 1) * t] for i in range(4)]
+        assert any(len(sel) == t and all(x is y for x, y in zip(sel, b)) for b in blocks)
+        assert linkage_type(sel) is not None
+    assert satisfies_separation_clause(p_sel, q_sel, tp, tq)
+
+
+def test_separate_linkages_every_t1_split():
+    # every way to share 16 slots between two families of 4, for all nine
+    # type pairs: 12,870 splits each
+    slots = range(16)
+    checked = 0
+    for slots_p in itertools.combinations(slots, 8):
+        slots_q = sorted(set(slots) - set(slots_p))
+        for tp, tq in itertools.product(LINKAGE_TYPES, repeat=2):
+            ps = _family_from_slots(slots_p, tp, 4)
+            qs = _family_from_slots(slots_q, tq, 4)
+            assert_separated(ps, qs, 1, tp, tq)
+            checked += 1
+    assert checked == 115_830
+
+
+def test_separate_linkages_random_up_to_t6():
+    rng = random.Random(2016)
+    for t in range(1, 7):
+        for tp, tq in itertools.product(LINKAGE_TYPES, repeat=2):
+            for _ in range(20):
+                # a small spread makes the two families' slots interleave
+                # closely; a large one leaves long gaps
+                slots = rng.sample(range(rng.choice([16 * t, 64 * t])), 16 * t)
+                slots_p = sorted(rng.sample(slots, 8 * t))
+                slots_q = sorted(set(slots) - set(slots_p))
+                ps = _family_from_slots(slots_p, tp, 4 * t)
+                qs = _family_from_slots(slots_q, tq, 4 * t)
+                assert_separated(ps, qs, t, tp, tq)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_separate_linkages_rejects_nonpositive_t(t):
+    with pytest.raises(LinkageError, match="t must be positive"):
+        separate_linkages([], [], t)
+
+
 def test_separate_linkages_series_prefix_example():
     ps = [lp(0, 1), lp(2, 3), lp(4, 5), lp(6, 7)]
     qs = [lp(10, 11), lp(12, 13), lp(14, 15), lp(16, 17)]
@@ -160,6 +209,54 @@ def test_interval_clause():
     assert satisfies_interval_clause(ps, qs)  # both crossing: fine
     qs_series = [lp(2, 3), lp(6, 7)]
     assert not satisfies_interval_clause([lp(0, 4), lp(1, 5)], qs_series)
+
+
+def reference_interleaved(first, second):
+    """`linkage._interleaved` as it read before it took the endpoint runs
+    from `_endpoint_runs`."""
+    fl = max(p.left for p in first)
+    sl_min = min(p.left for p in second)
+    sl_max = max(p.left for p in second)
+    fr_min = min(p.right for p in first)
+    fr_max = max(p.right for p in first)
+    sr_min = min(p.right for p in second)
+    return fl < sl_min and sl_max < fr_min and fr_max < sr_min
+
+
+def reference_interval_clause(ps, qs):
+    """`satisfies_interval_clause` as it read before it took the hulls from
+    `_endpoint_runs`."""
+    ip = (min(p.left for p in ps), max(p.right for p in ps))
+    iq = (min(q.left for q in qs), max(q.right for q in qs))
+    if ip[1] < iq[0]:
+        return True
+    if reference_interleaved(ps, qs):
+        return linkage_type(ps) != SERIES and linkage_type(qs) != SERIES
+    return False
+
+
+def test_interval_clause_matches_the_old_formulas():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(3000):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        tp, tq = rng.choice(LINKAGE_TYPES), rng.choice(LINKAGE_TYPES)
+        # which family owns each slot: four runs in a random order (each
+        # family's left half before its right half), or a random shuffle
+        if rng.random() < 0.5:
+            runs = [["p"] * n, ["p"] * n, ["q"] * m, ["q"] * m]
+            rng.shuffle(runs)
+            owners = [x for run in runs for x in run]
+        else:
+            owners = ["p"] * 2 * n + ["q"] * 2 * m
+            rng.shuffle(owners)
+        ps = _family_from_slots([i for i, o in enumerate(owners) if o == "p"], tp, n)
+        qs = _family_from_slots([i for i, o in enumerate(owners) if o == "q"], tq, m)
+        for a, b in ((ps, qs), (qs, ps)):
+            assert _interleaved(a, b) == reference_interleaved(a, b)
+            assert satisfies_interval_clause(a, b) == reference_interval_clause(a, b)
+            seen.add((reference_interleaved(a, b), reference_interval_clause(a, b)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def reference_chords_cross(a, b):

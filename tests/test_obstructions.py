@@ -1,5 +1,6 @@
 """Tests for Escher walls and the doubly-labeled wall obstructions."""
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -291,6 +292,17 @@ def test_verify_obstruction_reconstructs_built_instances():
     rep = verify_obstruction(build_obstruction(spec), 1)
     assert rep["method"] == "chords"
     assert rep["nu"] == 1 and rep["nu_ok"]
+
+
+def test_verify_instance_rejects_a_labeled_wall():
+    inst = build_obstruction_instance(simple_spec(1, "crossing", "nested"))
+    g = inst.wall.graph
+    eid = min(g.edges)
+    label = groups.element(g.descriptor, (1, 0))
+    edges = [e._replace(label=label) if e.id == eid else e for e in g.edges.values()]
+    wall = dataclasses.replace(inst.wall, graph=LabeledGraph(g.descriptor, g.vertices, edges))
+    with pytest.raises(ObstructionFormatError, match="the wall part must be null-labeled"):
+        verify_instance(dataclasses.replace(inst, wall=wall), 1)
 
 
 def test_escher_h3_nu_half_is_reported_as_a_bound():
