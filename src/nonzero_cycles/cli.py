@@ -296,7 +296,11 @@ def cmd_verify(args) -> int:
         raise CliError("bad certificate: expected a JSON object", PARSE_ERROR)
     kind = cert.get("type")
     if kind == "transversal":
-        removed = _cert_ints(cert.get("vertices", ()), "vertices")
+        listed = cert.get("vertices", ())
+        removed = _cert_ints(listed, "vertices")
+        for v in map(int, listed):  # in certificate order, each an integer by now
+            if v not in graph.vertices:
+                raise CliError(f"bad certificate: vertex {v} is not in the graph", PARSE_ERROR)
         missed = packing.missed_cycle(graph, removed, args.limit)
         if missed is not None:
             raise CliError(

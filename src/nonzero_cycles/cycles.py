@@ -6,8 +6,11 @@ for a single group both coordinates coincide.
 
 Cycles and A-paths (`packing.enumerate_nonzero_a_paths`) come from one
 simple-path DFS over int bitmasks, `_simple_paths`, under one enumeration
-limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`),
-and keeps the coordinate values `classify` computed for it.
+limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`).
+The DFS carries each step's raw label payload and folds a path's value as
+it closes the path, so an enumerated cycle keeps its coordinate values and
+zero flags without being walked again; `classify` and `walk_value` are
+for walks from outside (certificates, lemmas).
 """
 
 from __future__ import annotations
@@ -85,33 +88,45 @@ def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
 
 def _bit_steps(graph: LabeledGraph):
     """`(bit, adj)`: a bit per vertex, in sorted order, and per vertex its
-    steps `(eid, neighbour, neighbour's bit, edge's bit)` in `incident`
-    order, a loop being a step back to its vertex."""
+    steps `(eid, neighbour, neighbour's bit, edge's bit, arrival payload)`
+    in `incident` order, a loop being a step back to its vertex.  The
+    arrival payload is the raw label seen arriving at the neighbour, from
+    `graph.steps()`, so None where zero."""
     bit = {v: 1 << i for i, v in enumerate(sorted(graph.vertices))}
     ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
+    steps = graph.steps()
     adj = {}
     for v in bit:
-        steps = ((eid, graph.other_end(eid, v)) for eid in graph.incident(v))
-        adj[v] = tuple((eid, w, bit[w], ebit[eid]) for eid, w in steps)
+        out = []
+        for eid in graph.incident(v):
+            tail, head, fwd, bwd = steps[eid]
+            w, x = (head, fwd) if v == tail else (tail, bwd)
+            out.append((eid, w, bit[w], ebit[eid], x))
+        adj[v] = tuple(out)
     return bit, adj
 
 
-def _simple_paths(adj, jobs, limit: Optional[int], what: str, make) -> list:
+def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: groups.Table) -> list:
     """The paths a DFS from each job closes over the `_bit_steps` adjacency,
-    as `make(vertices, edge ids)`.  A job `(node, used, closing, ends)`
-    starts from the path `node`, `(vertex, edge into it, parent node)` back
-    to `(start, None, None)`: a step by an edge of the bitmask `closing` to
-    a vertex of the bitmask `used` closes a path, and a step to any other
-    vertex extends it while a vertex of `ends` is off `used`.  Raises
-    EnumerationLimitError when more than `limit` paths close."""
+    as `make(vertices, edge ids, raw value)`.  A job `(node, used, closing,
+    ends)` starts from the path `node`, `(vertex, edge into it, arrival
+    payload, parent node)` back to `(start, None, None, None)`: a step by an
+    edge of the bitmask `closing` to a vertex of the bitmask `used` closes a
+    path, and a step to any other vertex extends it while a vertex of `ends`
+    is off `used`.  The raw value, in `table`'s group, is the sum of the
+    arrival payloads in path order; it is folded while the closed path is
+    read back, right to left as `add(x, total)`, so that the order holds in
+    a non-abelian group.  Raises EnumerationLimitError when more than
+    `limit` paths close."""
     ceiling = enumeration_limit(limit)
+    add, zero = table.add, table.zero
     out = []
     for top, used, closing, ends in jobs:
         stack = [(top, used)]
         while stack:
             node, used = stack.pop()
             grow = ends & ~used  # 0: no vertex off the path can close
-            for eid, w, wb, eb in adj[node[0]]:
+            for eid, w, wb, eb, x in adj[node[0]]:
                 if used & wb:
                     if eb & closing:
                         if len(out) >= ceiling:
@@ -122,16 +137,19 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make) -> list:
                         # every length would stay in the interpreter's tuple
                         # free lists and raise the process's peak memory
                         verts, eids, at = [w], [eid], node
+                        total = zero if x is None else x
                         while at[1] is not None:
                             verts.append(at[0])
                             eids.append(at[1])
-                            at = at[2]
+                            if at[2] is not None:
+                                total = add(at[2], total)
+                            at = at[3]
                         verts.append(at[0])
                         verts.reverse()
                         eids.reverse()
-                        out.append(make(tuple(verts), tuple(eids)))
+                        out.append(make(tuple(verts), tuple(eids), total))
                 elif grow:
-                    stack.append(((w, eid, node), used | wb))
+                    stack.append(((w, eid, x, node), used | wb))
     return out
 
 
@@ -156,16 +174,22 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
     before = 0
     for root, rb in bit.items():
         before |= rb
-        top = (root, None, None)
-        jobs.append((top, before, sum(eb for _, w, _, eb in adj[root] if w == root), 0))
+        top = (root, None, None, None)
+        jobs.append((top, before, sum(eb for _, w, _, eb, _ in adj[root] if w == root), 0))
         closing = ends = 0  # the root edges before this one, the vertices they lead to
-        for eid, w, wb, eb in adj[root]:
+        for eid, w, wb, eb, x in adj[root]:
             if not before & wb:
                 if closing:
-                    jobs.append(((w, eid, top), before | wb, closing, ends))
+                    jobs.append(((w, eid, x, top), before | wb, closing, ends))
                 closing |= eb
                 ends |= wb
-    cycles = [classify(graph, c) for c in _simple_paths(adj, jobs, limit, "cycles", Cycle)]
+    read = groups.coordinate_reader(graph.descriptor)
+
+    def make(verts, eids, raw):
+        values, zero = read(raw)
+        return ClassifiedCycle(frozenset(eids), Cycle(verts, eids), zero, values)
+
+    cycles = _simple_paths(adj, jobs, limit, "cycles", make, groups.table(graph.descriptor))
     cycles.sort(key=lambda c: c.canonical_key())
     return cycles
 
@@ -216,12 +240,15 @@ def is_robust(
     or (False, witness).  `cycles`, when given, is the output of
     `enumerate_cycles(graph)`, and saves enumerating again.
 
-    Edge sets are int masks.  Split each nonzero cycle's mask into its
-    part inside the zero-edge mask of the coordinate and its part outside
-    it: a pair is a candidate exactly when the inside parts meet and the
-    outside parts do not, and a cycle with no inside part is never one.
-    Pairs are scanned in enumeration order, so the witness is the first
-    confusable pair in that order.
+    Split each nonzero cycle's edges into those on a zero cycle of the
+    coordinate (inside) and the rest (outside): a pair is a candidate
+    exactly when the inside parts meet and the outside parts do not, so a
+    cycle with no inside part, never one, is left out, and the others are
+    the hot cycles.  Each edge gets the bitmask of the hot cycles through
+    it; the candidates of cycle a are then the OR of the masks on its
+    inside edges minus the OR of those on its outside edges.  Each a takes
+    its later candidates b in ascending order, so the witness is the first
+    confusable pair (a, b) in enumeration order.
 
     Rerooting is the shift rule: from the j-th vertex v of its
     representative, a cycle of value x has value p⁻¹·x·p (`shifted_value`
@@ -230,20 +257,17 @@ def is_robust(
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
-    ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
-    masks = [sum(ebit[e] for e in c.edges) for c in cycles]
     coords = 2 if graph.descriptor.kind == groups.KIND_DIRECT_SUM else 1
     for i in range(coords):
-        zmask = 0
-        for c, m in zip(cycles, masks):
+        zero_edges: set = set()
+        for c in cycles:
             if c.zero[i]:
-                zmask |= m
-        hot, inside, outside = [], [], []
-        for c, m in zip(cycles, masks):
-            if c.nonzero_in(i) and m & zmask:
-                hot.append(c)
-                inside.append(m & zmask)
-                outside.append(m & ~zmask)
+                zero_edges |= c.edges
+        hot = [c for c in cycles if c.nonzero_in(i) and not c.edges.isdisjoint(zero_edges)]
+        through: dict = {}  # edge id -> bitmask of the hot cycles through it
+        for a, c in enumerate(hot):
+            for e in c.edges:
+                through[e] = through.get(e, 0) | 1 << a
         abelian = _coordinate_abelian(graph.descriptor, i)
         rooted = {}  # (index in hot, root) -> values from root, both ways
 
@@ -258,12 +282,19 @@ def is_robust(
                 rooted[a, root] = {x, groups.inv(x)}
             return rooted[a, root]
 
-        for a in range(len(hot)):
-            ina, outa = inside[a], outside[a]
-            for b in range(a + 1, len(hot)):
-                if not ina & inside[b] or outa & outside[b]:
-                    continue
-                c1, c2 = hot[a].rep, hot[b].rep
+        for a, first in enumerate(hot):
+            meet = avoid = 0
+            for e in first.edges:
+                if e in zero_edges:
+                    meet |= through[e]
+                else:
+                    avoid |= through[e]
+            later = (meet & ~avoid) >> (a + 1)  # bit k: the candidate a + 1 + k
+            while later:
+                low = later & -later
+                later ^= low
+                b = a + low.bit_length()
+                c1, c2 = first.rep, hot[b].rep
                 common = c1.vertex_set() & c2.vertex_set()
                 for root in [min(common)] if abelian else sorted(common):
                     if values(a, root) & values(b, root):

@@ -7,8 +7,9 @@ the inverse.  Loops and parallel edges are allowed.
 A graph builds two read-only tables lazily, once each, for the hot loops:
 `steps()`, per edge its tail, head and the raw label payloads (see
 `groups.Table`) seen arriving at either end, None where zero, which
-`walk_value` folds; and `adjacency()`, per vertex its non-loop
-`(eid, neighbour)` pairs in `incident` order, which the chord router walks.
+`walk_value` and the cycle DFS (`cycles._bit_steps`) fold; and
+`adjacency()`, per vertex its non-loop `(eid, neighbour)` pairs in
+`incident` order, which the chord router walks.
 
 Shifting has one rule, `shifted_value`.  `shift_sequence` relabels by it
 into one graph however many shifts it applies; `is_gamma_bipartite` and

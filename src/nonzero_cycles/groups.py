@@ -15,8 +15,9 @@ the kind of group for elements: `op`, `inv`, `identity`, `is_zero`,
 `element`, `random_element`, `encode_element` and `decode_element` all go
 through the table (the descriptor grammar still reads the kind).  A
 free-group sum cancels only at the seam of two reduced words, and a direct
-sum pairs the tables of its summands.  Hot loops (`graphs.walk_value`)
-unwrap once, fold raw payloads and wrap once.
+sum pairs the tables of its summands.  Hot loops (`graphs.walk_value`,
+the cycle DFS) unwrap once, fold raw payloads and wrap once;
+`coordinate_reader` reads a folded raw value's coordinates and zero flags.
 
 Every constructor (`integers`, `cyclic`, `direct_sum`, `parse_descriptor`,
 unpickling, ...) goes through one intern table, so each distinct group has
@@ -372,6 +373,27 @@ def coordinates(a: GroupElement) -> Tuple[GroupElement, GroupElement]:
     if a.descriptor.kind == KIND_DIRECT_SUM:
         return a.payload
     return a, a
+
+
+def coordinate_reader(desc: GroupDescriptor) -> Callable[[Any], tuple]:
+    """For raw payloads of `desc` (see `Table`), `raw -> (values, zero)`:
+    the `coordinates` of the element `raw` stands for, and whether each is
+    zero, read without building that element."""
+    if desc.kind == KIND_DIRECT_SUM:
+        left, right = table(desc.parts[0]), table(desc.parts[1])
+
+        def read(raw):
+            a, b = raw
+            return (left.wrap(a), right.wrap(b)), (a == left.zero, b == right.zero)
+
+    else:
+        t = table(desc)
+
+        def read(raw):
+            x, z = t.wrap(raw), raw == t.zero
+            return (x, x), (z, z)
+
+    return read
 
 
 def random_element(desc: GroupDescriptor, rng, span: int = 4) -> GroupElement:

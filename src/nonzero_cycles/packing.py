@@ -9,8 +9,12 @@ branches on an explicit stack.
 The packing search (`_max_disjoint`, for ν with each vertex used once and
 ν½ with each vertex used at most twice) hands each branch only the
 candidates that still fit, and cuts a branch when the vertex uses left
-cannot hold enough further candidates to beat the best packing found.  Its
-answer is the lexicographically smallest optimal index tuple.
+cannot hold enough further candidates to beat the best packing found.
+`pack_and_cover` computes ν½ last and hands it τ's transversal X as a
+cover: every candidate takes a use of a vertex of X, so the free uses left
+on X bound the further picks, and ν½ ≤ 2τ stops the search once reached.
+Its answer is the lexicographically smallest optimal index tuple, with or
+without the cover.
 
 `_min_hitting_set` is the package's one exact hitting-set solver: over
 every enumerated cycle or A-path, and on wall instances over the witness
@@ -20,7 +24,8 @@ has proved: ν here, the previous round's minimum in that loop.
 
 A-paths come from the DFS that enumerates cycles (`cycles._simple_paths`),
 one start per terminal, so they obey the same limit, `NONZERO_CYCLES_LIMIT`
-included.  `missed_cycle` is the one transversal check.
+included, and are kept by the value that DFS folds as it closes each one.
+`missed_cycle` is the one transversal check.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import groups
 from .cycles import ClassifiedCycle, _bit_steps, _simple_paths, classify, enumerate_cycles, nonzero_cycles
-from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges, walk_value
+from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges
 
 
 @dataclass(frozen=True)
@@ -57,61 +62,83 @@ def _vertex_masks(sets: Sequence[AbstractSet[int]]) -> Tuple[List[int], Dict[int
     return [sum(map(bit.__getitem__, s)) for s in sets], bit
 
 
-def _max_disjoint(vertex_sets: Sequence[AbstractSet[int]], max_use: int) -> List[int]:
+def _max_disjoint(
+    vertex_sets: Sequence[AbstractSet[int]], max_use: int, cover: Optional[AbstractSet[int]] = None
+) -> List[int]:
     """Largest selection of vertex sets that uses every vertex at most
     `max_use` times (1 or 2); returns the indices of the lexicographically
     smallest such selection.
 
     Two equal sets (distinct cycles through the same vertices) may both be
     chosen.  Sets must be non-empty, which keeps the capacity bound finite.
+    `cover`, when given, is a vertex set X that meets every set (ValueError
+    otherwise), such as a transversal: each chosen set then takes a use of
+    a vertex of X, so no selection exceeds `max_use * |X|`.
 
     The search carries `once`, the vertices one more use would fill (with
-    `max_use=1` every vertex starts there); full vertices are implicit, as
-    each child gets only the later candidates whose masks miss them.  A
-    branch is cut when even `min(len(cands), capacity // smallest candidate
-    size)` more items, where capacity is `max_use * |V|` minus the vertex
-    uses so far, cannot beat the best found.  Branches run in index order
-    and `best` changes only on a strictly larger selection, so the first
-    optimum found is the one returned.
+    `max_use=1` every vertex starts there), and `full`, the vertices used
+    up; each child gets only the later candidates whose masks miss `full`.
+    A branch is cut when even `min(len(cands), capacity // smallest
+    candidate size, free uses on X)` more items, where capacity is
+    `max_use * |V|` minus the vertex uses so far and the free uses on X are
+    `2|X| - |X & once| - 2|X & full|`, cannot beat the best found; the
+    search stops once the best reaches `max_use * |X|`.  Branches run in
+    index order and `best` changes only on a strictly larger selection, and
+    a cut drops only branches that cannot beat it, so the first optimum in
+    branch order, the lexicographically smallest, is the one returned,
+    with or without `cover`.
     """
     if max_use not in (1, 2):
         raise ValueError("max_use must be 1 or 2")
     masks, bit = _vertex_masks(vertex_sets)
     sizes = [len(s) for s in vertex_sets]
+    xmask = sum(b for v, b in bit.items() if v in cover) if cover is not None else 0
+    if cover is not None and not all(m & xmask for m in masks):
+        raise ValueError("cover must meet every vertex set")
+    xsize = xmask.bit_count()
+    # the most items any selection holds: all of them, or one per use of X
+    most = len(masks) if cover is None else max_use * xsize
     best: List[int] = []
     chosen: List[int] = []
-    # the open branches above the current one, as (candidates, once,
+    # the open branches above the current one, as (candidates, once, full,
     # capacity, next position); the current branch chose all of `chosen`,
     # and a branch whose next position is len(candidates) is finished
-    above: List[Tuple[List[int], int, int, int]] = []
+    above: List[Tuple[List[int], int, int, int, int]] = []
 
-    def promising(cands: List[int], capacity: int, depth: int) -> bool:
+    def promising(cands: List[int], once: int, full: int, capacity: int, depth: int) -> bool:
         room = capacity // min(map(sizes.__getitem__, cands))
+        if cover is not None:
+            room = min(room, 2 * xsize - (once & xmask).bit_count() - 2 * (full & xmask).bit_count())
         return depth + min(len(cands), room) > len(best)
 
     cands = list(range(len(masks)))
     once = (1 << len(bit)) - 1 if max_use == 1 else 0
+    full = 0
     capacity = max_use * len(bit)
-    k = 0 if cands and promising(cands, capacity, 0) else len(cands)
+    k = 0 if cands and promising(cands, once, full, capacity, 0) else len(cands)
     while True:
         if k == len(cands) or len(chosen) + len(cands) - k <= len(best):
             if not above:
                 return best
-            cands, once, capacity, k = above.pop()
+            cands, once, full, capacity, k = above.pop()
             chosen.pop()
             continue
         i = cands[k]
         k += 1
         if len(chosen) >= len(best):
             best = chosen + [i]
+            if len(best) == most:
+                return best
         rest = cands[k:]
         filled = once & masks[i]
         if filled:
             rest = [j for j in rest if not masks[j] & filled]
-        if rest and promising(rest, capacity - sizes[i], len(chosen) + 1):
-            above.append((cands, once, capacity, k))
+        child = (once ^ masks[i], full | filled, capacity - sizes[i])
+        if rest and promising(rest, *child, len(chosen) + 1):
+            above.append((cands, once, full, capacity, k))
             chosen.append(i)
-            cands, once, capacity, k = rest, once ^ masks[i], capacity - sizes[i], 0
+            cands, k = rest, 0
+            once, full, capacity = child
 
 
 def _disjoint_count(masks: List[int]) -> int:
@@ -166,12 +193,14 @@ def _min_hitting_set(sets: Sequence[AbstractSet[int]], at_least: int = 0) -> Fro
 
 
 def pack_and_cover(graph: LabeledGraph, limit: Optional[int] = None) -> PackCoverReport:
-    """Exact nu, nu_half and tau over the doubly-nonzero cycles."""
+    """Exact nu, nu_half and tau over the doubly-nonzero cycles: nu first,
+    as tau's lower bound, then tau, whose transversal caps the nu_half
+    search."""
     cycles = nonzero_cycles(graph, limit)
     vertex_sets = [c.rep.vertex_set() for c in cycles]
     pack_idx = _max_disjoint(vertex_sets, max_use=1)
-    half_idx = _max_disjoint(vertex_sets, max_use=2)
     transversal = _min_hitting_set(vertex_sets, at_least=len(pack_idx))
+    half_idx = _max_disjoint(vertex_sets, max_use=2, cover=transversal)
     return PackCoverReport(
         nu=len(pack_idx),
         nu_half=len(half_idx),
@@ -243,18 +272,20 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
     if not a_set <= graph.vertices:
         raise ValueError("terminals must be vertices of the graph")
     bit, adj = _bit_steps(graph)
-    used = sum(bit[t] for t in a_set)
+    t = groups.table(graph.descriptor)
+    used = sum(bit[v] for v in a_set)
     # one job per start s, every terminal used: a path closes by an edge at
     # a later terminal, so it grows only while a neighbour of one is free
     jobs = []
     closing = ends = 0
     for s in sorted(a_set, reverse=True):
-        jobs.append(((s, None, None), used, closing, ends))
-        for _, _, wb, eb in adj[s]:
+        jobs.append(((s, None, None, None), used, closing, ends))
+        for _, _, wb, eb, _ in adj[s]:
             closing |= eb
             ends |= wb
-    paths = _simple_paths(adj, jobs, limit, "A-paths", Walk)
-    hot = [w for w in paths if not groups.is_zero(walk_value(graph, w))]
+    # every closed path counts towards the limit; only the nonzero ones are kept
+    paths = _simple_paths(adj, jobs, limit, "A-paths", lambda vs, es, raw: None if raw == t.zero else Walk(vs, es), t)
+    hot = [w for w in paths if w is not None]
     hot.sort(key=lambda w: (len(w.edges), tuple(sorted(w.edges))))
     return hot
 

@@ -380,6 +380,18 @@ def test_verify_non_integer_certificate_entries_are_parse_errors(cert, tmp_path,
     assert err.startswith("bad certificate: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("vertices, named", [([99, -5], 99), ([0, -5, 99], -5), (["2", 99], 99)])
+def test_verify_transversal_naming_a_vertex_not_in_the_graph_is_parse_error(vertices, named, tmp_path, capsys):
+    # the first listed vertex the graph lacks is named, as `reduce --s1` does
+    inst = tmp_path / "r.json"
+    cfile = tmp_path / "c.json"
+    run(["gen", "random", "--seed", "4", "--out", str(inst)], capsys)
+    cfile.write_text(json.dumps({"type": "transversal", "vertices": vertices}))
+    code, out, err = run(["verify", str(inst), str(cfile)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"bad certificate: vertex {named} is not in the graph\n"
+
+
 def test_analyze_leaves_no_descriptor_or_table_to_the_collector(tmp_path, capsys):
     # descriptors are interned, so the descriptor-table reference cycle of
     # each decoded graph is never garbage
@@ -499,3 +511,51 @@ def test_reduce_unknown_vertex_ids_are_parse_errors(option, tmp_path, capsys):
     code, out, err = run(["reduce", str(inst), "s", "--s1", "99"], capsys)
     assert (code, out) == (2, "")
     assert "vertex 99" in err
+
+
+# The first instance of each kind in the benchmark's seed-1 `sweep` plan: a
+# 9-vertex, 16-edge graph labelled in sum(z2,z3), and two plain graphs
+# encoded by `reduce odd` and `reduce s1s2`.  The digests of `pack`'s stdout
+# were recorded before the packing search took the transversal as a cover
+# bound, which must change no answer.
+SWEEP_PACK_CASES = {
+    "sum_z2_z3": {
+        "edges": [[0, 1], [1, 2], [1, 5], [1, 6], [1, 8], [2, 4], [2, 5], [2, 6],
+                  [2, 7], [3, 4], [4, 6], [4, 7], [5, 7], [5, 8], [6, 8], [7, 8]],
+        "labels": [[0, 1], [0, 2], [0, 1], [0, 1], [1, 2], [0, 2], [1, 1], [1, 1],
+                   [1, 0], [1, 1], [0, 0], [0, 2], [0, 0], [1, 0], [0, 0], [0, 1]],
+        "reduce": None,
+        "digest": "fe145cd7a1568df72cc4c7a9e8cbab900f11badf3fe53806c90e449c3ee8279a",
+    },
+    "reduce_odd": {
+        "edges": [[0, 1], [0, 4], [0, 7], [1, 2], [1, 3], [1, 4], [1, 6], [1, 7],
+                  [2, 3], [2, 5], [2, 6], [2, 8], [3, 5], [4, 8], [5, 7], [6, 7]],
+        "reduce": ["odd"],
+        "digest": "f2202b7d12672ef677c906a6ce820d66bbb6b904e6ff74d93fa0c11420e9a19f",
+    },
+    "reduce_s1s2": {
+        "edges": [[0, 4], [0, 5], [0, 8], [1, 3], [2, 3], [2, 4], [2, 5], [2, 6],
+                  [2, 7], [3, 4], [3, 5], [3, 6], [3, 7], [4, 6], [5, 8], [7, 8]],
+        "reduce": ["s1s2", "--s1", "1,5", "--s2", "0,6"],
+        "digest": "191bc2f594ee1e375249f76d75a02eca42a21274efd76a5c780ab2cbe21dd706",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PACK_CASES))
+def test_pack_stdout_on_sweep_instances_is_pinned(name, tmp_path, capsys):
+    case = SWEEP_PACK_CASES[name]
+    inst = tmp_path / "g.json"
+    if case["reduce"] is None:
+        edges = [{"id": k, "tail": u, "head": v, "label": lab}
+                 for k, ((u, v), lab) in enumerate(zip(case["edges"], case["labels"]))]
+        inst.write_text(json.dumps({"group": "sum(z2,z3)", "vertices": list(range(9)), "edges": edges}))
+    else:
+        plain = tmp_path / "plain.json"
+        edges = [{"id": k, "tail": u, "head": v, "label": "0"} for k, (u, v) in enumerate(case["edges"])]
+        plain.write_text(json.dumps({"group": "z", "vertices": list(range(9)), "edges": edges}))
+        code, _, _ = run(["reduce", str(plain), *case["reduce"], "--out", str(inst)], capsys)
+        assert code == 0
+    code, out, err = run(["pack", str(inst)], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == case["digest"]

@@ -320,10 +320,25 @@ def test_pruned_enumeration_matches_reference_dfs():
 
 
 def test_kept_values_are_the_representatives_values():
-    for g in comparison_graphs()[::3]:
+    # the value the DFS folds as it closes a cycle is the value `walk_value`
+    # gives its representative, in abelian and free groups, alone and in
+    # direct sums, with loops, parallel edges and zero labels
+    rng = random.Random(2025)
+    graphs = comparison_graphs()[::3]
+    for text in ("z", "z5", "za2", "free2", "q(2,4,0)", "sum(z,free2)", "sum(free2,free2)"):
+        graphs += [random_multigraph(rng, groups.parse_descriptor(text)) for _ in range(40)]
+    kinds = set()
+    for g in graphs:
         for c in enumerate_cycles(g):
             assert c.values == coordinate_values(g, c.rep)
             assert c.zero == (groups.is_zero(c.values[0]), groups.is_zero(c.values[1]))
+            kinds.add((str(g.descriptor), len(c.edges) == 1, len(c.edges) == 2, c.zero))
+    for text in ("z", "z5", "za2", "free2", "q(2,4,0)"):
+        # a loop, a pair of parallel edges and longer cycles, zero and not
+        assert {k[1:3] for k in kinds if k[0] == text} == {(True, False), (False, True), (False, False)}
+        assert {k[3] for k in kinds if k[0] == text} == {(True, True), (False, False)}
+    for text in ("sum(z,free2)", "sum(free2,free2)"):
+        assert {k[3] for k in kinds if k[0] == text} == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_mask_pair_scan_matches_all_pairs_reference():

@@ -227,7 +227,14 @@ def networkx_a_path_edge_sets(graph, terminals):
     return out
 
 
-@pytest.mark.parametrize("desc", [Z3, groups.free_group(2), groups.direct_sum(groups.cyclic(2), groups.cyclic(3))], ids=str)
+# the enumeration keeps a path by the value its DFS folds, and
+# `reference_a_paths` by `walk_value`, then `is_zero`
+A_PATH_GROUPS = [Z3, groups.free_group(2), groups.direct_sum(groups.cyclic(2), groups.cyclic(3))] + [
+    groups.parse_descriptor(text) for text in ("z", "z5", "za2", "q(2,4,0)", "sum(z,free2)", "sum(free2,free2)")
+]
+
+
+@pytest.mark.parametrize("desc", A_PATH_GROUPS, ids=str)
 def test_a_paths_are_all_nonzero_a_paths_in_reference_order(desc):
     rng = random.Random(90)
     loops = parallel = found = 0
@@ -297,6 +304,54 @@ def test_max_disjoint_is_lexmin_optimum_on_a_path_families(max_use):
         if max_use == 1:
             report = a_path_pack_and_cover(g, terms)
             assert report.packing == tuple(paths[i] for i in expected)
+
+
+def larger_hitting_set(vertex_sets, rng):
+    """A hitting set with a vertex more than the minimum, where the union
+    has one to spare, else the minimum itself."""
+    least = _min_hitting_set(vertex_sets)
+    spare = sorted(set().union(*vertex_sets) - least)
+    return least | set(rng.sample(spare, min(len(spare), rng.randint(1, 3))))
+
+
+@pytest.mark.parametrize("max_use", [1, 2])
+def test_max_disjoint_with_a_cover_is_the_same_lexmin_optimum(max_use):
+    # the cover bound cuts only branches that cannot beat the best, so the
+    # answer is the one without it, for a minimum, a larger or the whole
+    # vertex set as the cover
+    rng = random.Random(60 + max_use)
+    capped = 0
+    for _ in range(250):
+        vertex_sets = random_family(rng)
+        expected = lexmin_max_disjoint(vertex_sets, max_use)
+        assert _max_disjoint(vertex_sets, max_use) == expected
+        union = set().union(*vertex_sets)
+        for cover in (_min_hitting_set(vertex_sets), larger_hitting_set(vertex_sets, rng), union):
+            assert _max_disjoint(vertex_sets, max_use, cover=cover) == expected
+        capped += len(expected) == max_use * len(_min_hitting_set(vertex_sets)) > 0
+    assert capped > 30  # the search often stops at the cover's capacity
+
+
+@pytest.mark.parametrize("max_use", [1, 2])
+def test_max_disjoint_with_a_cover_on_the_cycles_of_random_graphs(max_use):
+    rng = random.Random(70 + max_use)
+    done = 0
+    while done < 40:
+        g = random_graph(ZZ, rng)
+        vertex_sets = [c.rep.vertex_set() for c in enumerate_cycles(g) if c.doubly_nonzero]
+        if not vertex_sets or len(vertex_sets) > 12:
+            continue
+        done += 1
+        cover = _min_hitting_set(vertex_sets)
+        assert _max_disjoint(vertex_sets, max_use, cover=cover) == lexmin_max_disjoint(vertex_sets, max_use)
+
+
+def test_max_disjoint_rejects_a_cover_that_misses_a_set():
+    vertex_sets = [frozenset({0, 1}), frozenset({2}), frozenset({1, 3})]
+    for cover in ({1}, {0, 3}, set(), {7}):
+        with pytest.raises(ValueError, match="cover must meet every vertex set"):
+            _max_disjoint(vertex_sets, 2, cover=cover)
+    assert _max_disjoint(vertex_sets, 2, cover={1, 2, 7}) == [0, 1, 2]
 
 
 def test_max_disjoint_rejects_empty_vertex_sets_and_other_use_limits():
