@@ -276,17 +276,26 @@ def cmd_reduce(args) -> int:
 
 
 def _cert_int(value, field: str) -> int:
-    try:
+    """A certificate's integer: an int, an integral float or a decimal
+    string, but not a bool."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise CliError(f"bad certificate: {field} entry {value!r} is not an integer", PARSE_ERROR)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise CliError(f"bad certificate: {field} entry {value!r} is not an integer", PARSE_ERROR)
 
 
-def _cert_ints(values, field: str) -> frozenset:
-    try:
-        return frozenset(_cert_int(v, field) for v in values)
-    except TypeError:
-        raise CliError(f"bad certificate: {field} {values!r} is not a list of integers", PARSE_ERROR)
+def _cert_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise CliError(f"bad certificate: {field} {value!r} is not a list", PARSE_ERROR)
+    return value
+
+
+def _cert_ints(values, field: str) -> List[int]:
+    return [_cert_int(v, field) for v in _cert_list(values, field)]
 
 
 def cmd_verify(args) -> int:
@@ -296,20 +305,17 @@ def cmd_verify(args) -> int:
         raise CliError("bad certificate: expected a JSON object", PARSE_ERROR)
     kind = cert.get("type")
     if kind == "transversal":
-        listed = cert.get("vertices", ())
-        removed = _cert_ints(listed, "vertices")
-        for v in map(int, listed):  # in certificate order, each an integer by now
+        removed = _cert_ints(cert.get("vertices", []), "vertices")
+        for v in removed:  # in certificate order
             if v not in graph.vertices:
                 raise CliError(f"bad certificate: vertex {v} is not in the graph", PARSE_ERROR)
-        missed = packing.missed_cycle(graph, removed, args.limit)
+        missed = packing.missed_cycle(graph, frozenset(removed), args.limit)
         if missed is not None:
-            raise CliError(
-                f"transversal misses the doubly nonzero cycle with edges {sorted(missed.edges)}", CERT_ERROR
-            )
+            raise CliError(f"transversal misses the doubly nonzero cycle with edges {sorted(missed)}", CERT_ERROR)
         _dump({"verified": True, "type": "transversal"}, args.out)
         return 0
     if kind == "packing":
-        edge_sets = [_cert_ints(es, "cycles") for es in cert.get("cycles", ())]
+        edge_sets = [frozenset(_cert_ints(es, "cycles")) for es in _cert_list(cert.get("cycles", []), "cycles")]
         max_use = _cert_int(cert.get("max_use", 1), "max_use")
         if max_use not in (1, 2):
             raise CliError("bad certificate: max_use must be 1 or 2", PARSE_ERROR)

@@ -10,7 +10,10 @@ limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`).
 The DFS carries each step's raw label payload and folds a path's value as
 it closes the path, so an enumerated cycle keeps its coordinate values and
 zero flags without being walked again; `classify` and `walk_value` are
-for walks from outside (certificates, lemmas).
+for walks from outside (certificates, lemmas).  `enumerate_cycles` keeps
+every cycle as a `ClassifiedCycle`; `doubly_nonzero_masks`, which the exact
+packing and covering solvers read, keeps only the doubly non-zero ones, each
+as the vertex bitmask and the edge ids the DFS already holds.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ class ClassifiedCycle:
     def nonzero_in(self, i: int) -> bool:
         return not self.zero[i]
 
-    def canonical_key(self) -> Tuple[int, Tuple[int, ...]]:
-        return (len(self.edges), tuple(sorted(self.edges)))
-
 
 def coordinate_values(graph: LabeledGraph, walk) -> Tuple[groups.GroupElement, groups.GroupElement]:
     """Value of a walk in each coordinate (duplicated for single groups)."""
@@ -108,19 +108,21 @@ def _bit_steps(graph: LabeledGraph):
 
 def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: groups.Table) -> list:
     """The paths a DFS from each job closes over the `_bit_steps` adjacency,
-    as `make(vertices, edge ids, raw value)`.  A job `(node, used, closing,
-    ends)` starts from the path `node`, `(vertex, edge into it, arrival
-    payload, parent node)` back to `(start, None, None, None)`: a step by an
-    edge of the bitmask `closing` to a vertex of the bitmask `used` closes a
-    path, and a step to any other vertex extends it while a vertex of `ends`
-    is off `used`.  The raw value, in `table`'s group, is the sum of the
-    arrival payloads in path order; it is folded while the closed path is
-    read back, right to left as `add(x, total)`, so that the order holds in
-    a non-abelian group.  Raises EnumerationLimitError when more than
-    `limit` paths close."""
+    as `make(vertices, edge ids, raw value)`, left out where that is None.
+    A job `(node, used, closing, ends)` starts from the path `node`,
+    `(vertex, edge into it, arrival payload, parent node)` back to
+    `(start, None, None, None)`: a step by an edge of the bitmask `closing`
+    to a vertex of the bitmask `used` closes a path, and a step to any other
+    vertex extends it while a vertex of `ends` is off `used`.  The raw
+    value, in `table`'s group, is the sum of the arrival payloads in path
+    order; it is folded while the closed path is read back, right to left
+    as `add(x, total)`, so that the order holds in a non-abelian group.
+    Raises EnumerationLimitError when more than `limit` paths close, kept
+    or not."""
     ceiling = enumeration_limit(limit)
     add, zero = table.add, table.zero
     out = []
+    closed = 0
     for top, used, closing, ends in jobs:
         stack = [(top, used)]
         while stack:
@@ -129,10 +131,11 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
             for eid, w, wb, eb, x in adj[node[0]]:
                 if used & wb:
                     if eb & closing:
-                        if len(out) >= ceiling:
+                        if closed == ceiling:
                             raise EnumerationLimitError(
                                 f"more than {ceiling} {what}; raise {LIMIT_ENV_VAR} to continue"
                             )
+                        closed += 1
                         # lists, then one tuple each: short-lived tuples of
                         # every length would stay in the interpreter's tuple
                         # free lists and raise the process's peak memory
@@ -147,27 +150,18 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
                         verts.append(at[0])
                         verts.reverse()
                         eids.reverse()
-                        out.append(make(tuple(verts), tuple(eids), total))
+                        item = make(tuple(verts), tuple(eids), total)
+                        if item is not None:
+                            out.append(item)
                 elif grow:
                     stack.append(((w, eid, x, node), used | wb))
     return out
 
 
-def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[ClassifiedCycle]:
-    """All simple cycles (as edge sets) with classified representatives,
-    sorted by (length, sorted edge ids).  Raises EnumerationLimitError when
-    more than `limit` cycles exist.
-
-    A cycle is found from its smallest vertex, the root, and its
-    representative is the orientation that leaves the root by the later of
-    its two root edges (in `incident(root)` order among the edges to later
-    vertices) and comes back by the earlier one: the orientation a
-    last-in first-out DFS over every root edge meets first.  So the DFS
-    skips the subtree of the root's first such edge, closes a cycle in the
-    subtree of the k-th one only through an edge before k, and cuts a
-    branch once every vertex such an edge leads to is on the path (the
-    branch at one of them still closes there).  A loop closes at its root."""
-    bit, adj = _bit_steps(graph)
+def _cycle_jobs(bit, adj) -> list:
+    """The `_simple_paths` jobs that meet every cycle once, in the
+    orientation `enumerate_cycles` describes, over the `_bit_steps`
+    bitmasks `bit` and adjacency `adj`."""
     jobs = []
     # a path from `root` may use only vertices after root in sorted order,
     # so the bits of root and every earlier vertex start out used
@@ -183,19 +177,59 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
                     jobs.append(((w, eid, x, top), before | wb, closing, ends))
                 closing |= eb
                 ends |= wb
+    return jobs
+
+
+def _by_length_then_edges(eids) -> Tuple[int, List[int]]:
+    return len(eids), sorted(eids)
+
+
+def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[ClassifiedCycle]:
+    """All simple cycles (as edge sets) with classified representatives,
+    sorted by (length, sorted edge ids).  Raises EnumerationLimitError when
+    more than `limit` cycles exist.
+
+    A cycle is found from its smallest vertex, the root, and its
+    representative is the orientation that leaves the root by the later of
+    its two root edges (in `incident(root)` order among the edges to later
+    vertices) and comes back by the earlier one: the orientation a
+    last-in first-out DFS over every root edge meets first.  So the DFS
+    skips the subtree of the root's first such edge, closes a cycle in the
+    subtree of the k-th one only through an edge before k, and cuts a
+    branch once every vertex such an edge leads to is on the path (the
+    branch at one of them still closes there).  A loop closes at its root.
+    The DFS builds each representative closed and simple, so it takes
+    `Cycle.trusted`, without the checks."""
+    bit, adj = _bit_steps(graph)
     read = groups.coordinate_reader(graph.descriptor)
 
     def make(verts, eids, raw):
         values, zero = read(raw)
-        return ClassifiedCycle(frozenset(eids), Cycle(verts, eids), zero, values)
+        return ClassifiedCycle(frozenset(eids), Cycle.trusted(verts, eids), zero, values)
 
-    cycles = _simple_paths(adj, jobs, limit, "cycles", make, groups.table(graph.descriptor))
-    cycles.sort(key=lambda c: c.canonical_key())
+    cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(graph.descriptor))
+    cycles.sort(key=lambda c: _by_length_then_edges(c.rep.edges))
     return cycles
 
 
-def nonzero_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[ClassifiedCycle]:
-    return [c for c in enumerate_cycles(graph, limit) if c.doubly_nonzero]
+def doubly_nonzero_masks(graph: LabeledGraph, limit: Optional[int] = None) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The doubly non-zero cycles of `enumerate_cycles`, in its order, each
+    as `(vertex mask, edge ids)`: the `_bit_steps` bits of its vertices
+    (bit i for the i-th smallest vertex of the graph) and the edge ids of
+    its representative.  A cycle is kept by the value the DFS folds as it
+    closes the cycle, and no `Cycle`, `ClassifiedCycle` or frozenset is
+    built for any cycle.  Every closed cycle, kept or not, counts towards
+    `limit`, so the limit is `enumerate_cycles`'s."""
+    bit, adj = _bit_steps(graph)
+    nonzero = groups.doubly_nonzero_reader(graph.descriptor)
+
+    def make(verts, eids, raw):
+        # the root closes the cycle, so it is the first and the last vertex
+        return (sum(map(bit.__getitem__, verts[1:])), eids) if nonzero(raw) else None
+
+    cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(graph.descriptor))
+    cycles.sort(key=lambda c: _by_length_then_edges(c[1]))
+    return cycles
 
 
 def zero_edge_set(graph: LabeledGraph, i: int, cycles: Optional[List[ClassifiedCycle]] = None) -> FrozenSet[int]:

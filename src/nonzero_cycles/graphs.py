@@ -254,6 +254,17 @@ class Cycle(Walk):
         if len(set(self.edges)) != len(self.edges):
             raise GraphFormatError("cycle repeats an edge")
 
+    @classmethod
+    def trusted(cls, vertices: Tuple[int, ...], edges: Tuple[int, ...]) -> "Cycle":
+        """The cycle `Cycle(vertices, edges)` without the checks of
+        `__post_init__`, for a walk its maker has built closed and simple:
+        the enumerating DFS (`cycles.enumerate_cycles`).  Walks from outside
+        (certificates, lemmas) take the checked constructor."""
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "vertices", vertices)
+        object.__setattr__(cycle, "edges", edges)
+        return cycle
+
     def rooted_at(self, v: int) -> "Cycle":
         interior = self.vertices[:-1]
         if v not in interior:

@@ -396,6 +396,17 @@ def coordinate_reader(desc: GroupDescriptor) -> Callable[[Any], tuple]:
     return read
 
 
+def doubly_nonzero_reader(desc: GroupDescriptor) -> Callable[[Any], bool]:
+    """For raw payloads of `desc`, `raw -> bool`: whether both `coordinates`
+    of the element `raw` stands for are non-zero, that is, neither zero flag
+    of `coordinate_reader` is set, read without building the element."""
+    if desc.kind == KIND_DIRECT_SUM:
+        left, right = table(desc.parts[0]).zero, table(desc.parts[1]).zero
+        return lambda raw: raw[0] != left and raw[1] != right
+    zero = table(desc).zero
+    return lambda raw: raw != zero
+
+
 def random_element(desc: GroupDescriptor, rng, span: int = 4) -> GroupElement:
     """Draw a pseudo-random element (used by generators and fuzz tests)."""
     t = table(desc)

@@ -558,7 +558,7 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
                 continue
             seen.add(cycle.edge_set())
             cycles.append(cycle)
-    chosen = packing._max_disjoint([c.vertex_set() for c in cycles], max_use=2)
+    chosen = packing._max_disjoint(packing._vertex_masks([c.vertex_set() for c in cycles])[0], max_use=2)
     return [cycles[i] for i in chosen]
 
 
@@ -580,7 +580,8 @@ def _exact_transversal(inst: WallInstance, first: Optional[Cycle]) -> FrozenSet[
     cycle = first
     while cycle is not None:
         found.append(cycle.vertex_set())
-        hit = packing._min_hitting_set(found, at_least=len(hit))
+        masks, order = packing._vertex_masks(found)
+        hit = packing._mask_vertices(packing._min_hitting_set(masks, at_least=len(hit)), order)
         cycle = _find_cycle(inst, hit)
     return hit
 

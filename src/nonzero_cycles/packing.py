@@ -3,8 +3,11 @@
 All solvers enumerate candidate cycles/paths explicitly and then run a
 deterministic branch-and-bound; ties break lexicographically on sorted
 edge-id tuples.  Intended for desk-scale instances.  Both searches read
-vertex sets as the int bitmasks of `_vertex_masks` and keep their open
-branches on an explicit stack.
+vertex sets as int bitmasks, bit i for the i-th smallest vertex, and keep
+their open branches on an explicit stack.  The doubly non-zero cycles come
+as masks straight from the enumerating DFS (`cycles.doubly_nonzero_masks`);
+`_vertex_masks` is the adapter for callers that hold vertex sets (A-paths
+here, and the wall solver's witness cycles in `obstructions`).
 
 The packing search (`_max_disjoint`, for ν with each vertex used once and
 ν½ with each vertex used at most twice) hands each branch only the
@@ -30,13 +33,13 @@ included, and are kept by the value that DFS folds as it closes each one.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
+import functools
+import operator
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import groups
-from .cycles import ClassifiedCycle, _bit_steps, _simple_paths, classify, enumerate_cycles, nonzero_cycles
+from .cycles import _bit_steps, _by_length_then_edges, _simple_paths, classify, doubly_nonzero_masks
 from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges
 
 
@@ -53,27 +56,37 @@ class PackCoverReport:
     transversal: FrozenSet[int]
 
 
-def _vertex_masks(sets: Sequence[AbstractSet[int]]) -> Tuple[List[int], Dict[int, int]]:
-    """Each (non-empty) vertex set as an int bitmask, and the bit of each
-    vertex: bit i for the i-th smallest vertex of the union, in that order."""
-    if not all(sets):
+def _vertex_masks(sets: Sequence[AbstractSet[int]]) -> Tuple[List[int], List[int]]:
+    """Each vertex set as an int bitmask, and the vertex of each bit: bit i
+    for the i-th smallest vertex of the union, `order[i]`."""
+    order = sorted(set().union(*sets))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    return [sum(map(bit.__getitem__, s)) for s in sets], order
+
+
+def _mask_vertices(mask: int, order: Sequence[int]) -> FrozenSet[int]:
+    """The vertices of `mask`, bit i standing for `order[i]`."""
+    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+
+
+def _union(masks: Sequence[int]) -> int:
+    """The union of vertex masks; ValueError if one of them is empty."""
+    if not all(masks):
         raise ValueError("every vertex set must be non-empty")
-    bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*sets)))}
-    return [sum(map(bit.__getitem__, s)) for s in sets], bit
+    return functools.reduce(operator.or_, masks, 0)
 
 
-def _max_disjoint(
-    vertex_sets: Sequence[AbstractSet[int]], max_use: int, cover: Optional[AbstractSet[int]] = None
-) -> List[int]:
-    """Largest selection of vertex sets that uses every vertex at most
+def _max_disjoint(masks: Sequence[int], max_use: int, cover: Optional[int] = None) -> List[int]:
+    """Largest selection of vertex masks that uses every vertex at most
     `max_use` times (1 or 2); returns the indices of the lexicographically
     smallest such selection.
 
-    Two equal sets (distinct cycles through the same vertices) may both be
-    chosen.  Sets must be non-empty, which keeps the capacity bound finite.
-    `cover`, when given, is a vertex set X that meets every set (ValueError
-    otherwise), such as a transversal: each chosen set then takes a use of
-    a vertex of X, so no selection exceeds `max_use * |X|`.
+    Two equal masks (distinct cycles through the same vertices) may both be
+    chosen.  Masks must be non-empty, which keeps the capacity bound finite.
+    `cover`, when given, is the mask of a vertex set X that meets every mask
+    (ValueError otherwise), such as a transversal: each chosen set then
+    takes a use of a vertex of X, so no selection exceeds `max_use * |X|`.
+    Only vertices of the union of the masks count, in X as in the capacity.
 
     The search carries `once`, the vertices one more use would fill (with
     `max_use=1` every vertex starts there), and `full`, the vertices used
@@ -90,9 +103,9 @@ def _max_disjoint(
     """
     if max_use not in (1, 2):
         raise ValueError("max_use must be 1 or 2")
-    masks, bit = _vertex_masks(vertex_sets)
-    sizes = [len(s) for s in vertex_sets]
-    xmask = sum(b for v, b in bit.items() if v in cover) if cover is not None else 0
+    union = _union(masks)
+    sizes = [m.bit_count() for m in masks]
+    xmask = cover & union if cover is not None else 0
     if cover is not None and not all(m & xmask for m in masks):
         raise ValueError("cover must meet every vertex set")
     xsize = xmask.bit_count()
@@ -112,9 +125,9 @@ def _max_disjoint(
         return depth + min(len(cands), room) > len(best)
 
     cands = list(range(len(masks)))
-    once = (1 << len(bit)) - 1 if max_use == 1 else 0
+    once = union if max_use == 1 else 0
     full = 0
-    capacity = max_use * len(bit)
+    capacity = max_use * union.bit_count()
     k = 0 if cands and promising(cands, once, full, capacity, 0) else len(cands)
     while True:
         if k == len(cands) or len(chosen) + len(cands) - k <= len(best):
@@ -151,8 +164,30 @@ def _disjoint_count(masks: List[int]) -> int:
     return count
 
 
-def _min_hitting_set(sets: Sequence[AbstractSet[int]], at_least: int = 0) -> FrozenSet[int]:
-    """Exact minimum vertex set meeting every set; deterministic.  It stops
+def _most_frequent_bit(masks: Sequence[int]) -> int:
+    """The bit set in the most of the (non-empty) masks, the lowest of
+    those tied.  The counts are bit-sliced: bit b of `counts[k]` is bit k of
+    the count of bit b, so each mask is added to every count at once, with
+    a carry as long as the binary addition needs."""
+    counts: List[int] = []
+    for carry in masks:
+        for k, c in enumerate(counts):
+            counts[k], carry = c ^ carry, c & carry
+            if not carry:
+                break
+        else:
+            counts.append(carry)
+    # from the highest count bit down, keep the bits whose count has it
+    top = functools.reduce(operator.or_, counts)
+    for c in reversed(counts):
+        if top & c:
+            top &= c
+    return top & -top
+
+
+def _min_hitting_set(masks: Sequence[int], at_least: int = 0) -> int:
+    """Exact minimum vertex set meeting every (non-empty) vertex mask, as a
+    mask; deterministic, with bit i for the i-th smallest vertex.  It stops
     at a hitting set of `at_least` vertices, a proved lower bound (or 0).
     The greedy set (the vertex in most unmet sets, ties to the smaller) is
     the first incumbent, replaced only by a strictly smaller hitting set.
@@ -162,19 +197,20 @@ def _min_hitting_set(sets: Sequence[AbstractSet[int]], at_least: int = 0) -> Fro
     incumbent.  So the answer is the greedy set when that is optimal, and
     otherwise the first optimum in branch order, for any valid `at_least`.
     """
-    masks, bit = _vertex_masks(sets)
+    width = _union(masks).bit_length()
     best = 0
-    remaining = range(len(masks))
-    while remaining:
-        counts = Counter(itertools.chain.from_iterable(sets[i] for i in remaining))
-        v = bit[min(counts, key=lambda u: (-counts[u], u))]
+    unmet = masks
+    while unmet:
+        v = _most_frequent_bit(unmet)
         best |= v
-        remaining = [i for i in remaining if not masks[i] & v]
+        unmet = [m for m in unmet if not m & v]
     size = best.bit_count()
     # open branches: (unmet masks, chosen, its size, bound, untried pivot bits)
     stack = []
     if size > max(at_least, _disjoint_count(masks)):
-        unmet = [masks[i] for i in sorted(range(len(sets)), key=lambda i: (len(sets[i]), sorted(sets[i])))]
+        # the bits reversed make one set of a size sort before another when
+        # the lowest vertex the two do not share is its own
+        unmet = sorted(masks, key=lambda m: (m.bit_count(), -int(f"{m:0{width}b}"[::-1], 2)))
         stack.append((unmet, 0, 0, 0, unmet[0]))
     while stack:
         unmet, chosen, depth, lb, pending = stack.pop()
@@ -189,39 +225,41 @@ def _min_hitting_set(sets: Sequence[AbstractSet[int]], at_least: int = 0) -> Fro
             best, size = chosen | v, depth + 1
             if size <= at_least:
                 break
-    return frozenset(v for v, b in bit.items() if best & b)
+    return best
 
 
 def pack_and_cover(graph: LabeledGraph, limit: Optional[int] = None) -> PackCoverReport:
     """Exact nu, nu_half and tau over the doubly-nonzero cycles: nu first,
     as tau's lower bound, then tau, whose transversal caps the nu_half
     search."""
-    cycles = nonzero_cycles(graph, limit)
-    vertex_sets = [c.rep.vertex_set() for c in cycles]
-    pack_idx = _max_disjoint(vertex_sets, max_use=1)
-    transversal = _min_hitting_set(vertex_sets, at_least=len(pack_idx))
-    half_idx = _max_disjoint(vertex_sets, max_use=2, cover=transversal)
+    found = doubly_nonzero_masks(graph, limit)
+    masks = [m for m, _ in found]
+    pack_idx = _max_disjoint(masks, max_use=1)
+    transversal = _min_hitting_set(masks, at_least=len(pack_idx))
+    half_idx = _max_disjoint(masks, max_use=2, cover=transversal)
     return PackCoverReport(
         nu=len(pack_idx),
         nu_half=len(half_idx),
-        tau=len(transversal),
-        packing=tuple(cycles[i].edges for i in pack_idx),
-        half_packing=tuple(cycles[i].edges for i in half_idx),
-        transversal=transversal,
+        tau=transversal.bit_count(),
+        packing=tuple(frozenset(found[i][1]) for i in pack_idx),
+        half_packing=tuple(frozenset(found[i][1]) for i in half_idx),
+        transversal=_mask_vertices(transversal, sorted(graph.vertices)),
     )
 
 
 def min_transversal(graph: LabeledGraph, limit: Optional[int] = None) -> FrozenSet[int]:
     """Exact minimum vertex set meeting every doubly-nonzero cycle: the
     transversal of `pack_and_cover`, without the two packing searches."""
-    return _min_hitting_set([c.rep.vertex_set() for c in nonzero_cycles(graph, limit)])
+    masks = [m for m, _ in doubly_nonzero_masks(graph, limit)]
+    return _mask_vertices(_min_hitting_set(masks), sorted(graph.vertices))
 
 
-def missed_cycle(graph: LabeledGraph, transversal, limit: Optional[int] = None) -> Optional[ClassifiedCycle]:
-    """The first doubly-nonzero cycle of the graph minus `transversal`, in
-    `enumerate_cycles` order, or None when the transversal meets them all."""
-    rest = graph.without_vertices(transversal)
-    return next((c for c in enumerate_cycles(rest, limit) if c.doubly_nonzero), None)
+def missed_cycle(graph: LabeledGraph, transversal, limit: Optional[int] = None) -> Optional[Tuple[int, ...]]:
+    """The edge ids of the first doubly-nonzero cycle of the graph minus
+    `transversal`, in `enumerate_cycles` order (as its representative
+    lists them), or None when the transversal meets them all."""
+    found = doubly_nonzero_masks(graph.without_vertices(transversal), limit)
+    return found[0][1] if found else None
 
 
 def verify_transversal(graph: LabeledGraph, transversal, limit: Optional[int] = None) -> bool:
@@ -285,16 +323,15 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
             ends |= wb
     # every closed path counts towards the limit; only the nonzero ones are kept
     paths = _simple_paths(adj, jobs, limit, "A-paths", lambda vs, es, raw: None if raw == t.zero else Walk(vs, es), t)
-    hot = [w for w in paths if w is not None]
-    hot.sort(key=lambda w: (len(w.edges), tuple(sorted(w.edges))))
-    return hot
+    paths.sort(key=lambda w: _by_length_then_edges(w.edges))
+    return paths
 
 
 def a_path_pack_and_cover(graph: LabeledGraph, terminals, limit: Optional[int] = None) -> APathReport:
     paths = enumerate_nonzero_a_paths(graph, terminals, limit)
-    vertex_sets = [frozenset(w.vertices) for w in paths]
-    pack_idx = _max_disjoint(vertex_sets, max_use=1)
-    cover = _min_hitting_set(vertex_sets, at_least=len(pack_idx))
+    masks, order = _vertex_masks([frozenset(w.vertices) for w in paths])
+    pack_idx = _max_disjoint(masks, max_use=1)
+    cover = _mask_vertices(_min_hitting_set(masks, at_least=len(pack_idx)), order)
     nu, tau = len(pack_idx), len(cover)
     return APathReport(
         nu=nu,

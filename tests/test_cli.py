@@ -105,7 +105,7 @@ def test_verify_packing_max_use_other_than_one_or_two_is_parse_error(max_use, tm
     cert = tmp_path / "c.json"
     run(["gen", "escher", "--h", "2", "--out", str(inst)], capsys)
     graph = decode_graph(json.loads(inst.read_text())["graph"])
-    found = cycles.nonzero_cycles(graph)[:3]
+    found = [c for c in cycles.enumerate_cycles(graph) if c.doubly_nonzero][:3]
     assert len(found) == 3
     cert.write_text(json.dumps({"type": "packing", "cycles": [sorted(c.edges) for c in found], "max_use": max_use}))
     code, out, err = run(["verify", str(inst), str(cert)], capsys)
@@ -367,12 +367,24 @@ def test_analyze_stdout_on_labelled_3_walls_is_pinned(case, tmp_path, capsys):
         {"type": "transversal", "vertices": [0, None]},
         {"type": "obstruction", "h": "x"},
         [{"type": "packing", "cycles": []}],
+        # neither read as the integer they truncate to nor as 1 for true
+        {"type": "transversal", "vertices": [0.9]},
+        {"type": "packing", "cycles": [[0, 1, 12.7]]},
+        {"type": "obstruction", "h": 2.9},
+        {"type": "packing", "cycles": [], "max_use": True},
+        {"type": "transversal", "vertices": [True]},
+        # lists only: no number, and no string read digit by digit
+        {"type": "packing", "cycles": 5},
+        {"type": "packing", "cycles": ["012"]},
+        {"type": "transversal", "vertices": "01"},
     ],
 )
 def test_verify_non_integer_certificate_entries_are_parse_errors(cert, tmp_path, capsys):
-    inst = tmp_path / "e.json"
+    # on the graph of `gen random --seed 2 --max-n 8 --max-m 14`, where {0}
+    # is a transversal and [0, 1, 12] a cycle of the packing
+    inst = tmp_path / "r.json"
     cfile = tmp_path / "c.json"
-    run(["gen", "escher", "--h", "1", "--out", str(inst)], capsys)
+    run(["gen", "random", "--seed", "2", "--max-n", "8", "--max-m", "14", "--out", str(inst)], capsys)
     cfile.write_text(json.dumps(cert))
     code, out, err = run(["verify", str(inst), str(cfile)], capsys)
     assert code == 2
@@ -390,6 +402,27 @@ def test_verify_transversal_naming_a_vertex_not_in_the_graph_is_parse_error(vert
     code, out, err = run(["verify", str(inst), str(cfile)], capsys)
     assert (code, out) == (2, "")
     assert err == f"bad certificate: vertex {named} is not in the graph\n"
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        {"type": "transversal", "vertices": ["0"]},
+        {"type": "transversal", "vertices": [0.0]},
+        {"type": "packing", "cycles": [["0", 1.0, 12]], "max_use": "1"},
+        {"type": "packing", "cycles": [[0, 1, 12], [0, 5, 9, 12]], "max_use": 2.0},
+    ],
+)
+def test_verify_reads_decimal_strings_and_integral_floats_as_integers(cert, tmp_path, capsys):
+    # the graph of `gen random --seed 2 --max-n 8 --max-m 14`, where {0}
+    # is a transversal and the cycles above are pack's packings
+    inst = tmp_path / "r.json"
+    cfile = tmp_path / "c.json"
+    run(["gen", "random", "--seed", "2", "--max-n", "8", "--max-m", "14", "--out", str(inst)], capsys)
+    cfile.write_text(json.dumps(cert))
+    code, out, err = run(["verify", str(inst), str(cfile)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"verified": True, "type": cert["type"]}
 
 
 def test_analyze_leaves_no_descriptor_or_table_to_the_collector(tmp_path, capsys):
@@ -517,7 +550,9 @@ def test_reduce_unknown_vertex_ids_are_parse_errors(option, tmp_path, capsys):
 # 9-vertex, 16-edge graph labelled in sum(z2,z3), and two plain graphs
 # encoded by `reduce odd` and `reduce s1s2`.  The digests of `pack`'s stdout
 # were recorded before the packing search took the transversal as a cover
-# bound, which must change no answer.
+# bound, which must change no answer; those of `cover`'s stdout, and the
+# messages of `verify` on transversals that miss a cycle, before the
+# solvers read the vertex masks of the enumerating DFS.
 SWEEP_PACK_CASES = {
     "sum_z2_z3": {
         "edges": [[0, 1], [1, 2], [1, 5], [1, 6], [1, 8], [2, 4], [2, 5], [2, 6],
@@ -526,25 +561,29 @@ SWEEP_PACK_CASES = {
                    [1, 0], [1, 1], [0, 0], [0, 2], [0, 0], [1, 0], [0, 0], [0, 1]],
         "reduce": None,
         "digest": "fe145cd7a1568df72cc4c7a9e8cbab900f11badf3fe53806c90e449c3ee8279a",
+        "cover_digest": "107ce8515ce3ec95cd7b3b7e61228f62f09d2892235739a94b3b5da74e4a3a5d",
+        "missed": {(): [1, 2, 6], (1,): [5, 7, 10]},
     },
     "reduce_odd": {
         "edges": [[0, 1], [0, 4], [0, 7], [1, 2], [1, 3], [1, 4], [1, 6], [1, 7],
                   [2, 3], [2, 5], [2, 6], [2, 8], [3, 5], [4, 8], [5, 7], [6, 7]],
         "reduce": ["odd"],
         "digest": "f2202b7d12672ef677c906a6ce820d66bbb6b904e6ff74d93fa0c11420e9a19f",
+        "cover_digest": "8dd7ef1ab62b27d0daa2c7a8a983b0a0ac1c2e7cd658f96c18c99c16aa545fe9",
+        "missed": {(): [0, 1, 5], (1,): [8, 9, 12]},
     },
     "reduce_s1s2": {
         "edges": [[0, 4], [0, 5], [0, 8], [1, 3], [2, 3], [2, 4], [2, 5], [2, 6],
                   [2, 7], [3, 4], [3, 5], [3, 6], [3, 7], [4, 6], [5, 8], [7, 8]],
         "reduce": ["s1s2", "--s1", "1,5", "--s2", "0,6"],
         "digest": "191bc2f594ee1e375249f76d75a02eca42a21274efd76a5c780ab2cbe21dd706",
+        "cover_digest": "31c8f3bf761b01d5adbbb13423dffc0278afe65904cd0818e451d89353d8ed7e",
+        "missed": {(): [1, 2, 14], (1,): [1, 2, 14]},
     },
 }
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_PACK_CASES))
-def test_pack_stdout_on_sweep_instances_is_pinned(name, tmp_path, capsys):
-    case = SWEEP_PACK_CASES[name]
+def write_sweep_instance(case, tmp_path, capsys):
     inst = tmp_path / "g.json"
     if case["reduce"] is None:
         edges = [{"id": k, "tail": u, "head": v, "label": lab}
@@ -556,6 +595,56 @@ def test_pack_stdout_on_sweep_instances_is_pinned(name, tmp_path, capsys):
         plain.write_text(json.dumps({"group": "z", "vertices": list(range(9)), "edges": edges}))
         code, _, _ = run(["reduce", str(plain), *case["reduce"], "--out", str(inst)], capsys)
         assert code == 0
+    return inst
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PACK_CASES))
+def test_pack_stdout_on_sweep_instances_is_pinned(name, tmp_path, capsys):
+    case = SWEEP_PACK_CASES[name]
+    inst = write_sweep_instance(case, tmp_path, capsys)
     code, out, err = run(["pack", str(inst)], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == case["digest"]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PACK_CASES))
+def test_cover_stdout_on_sweep_instances_is_pinned(name, tmp_path, capsys):
+    case = SWEEP_PACK_CASES[name]
+    inst = write_sweep_instance(case, tmp_path, capsys)
+    code, out, err = run(["cover", str(inst)], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == case["cover_digest"]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PACK_CASES))
+def test_verify_names_the_first_doubly_nonzero_cycle_a_transversal_misses(name, tmp_path, capsys):
+    # the first in `enumerate_cycles` order of the graph minus the vertices
+    case = SWEEP_PACK_CASES[name]
+    inst = write_sweep_instance(case, tmp_path, capsys)
+    cert = tmp_path / "c.json"
+    for vertices, edges in case["missed"].items():
+        cert.write_text(json.dumps({"type": "transversal", "vertices": list(vertices)}))
+        code, out, err = run(["verify", str(inst), str(cert)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"transversal misses the doubly nonzero cycle with edges {edges}\n"
+
+
+def test_pack_cover_and_verify_stop_at_the_limit_analyze_stops_at(tmp_path, capsys):
+    # five parallel edges labelled 1, 0, 0, 0, 0 in z: ten cycles, and only
+    # the four through the edge labelled 1 are non-zero; every cycle counts
+    edges = [{"id": i, "tail": 0, "head": 1, "label": str(x)} for i, x in enumerate((1, 0, 0, 0, 0))]
+    inst = tmp_path / "b.json"
+    inst.write_text(json.dumps({"group": "z", "vertices": [0, 1], "edges": edges}))
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"type": "transversal", "vertices": []}))
+    argvs = [["analyze", str(inst), "--checks", "classify"], ["pack", str(inst)], ["cover", str(inst)],
+             ["verify", str(inst), str(cert)]]
+    for limit in (0, 4, 9):
+        for argv in argvs:
+            code, out, err = run([*argv, "--limit", str(limit)], capsys)
+            assert (code, out) == (3, "")
+            assert err == f"more than {limit} cycles; raise NONZERO_CYCLES_LIMIT to continue\n"
+    codes = [run([*argv, "--limit", "10"], capsys)[0] for argv in argvs]
+    assert codes == [0, 0, 0, 1]
+    code, out, _ = run(argvs[0], capsys)
+    assert json.loads(out)["classify"]["doubly_nonzero"] == 4

@@ -10,9 +10,9 @@ from nonzero_cycles.cycles import (
     EnumerationLimitError,
     _coordinate_abelian,
     coordinate_values,
+    doubly_nonzero_masks,
     enumerate_cycles,
     is_robust,
-    nonzero_cycles,
     rooted_coordinate_values,
     zero_edge_set,
 )
@@ -116,8 +116,7 @@ def test_nonzero_cycles_direct_sum():
         Edge(2, 0, 1, groups.element(desc, (0, 0))),
     ]
     g = LabeledGraph(desc, [0, 1], edges)
-    hot = nonzero_cycles(g)
-    assert [sorted(c.edges) for c in hot] == [[0, 1]]
+    assert doubly_nonzero_masks(g) == [(0b11, (1, 0))]
 
 
 def test_is_robust_detects_confusable_pair():
@@ -352,3 +351,53 @@ def test_mask_pair_scan_matches_all_pairs_reference():
         if not got[0]:
             seen.add(_coordinate_abelian(g.descriptor, got[1][0]))
     assert seen == {True, False}  # witnesses in abelian and non-abelian coordinates
+
+
+def test_doubly_nonzero_masks_are_the_doubly_nonzero_cycles_in_order():
+    # the mask has bit i for the i-th smallest vertex of the graph, isolated
+    # vertices included, and the edge ids are the representative's
+    rng = random.Random(2026)
+    graphs = comparison_graphs()[::2]
+    for text in ("z", "z5", "za2", "free2", "q(2,4,0)", "sum(z,free2)", "sum(free2,free2)"):
+        graphs += [random_multigraph(rng, groups.parse_descriptor(text)) for _ in range(20)]
+    kept = dropped = 0
+    for g in graphs:
+        bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
+        found = enumerate_cycles(g)
+        expected = [
+            (sum(bit[v] for v in c.rep.vertex_set()), c.rep.edges) for c in found if c.doubly_nonzero
+        ]
+        assert doubly_nonzero_masks(g) == expected
+        kept += len(expected)
+        dropped += len(found) - len(expected)
+    assert kept > 300 and dropped > 300
+
+
+def test_doubly_nonzero_masks_count_every_cycle_towards_the_limit():
+    # a bundle of four parallel edges labelled 1, 1, 0, 0 in z: six cycles,
+    # of which only the four mixed pairs are non-zero
+    g = parallel_bundle([1, 1, 0, 0])
+    assert len(enumerate_cycles(g)) == 6 and len(doubly_nonzero_masks(g)) == 4
+    for limit in range(6):
+        for enumerate_ in (enumerate_cycles, doubly_nonzero_masks):
+            with pytest.raises(EnumerationLimitError, match=f"more than {limit} cycles"):
+                enumerate_(g, limit=limit)
+    assert len(doubly_nonzero_masks(g, limit=6)) == 4
+
+
+def test_enumerated_cycles_equal_checked_cycles():
+    # `enumerate_cycles` builds its representatives without the checks of
+    # `Cycle`; each equals the checked cycle on the same walk, and follows
+    # the graph's edges, on multigraphs with loops and parallel edges
+    rng = random.Random(2027)
+    graphs = [random_multigraph(rng, DESCRIPTORS[k % len(DESCRIPTORS)]) for k in range(150)]
+    loops = parallel = 0
+    for g in graphs:
+        for c in enumerate_cycles(g):
+            checked = Cycle(c.rep.vertices, c.rep.edges)
+            assert type(c.rep) is Cycle
+            assert c.rep == checked and hash(c.rep) == hash(checked)
+            checked.validate(g)
+            loops += len(c.edges) == 1
+            parallel += len(c.edges) == 2
+    assert loops > 50 and parallel > 50

@@ -44,7 +44,7 @@ from nonzero_cycles.obstructions import (
     verify_obstruction,
 )
 from nonzero_cycles.walls import _elementary, elementary_wall
-from test_packing import reference_min_hitting_set
+from test_packing import max_disjoint, min_hitting_set, reference_min_hitting_set
 
 Z2 = groups.cyclic(2)
 Z3 = groups.cyclic(3)
@@ -397,9 +397,9 @@ def test_nu_counts_a_third_disjoint_cycle_like_enumeration():
         wall,
         [("A1", top[0], top[1], one), ("A2", bottom[0], bottom[1], one), ("A3", top[-1], bottom[-1], one)],
     )
-    found = cycles.nonzero_cycles(inst.graph)
+    found = [c for c in cycles.enumerate_cycles(inst.graph) if c.doubly_nonzero]
     assert len(found) == 1046
-    nu = len(packing._max_disjoint([c.rep.vertex_set() for c in found], max_use=1))
+    nu = len(max_disjoint([c.rep.vertex_set() for c in found], max_use=1))
     assert verify_instance(inst, 1)["nu"] == nu == 3
 
 
@@ -485,8 +485,8 @@ def test_min_hitting_set_matches_the_old_search_on_witness_lists(inst):
     # after i witnesses the old search chose asked[i]; the loop's bound is
     # the size of the X before it
     for i in range(1, len(found) + 1):
-        assert packing._min_hitting_set(found[:i]) == asked[i]
-        assert packing._min_hitting_set(found[:i], at_least=len(asked[i - 1])) == asked[i]
+        assert min_hitting_set(found[:i]) == asked[i]
+        assert min_hitting_set(found[:i], at_least=len(asked[i - 1])) == asked[i]
     assert _exact_transversal(inst, _find_cycle(inst)) == hit
 
 
@@ -601,7 +601,7 @@ def _reference_half_integral_family(inst):
             if cycle.edge_set() not in seen:
                 seen.add(cycle.edge_set())
                 cycles_.append(cycle)
-    chosen = packing._max_disjoint([c.vertex_set() for c in cycles_], max_use=2)
+    chosen = max_disjoint([c.vertex_set() for c in cycles_], max_use=2)
     return [cycles_[i] for i in chosen]
 
 

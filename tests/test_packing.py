@@ -10,8 +10,11 @@ from nonzero_cycles.cycles import LIMIT_ENV_VAR, EnumerationLimitError, enumerat
 from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, walk_value
 from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
+    _mask_vertices,
     _max_disjoint,
     _min_hitting_set,
+    _most_frequent_bit,
+    _vertex_masks,
     a_path_pack_and_cover,
     enumerate_nonzero_a_paths,
     missed_cycle,
@@ -22,6 +25,19 @@ from nonzero_cycles.packing import (
 
 ZZ = groups.direct_sum(groups.cyclic(3), groups.cyclic(3))
 Z3 = groups.cyclic(3)
+
+
+def max_disjoint(vertex_sets, max_use, cover=None):
+    """`_max_disjoint` over vertex sets, read through `_vertex_masks`."""
+    masks, order = _vertex_masks(vertex_sets)
+    xmask = None if cover is None else sum(1 << i for i, v in enumerate(order) if v in cover)
+    return _max_disjoint(masks, max_use, xmask)
+
+
+def min_hitting_set(sets, at_least=0):
+    """`_min_hitting_set` over vertex sets, read through `_vertex_masks`."""
+    masks, order = _vertex_masks(sets)
+    return _mask_vertices(_min_hitting_set(masks, at_least), order)
 
 
 def random_graph(desc, rng, n_max=7, m_max=11):
@@ -90,29 +106,35 @@ def brute_force_hitting_number(sets):
 
 
 def test_pack_and_cover_matches_brute_force():
+    # sum(z3,z3), then groups whose raw values are pairs, words and vectors:
+    # a free summand, two free summands, and z2 + z4 + z as a quotient
     rng = random.Random(21)
-    done = 0
-    while done < 60:
-        g = random_graph(ZZ, rng)
-        cycles = [c for c in enumerate_cycles(g) if c.doubly_nonzero]
-        if len(cycles) > 12:
-            continue
-        done += 1
-        report = pack_and_cover(g)
-        assert report.nu == brute_force_nu(g, 1)
-        assert report.nu_half == brute_force_nu(g, 2)
-        assert report.tau == brute_force_tau(g)
-        # the witnesses are the lexicographically first optima over the
-        # cycles in enumeration order
-        vertex_sets = [c.rep.vertex_set() for c in cycles]
-        for found, max_use in ((report.packing, 1), (report.half_packing, 2)):
-            assert found == tuple(cycles[i].edges for i in lexmin_max_disjoint(vertex_sets, max_use))
-        assert verify_packing(g, report.packing, max_use=1)
-        assert verify_packing(g, report.half_packing, max_use=2)
-        assert verify_transversal(g, report.transversal)
-        # structural relations
-        assert report.nu <= report.nu_half
-        assert report.nu <= report.tau
+    texts = ("sum(z,free2)", "sum(free2,free2)", "q(2,4,0)")
+    for desc, count in [(ZZ, 60)] + [(groups.parse_descriptor(text), 25) for text in texts]:
+        done = hot = 0
+        while done < count:
+            g = random_graph(desc, rng)
+            cycles = [c for c in enumerate_cycles(g) if c.doubly_nonzero]
+            if len(cycles) > 12:
+                continue
+            done += 1
+            hot += bool(cycles)
+            report = pack_and_cover(g)
+            assert report.nu == brute_force_nu(g, 1)
+            assert report.nu_half == brute_force_nu(g, 2)
+            assert report.tau == brute_force_tau(g)
+            # the witnesses are the lexicographically first optima over the
+            # cycles in enumeration order
+            vertex_sets = [c.rep.vertex_set() for c in cycles]
+            for found, max_use in ((report.packing, 1), (report.half_packing, 2)):
+                assert found == tuple(cycles[i].edges for i in lexmin_max_disjoint(vertex_sets, max_use))
+            assert verify_packing(g, report.packing, max_use=1)
+            assert verify_packing(g, report.half_packing, max_use=2)
+            assert verify_transversal(g, report.transversal)
+            # structural relations
+            assert report.nu <= report.nu_half
+            assert report.nu <= report.tau
+        assert hot > count // 3
 
 
 def test_missed_cycle_is_the_first_surviving_doubly_nonzero_cycle():
@@ -122,7 +144,7 @@ def test_missed_cycle_is_the_first_surviving_doubly_nonzero_cycle():
         g = random_graph(ZZ, rng)
         for removed in (frozenset(), frozenset(rng.sample(sorted(g.vertices), 1))):
             survivors = [c for c in enumerate_cycles(g.without_vertices(removed)) if c.doubly_nonzero]
-            assert missed_cycle(g, removed) == (survivors[0] if survivors else None)
+            assert missed_cycle(g, removed) == (survivors[0].rep.edges if survivors else None)
             assert verify_transversal(g, removed) == (not survivors)
             missed += bool(survivors)
     assert 10 < missed < 70
@@ -283,7 +305,7 @@ def test_max_disjoint_is_lexmin_optimum_on_random_families(max_use):
         vertex_sets = random_family(rng)
         loops += any(len(vs) == 1 for vs in vertex_sets)
         shared += len(set(vertex_sets)) < len(vertex_sets)
-        assert _max_disjoint(vertex_sets, max_use) == lexmin_max_disjoint(vertex_sets, max_use)
+        assert max_disjoint(vertex_sets, max_use) == lexmin_max_disjoint(vertex_sets, max_use)
     assert loops > 60 and shared > 60
 
 
@@ -300,7 +322,7 @@ def test_max_disjoint_is_lexmin_optimum_on_a_path_families(max_use):
         done += 1
         vertex_sets = [frozenset(w.vertices) for w in paths]
         expected = lexmin_max_disjoint(vertex_sets, max_use)
-        assert _max_disjoint(vertex_sets, max_use) == expected
+        assert max_disjoint(vertex_sets, max_use) == expected
         if max_use == 1:
             report = a_path_pack_and_cover(g, terms)
             assert report.packing == tuple(paths[i] for i in expected)
@@ -309,7 +331,7 @@ def test_max_disjoint_is_lexmin_optimum_on_a_path_families(max_use):
 def larger_hitting_set(vertex_sets, rng):
     """A hitting set with a vertex more than the minimum, where the union
     has one to spare, else the minimum itself."""
-    least = _min_hitting_set(vertex_sets)
+    least = min_hitting_set(vertex_sets)
     spare = sorted(set().union(*vertex_sets) - least)
     return least | set(rng.sample(spare, min(len(spare), rng.randint(1, 3))))
 
@@ -324,11 +346,11 @@ def test_max_disjoint_with_a_cover_is_the_same_lexmin_optimum(max_use):
     for _ in range(250):
         vertex_sets = random_family(rng)
         expected = lexmin_max_disjoint(vertex_sets, max_use)
-        assert _max_disjoint(vertex_sets, max_use) == expected
+        assert max_disjoint(vertex_sets, max_use) == expected
         union = set().union(*vertex_sets)
-        for cover in (_min_hitting_set(vertex_sets), larger_hitting_set(vertex_sets, rng), union):
-            assert _max_disjoint(vertex_sets, max_use, cover=cover) == expected
-        capped += len(expected) == max_use * len(_min_hitting_set(vertex_sets)) > 0
+        for cover in (min_hitting_set(vertex_sets), larger_hitting_set(vertex_sets, rng), union):
+            assert max_disjoint(vertex_sets, max_use, cover=cover) == expected
+        capped += len(expected) == max_use * len(min_hitting_set(vertex_sets)) > 0
     assert capped > 30  # the search often stops at the cover's capacity
 
 
@@ -342,23 +364,68 @@ def test_max_disjoint_with_a_cover_on_the_cycles_of_random_graphs(max_use):
         if not vertex_sets or len(vertex_sets) > 12:
             continue
         done += 1
-        cover = _min_hitting_set(vertex_sets)
-        assert _max_disjoint(vertex_sets, max_use, cover=cover) == lexmin_max_disjoint(vertex_sets, max_use)
+        cover = min_hitting_set(vertex_sets)
+        assert max_disjoint(vertex_sets, max_use, cover=cover) == lexmin_max_disjoint(vertex_sets, max_use)
 
 
 def test_max_disjoint_rejects_a_cover_that_misses_a_set():
     vertex_sets = [frozenset({0, 1}), frozenset({2}), frozenset({1, 3})]
     for cover in ({1}, {0, 3}, set(), {7}):
         with pytest.raises(ValueError, match="cover must meet every vertex set"):
-            _max_disjoint(vertex_sets, 2, cover=cover)
-    assert _max_disjoint(vertex_sets, 2, cover={1, 2, 7}) == [0, 1, 2]
+            max_disjoint(vertex_sets, 2, cover=cover)
+    assert max_disjoint(vertex_sets, 2, cover={1, 2, 7}) == [0, 1, 2]
 
 
 def test_max_disjoint_rejects_empty_vertex_sets_and_other_use_limits():
     with pytest.raises(ValueError):
-        _max_disjoint([frozenset({0}), frozenset()], 1)
+        max_disjoint([frozenset({0}), frozenset()], 1)
     with pytest.raises(ValueError):
-        _max_disjoint([frozenset({0})], 3)
+        max_disjoint([frozenset({0})], 3)
+
+
+def spread_masks(vertex_sets, rng):
+    """The vertex sets as masks whose bits keep the order of the vertices
+    but skip a few positions, as the graph-wide bits of
+    `cycles.doubly_nonzero_masks` do around vertices on no set; and the
+    vertex of each bit position."""
+    order = sorted(set().union(*vertex_sets))
+    position, at = {}, rng.randint(0, 3)
+    for v in order:
+        position[v] = at
+        at += rng.randint(1, 3)
+    masks = [sum(1 << position[v] for v in s) for s in vertex_sets]
+    return masks, {p: v for v, p in position.items()}
+
+
+@pytest.mark.parametrize("max_use", [1, 2])
+def test_solvers_read_masks_with_unused_bits_as_vertex_sets(max_use):
+    # capacity comes from the union of the masks, and ties and pivots
+    # follow the bit order, so bits no set uses change no answer
+    rng = random.Random(90 + max_use)
+    for _ in range(250):
+        vertex_sets = random_family(rng)
+        masks, vertex = spread_masks(vertex_sets, rng)
+        hit = _min_hitting_set(masks)
+        assert frozenset(vertex[p] for p in vertex if hit >> p & 1) == min_hitting_set(vertex_sets)
+        expected = max_disjoint(vertex_sets, max_use)
+        assert _max_disjoint(masks, max_use) == expected
+        assert _max_disjoint(masks, max_use, cover=hit) == expected
+        assert _max_disjoint(masks, max_use, cover=-1) == expected  # every bit, used or not
+
+
+def test_solvers_reject_an_empty_mask():
+    for solve in (lambda m: _max_disjoint(m, 1), _min_hitting_set):
+        with pytest.raises(ValueError, match="every vertex set must be non-empty"):
+            solve([0b11, 0])
+
+
+def test_most_frequent_bit_is_the_lowest_of_the_most_common():
+    rng = random.Random(12)
+    for _ in range(300):
+        masks = [rng.randrange(1, 1 << rng.randint(1, 70)) for _ in range(rng.randint(1, 40))]
+        counts = Counter(b for m in masks for b in range(m.bit_length()) if m >> b & 1)
+        most = max(counts.values())
+        assert _most_frequent_bit(masks) == 1 << min(b for b, n in counts.items() if n == most)
 
 
 def test_escher_wall_h3_packing_numbers():
@@ -374,7 +441,7 @@ def test_escher_wall_h3_packing_numbers():
 
 def test_max_disjoint_takes_1200_disjoint_items_without_recursion():
     vertex_sets = [frozenset({v}) for v in range(1200)]
-    assert _max_disjoint(vertex_sets, 1) == list(range(1200))
+    assert max_disjoint(vertex_sets, 1) == list(range(1200))
 
 
 def test_limit_variable_caps_a_path_enumeration(monkeypatch):
@@ -442,15 +509,15 @@ def test_min_hitting_set_is_a_minimum_on_random_families(large):
         else:
             n = rng.randint(1, 9)
             sets = [frozenset(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(0, 12))]
-        hit = _min_hitting_set(sets)
+        hit = min_hitting_set(sets)
         assert all(s & hit for s in sets)
         assert hit <= set().union(*sets)
         assert len(hit) == brute_force_hitting_number(sets)
-        assert _min_hitting_set(list(sets)) == hit
+        assert min_hitting_set(list(sets)) == hit
         # the set the old search returns, whatever valid lower bound it is told
         assert hit == reference_min_hitting_set(sets)
         for at_least in range(len(hit) + 1):
-            assert _min_hitting_set(sets, at_least) == hit
+            assert min_hitting_set(sets, at_least) == hit
 
 
 def test_min_hitting_set_goes_on_past_a_larger_set_to_the_minimum():
@@ -460,4 +527,4 @@ def test_min_hitting_set_goes_on_past_a_larger_set_to_the_minimum():
     sets = [frozenset({d, end}) for d, n in enumerate((16, 8, 4, 2)) for _ in range(n) for end in (4, 5)]
     assert reference_min_hitting_set(sets) == frozenset({4, 5})
     for at_least in range(3):
-        assert _min_hitting_set(sets, at_least) == frozenset({4, 5})
+        assert min_hitting_set(sets, at_least) == frozenset({4, 5})
