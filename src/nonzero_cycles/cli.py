@@ -276,16 +276,11 @@ def cmd_reduce(args) -> int:
 
 
 def _cert_int(value, field: str) -> int:
-    """A certificate's integer: an int, an integral float or a decimal
-    string, but not a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise CliError(f"bad certificate: {field} entry {value!r} is not an integer", PARSE_ERROR)
+    """A certificate's integer, read by `groups.as_integer`."""
+    try:
+        return groups.as_integer(value)
+    except ValueError:
+        raise CliError(f"bad certificate: {field} entry {value!r} is not an integer", PARSE_ERROR) from None
 
 
 def _cert_list(value, field: str) -> list:

@@ -10,10 +10,11 @@ limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`).
 The DFS carries each step's raw label payload and folds a path's value as
 it closes the path, so an enumerated cycle keeps its coordinate values and
 zero flags without being walked again; `classify` and `walk_value` are
-for walks from outside (certificates, lemmas).  `enumerate_cycles` keeps
-every cycle as a `ClassifiedCycle`; `doubly_nonzero_masks`, which the exact
-packing and covering solvers read, keeps only the doubly non-zero ones, each
-as the vertex bitmask and the edge ids the DFS already holds.
+for walks from outside (certificates, lemmas); both test zeros by
+`groups.zero_reader`.  `enumerate_cycles` keeps every cycle as a
+`ClassifiedCycle`; `doubly_nonzero_masks`, which the exact packing and
+covering solvers read, keeps only the doubly non-zero ones, each as the
+vertex bitmask and the edge ids the DFS already holds.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def coordinate_values(graph: LabeledGraph, walk) -> Tuple[groups.GroupElement, g
 
 
 def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
-    v1, v2 = coordinate_values(graph, cycle)
-    return ClassifiedCycle(cycle.edge_set(), cycle, (groups.is_zero(v1), groups.is_zero(v2)), (v1, v2))
+    value = walk_value(graph, cycle)
+    return ClassifiedCycle(cycle.edge_set(), cycle, groups.zero_flags(value), groups.coordinates(value))
 
 
 def _bit_steps(graph: LabeledGraph):
@@ -201,13 +202,13 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
     The DFS builds each representative closed and simple, so it takes
     `Cycle.trusted`, without the checks."""
     bit, adj = _bit_steps(graph)
-    read = groups.coordinate_reader(graph.descriptor)
+    t = groups.table(graph.descriptor)
+    wrap, zeros, coordinates = t.wrap, groups.zero_reader(graph.descriptor), groups.coordinates
 
     def make(verts, eids, raw):
-        values, zero = read(raw)
-        return ClassifiedCycle(frozenset(eids), Cycle.trusted(verts, eids), zero, values)
+        return ClassifiedCycle(frozenset(eids), Cycle.trusted(verts, eids), zeros(raw), coordinates(wrap(raw)))
 
-    cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(graph.descriptor))
+    cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, t)
     cycles.sort(key=lambda c: _by_length_then_edges(c.rep.edges))
     return cycles
 
@@ -221,11 +222,11 @@ def doubly_nonzero_masks(graph: LabeledGraph, limit: Optional[int] = None) -> Li
     built for any cycle.  Every closed cycle, kept or not, counts towards
     `limit`, so the limit is `enumerate_cycles`'s."""
     bit, adj = _bit_steps(graph)
-    nonzero = groups.doubly_nonzero_reader(graph.descriptor)
+    zeros = groups.zero_reader(graph.descriptor)
 
     def make(verts, eids, raw):
         # the root closes the cycle, so it is the first and the last vertex
-        return (sum(map(bit.__getitem__, verts[1:])), eids) if nonzero(raw) else None
+        return None if True in zeros(raw) else (sum(map(bit.__getitem__, verts[1:])), eids)
 
     cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(graph.descriptor))
     cycles.sort(key=lambda c: _by_length_then_edges(c[1]))
@@ -291,18 +292,15 @@ def is_robust(
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
-    coords = 2 if graph.descriptor.kind == groups.KIND_DIRECT_SUM else 1
-    for i in range(coords):
-        zero_edges: set = set()
-        for c in cycles:
-            if c.zero[i]:
-                zero_edges |= c.edges
+    # a single group is one coordinate group, checked once
+    for i, part in enumerate(groups.coordinate_groups(graph.descriptor)):
+        zero_edges = zero_edge_set(graph, i, cycles)
         hot = [c for c in cycles if c.nonzero_in(i) and not c.edges.isdisjoint(zero_edges)]
         through: dict = {}  # edge id -> bitmask of the hot cycles through it
         for a, c in enumerate(hot):
             for e in c.edges:
                 through[e] = through.get(e, 0) | 1 << a
-        abelian = _coordinate_abelian(graph.descriptor, i)
+        abelian = part.is_abelian
         rooted = {}  # (index in hot, root) -> values from root, both ways
 
         def values(a: int, root: int):
@@ -334,9 +332,3 @@ def is_robust(
                     if values(a, root) & values(b, root):
                         return False, RobustnessWitness(i, c1.rooted_at(root), c2.rooted_at(root), root)
     return True, None
-
-
-def _coordinate_abelian(desc: groups.GroupDescriptor, i: int) -> bool:
-    if desc.kind == groups.KIND_DIRECT_SUM:
-        return desc.parts[i].is_abelian
-    return desc.is_abelian

@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import groups
-from .groups import GroupDescriptor, GroupElement
+from .groups import GroupDescriptor, GroupElement, as_integer
 
 
 class GraphFormatError(ValueError):
@@ -231,11 +231,8 @@ class Walk:
         return len(set(self.vertices)) == len(self.vertices)
 
     def validate(self, graph: LabeledGraph) -> None:
-        for i, eid in enumerate(self.edges):
-            e = graph.edge(eid)
-            u, v = self.vertices[i], self.vertices[i + 1]
-            if {u, v} != {e.tail, e.head} and not (e.tail == e.head == u == v):
-                raise GraphFormatError(f"step {i} of walk does not follow edge {eid}")
+        """GraphFormatError unless each step follows its edge (`walk_value`)."""
+        walk_value(graph, self)
 
 
 @dataclass(frozen=True)
@@ -537,9 +534,9 @@ def decode_graph(data: dict) -> LabeledGraph:
 
     try:
         desc = groups.parse_descriptor(data["group"])
-        vertices = [int(v) for v in data["vertices"]]
+        vertices = [as_integer(v) for v in data["vertices"]]
         edges = [
-            Edge(int(item["id"]), int(item["tail"]), int(item["head"]), label(desc, item["label"]))
+            Edge(as_integer(item["id"]), as_integer(item["tail"]), as_integer(item["head"]), label(desc, item["label"]))
             for item in data["edges"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

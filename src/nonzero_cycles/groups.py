@@ -16,8 +16,9 @@ the kind of group for elements: `op`, `inv`, `identity`, `is_zero`,
 through the table (the descriptor grammar still reads the kind).  A
 free-group sum cancels only at the seam of two reduced words, and a direct
 sum pairs the tables of its summands.  Hot loops (`graphs.walk_value`,
-the cycle DFS) unwrap once, fold raw payloads and wrap once;
-`coordinate_reader` reads a folded raw value's coordinates and zero flags.
+the cycle DFS) unwrap once, fold raw payloads and wrap once.  Only
+`coordinate_groups` decides how a label splits into its two coordinates,
+and `zero_reader` is the one test of whether a raw value is zero in each.
 
 Every constructor (`integers`, `cyclic`, `direct_sum`, `parse_descriptor`,
 unpickling, ...) goes through one intern table, so each distinct group has
@@ -199,10 +200,10 @@ class Table(NamedTuple):
     payloads.  `wrap` and `unwrap` convert between raw payloads and
     `GroupElement`s, so a long computation unwraps its inputs once, folds
     `add` and `neg` over raw values, and wraps the result once.  `make`
-    checks a loose payload (an int or decimal string, or a list or tuple
-    for the vector, word and direct-sum kinds) and returns the canonical raw
-    payload, `encode` turns a raw payload into its JSON value, and
-    `draw(rng, span)` draws a pseudo-random raw payload.
+    checks a loose payload (an integer by `as_integer`, a list or tuple of
+    them for the vector and word kinds, or a pair for a direct sum) and
+    returns the canonical raw payload, `encode` turns a raw payload into its
+    JSON value, and `draw(rng, span)` draws a pseudo-random raw payload.
     """
 
     add: Callable[[Any, Any], Any]
@@ -225,6 +226,22 @@ def table(desc: GroupDescriptor) -> Table:
     return t
 
 
+def as_integer(value) -> int:
+    """An int, an integral float or a decimal string as an integer, with
+    ValueError for anything else (a bool, a fraction): the one rule for
+    integers in label payloads, instance files and certificates."""
+    if type(value) is int:  # the common case, first: instance files hold many
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def _entries(payload, what: str, length: Optional[int]):
     """A list or tuple payload, checked to have `length` entries unless
     `length` is None."""
@@ -242,7 +259,7 @@ def _compile(desc: GroupDescriptor) -> Table:
     if k == KIND_INTEGERS:
         # a decimal string keeps arbitrary precision portable
         return Table(
-            operator.add, operator.neg, 0, wrap, unwrap, int, str, lambda rng, span: rng.randint(-span, span)
+            operator.add, operator.neg, 0, wrap, unwrap, as_integer, str, lambda rng, span: rng.randint(-span, span)
         )
     if k == KIND_CYCLIC:
         return Table(
@@ -251,7 +268,7 @@ def _compile(desc: GroupDescriptor) -> Table:
             0,
             wrap,
             unwrap,
-            lambda p: int(p) % n,
+            lambda p: as_integer(p) % n,
             lambda p: p,
             lambda rng, span: rng.randrange(n),
         )
@@ -262,7 +279,7 @@ def _compile(desc: GroupDescriptor) -> Table:
             (0,) * n,
             wrap,
             unwrap,
-            lambda p: tuple(int(x) for x in _entries(p, "free abelian", n)),
+            lambda p: tuple(map(as_integer, _entries(p, "free abelian", n))),
             list,
             lambda rng, span: tuple(rng.randint(-span, span) for _ in range(n)),
         )
@@ -278,7 +295,7 @@ def _compile(desc: GroupDescriptor) -> Table:
             return p[: len(p) - i] + q[i:]
 
         def make(p):
-            word = tuple(int(x) for x in _entries(p, "free group", None))
+            word = tuple(map(as_integer, _entries(p, "free group", None)))
             for x in word:
                 if x == 0 or abs(x) > n:
                     raise GroupParseError("free group letter out of range")
@@ -324,7 +341,7 @@ def _compile(desc: GroupDescriptor) -> Table:
         factors = desc.parts
 
         def make(p):
-            vec = map(int, _entries(p, "quotient", len(factors)))
+            vec = map(as_integer, _entries(p, "quotient", len(factors)))
             return tuple(x % d if d else x for x, d in zip(vec, factors))
 
         return Table(
@@ -358,9 +375,15 @@ def is_zero(a: GroupElement) -> bool:
     return t.unwrap(a) == t.zero
 
 
+def coordinate_groups(desc: GroupDescriptor) -> Tuple[GroupDescriptor, ...]:
+    """The groups of a label's coordinates, each once: the two summands of a
+    direct sum, or `desc` alone, a single group being both coordinates."""
+    return desc.parts if desc.kind == KIND_DIRECT_SUM else (desc,)
+
+
 def project(a: GroupElement, side: int) -> GroupElement:
     """Coordinate projection of a direct-sum element (side 0 or 1)."""
-    if a.descriptor.kind != KIND_DIRECT_SUM:
+    if len(coordinate_groups(a.descriptor)) != 2:
         raise GroupParseError("projection needs a direct-sum element")
     if side not in (0, 1):
         raise GroupParseError("side must be 0 or 1")
@@ -370,41 +393,29 @@ def project(a: GroupElement, side: int) -> GroupElement:
 def coordinates(a: GroupElement) -> Tuple[GroupElement, GroupElement]:
     """The (first, second) coordinates of a label value: the two summands
     of a direct-sum element, or the element twice for a single group."""
-    if a.descriptor.kind == KIND_DIRECT_SUM:
-        return a.payload
-    return a, a
+    return a.payload if len(coordinate_groups(a.descriptor)) == 2 else (a, a)
 
 
-def coordinate_reader(desc: GroupDescriptor) -> Callable[[Any], tuple]:
-    """For raw payloads of `desc` (see `Table`), `raw -> (values, zero)`:
-    the `coordinates` of the element `raw` stands for, and whether each is
-    zero, read without building that element."""
-    if desc.kind == KIND_DIRECT_SUM:
-        left, right = table(desc.parts[0]), table(desc.parts[1])
-
-        def read(raw):
-            a, b = raw
-            return (left.wrap(a), right.wrap(b)), (a == left.zero, b == right.zero)
-
-    else:
-        t = table(desc)
-
-        def read(raw):
-            x, z = t.wrap(raw), raw == t.zero
-            return (x, x), (z, z)
-
-    return read
+# `_FLAGS[z0][z1] == (z0, z1)`: a zero reader's four answers, built once
+_FLAGS = (((False, False), (False, True)), ((True, False), (True, True)))
 
 
-def doubly_nonzero_reader(desc: GroupDescriptor) -> Callable[[Any], bool]:
-    """For raw payloads of `desc`, `raw -> bool`: whether both `coordinates`
-    of the element `raw` stands for are non-zero, that is, neither zero flag
-    of `coordinate_reader` is set, read without building the element."""
-    if desc.kind == KIND_DIRECT_SUM:
-        left, right = table(desc.parts[0]).zero, table(desc.parts[1]).zero
-        return lambda raw: raw[0] != left and raw[1] != right
-    zero = table(desc).zero
-    return lambda raw: raw != zero
+@functools.lru_cache(maxsize=None)
+def zero_reader(desc: GroupDescriptor) -> Callable[[Any], Tuple[bool, bool]]:
+    """`raw -> (zero in coordinate 0, zero in coordinate 1)` for the raw
+    payloads of `desc` (see `Table`), read without building the element or
+    any tuple; compiled once per descriptor."""
+    zeros = [table(part).zero for part in coordinate_groups(desc)]
+    if len(zeros) == 2:
+        left, right = zeros
+        return lambda raw: _FLAGS[raw[0] == left][raw[1] == right]
+    zero = zeros[0]
+    return lambda raw: _FLAGS[raw == zero][raw == zero]
+
+
+def zero_flags(a: GroupElement) -> Tuple[bool, bool]:
+    """`zero_reader` read on the element `a`."""
+    return zero_reader(a.descriptor)(table(a.descriptor).unwrap(a))
 
 
 def random_element(desc: GroupDescriptor, rng, span: int = 4) -> GroupElement:

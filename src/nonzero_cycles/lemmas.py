@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import groups
-from .cycles import classify, coordinate_values
-from .graphs import Cycle, LabeledGraph, Walk, _bfs_forest, _tree_walk
+from .cycles import classify
+from .graphs import Cycle, LabeledGraph, Walk, _bfs_forest, _tree_walk, walk_value
 
 
 class HypothesisError(ValueError):
@@ -35,7 +35,7 @@ def _require(cond: bool, hypothesis: str, detail: str = ""):
 
 
 def _nonzero_in(graph: LabeledGraph, walk: Walk, i: int) -> bool:
-    return not groups.is_zero(coordinate_values(graph, walk)[i])
+    return not groups.zero_flags(walk_value(graph, walk))[i]
 
 
 def _orient_connecting_path(path: Walk, from_set: FrozenSet[int], to_set: FrozenSet[int], name: str) -> Walk:

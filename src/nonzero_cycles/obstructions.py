@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import groups, packing
-from .cycles import coordinate_values
 from .graphs import Cycle, Edge, LabeledGraph, Walk, walk_value
 from .linkage import LINKAGE_TYPES, SERIES, crosses, pure_linkage
 from .walls import Wall, _elementary, elementary_wall
@@ -148,7 +147,7 @@ def _instance(graph: LabeledGraph, wall: Wall, walks: Sequence[Tuple[str, Walk]]
         atts.append(
             Attachment(
                 name=name,
-                kind="Q" if groups.is_zero(groups.coordinates(value)[0]) else "P",
+                kind="Q" if groups.zero_flags(value)[0] else "P",
                 walk=walk,
                 value=value,
                 left_pos=pos[walk.start],
@@ -294,7 +293,7 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
     crosses none and its value, folded over raw payloads (see
     `groups.Table`), is doubly nonzero.  Shapes come out by size, subset,
     visiting order, then orientations."""
-    t = groups.table(desc)
+    t, zeros = groups.table(desc), groups.zero_reader(desc)
     # per attachment and orientation (0 = left to right): raw value, and the
     # entry and exit ends as (vertex, boundary position)
     steps = []
@@ -309,8 +308,7 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
         entry_v, entry_p = steps[seq[0]][0][1]
         closing = (exit_p, entry_p)
         if not any(crosses(closing, c) for c in chord_pos):
-            g1, g2 = groups.coordinates(t.wrap(total))
-            if not (groups.is_zero(g1) or groups.is_zero(g2)):
+            if True not in zeros(total):
                 shape = _Shape(
                     tuple(attachments[i] for i in seq),
                     orients,
@@ -469,8 +467,7 @@ def _assemble_cycle(graph: LabeledGraph, shape: _Shape, routes: Iterable[Walk]) 
         walk = part if walk is None else walk.concat(part)
         walk = walk.concat(route)
     cycle = Cycle(walk.vertices, walk.edges)
-    g1, g2 = coordinate_values(graph, cycle)
-    if groups.is_zero(g1) or groups.is_zero(g2):
+    if True in groups.zero_flags(walk_value(graph, cycle)):
         raise VerificationUndecidedError("assembled witness lost its value")
     return cycle
 

@@ -448,6 +448,59 @@ def test_analyze_leaves_no_descriptor_or_table_to_the_collector(tmp_path, capsys
     assert left.count(groups.Table) == 0
 
 
+TRIANGLE = {
+    "group": "z5",
+    "vertices": [0, 1, 2],
+    "edges": [{"id": i, "tail": i, "head": (i + 1) % 3, "label": 1} for i in range(3)],
+}
+
+
+def _triangle_with(where, value):
+    doc = json.loads(json.dumps(TRIANGLE))
+    if where == "vertices":
+        doc["vertices"] = value
+    else:
+        field, i = where
+        doc["edges"][i][field] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ("vertices", [0, 1, 2.9]),
+        ("vertices", [0, 1, 2, True]),
+        ("vertices", [0, 1, "2.0"]),
+        (("id", 0), 0.5),
+        (("id", 1), False),
+        (("tail", 1), 1.5),
+        (("head", 1), 2.2),
+        (("label", 0), 2.7),
+        (("label", 0), True),
+    ],
+)
+def test_pack_rejects_instance_integers_that_are_not_integers(tmp_path, capsys, where, value):
+    # each of these read as the z5 triangle, and `pack` went on, when ids,
+    # ends and labels were truncated to integers
+    inst = tmp_path / "t.json"
+    inst.write_text(json.dumps(_triangle_with(where, value)))
+    code, out, err = run(["pack", str(inst)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad instance: ") and "is not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "where, value", [("vertices", [0, 1.0, "2"]), (("id", 2), 2.0), (("head", 0), "1"), (("label", 1), 4.0)]
+)
+def test_pack_reads_integral_floats_and_decimal_strings_in_instances(tmp_path, capsys, where, value):
+    inst = tmp_path / "t.json"
+    inst.write_text(json.dumps(_triangle_with(where, value)))
+    code, out, _ = run(["pack", str(inst)], capsys)
+    assert code == 0
+    assert json.loads(out)["nu"] == 1
+
+
 @pytest.mark.parametrize("labels", [[[1, 2, 5], [0, 1], [0, 0]], [[1, 1], "10", [0, 0]], [[1, 2], [1], [0, 0]]])
 def test_pack_rejects_malformed_direct_sum_labels(tmp_path, capsys, labels):
     # a sum(z2,z3) triangle with one label of three entries, one string

@@ -169,6 +169,71 @@ def test_decode_rejects_non_list_and_wrong_arity_payloads(text, data):
         decode_element(parse_descriptor(text), data)
 
 
+@pytest.mark.parametrize(
+    "text, data",
+    [
+        ("z", 2.7),
+        ("z", True),
+        ("z", "2.5"),
+        ("z5", 3.9),
+        ("z5", False),
+        ("za2", [1.5, 2]),
+        ("za2", [True, 2]),
+        ("free2", [1, 2.5]),
+        ("q(2,4,0)", [1, 2, 0.5]),
+        ("sum(z3,za2)", [2.2, [1, 0]]),
+    ],
+)
+def test_decode_rejects_fractions_and_booleans(text, data):
+    # no entry is truncated to an integer, and no boolean is read as 0 or 1
+    with pytest.raises(GroupParseError, match="not an integer"):
+        decode_element(parse_descriptor(text), data)
+
+
+def test_decode_reads_integral_floats_and_decimal_strings():
+    assert decode_element(integers(), 3.0) == element(integers(), 3)
+    assert decode_element(cyclic(5), "7") == element(cyclic(5), 2)
+    assert decode_element(free_abelian(2), [2.0, "-1"]) == element(free_abelian(2), (2, -1))
+
+
+ZERO_READER_GROUPS = [
+    "z", "z5", "za2", "free2", "q(2,4,0)", "z1", "za0", "free0",
+    "sum(z3,z3)", "sum(z,free2)", "sum(free2,free2)",
+]
+
+
+@pytest.mark.parametrize("text", ZERO_READER_GROUPS)
+def test_zero_reader_matches_coordinates_and_is_zero(text):
+    # on drawn raw payloads, small spans so that zeros come up in each
+    # coordinate, and on the zero
+    desc = parse_descriptor(text)
+    t = groups.table(desc)
+    read = groups.zero_reader(desc)
+    assert read is groups.zero_reader(desc)  # compiled once per descriptor
+    rng = random.Random(22)
+    raws = [t.zero] + [t.draw(rng, span) for span in (0, 1, 2) for _ in range(60)]
+    seen = set()
+    for raw in raws:
+        a = t.wrap(raw)
+        expected = tuple(is_zero(c) for c in groups.coordinates(a))
+        assert read(raw) == groups.zero_flags(a) == expected
+        seen.add(expected)
+    trivial = desc.is_trivial
+    assert ((True, True) in seen) and (((False, False) in seen) != trivial)
+    if len(groups.coordinate_groups(desc)) == 2:
+        assert {(True, False), (False, True)} <= seen or trivial
+    else:
+        assert seen <= {(True, True), (False, False)}
+
+
+def test_coordinate_groups_split_a_direct_sum_and_keep_a_single_group():
+    z3 = cyclic(3)
+    assert groups.coordinate_groups(direct_sum(z3, z3)) == (z3, z3)
+    assert groups.coordinate_groups(direct_sum(integers(), free_group(2))) == (integers(), free_group(2))
+    assert groups.coordinate_groups(z3) == (z3,)
+    assert groups.coordinates(element(z3, 1)) == (element(z3, 1),) * 2
+
+
 def test_integers_encode_as_strings():
     big = element(integers(), 2**200)
     assert encode_element(big) == str(2**200)
