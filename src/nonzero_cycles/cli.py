@@ -12,6 +12,7 @@ check; routing itself always decides).
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import json
@@ -220,11 +221,12 @@ def cmd_analyze(args) -> int:
         elif check == "classify":
             if found is None:
                 found = cycles.enumerate_cycles(graph, limit=args.limit)
+            flags = collections.Counter(c.zero for c in found)  # (zero first, zero second) -> cycles
             report["classify"] = {
                 "cycles": len(found),
-                "nonzero_first": sum(1 for c in found if c.nonzero_in(0)),
-                "nonzero_second": sum(1 for c in found if c.nonzero_in(1)),
-                "doubly_nonzero": sum(1 for c in found if c.doubly_nonzero),
+                "nonzero_first": flags[False, False] + flags[False, True],
+                "nonzero_second": flags[False, False] + flags[True, False],
+                "doubly_nonzero": flags[False, False],
             }
         else:
             raise CliError(f"unknown check {check!r}", PARSE_ERROR)

@@ -8,23 +8,26 @@ Cycles and A-paths (`packing.enumerate_nonzero_a_paths`) come from one
 simple-path DFS over int bitmasks, `_simple_paths`, under one enumeration
 limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`).
 The DFS carries each step's raw label payload and folds a path's value as
-it closes the path, so an enumerated cycle keeps its coordinate values and
-zero flags without being walked again; `classify` and `walk_value` are
-for walks from outside (certificates, lemmas); both test zeros by
-`groups.zero_reader`.  `enumerate_cycles` keeps every cycle as a
-`ClassifiedCycle`; `doubly_nonzero_masks`, which the exact packing and
-covering solvers read, keeps only the doubly non-zero ones, each as the
-vertex bitmask and the edge ids the DFS already holds.
+it closes the path.  `enumerate_cycles` keeps every cycle as a
+`ClassifiedCycle`, a record of its edge set, representative, zero flags
+and that raw value, and builds no group element: `values` wraps the raw
+value only when read.  `classify` gives walks from outside (certificates,
+lemmas) the same record through `walk_payload`; both test zeros by
+`groups.zero_reader`.  `is_robust` compares raw coordinate values, shifted
+by `graphs.shifted_value` where a non-abelian coordinate is rerooted.
+`doubly_nonzero_masks`, which the exact packing and covering solvers read,
+keeps only the doubly non-zero cycles, each as the vertex bitmask and the
+edge ids the DFS already holds.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Any, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import groups
-from .graphs import Cycle, LabeledGraph, Walk, shifted_value, walk_value
+from .graphs import Cycle, LabeledGraph, shifted_value, walk_payload, walk_value
 
 DEFAULT_LIMIT = 10**6
 LIMIT_ENV_VAR = "NONZERO_CYCLES_LIMIT"
@@ -60,14 +63,21 @@ def enumeration_limit(explicit: Optional[int] = None) -> int:
         raise LimitFormatError(f"{LIMIT_ENV_VAR} {exc}") from None
 
 
-@dataclass(frozen=True)
-class ClassifiedCycle:
-    """One cycle with its zero/nonzero status per label coordinate."""
+class ClassifiedCycle(NamedTuple):
+    """One cycle with its zero/nonzero status per label coordinate, and the
+    raw payload (see `groups.Table`) of its representative's value in the
+    group `descriptor`, as the DFS or `classify` folded it."""
 
     edges: FrozenSet[int]
     rep: Cycle
     zero: Tuple[bool, bool]
-    values: Tuple[groups.GroupElement, groups.GroupElement]  # of `rep`, per coordinate
+    raw: Any
+    descriptor: groups.GroupDescriptor
+
+    @property
+    def values(self) -> Tuple[groups.GroupElement, groups.GroupElement]:
+        """The value of `rep` per coordinate, wrapped as elements on read."""
+        return groups.coordinates(groups.table(self.descriptor).wrap(self.raw))
 
     @property
     def doubly_nonzero(self) -> bool:
@@ -83,8 +93,9 @@ def coordinate_values(graph: LabeledGraph, walk) -> Tuple[groups.GroupElement, g
 
 
 def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
-    value = walk_value(graph, cycle)
-    return ClassifiedCycle(cycle.edge_set(), cycle, groups.zero_flags(value), groups.coordinates(value))
+    raw = walk_payload(graph, cycle)
+    desc = graph.descriptor
+    return ClassifiedCycle(cycle.edge_set(), cycle, groups.zero_reader(desc)(raw), raw, desc)
 
 
 def _bit_steps(graph: LabeledGraph):
@@ -202,13 +213,13 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
     The DFS builds each representative closed and simple, so it takes
     `Cycle.trusted`, without the checks."""
     bit, adj = _bit_steps(graph)
-    t = groups.table(graph.descriptor)
-    wrap, zeros, coordinates = t.wrap, groups.zero_reader(graph.descriptor), groups.coordinates
+    desc = graph.descriptor
+    zeros = groups.zero_reader(desc)
 
     def make(verts, eids, raw):
-        return ClassifiedCycle(frozenset(eids), Cycle.trusted(verts, eids), zeros(raw), coordinates(wrap(raw)))
+        return ClassifiedCycle(frozenset(eids), Cycle.trusted(verts, eids), zeros(raw), raw, desc)
 
-    cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, t)
+    cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(desc))
     cycles.sort(key=lambda c: _by_length_then_edges(c.rep.edges))
     return cycles
 
@@ -252,15 +263,6 @@ class RobustnessWitness:
     root: int
 
 
-def rooted_coordinate_values(graph: LabeledGraph, cycle: Cycle, root: int, i: int):
-    """Values of the cycle in coordinate i over both traversal directions."""
-    rooted = cycle.rooted_at(root)
-    vals = set()
-    for c in (rooted, rooted.reversed()):
-        vals.add(coordinate_values(graph, c)[i])
-    return vals
-
-
 def is_robust(
     graph: LabeledGraph,
     limit: Optional[int] = None,
@@ -285,15 +287,21 @@ def is_robust(
     its later candidates b in ascending order, so the witness is the first
     confusable pair (a, b) in enumeration order.
 
-    Rerooting is the shift rule: from the j-th vertex v of its
-    representative, a cycle of value x has value p⁻¹·x·p (`shifted_value`
-    at v by p), p the value of the first j edges, or its inverse the other
-    way.  An abelian coordinate tries only the smallest common vertex.
+    Values are compared as raw payloads (see `groups.Table`) in the
+    coordinate's table.  Rerooting is the shift rule: from the j-th vertex
+    v of its representative, a cycle of raw value x has value -p + x + p
+    (`shifted_value` at v by p), p the raw value of the first j edges,
+    folded over `graph.steps()`, or its negative the other way.  An abelian
+    coordinate tries only the smallest common vertex, where a cycle's
+    value is x from every root, so it folds no prefix.
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
+    desc = graph.descriptor
+    steps = graph.steps()
     # a single group is one coordinate group, checked once
-    for i, part in enumerate(groups.coordinate_groups(graph.descriptor)):
+    for i, part in enumerate(groups.coordinate_groups(desc)):
+        t, read = groups.table(part), groups.coordinate_payload(desc, i)
         zero_edges = zero_edge_set(graph, i, cycles)
         hot = [c for c in cycles if c.nonzero_in(i) and not c.edges.isdisjoint(zero_edges)]
         through: dict = {}  # edge id -> bitmask of the hot cycles through it
@@ -301,18 +309,25 @@ def is_robust(
             for e in c.edges:
                 through[e] = through.get(e, 0) | 1 << a
         abelian = part.is_abelian
-        rooted = {}  # (index in hot, root) -> values from root, both ways
+        rooted = {}  # (index in hot, root, or None if abelian) -> raw values from root, both ways
 
         def values(a: int, root: int):
-            if (a, root) not in rooted:
-                rep = hot[a].rep
-                j = rep.vertices.index(root)
-                p = coordinate_values(graph, Walk(rep.vertices[: j + 1], rep.edges[:j]))[i]
-                x = shifted_value({root: p}, root, hot[a].values[i], root)
-                # a loop reversed keeps its value rather than inverting it,
+            key = a, None if abelian else root
+            if key not in rooted:
+                c = hot[a]
+                x = read(c.raw)
+                if not abelian:
+                    verts, eids, p = c.rep.vertices, c.rep.edges, t.zero
+                    for k in range(verts.index(root)):
+                        tail, _, fwd, bwd = steps[eids[k]]
+                        step = fwd if verts[k] == tail else bwd
+                        if step is not None:
+                            p = t.add(p, read(step))
+                    x = shifted_value(t, {root: p}, root, x, root)
+                # a loop reversed keeps its value rather than negating it,
                 # but no loop is ever a candidate: no other cycle has its edge
-                rooted[a, root] = {x, groups.inv(x)}
-            return rooted[a, root]
+                rooted[key] = {x, t.neg(x)}
+            return rooted[key]
 
         for a, first in enumerate(hot):
             meet = avoid = 0

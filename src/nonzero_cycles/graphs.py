@@ -7,13 +7,18 @@ the inverse.  Loops and parallel edges are allowed.
 A graph builds two read-only tables lazily, once each, for the hot loops:
 `steps()`, per edge its tail, head and the raw label payloads (see
 `groups.Table`) seen arriving at either end, None where zero, which
-`walk_value` and the cycle DFS (`cycles._bit_steps`) fold; and
+`walk_payload`, `is_gamma_bipartite`, `cycles.is_robust` and the cycle DFS
+(`cycles._bit_steps`) read; and
 `adjacency()`, per vertex its non-loop `(eid, neighbour)` pairs in
 `incident` order, which the chord router walks.
 
-Shifting has one rule, `shifted_value`.  `shift_sequence` relabels by it
-into one graph however many shifts it applies; `is_gamma_bipartite` and
-`cycles.is_robust` read shifted values through it and build none.
+Shifting has one rule, `shifted_value`, over raw payloads: the table of
+the group, a raw shift per vertex and a raw value.  `shift_sequence`
+relabels by it into one graph however many shifts it applies;
+`is_gamma_bipartite` and `cycles.is_robust` read shifted raw values through
+it and build no graph, and only the shifts `is_gamma_bipartite` returns are
+wrapped as elements.  `walk_payload` folds a walk's raw value, and
+`walk_value` wraps it.
 
 One breadth-first spanning forest (`_bfs_forest`) and one walk along its
 parent links (`_tree_walk`) serve the package: the fundamental cycle of
@@ -278,8 +283,9 @@ class Cycle(Walk):
         return frozenset(self.vertices[:-1])
 
 
-def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
-    """Ordered sum of edge labels as seen from each step's arrival vertex.
+def walk_payload(graph: LabeledGraph, walk: Walk):
+    """The raw payload (see `groups.Table`) of the walk's value: the ordered
+    sum of edge labels as seen from each step's arrival vertex.
 
     Checks each step as `Walk.validate` does, with the same errors, while
     folding the raw payloads of `graph.steps()`.  Zero payloads, stored as
@@ -306,7 +312,12 @@ def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
         if x is not None:
             total = add(total, x)
         u = v
-    return t.wrap(total)
+    return total
+
+
+def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
+    """The walk's value as an element: `walk_payload`, wrapped."""
+    return groups.table(graph.descriptor).wrap(walk_payload(graph, walk))
 
 
 def cycle_from_edges(graph: LabeledGraph, edge_ids: Iterable[int]) -> Cycle:
@@ -352,14 +363,16 @@ def cycle_from_edges(graph: LabeledGraph, edge_ids: Iterable[int]) -> Cycle:
 # shifting
 
 
-def shifted_value(alpha: Mapping[int, GroupElement], u: int, x: GroupElement, v: int) -> GroupElement:
-    """The value x of a walk from u to v once each vertex w is shifted by
-    alpha[w] (the identity without an entry): inv(alpha[u])·x·alpha[v],
-    the switching rule of Zaslavsky, "Biased graphs I" (JCTB 1989)."""
+def shifted_value(t: groups.Table, alpha: Mapping[int, object], u: int, x, v: int):
+    """The raw value x (see `groups.Table`; `t` is its group's table) of a
+    walk from u to v once each vertex w is shifted by the raw alpha[w] (zero
+    without an entry): -alpha[u] + x + alpha[v], the switching rule of
+    Zaslavsky, "Biased graphs I" (JCTB 1989), in a group written additively
+    and read left to right."""
     if u in alpha:
-        x = groups.op(groups.inv(alpha[u]), x)
+        x = t.add(t.neg(alpha[u]), x)
     if v in alpha:
-        x = groups.op(x, alpha[v])
+        x = t.add(x, alpha[v])
     return x
 
 
@@ -374,15 +387,17 @@ def shift_sequence(graph: LabeledGraph, shifts: Sequence[Tuple[int, GroupElement
     """Apply the shifts in order, building one graph.  Shifting at v by a,
     then by b, is shifting at v by a·b; shifts at different vertices
     commute.  Each edge is relabelled by `shifted_value`."""
-    alpha: Dict[int, GroupElement] = {}
+    t = groups.table(graph.descriptor)
+    alpha: Dict[int, object] = {}
     for v, a in shifts:
         if v not in graph.vertices:
             raise GraphFormatError(f"no vertex {v}")
         if a.descriptor != graph.descriptor:
             raise GraphFormatError("shift value lives in the wrong group")
-        alpha[v] = groups.op(alpha[v], a) if v in alpha else a
+        a = t.unwrap(a)
+        alpha[v] = t.add(alpha[v], a) if v in alpha else a
     return graph.with_labels(
-        {e.id: shifted_value(alpha, e.tail, e.label, e.head) for e in graph.edges.values()}
+        {e.id: t.wrap(shifted_value(t, alpha, e.tail, t.unwrap(e.label), e.head)) for e in graph.edges.values()}
     )
 
 
@@ -393,30 +408,34 @@ def is_gamma_bipartite(graph: LabeledGraph):
     or (False, witness) with a nonzero-valued cycle of the input graph.
     Each vertex appears at most once in `shifts`.
 
-    No shifted graph is built: with `alpha` the shift value per vertex so
-    far, an edge carries its `shifted_value`.
+    No shifted graph is built: with `alpha` the raw shift value per vertex
+    so far, an edge carries the `shifted_value` of its raw label from
+    `graph.steps()`.  Only the returned shifts are wrapped as elements.
     """
-    alpha: Dict[int, GroupElement] = {}
+    t = groups.table(graph.descriptor)
+    zero = t.zero
+    steps = graph.steps()
+    alpha: Dict[int, object] = {}
     order, parent = _bfs_forest(graph)
     tree_edges = {eid for (_, eid) in parent.values()}
     for v in order:
         if v not in parent:
             continue
         # only the parent end of the tree edge is shifted so far
-        e = graph.edge(parent[v][1])
-        lab = shifted_value(alpha, e.tail, e.label, e.head)
-        if groups.is_zero(lab):
+        tail, head, fwd, _ = steps[parent[v][1]]
+        lab = shifted_value(t, alpha, tail, zero if fwd is None else fwd, head)
+        if lab == zero:
             continue
         # choose alpha so the tree edge becomes zero after shifting at v
-        alpha[v] = groups.inv(lab) if e.head == v else lab
+        alpha[v] = t.neg(lab) if head == v else lab
     for eid in graph.edge_ids():
-        e = graph.edge(eid)
-        if eid in tree_edges or groups.is_zero(shifted_value(alpha, e.tail, e.label, e.head)):
+        tail, head, fwd, _ = steps[eid]
+        if eid in tree_edges or shifted_value(t, alpha, tail, zero if fwd is None else fwd, head) == zero:
             continue
         # fundamental cycle: tree walk head -> tail, closed by the edge
-        walk = _tree_walk(parent, e.head, e.tail)
-        return False, Cycle(walk.vertices + (e.head,), walk.edges + (eid,))
-    return True, list(alpha.items())
+        walk = _tree_walk(parent, head, tail)
+        return False, Cycle(walk.vertices + (head,), walk.edges + (eid,))
+    return True, [(v, t.wrap(a)) for v, a in alpha.items()]
 
 
 def _bfs_forest(graph: LabeledGraph) -> Tuple[List[int], Dict[int, Tuple[int, int]]]:

@@ -15,10 +15,12 @@ the kind of group for elements: `op`, `inv`, `identity`, `is_zero`,
 `element`, `random_element`, `encode_element` and `decode_element` all go
 through the table (the descriptor grammar still reads the kind).  A
 free-group sum cancels only at the seam of two reduced words, and a direct
-sum pairs the tables of its summands.  Hot loops (`graphs.walk_value`,
-the cycle DFS) unwrap once, fold raw payloads and wrap once.  Only
-`coordinate_groups` decides how a label splits into its two coordinates,
-and `zero_reader` is the one test of whether a raw value is zero in each.
+sum pairs the tables of its summands.  Hot loops (`graphs.walk_payload`,
+the cycle DFS, the shift rule) unwrap once and fold raw payloads, and wrap
+only what they hand out as elements.  Only `coordinate_groups` decides how
+a label splits into its two coordinates, `coordinate_payload` reads one
+coordinate of a raw value, and `zero_reader` is the one test of whether a
+raw value is zero in each.
 
 Every constructor (`integers`, `cyclic`, `direct_sum`, `parse_descriptor`,
 unpickling, ...) goes through one intern table, so each distinct group has
@@ -394,6 +396,16 @@ def coordinates(a: GroupElement) -> Tuple[GroupElement, GroupElement]:
     """The (first, second) coordinates of a label value: the two summands
     of a direct-sum element, or the element twice for a single group."""
     return a.payload if len(coordinate_groups(a.descriptor)) == 2 else (a, a)
+
+
+@functools.lru_cache(maxsize=None)
+def coordinate_payload(desc: GroupDescriptor, i: int) -> Callable[[Any], Any]:
+    """`raw -> raw payload of coordinate i` for the raw payloads of `desc`
+    (see `Table`), in the table of `coordinate_groups(desc)[i]`: the raw
+    counterpart of `coordinates`, compiled once per descriptor and coordinate."""
+    if len(coordinate_groups(desc)) == 2:
+        return operator.itemgetter(i)
+    return lambda raw: raw
 
 
 # `_FLAGS[z0][z1] == (z0, z1)`: a zero reader's four answers, built once

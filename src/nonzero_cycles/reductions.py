@@ -280,13 +280,17 @@ def encode_embedded(emb: EmbeddedGraph) -> dict:
 
 
 def decode_embedded(data: dict) -> EmbeddedGraph:
-    emb = EmbeddedGraph(
-        graph=decode_graph(data["graph"]),
-        rotations={
-            int(v): tuple((int(eid), int(d)) for eid, d in rot)
-            for v, rot in data["rotations"].items()
-        },
-        signs={int(eid): int(s) for eid, s in data.get("signs", {}).items()},
-    )
+    """Parse an `encode_embedded` payload.  Rotation keys, edge ids,
+    directions and signs are integers by `groups.as_integer`; anything else
+    raises GraphFormatError, as a bad `decode_graph` payload does."""
+    as_int = groups.as_integer
+    try:
+        rotations = {
+            as_int(v): tuple((as_int(eid), as_int(d)) for eid, d in rot) for v, rot in data["rotations"].items()
+        }
+        signs = {as_int(eid): as_int(s) for eid, s in data.get("signs", {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphFormatError(f"malformed embedded payload: {exc}") from exc
+    emb = EmbeddedGraph(graph=decode_graph(data["graph"]), rotations=rotations, signs=signs)
     emb.validate()
     return emb

@@ -5,17 +5,16 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from nonzero_cycles import groups
+from nonzero_cycles import cycles, groups
 from nonzero_cycles.cycles import (
     EnumerationLimitError,
     coordinate_values,
     doubly_nonzero_masks,
     enumerate_cycles,
     is_robust,
-    rooted_coordinate_values,
     zero_edge_set,
 )
-from nonzero_cycles.graphs import Cycle, Edge, LabeledGraph, decode_graph
+from nonzero_cycles.graphs import Cycle, Edge, LabeledGraph, Walk, decode_graph, shifted_value, walk_payload, walk_value
 from nonzero_cycles.walls import elementary_wall
 
 Z = groups.integers()
@@ -225,6 +224,15 @@ def coordinate_abelian(desc, i):
     return (desc.parts[i] if desc.kind == groups.KIND_DIRECT_SUM else desc).is_abelian
 
 
+def rooted_coordinate_values(graph, cycle, root, i):
+    """Values of the cycle in coordinate i over both traversal directions."""
+    rooted = cycle.rooted_at(root)
+    vals = set()
+    for c in (rooted, rooted.reversed()):
+        vals.add(coordinate_values(graph, c)[i])
+    return vals
+
+
 def reference_is_robust(graph, cycles):
     coords = 2 if graph.descriptor.kind == groups.KIND_DIRECT_SUM else 1
     for i in range(coords):
@@ -405,3 +413,61 @@ def test_enumerated_cycles_equal_checked_cycles():
             loops += len(c.edges) == 1
             parallel += len(c.edges) == 2
     assert loops > 50 and parallel > 50
+
+
+def test_raw_shift_reroots_a_cycle():
+    # the shift rule on raw payloads: a cycle of raw value x, rerooted at the
+    # j-th vertex of its representative, has the value -p + x + p, p the raw
+    # value of its first j edges, as `walk_value` gives it on the rerooted
+    # cycle; in a free group and in a direct sum with a free summand
+    rng = random.Random(2028)
+    rerooted = 0
+    for text in ("free2", "sum(z,free2)"):
+        desc = groups.parse_descriptor(text)
+        t = groups.table(desc)
+        graphs = [random_multigraph(rng, desc) for _ in range(30)] + [labelled_wall(2, desc, rng)]
+        for g in graphs:
+            for c in enumerate_cycles(g):
+                verts, eids = c.rep.vertices, c.rep.edges
+                for j, v in enumerate(verts[:-1]):
+                    p = walk_payload(g, Walk(verts[: j + 1], eids[:j]))
+                    expected = walk_value(g, c.rep.rooted_at(v))
+                    assert t.wrap(shifted_value(t, {v: p}, v, c.raw, v)) == expected
+                    rerooted += c.raw != t.unwrap(expected)
+    assert rerooted > 100  # rerooting changed the value that often
+
+
+def test_enumeration_and_robustness_check_wrap_no_element(monkeypatch):
+    # both work on raw payloads: no element is wrapped, no walk is folded,
+    # and the only cycles built with the checks are the witness's two
+    def refuse(*args):
+        raise AssertionError("called on the raw path")
+
+    for name in ("walk_value", "walk_payload", "coordinate_values"):
+        monkeypatch.setattr(cycles, name, refuse)
+    checked = []
+    post_init = Cycle.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Cycle, "__post_init__", counting)
+    data = json.loads((Path(__file__).parent / "data" / "analyze_walls.json").read_text())
+    witnesses = 0
+    for case in data:
+        g = decode_graph(case["graph"])
+        g.steps()  # built once from the labels, which are elements
+        descs = (g.descriptor,) + groups.coordinate_groups(g.descriptor)
+        tables = {d: groups.table(d) for d in descs}
+        try:
+            for d, t in tables.items():
+                object.__setattr__(d, "_table", t._replace(wrap=refuse))
+            ok, witness = is_robust(g, cycles=enumerate_cycles(g))
+        finally:
+            for d, t in tables.items():
+                object.__setattr__(d, "_table", t)
+        assert len(checked) == (0 if ok else 2)
+        witnesses += not ok
+        checked.clear()
+    assert witnesses >= 3

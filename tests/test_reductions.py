@@ -430,3 +430,45 @@ def test_embedded_encode_decode_round_trip():
         assert back.graph == emb.graph
         assert back.rotations == emb.rotations
         assert back.sign(0) == emb.sign(0)
+
+
+def _edited_payload(emb, edit):
+    data = encode_embedded(emb)
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "emb, edit",
+    [
+        # a fractional sign, which a bare int() truncated to -1
+        (projective_embedding, lambda d: d["signs"].update({"0": -1.9})),
+        (triangle_embedding, lambda d: d["rotations"]["1"].__setitem__(1, [2.5, 0])),
+        # a boolean direction, which a bare int() read as 1
+        (triangle_embedding, lambda d: d["rotations"]["1"].__setitem__(0, [0, True])),
+        (triangle_embedding, lambda d: d["rotations"].update({"2.5": d["rotations"].pop("2")})),
+        (triangle_embedding, lambda d: d["signs"].update({"x": 1})),
+        (triangle_embedding, lambda d: d["rotations"]["0"].append([1])),
+        (triangle_embedding, lambda d: d.update(rotations=[])),
+    ],
+    ids=["sign -1.9", "edge id 2.5", "direction true", "vertex key 2.5", "sign key x", "short dart", "rotation list"],
+)
+def test_decode_embedded_rejects_entries_that_are_not_integers(emb, edit):
+    with pytest.raises(GraphFormatError, match="^malformed embedded payload: "):
+        decode_embedded(_edited_payload(emb(), edit))
+
+
+@pytest.mark.parametrize(
+    "emb, edit",
+    [
+        (projective_embedding, lambda d: d["signs"].update({"0": -1.0})),
+        (projective_embedding, lambda d: d["signs"].update({"0": "-1"})),
+        (triangle_embedding, lambda d: d["rotations"]["1"].__setitem__(0, [0.0, "1"])),
+        (triangle_embedding, lambda d: d["rotations"]["2"].__setitem__(1, ["2", 1.0])),
+    ],
+    ids=["sign -1.0", "sign string", "integral float id", "decimal string id"],
+)
+def test_decode_embedded_reads_integral_floats_and_decimal_strings(emb, edit):
+    expected = emb()
+    back = decode_embedded(_edited_payload(expected, edit))
+    assert (back.graph, back.rotations, back.signs) == (expected.graph, expected.rotations, expected.signs)
