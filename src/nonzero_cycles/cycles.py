@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import groups
 from .graphs import Cycle, LabeledGraph, shifted_value, walk_payload, walk_value
@@ -98,13 +98,18 @@ def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
     return ClassifiedCycle(cycle.edge_set(), cycle, groups.zero_reader(desc)(raw), raw, desc)
 
 
+def _vertex_bits(vertices: Iterable[int]) -> Dict[int, int]:
+    """Bit i for the i-th smallest vertex: the package's one vertex-bit order."""
+    return {v: 1 << i for i, v in enumerate(sorted(vertices))}
+
+
 def _bit_steps(graph: LabeledGraph):
-    """`(bit, adj)`: a bit per vertex, in sorted order, and per vertex its
+    """`(bit, adj)`: the `_vertex_bits` of the graph, and per vertex its
     steps `(eid, neighbour, neighbour's bit, edge's bit, arrival payload)`
     in `incident` order, a loop being a step back to its vertex.  The
     arrival payload is the raw label seen arriving at the neighbour, from
     `graph.steps()`, so None where zero."""
-    bit = {v: 1 << i for i, v in enumerate(sorted(graph.vertices))}
+    bit = _vertex_bits(graph.vertices)
     ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
     steps = graph.steps()
     adj = {}
@@ -226,11 +231,10 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
 
 def doubly_nonzero_masks(graph: LabeledGraph, limit: Optional[int] = None) -> List[Tuple[int, Tuple[int, ...]]]:
     """The doubly non-zero cycles of `enumerate_cycles`, in its order, each
-    as `(vertex mask, edge ids)`: the `_bit_steps` bits of its vertices
-    (bit i for the i-th smallest vertex of the graph) and the edge ids of
-    its representative.  A cycle is kept by the value the DFS folds as it
-    closes the cycle, and no `Cycle`, `ClassifiedCycle` or frozenset is
-    built for any cycle.  Every closed cycle, kept or not, counts towards
+    as `(vertex mask, edge ids)`: the `_vertex_bits` of its vertices and
+    the edge ids of its representative.  A cycle is kept by the value the
+    DFS folds as it closes the cycle, and no `Cycle`, `ClassifiedCycle` or
+    frozenset is built for any cycle.  Every closed cycle, kept or not, counts towards
     `limit`, so the limit is `enumerate_cycles`'s."""
     bit, adj = _bit_steps(graph)
     zeros = groups.zero_reader(graph.descriptor)

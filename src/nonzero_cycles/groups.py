@@ -477,7 +477,10 @@ def _parse_desc(text: str) -> tuple[GroupDescriptor, str]:
         body, _, rest = text[2:].partition(")")
         if _ != ")":
             raise GroupParseError("unterminated q(...)")
-        factors = [int(x) for x in body.split(",")] if body else []
+        try:
+            factors = [int(x) for x in body.split(",")] if body else []
+        except ValueError:
+            raise GroupParseError(f"q(...) takes comma-separated integers, not {body!r}") from None
         return quotient(factors), rest
     if text.startswith("free"):
         num, rest = _take_int(text[4:])

@@ -17,9 +17,8 @@ are 32 (4 on the h=3 Escher wall, where `packing.pack_and_cover` finds 5).
 That makes `_find_cycles` an oracle: it finds k vertex-disjoint doubly
 nonzero cycles avoiding a given vertex set, or proves that none exist; ν
 is the largest k whose family of shapes routes.  τ comes from the implicit
-hitting-set loop over its k = 1 case, `_find_cycle`: a minimum hitting set
-of the witness cycles found so far (`packing._min_hitting_set`), then one
-oracle call, until the oracle finds no cycle avoiding the hitting set.
+hitting-set loop `packing.implicit_transversal`, with the k = 1 case,
+`_find_cycle`, read as vertex sets (`_witness`) for its oracle.
 
 Each `WallInstance` builds its table of cycle shapes once
 (`WallInstance.shapes`) by a DFS that drops a branch at its first crossing
@@ -555,32 +554,14 @@ def _half_integral_family(inst: WallInstance) -> List[Cycle]:
                 continue
             seen.add(cycle.edge_set())
             cycles.append(cycle)
-    chosen = packing._max_disjoint(packing._vertex_masks([c.vertex_set() for c in cycles])[0], max_use=2)
+    chosen = packing.max_packing(inst.graph.vertices, [c.vertex_set() for c in cycles], max_use=2)
     return [cycles[i] for i in chosen]
 
 
-def _exact_transversal(inst: WallInstance, first: Optional[Cycle]) -> FrozenSet[int]:
-    """A minimum vertex set meeting every doubly nonzero cycle, found by
-    the implicit hitting-set loop (Karp and Moreno-Centeno, 2013).
-
-    X is a minimum hitting set of the vertex sets of the witness cycles
-    found so far (at first there are none, and X is empty).  `_find_cycle`
-    either finds a doubly nonzero cycle avoiding X, which joins the
-    witnesses, or proves that none exists; then X is a transversal, and no
-    smaller one exists, because X is already minimum for the witnesses.
-    Each round passes |X| on as a lower bound, since a new witness cannot
-    shrink the minimum.  `first` is `_find_cycle(inst)`, the oracle's answer
-    for the empty X, which `verify_instance` has already asked for ν.
-    """
-    found: List[FrozenSet[int]] = []
-    hit: FrozenSet[int] = frozenset()
-    cycle = first
-    while cycle is not None:
-        found.append(cycle.vertex_set())
-        masks, order = packing._vertex_masks(found)
-        hit = packing._mask_vertices(packing._min_hitting_set(masks, at_least=len(hit)), order)
-        cycle = _find_cycle(inst, hit)
-    return hit
+def _witness(inst: WallInstance, removed: FrozenSet[int] = frozenset()) -> Optional[FrozenSet[int]]:
+    """The vertex set of `_find_cycle(inst, removed)`, or None: τ's oracle."""
+    cycle = _find_cycle(inst, removed)
+    return None if cycle is None else cycle.vertex_set()
 
 
 def _report(nu: int, nu_half: int, tau: int, h: int, method: str) -> dict:
@@ -602,16 +583,16 @@ def verify_instance(inst: WallInstance, h: int) -> dict:
     size of the family `_half_integral_family` witnesses), checked against
     the obstruction requirements ν = 1 and τ > h.  ν is the largest k for
     which `_find_cycles` routes a family of k shapes, and τ is the size of
-    the minimum transversal `_exact_transversal` certifies."""
+    the minimum transversal `packing.implicit_transversal` certifies."""
     for e in inst.wall.graph.edges.values():
         if not groups.is_zero(e.label):
             raise ObstructionFormatError("the wall part must be null-labeled")
-    one = _find_cycle(inst)
-    nu = 0 if one is None else 1
+    first = _witness(inst)
+    nu = 0 if first is None else 1
     while nu and _find_cycles(inst, nu + 1) is not None:
         nu += 1
     nu_half = max(len(_half_integral_family(inst)), nu)
-    tau = len(_exact_transversal(inst, one))
+    tau = len(packing.implicit_transversal(inst.graph.vertices, functools.partial(_witness, inst), first))
     return _report(nu, nu_half, tau, h, "chords")
 
 

@@ -3,11 +3,10 @@
 All solvers enumerate candidate cycles/paths explicitly and then run a
 deterministic branch-and-bound; ties break lexicographically on sorted
 edge-id tuples.  Intended for desk-scale instances.  Both searches read
-vertex sets as int bitmasks, bit i for the i-th smallest vertex, and keep
-their open branches on an explicit stack.  The doubly non-zero cycles come
-as masks straight from the enumerating DFS (`cycles.doubly_nonzero_masks`);
-`_vertex_masks` is the adapter for callers that hold vertex sets (A-paths
-here, and the wall solver's witness cycles in `obstructions`).
+vertex sets as int bitmasks, bit i for the i-th smallest vertex of the
+graph (`cycles._vertex_bits`), and keep their open branches on an explicit
+stack.  Doubly non-zero cycles come as masks from the enumerating DFS
+(`cycles.doubly_nonzero_masks`); other vertex sets become masks here.
 
 The packing search (`_max_disjoint`, for ν with each vertex used once and
 ν½ with each vertex used at most twice) hands each branch only the
@@ -20,10 +19,11 @@ Its answer is the lexicographically smallest optimal index tuple, with or
 without the cover.
 
 `_min_hitting_set` is the package's one exact hitting-set solver: over
-every enumerated cycle or A-path, and on wall instances over the witness
-cycles of the implicit hitting-set loop (`obstructions._exact_transversal`).
-It stops once it holds a hitting set as small as the lower bound its caller
-has proved: ν here, the previous round's minimum in that loop.
+every enumerated cycle or A-path, and over the witnesses of the implicit
+hitting-set loop `implicit_transversal`, which asks an oracle instead (the
+wall instances' chord router).  It stops at a hitting set as small as the
+lower bound its caller has proved: ν here, the previous round's minimum in
+that loop.
 
 A-paths come from the DFS that enumerates cycles (`cycles._simple_paths`),
 one start per terminal, so they obey the same limit, `NONZERO_CYCLES_LIMIT`
@@ -36,10 +36,10 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import groups
-from .cycles import _bit_steps, _by_length_then_edges, _simple_paths, classify, doubly_nonzero_masks
+from .cycles import _bit_steps, _by_length_then_edges, _simple_paths, _vertex_bits, classify, doubly_nonzero_masks
 from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges
 
 
@@ -56,17 +56,9 @@ class PackCoverReport:
     transversal: FrozenSet[int]
 
 
-def _vertex_masks(sets: Sequence[AbstractSet[int]]) -> Tuple[List[int], List[int]]:
-    """Each vertex set as an int bitmask, and the vertex of each bit: bit i
-    for the i-th smallest vertex of the union, `order[i]`."""
-    order = sorted(set().union(*sets))
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    return [sum(map(bit.__getitem__, s)) for s in sets], order
-
-
-def _mask_vertices(mask: int, order: Sequence[int]) -> FrozenSet[int]:
-    """The vertices of `mask`, bit i standing for `order[i]`."""
-    return frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+def _mask_vertices(mask: int, bit: Dict[int, int]) -> FrozenSet[int]:
+    """The vertices of `mask`, each vertex v standing for its bit `bit[v]`."""
+    return frozenset(v for v, b in bit.items() if mask & b)
 
 
 def _union(masks: Sequence[int]) -> int:
@@ -228,6 +220,34 @@ def _min_hitting_set(masks: Sequence[int], at_least: int = 0) -> int:
     return best
 
 
+def implicit_transversal(
+    vertices: Iterable[int], oracle: Callable[[FrozenSet[int]], Optional[AbstractSet[int]]], first
+) -> FrozenSet[int]:
+    """A minimum vertex set meeting every doubly non-zero cycle of a graph on
+    `vertices`, by the implicit hitting-set loop (Karp and Moreno-Centeno,
+    2013), which lists no cycle.  `oracle(X)` returns the vertex set of such
+    a cycle avoiding X, or None; `first` is its answer for the empty X.  X is
+    a minimum hitting set of the witnesses so far, each made a mask once, in
+    the bit order of `sorted(vertices)`; when the oracle finds none, no
+    smaller transversal exists.  |X| bounds the next round's minimum below."""
+    bit = _vertex_bits(vertices)
+    masks: List[int] = []
+    hit: FrozenSet[int] = frozenset()
+    witness = first
+    while witness is not None:
+        masks.append(sum(map(bit.__getitem__, witness)))
+        hit = _mask_vertices(_min_hitting_set(masks, at_least=len(hit)), bit)
+        witness = oracle(hit)
+    return hit
+
+
+def max_packing(vertices: Iterable[int], sets: Sequence[AbstractSet[int]], max_use: int = 1) -> List[int]:
+    """`_max_disjoint` over the non-empty vertex `sets` of a graph on
+    `vertices`: the lexicographically smallest largest selection's indices."""
+    bit = _vertex_bits(vertices)
+    return _max_disjoint([sum(map(bit.__getitem__, s)) for s in sets], max_use)
+
+
 def pack_and_cover(graph: LabeledGraph, limit: Optional[int] = None) -> PackCoverReport:
     """Exact nu, nu_half and tau over the doubly-nonzero cycles: nu first,
     as tau's lower bound, then tau, whose transversal caps the nu_half
@@ -243,7 +263,7 @@ def pack_and_cover(graph: LabeledGraph, limit: Optional[int] = None) -> PackCove
         tau=transversal.bit_count(),
         packing=tuple(frozenset(found[i][1]) for i in pack_idx),
         half_packing=tuple(frozenset(found[i][1]) for i in half_idx),
-        transversal=_mask_vertices(transversal, sorted(graph.vertices)),
+        transversal=_mask_vertices(transversal, _vertex_bits(graph.vertices)),
     )
 
 
@@ -251,7 +271,7 @@ def min_transversal(graph: LabeledGraph, limit: Optional[int] = None) -> FrozenS
     """Exact minimum vertex set meeting every doubly-nonzero cycle: the
     transversal of `pack_and_cover`, without the two packing searches."""
     masks = [m for m, _ in doubly_nonzero_masks(graph, limit)]
-    return _mask_vertices(_min_hitting_set(masks), sorted(graph.vertices))
+    return _mask_vertices(_min_hitting_set(masks), _vertex_bits(graph.vertices))
 
 
 def missed_cycle(graph: LabeledGraph, transversal, limit: Optional[int] = None) -> Optional[Tuple[int, ...]]:
@@ -329,14 +349,9 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
 
 def a_path_pack_and_cover(graph: LabeledGraph, terminals, limit: Optional[int] = None) -> APathReport:
     paths = enumerate_nonzero_a_paths(graph, terminals, limit)
-    masks, order = _vertex_masks([frozenset(w.vertices) for w in paths])
+    bit = _vertex_bits(graph.vertices)
+    masks = [sum(map(bit.__getitem__, w.vertices)) for w in paths]
     pack_idx = _max_disjoint(masks, max_use=1)
-    cover = _mask_vertices(_min_hitting_set(masks, at_least=len(pack_idx)), order)
+    cover = _mask_vertices(_min_hitting_set(masks, at_least=len(pack_idx)), bit)
     nu, tau = len(pack_idx), len(cover)
-    return APathReport(
-        nu=nu,
-        tau=tau,
-        packing=tuple(paths[i] for i in pack_idx),
-        cover=cover,
-        duality_ok=tau <= 2 * nu,
-    )
+    return APathReport(nu=nu, tau=tau, packing=tuple(paths[i] for i in pack_idx), cover=cover, duality_ok=tau <= 2 * nu)

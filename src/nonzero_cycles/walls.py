@@ -541,8 +541,12 @@ def encode_wall(wall: Wall) -> dict:
 
 
 def decode_wall(data: dict) -> Wall:
+    """Parse an `encode_wall` payload.  The size, the coordinate keys and
+    the (x, y) coordinates are integers by `groups.as_integer`; a missing
+    anatomy key or a value of the wrong kind raises WallFormatError, as a
+    bad `decode_graph` payload raises GraphFormatError."""
     graph = decode_graph(data["graph"])
-    a = data["anatomy"]
+    as_int = groups.as_integer
 
     def dec_walk(d: dict) -> Walk:
         return Walk(tuple(d["vertices"]), tuple(d["edges"]))
@@ -550,19 +554,23 @@ def decode_wall(data: dict) -> Wall:
     def dec_cycle(d: dict) -> Cycle:
         return Cycle(tuple(d["vertices"]), tuple(d["edges"]))
 
-    wall = Wall(
-        graph=graph,
-        r=a["r"],
-        coords={int(v): tuple(xy) for v, xy in a["coords"].items()},
-        branch=frozenset(a["branch"]),
-        corners=tuple(a["corners"]),
-        nails=tuple(a["nails"]),
-        horizontal=tuple(dec_walk(d) for d in a["horizontal"]),
-        vertical=tuple(dec_walk(d) for d in a["vertical"]),
-        bricks=tuple(dec_cycle(d) for d in a["bricks"]),
-        boundary=dec_cycle(a["boundary"]),
-        rows=tuple(dec_walk(d) for d in a["rows"]),
-        snakes=tuple(dec_walk(d) for d in a["snakes"]),
-    )
+    try:
+        a = data["anatomy"]
+        wall = Wall(
+            graph=graph,
+            r=as_int(a["r"]),
+            coords={as_int(v): (as_int(x), as_int(y)) for v, (x, y) in a["coords"].items()},
+            branch=frozenset(a["branch"]),
+            corners=tuple(a["corners"]),
+            nails=tuple(a["nails"]),
+            horizontal=tuple(dec_walk(d) for d in a["horizontal"]),
+            vertical=tuple(dec_walk(d) for d in a["vertical"]),
+            bricks=tuple(dec_cycle(d) for d in a["bricks"]),
+            boundary=dec_cycle(a["boundary"]),
+            rows=tuple(dec_walk(d) for d in a["rows"]),
+            snakes=tuple(dec_walk(d) for d in a["snakes"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise WallFormatError(f"malformed wall payload: {exc}") from exc
     validate_wall(wall)
     return wall

@@ -39,6 +39,15 @@ def test_gen_bad_group_descriptor(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["q(a)", "q(2.5)", "q(2,)", "sum(z2,q(x))"])
+def test_gen_non_integer_quotient_factor_is_parse_error(text, capsys):
+    # exit 2 with a message, not a traceback and the failed-certificate code 1
+    code, out, err = run(["gen", "random", "--groups", text], capsys)
+    assert (code, out) == (2, "")
+    assert "q(...) takes comma-separated integers" in err
+    assert "Traceback" not in err
+
+
 def test_gen_roundtrip_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

@@ -123,6 +123,19 @@ def test_quotient_canonicalisation():
         quotient([2, 3])  # not a divisibility chain
 
 
+@pytest.mark.parametrize("text", ["q(a)", "q(2.5)", "q(2,)", "sum(z2,q(x))"])
+def test_grammar_rejects_non_integer_quotient_factors(text):
+    # a parse error, not a bare ValueError from int()
+    with pytest.raises(GroupParseError, match=r"q\(\.\.\.\) takes comma-separated integers"):
+        parse_descriptor(text)
+
+
+def test_grammar_keeps_reading_the_quotient_factors_int_reads():
+    assert parse_descriptor("q(2,4)") == quotient([2, 4])
+    assert parse_descriptor("q( 2,+4)") == quotient([2, 4])
+    assert parse_descriptor("q()") == quotient([])
+
+
 @pytest.mark.parametrize("desc", DESCRIPTORS, ids=str)
 def test_grammar_round_trip(desc):
     assert parse_descriptor(format_descriptor(desc)) == desc

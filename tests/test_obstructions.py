@@ -1,6 +1,7 @@
 """Tests for Escher walls and the doubly-labeled wall obstructions."""
 
 import dataclasses
+import functools
 import itertools
 import random
 from collections import deque
@@ -26,7 +27,6 @@ from nonzero_cycles.obstructions import (
     _attach,
     _bfs_walk,
     _boundary_positions,
-    _exact_transversal,
     _families,
     _find_cycle,
     _find_cycles,
@@ -36,6 +36,7 @@ from nonzero_cycles.obstructions import (
     _route_chords,
     _row_slots,
     _Shape,
+    _witness,
     build_obstruction,
     build_obstruction_instance,
     escher_instance,
@@ -44,7 +45,7 @@ from nonzero_cycles.obstructions import (
     verify_obstruction,
 )
 from nonzero_cycles.walls import _elementary, elementary_wall
-from test_packing import max_disjoint, min_hitting_set, reference_min_hitting_set
+from test_packing import brute_force_hitting_number, max_disjoint, min_hitting_set, reference_min_hitting_set
 
 Z2 = groups.cyclic(2)
 Z3 = groups.cyclic(3)
@@ -420,7 +421,7 @@ def test_exact_transversal_height_three(p_type, q_type):
     # τ = 3 for every type pair; the transversal is asked for directly,
     # without the ν and ν½ searches of `verify_instance`
     inst = build_obstruction_instance(simple_spec(3, p_type, q_type))
-    hit = _exact_transversal(inst, _find_cycle(inst))
+    hit = packing.implicit_transversal(inst.graph.vertices, functools.partial(_witness, inst), _witness(inst))
     assert len(hit) == 3
     assert _find_cycle(inst, hit) is None
     # each vertex of the transversal is needed
@@ -431,14 +432,14 @@ def test_exact_transversal_height_three(p_type, q_type):
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_exact_transversal_of_escher_wall_passes_enumeration(h):
     inst = escher_instance(h)
-    hit = _exact_transversal(inst, _find_cycle(inst))
+    hit = packing.implicit_transversal(inst.graph.vertices, functools.partial(_witness, inst), _witness(inst))
     assert len(hit) == h
     assert packing.verify_transversal(inst.graph, hit)
 
 
 def test_exact_transversal_of_two_linkage_passes_enumeration():
     inst = build_obstruction_instance(simple_spec(1, "nested", "series"))
-    hit = _exact_transversal(inst, _find_cycle(inst))
+    hit = packing.implicit_transversal(inst.graph.vertices, functools.partial(_witness, inst), _witness(inst))
     assert len(hit) == 1
     assert packing.verify_transversal(inst.graph, hit)
 
@@ -450,25 +451,56 @@ def test_exact_transversal_height_four(kind):
         inst = escher_instance(4)
     else:
         inst = build_obstruction_instance(simple_spec(4, "nested", "series"))
-    hit = _exact_transversal(inst, _find_cycle(inst))
+    hit = packing.implicit_transversal(inst.graph.vertices, functools.partial(_witness, inst), _witness(inst))
     assert len(hit) == 4
     assert _find_cycle(inst, hit) is None
     for v in hit:
         assert _find_cycle(inst, hit - {v}) is not None
 
 
-def _reference_transversal(inst):
-    """The implicit hitting-set loop asking the oracle for every X, ∅
+def _reference_loop(oracle):
+    """The implicit hitting-set loop asking `oracle` for every X, ∅
     included, with the recursive hitting-set search of the test suite.
     Returns (the last X, every X asked, in order, the witness vertex sets)."""
     asked, found = [], []
     while True:
         hit = reference_min_hitting_set(found)
         asked.append(hit)
-        cycle = _find_cycle(inst, hit)
-        if cycle is None:
+        witness = oracle(hit)
+        if witness is None:
             return hit, asked, found
-        found.append(cycle.vertex_set())
+        found.append(witness)
+
+
+def _reference_transversal(inst):
+    """`_reference_loop` with the vertex sets of `_find_cycle` as the oracle."""
+    return _reference_loop(lambda hit: None if (c := _find_cycle(inst, hit)) is None else c.vertex_set())
+
+
+@pytest.mark.parametrize("large", [False, True])
+def test_implicit_transversal_on_explicit_families(large):
+    # the oracle scans an explicit family for the first set X misses; the
+    # loop then asks the same X, in order, as the reference loop, and ends
+    # at a minimum hitting set of the whole family.  The sets use some of
+    # the vertices only, so the masks have unused bits between used ones
+    rng = random.Random(70 + large)
+    for _ in range(60 if large else 200):
+        if large:
+            sets = [frozenset(rng.sample(range(48), rng.randint(8, 16))) for _ in range(rng.randint(1, 16))]
+        else:
+            n = rng.randint(1, 9)
+            every_third = range(0, 3 * n, 3)
+            sets = [frozenset(rng.sample(every_third, rng.randint(1, min(n, 4)))) for _ in range(rng.randint(0, 12))]
+        asked = []
+
+        def scan(hit):
+            asked.append(hit)
+            return next((s for s in sets if not s & hit), None)
+
+        hit = packing.implicit_transversal(range(60), scan, scan(frozenset()))
+        assert len(hit) == len(min_hitting_set(sets)) == brute_force_hitting_number(sets)
+        ref_hit, ref_asked, _ = _reference_loop(lambda x: next((s for s in sets if not s & x), None))
+        assert (hit, asked) == (ref_hit, ref_asked)
 
 
 @pytest.mark.parametrize(
@@ -487,7 +519,7 @@ def test_min_hitting_set_matches_the_old_search_on_witness_lists(inst):
     for i in range(1, len(found) + 1):
         assert min_hitting_set(found[:i]) == asked[i]
         assert min_hitting_set(found[:i], at_least=len(asked[i - 1])) == asked[i]
-    assert _exact_transversal(inst, _find_cycle(inst)) == hit
+    assert packing.implicit_transversal(inst.graph.vertices, functools.partial(_witness, inst), _witness(inst)) == hit
 
 
 @pytest.mark.parametrize(
@@ -498,7 +530,7 @@ def test_min_hitting_set_matches_the_old_search_on_witness_lists(inst):
 )
 def test_verify_instance_asks_the_oracle_once_for_the_empty_set(inst, monkeypatch):
     hit, asked, _ = _reference_transversal(inst)
-    assert _exact_transversal(inst, _find_cycle(inst)) == hit
+    assert packing.implicit_transversal(inst.graph.vertices, functools.partial(_witness, inst), _witness(inst)) == hit
     calls = []
 
     def counted(inst, removed=frozenset()):

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from nonzero_cycles import groups
-from nonzero_cycles.cycles import LIMIT_ENV_VAR, EnumerationLimitError, enumerate_cycles
+from nonzero_cycles.cycles import LIMIT_ENV_VAR, EnumerationLimitError, _vertex_bits, enumerate_cycles
 from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, walk_value
 from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
@@ -14,7 +14,6 @@ from nonzero_cycles.packing import (
     _max_disjoint,
     _min_hitting_set,
     _most_frequent_bit,
-    _vertex_masks,
     a_path_pack_and_cover,
     enumerate_nonzero_a_paths,
     missed_cycle,
@@ -28,16 +27,17 @@ Z3 = groups.cyclic(3)
 
 
 def max_disjoint(vertex_sets, max_use, cover=None):
-    """`_max_disjoint` over vertex sets, read through `_vertex_masks`."""
-    masks, order = _vertex_masks(vertex_sets)
-    xmask = None if cover is None else sum(1 << i for i, v in enumerate(order) if v in cover)
+    """`_max_disjoint` over vertex sets, read through `_vertex_bits`."""
+    bit = _vertex_bits(set().union(*vertex_sets))
+    masks = [sum(map(bit.__getitem__, s)) for s in vertex_sets]
+    xmask = None if cover is None else sum(b for v, b in bit.items() if v in cover)
     return _max_disjoint(masks, max_use, xmask)
 
 
 def min_hitting_set(sets, at_least=0):
-    """`_min_hitting_set` over vertex sets, read through `_vertex_masks`."""
-    masks, order = _vertex_masks(sets)
-    return _mask_vertices(_min_hitting_set(masks, at_least), order)
+    """`_min_hitting_set` over vertex sets, read through `_vertex_bits`."""
+    bit = _vertex_bits(set().union(*sets))
+    return _mask_vertices(_min_hitting_set([sum(map(bit.__getitem__, s)) for s in sets], at_least), bit)
 
 
 def random_graph(desc, rng, n_max=7, m_max=11):

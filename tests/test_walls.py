@@ -1,5 +1,6 @@
 """Tests for wall construction, subwalls, and local rerouting."""
 
+import json
 import math
 
 import networkx as nx
@@ -247,6 +248,44 @@ def test_wall_encode_decode_round_trip():
     assert [p.edges for p in w2.horizontal] == [p.edges for p in w.horizontal]
     assert [p.edges for p in w2.vertical] == [p.edges for p in w.vertical]
     assert [c.edge_set() for c in w2.bricks] == [c.edge_set() for c in w.bricks]
+
+
+def test_wall_decode_reads_integral_numbers_as_integers():
+    w = elementary_wall(2)
+    data = json.loads(json.dumps(encode_wall(w)))
+    data["anatomy"]["r"] = 2.0
+    v = next(iter(data["anatomy"]["coords"]))
+    x, y = data["anatomy"]["coords"][v]
+    data["anatomy"]["coords"][v] = [float(x), str(y)]
+    w2 = decode_wall(data)
+    assert type(w2.r) is int and w2.r == 2
+    assert dict(w2.coords) == dict(w.coords)
+    assert all(type(c) is int for xy in w2.coords.values() for c in xy)
+
+
+def _first_coords_key(data):
+    return next(iter(data["anatomy"]["coords"]))
+
+
+BROKEN_WALL_PAYLOADS = {
+    "fractional size": lambda d: d["anatomy"].update(r=2.5),
+    "boolean size": lambda d: d["anatomy"].update(r=True),
+    "fractional coordinate": lambda d: d["anatomy"]["coords"].update({_first_coords_key(d): [0.5, 0]}),
+    "three coordinates": lambda d: d["anatomy"]["coords"].update({_first_coords_key(d): [0, 0, 0]}),
+    "fractional coordinate key": lambda d: d["anatomy"]["coords"].update({"2.5": [0, 0]}),
+    "coordinates not a mapping": lambda d: d["anatomy"].update(coords=[]),
+    "missing nails": lambda d: d["anatomy"].pop("nails"),
+    "missing anatomy": lambda d: d.pop("anatomy"),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_WALL_PAYLOADS))
+def test_wall_decode_rejects_malformed_payloads(case):
+    # a WallFormatError naming the payload, not a bare KeyError or ValueError
+    data = json.loads(json.dumps(encode_wall(elementary_wall(2))))
+    BROKEN_WALL_PAYLOADS[case](data)
+    with pytest.raises(WallFormatError, match="malformed wall payload"):
+        decode_wall(data)
 
 
 def test_rerouted_wall_round_trip():
