@@ -319,15 +319,18 @@ def _compile(desc: GroupDescriptor) -> Table:
         ladd, radd, lneg, rneg = left.add, right.add, left.neg, right.neg
         lwrap, rwrap, lunwrap, runwrap = left.wrap, right.wrap, left.unwrap, right.unwrap
 
+        def summand(x, part, t):
+            # a raw entry goes straight to the summand's make; an element
+            # entry must already live in that summand
+            if not isinstance(x, GroupElement):
+                return t.make(x)
+            if x.descriptor != part:
+                raise GroupParseError("direct sum components in wrong groups")
+            return t.unwrap(x)
+
         def make(p):
             a, b = _entries(p, "direct sum", 2)
-            if not isinstance(a, GroupElement):
-                a = element(parts[0], a)
-            if not isinstance(b, GroupElement):
-                b = element(parts[1], b)
-            if a.descriptor != parts[0] or b.descriptor != parts[1]:
-                raise GroupParseError("direct sum components in wrong groups")
-            return lunwrap(a), runwrap(b)
+            return summand(a, parts[0], left), summand(b, parts[1], right)
 
         return Table(
             lambda p, q: (ladd(p[0], q[0]), radd(p[1], q[1])),

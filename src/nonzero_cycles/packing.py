@@ -9,14 +9,19 @@ stack.  Doubly non-zero cycles come as masks from the enumerating DFS
 (`cycles.doubly_nonzero_masks`); other vertex sets become masks here.
 
 The packing search (`_max_disjoint`, for ν with each vertex used once and
-ν½ with each vertex used at most twice) hands each branch only the
-candidates that still fit, and cuts a branch when the vertex uses left
-cannot hold enough further candidates to beat the best packing found.
-`pack_and_cover` computes ν½ last and hands it τ's transversal X as a
-cover: every candidate takes a use of a vertex of X, so the free uses left
-on X bound the further picks, and ν½ ≤ 2τ stops the search once reached.
-Its answer is the lexicographically smallest optimal index tuple, with or
-without the cover.
+ν½ with each vertex used at most twice) first finds the size on the
+exchange-closed family (`_exchange_family`): the masks whose strictly
+smaller sub-masks are pairwise disjoint, or absent for ν, which still hold
+a maximum packing.  It then runs the same branch-and-bound on every mask,
+stopping at the first packing of that size, so its answer is the
+lexicographically smallest optimal index tuple over all of them.  The
+branch-and-bound hands each branch only the candidates that still fit, and
+cuts a branch when the vertex uses left cannot hold enough further
+candidates to beat the best packing found.  `pack_and_cover` computes ν½
+last and hands it τ's transversal X as a cover: every candidate takes a
+use of a vertex of X, so the free uses left on X bound the further picks,
+drop the candidates that would take too many of them, and stop the search
+once ν½ reaches 2τ.
 
 `_min_hitting_set` is the package's one exact hitting-set solver: over
 every enumerated cycle or A-path, and over the witnesses of the implicit
@@ -80,29 +85,122 @@ def _max_disjoint(masks: Sequence[int], max_use: int, cover: Optional[int] = Non
     takes a use of a vertex of X, so no selection exceeds `max_use * |X|`.
     Only vertices of the union of the masks count, in X as in the capacity.
 
-    The search carries `once`, the vertices one more use would fill (with
-    `max_use=1` every vertex starts there), and `full`, the vertices used
-    up; each child gets only the later candidates whose masks miss `full`.
-    A branch is cut when even `min(len(cands), capacity // smallest
-    candidate size, free uses on X)` more items, where capacity is
-    `max_use * |V|` minus the vertex uses so far and the free uses on X are
-    `2|X| - |X & once| - 2|X & full|`, cannot beat the best found; the
-    search stops once the best reaches `max_use * |X|`.  Branches run in
-    index order and `best` changes only on a strictly larger selection, and
-    a cut drops only branches that cannot beat it, so the first optimum in
-    branch order, the lexicographically smallest, is the one returned,
-    with or without `cover`.
+    The size comes from `_exchange_family`, which holds a maximum selection
+    of least total size: if such a selection used C but not some D strictly
+    inside C, swapping C for D would shrink it, and two such D that met
+    would put a third use on a shared vertex.  When the family drops a
+    mask, the same search then runs on every mask, stopping at the first
+    selection of the proved size, which is the lexicographically smallest.
     """
     if max_use not in (1, 2):
         raise ValueError("max_use must be 1 or 2")
+    _union(masks)  # ValueError on an empty mask
+    if cover is not None and not all(m & cover for m in masks):
+        raise ValueError("cover must meet every vertex set")
+    family = _exchange_family(masks, max_use)
+    if len(family) == len(masks):
+        return _packing_search(masks, max_use, cover)
+    size = len(_packing_search([masks[i] for i in family], max_use, cover))
+    return _packing_search(masks, max_use, cover, size)
+
+
+def _exchange_family(masks: Sequence[int], max_use: int) -> List[int]:
+    """The indices, in order, of the masks that some maximum selection of
+    least total size may use: mask C is kept when the masks strictly inside
+    it are pairwise disjoint (`max_use=2`), or when there are none
+    (`max_use=1`), so equal masks are kept together.
+
+    Only a mask with fewer vertices lies strictly inside C, so the masks are
+    ranked by size.  The vertices through the same smaller masks form one
+    class, with the mask of the ranks that miss it, and C starts from the
+    ranks below its size and keeps those that miss each class with a vertex
+    outside C.  A mask of the least size is kept unchecked.
+    """
+    sizes = [m.bit_count() for m in masks]
+    ranked = sorted(range(len(masks)), key=sizes.__getitem__)
+    # below[s]: how many masks have fewer than s vertices
+    below: Dict[int, int] = {}
+    for r, i in enumerate(ranked):
+        below.setdefault(sizes[i], r)
+    # only the masks below the largest size can lie inside another
+    small = below[sizes[ranked[-1]]] if masks else 0
+    if not small:
+        return list(range(len(masks)))
+    # the vertices that the same smaller masks pass through form a class,
+    # kept as (its vertex mask, the ranks of the smaller masks that miss
+    # it); each smaller mask splits every class it cuts in two
+    classes = [(functools.reduce(operator.or_, (masks[i] for i in ranked[:small])), (1 << small) - 1)]
+    for r in range(small):
+        d, bit = masks[ranked[r]], 1 << r
+        split = []
+        for vertices, missing in classes:
+            through = vertices & d
+            if through:
+                split.append((through, missing ^ bit))
+            if through != vertices:
+                split.append((vertices ^ through, missing))
+        classes = split
+    kept = []
+    for i, c in enumerate(masks):
+        inside = (1 << below[sizes[i]]) - 1
+        outside = ~c
+        for vertices, missing in classes:
+            if not inside:
+                break
+            if vertices & outside:
+                inside &= missing
+        if inside and max_use == 2:
+            # the masks inside must be pairwise disjoint
+            used = 0
+            while inside:
+                r = inside & -inside
+                m = masks[ranked[r.bit_length() - 1]]
+                if m & used:
+                    break
+                used |= m
+                inside ^= r
+        if not inside:
+            kept.append(i)
+    return kept
+
+
+def _packing_search(
+    masks: Sequence[int], max_use: int, cover: Optional[int], target: Optional[int] = None
+) -> List[int]:
+    """The branch-and-bound of `_max_disjoint` on non-empty masks, with
+    `cover` already checked: the lexicographically smallest largest
+    selection, or, given `target`, the largest size, the lexicographically
+    smallest selection of that size.
+
+    The search carries `once`, the vertices one more use would fill (with
+    `max_use=1` every vertex starts there), and `full`, the vertices used
+    up; each child gets only the later candidates whose masks miss `full`.
+    A selection must have more than `bar` items to count: the best found,
+    or one less than `target`.  A child is cut when even `min(later
+    candidates, free uses on X)` more items cannot beat `bar`, where the
+    free uses on X are `2|X| - |X & once| - 2|X & full|`, before its
+    candidates are filtered; then also when `capacity // smallest candidate
+    size` cannot, where capacity is `max_use * |V|` minus the vertex uses so
+    far.  Each further item takes at least one use of X, so a candidate
+    taking more uses of X than the free ones, less one for each other item a
+    selection beating `bar` needs, is dropped.  The search stops once the
+    best reaches `target` or `max_use * |X|`.  Branches run in index order
+    and `best` changes only on a strictly larger selection, and a cut or a
+    drop removes only selections that cannot beat `bar`, so the first
+    optimum in branch order, the lexicographically smallest, is the one
+    returned, with or without `cover` or `target`.
+    """
     union = _union(masks)
     sizes = [m.bit_count() for m in masks]
     xmask = cover & union if cover is not None else 0
-    if cover is not None and not all(m & xmask for m in masks):
-        raise ValueError("cover must meet every vertex set")
+    xuses = [(m & xmask).bit_count() for m in masks]
+    most_xuses = max(xuses, default=0)
     xsize = xmask.bit_count()
-    # the most items any selection holds: all of them, or one per use of X
-    most = len(masks) if cover is None else max_use * xsize
+    # the most items any selection holds: the target, all of them, or one
+    # per use of X
+    most = target if target is not None else len(masks) if cover is None else max_use * xsize
+    # a selection counts only when it has more than `bar` items
+    bar = 0 if target is None else target - 1
     best: List[int] = []
     chosen: List[int] = []
     # the open branches above the current one, as (candidates, once, full,
@@ -110,19 +208,18 @@ def _max_disjoint(masks: Sequence[int], max_use: int, cover: Optional[int] = Non
     # and a branch whose next position is len(candidates) is finished
     above: List[Tuple[List[int], int, int, int, int]] = []
 
-    def promising(cands: List[int], once: int, full: int, capacity: int, depth: int) -> bool:
-        room = capacity // min(map(sizes.__getitem__, cands))
-        if cover is not None:
-            room = min(room, 2 * xsize - (once & xmask).bit_count() - 2 * (full & xmask).bit_count())
-        return depth + min(len(cands), room) > len(best)
+    def promising(cands: List[int], capacity: int, free: int, depth: int) -> bool:
+        room = min(len(cands), capacity // min(map(sizes.__getitem__, cands)), free)
+        return depth + room > bar
 
     cands = list(range(len(masks)))
     once = union if max_use == 1 else 0
     full = 0
     capacity = max_use * union.bit_count()
-    k = 0 if cands and promising(cands, once, full, capacity, 0) else len(cands)
+    # at the root every use of X is free: `most` bounds the picks
+    k = 0 if cands and promising(cands, capacity, most, 0) else len(cands)
     while True:
-        if k == len(cands) or len(chosen) + len(cands) - k <= len(best):
+        if k == len(cands) or len(chosen) + len(cands) - k <= bar:
             if not above:
                 return best
             cands, once, full, capacity, k = above.pop()
@@ -130,20 +227,33 @@ def _max_disjoint(masks: Sequence[int], max_use: int, cover: Optional[int] = Non
             continue
         i = cands[k]
         k += 1
-        if len(chosen) >= len(best):
+        depth = len(chosen) + 1
+        if depth > bar:
             best = chosen + [i]
-            if len(best) == most:
+            bar = depth
+            if bar == most:
                 return best
+        m = masks[i]
+        filled = once & m
+        child_once, child_full = once ^ m, full | filled
+        # each further item takes a use of X, so the free uses left bound them
+        free = most
+        if cover is not None:
+            free = 2 * xsize - (child_once & xmask).bit_count() - 2 * (child_full & xmask).bit_count()
+        # the later candidates and the free uses bound the child before its
+        # candidates are filtered
+        if depth + min(len(cands) - k, free) <= bar:
+            continue
+        # an item beyond X's spare uses cannot join a selection beating bar
+        spare = free - (bar - depth)
         rest = cands[k:]
-        filled = once & masks[i]
-        if filled:
-            rest = [j for j in rest if not masks[j] & filled]
-        child = (once ^ masks[i], full | filled, capacity - sizes[i])
-        if rest and promising(rest, *child, len(chosen) + 1):
+        if filled or spare < most_xuses:
+            rest = [j for j in rest if not masks[j] & filled and xuses[j] <= spare]
+        if rest and promising(rest, capacity - sizes[i], free, depth):
             above.append((cands, once, full, capacity, k))
             chosen.append(i)
             cands, k = rest, 0
-            once, full, capacity = child
+            once, full, capacity = child_once, child_full, capacity - sizes[i]
 
 
 def _disjoint_count(masks: List[int]) -> int:

@@ -209,6 +209,28 @@ def test_decode_reads_integral_floats_and_decimal_strings():
     assert decode_element(free_abelian(2), [2.0, "-1"]) == element(free_abelian(2), (2, -1))
 
 
+@pytest.mark.parametrize("text", ["sum(z2,z3)", "sum(z,free2)", "sum(za2,q(2,4,0))", "sum(sum(z2,z3),z5)"])
+def test_direct_sum_make_reads_raw_element_and_mixed_entries_alike(text):
+    # the summands' raw payloads come straight from their own make, and an
+    # element entry is unwrapped: both give the payloads of `element`
+    desc = parse_descriptor(text)
+    left, right = groups.coordinate_groups(desc)
+    t = groups.table(desc)
+    rng = random.Random(8)
+    for _ in range(20):
+        a, b = groups.random_element(left, rng), groups.random_element(right, rng)
+        raw = (encode_element(a), encode_element(b))
+        expected = (groups.table(left).unwrap(a), groups.table(right).unwrap(b))
+        for entries in (raw, (a, b), (a, raw[1]), (raw[0], b)):
+            assert t.make(list(entries)) == expected
+            assert element(desc, list(entries)) == groups.table(desc).wrap(expected)
+            assert decode_element(desc, list(entries)) == element(desc, (a, b))
+    stranger = element(cyclic(7), 1)
+    for entries in ([stranger, raw[1]], [raw[0], stranger], [b, a]):
+        with pytest.raises(GroupParseError, match="direct sum components in wrong groups"):
+            element(desc, entries)
+
+
 ZERO_READER_GROUPS = [
     "z", "z5", "za2", "free2", "q(2,4,0)", "z1", "za0", "free0",
     "sum(z3,z3)", "sum(z,free2)", "sum(free2,free2)",

@@ -10,6 +10,7 @@ from nonzero_cycles.cycles import LIMIT_ENV_VAR, EnumerationLimitError, _vertex_
 from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, walk_value
 from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
+    _exchange_family,
     _mask_vertices,
     _max_disjoint,
     _min_hitting_set,
@@ -326,6 +327,87 @@ def test_max_disjoint_is_lexmin_optimum_on_a_path_families(max_use):
         if max_use == 1:
             report = a_path_pack_and_cover(g, terms)
             assert report.packing == tuple(paths[i] for i in expected)
+
+
+def nested_family(rng):
+    """Up to 11 vertex sets over at most 7 vertices, each a copy, a subset
+    or a superset of an earlier set about half the time, so that chains of
+    nested and equal sets are common."""
+    n = rng.randint(1, 7)
+    vertex_sets = []
+    for _ in range(rng.randint(0, 11)):
+        pick = rng.random()
+        if vertex_sets and pick < 0.2:
+            vertex_set = rng.choice(vertex_sets)
+        elif vertex_sets and pick < 0.4:
+            base = sorted(rng.choice(vertex_sets))
+            vertex_set = frozenset(rng.sample(base, rng.randint(1, len(base))))
+        elif vertex_sets and pick < 0.6:
+            vertex_set = rng.choice(vertex_sets) | frozenset(rng.sample(range(n), rng.randint(1, n)))
+        else:
+            vertex_set = frozenset(rng.sample(range(n), rng.randint(1, min(n, 4))))
+        vertex_sets.append(vertex_set)
+    return vertex_sets
+
+
+def exchange_family_reference(vertex_sets, max_use):
+    """The indices of the sets C whose strictly smaller subsets, equal ones
+    counted apart, are pairwise disjoint (`max_use=2`) or absent, by
+    comparing every pair."""
+    kept = []
+    for i, c in enumerate(vertex_sets):
+        inside = [d for d in vertex_sets if d < c]
+        if not inside if max_use == 1 else all(not a & b for a, b in itertools.combinations(inside, 2)):
+            kept.append(i)
+    return kept
+
+
+@pytest.mark.parametrize("max_use", [1, 2])
+def test_exchange_family_matches_the_pairwise_reference(max_use):
+    rng = random.Random(30 + max_use)
+    dropped = equal = 0
+    for _ in range(400):
+        vertex_sets = nested_family(rng)
+        bit = _vertex_bits(set().union(*vertex_sets))
+        masks = [sum(map(bit.__getitem__, s)) for s in vertex_sets]
+        expected = exchange_family_reference(vertex_sets, max_use)
+        assert _exchange_family(masks, max_use) == expected
+        dropped += len(expected) < len(vertex_sets)
+        equal += len(set(vertex_sets)) < len(vertex_sets)
+    assert dropped > 150 and equal > 150
+
+
+@pytest.mark.parametrize("max_use", [1, 2])
+def test_max_disjoint_is_lexmin_optimum_on_nested_families(max_use):
+    # the size comes from the exchange family, the witness from every set
+    rng = random.Random(50 + max_use)
+    recovered = 0
+    for _ in range(250):
+        vertex_sets = nested_family(rng)
+        expected = lexmin_max_disjoint(vertex_sets, max_use)
+        assert max_disjoint(vertex_sets, max_use) == expected
+        if vertex_sets:
+            assert max_disjoint(vertex_sets, max_use, cover=min_hitting_set(vertex_sets)) == expected
+            kept = set(exchange_family_reference(vertex_sets, max_use))
+            recovered += not kept.issuperset(expected)
+    assert recovered > 20  # the lexmin optimum often uses a set the family drops
+
+
+@pytest.mark.parametrize(
+    "vertex_sets, max_use, family, expected",
+    [
+        # {0, 1} holds {0}: the family drops it, yet the lexmin optimum is (0, 2)
+        ([{0, 1}, {0}, {2}], 1, [1, 2], [0, 2]),
+        # {0, 1} holds two equal sets {0}, which meet: dropped, yet in (0, 1, 3)
+        ([{0, 1}, {0}, {0}, {2}], 2, [1, 2, 3], [0, 1, 3]),
+    ],
+)
+def test_max_disjoint_recovers_a_lexmin_optimum_through_a_dropped_set(vertex_sets, max_use, family, expected):
+    vertex_sets = [frozenset(s) for s in vertex_sets]
+    assert exchange_family_reference(vertex_sets, max_use) == family
+    assert lexmin_max_disjoint(vertex_sets, max_use) == expected
+    assert max_disjoint(vertex_sets, max_use) == expected
+    assert max_disjoint(vertex_sets, max_use, cover={0, 2}) == expected
 
 
 def larger_hitting_set(vertex_sets, rng):

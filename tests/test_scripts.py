@@ -68,3 +68,10 @@ def test_obstruction_report_rejects_a_bad_height(h):
     proc = start_script("obstruction_report.py", h)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "usage: obstruction_report.py [h], with h a positive integer\n"
+
+
+@pytest.mark.parametrize("args", [["abc"], ["0", "1"], ["1"], ["2", "x"], ["2", "3", "4"]])
+def test_wall_census_rejects_bad_sizes(args):
+    proc = start_script("wall_census.py", *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage: wall_census.py [r_min] [r_max], with integers r_min >= 2 and r_max\n"
