@@ -88,7 +88,7 @@ def _descriptor(text: str) -> groups.GroupDescriptor:
 
 def _vertex_ids(text: Optional[str], option: str, graph: LabeledGraph) -> list:
     try:
-        ids = [int(x) for x in text.split(",")] if text else []
+        ids = [groups.as_integer(x) for x in text.split(",")] if text else []
     except ValueError:
         raise CliError(f"{option} takes comma-separated vertex ids, not {text!r}", PARSE_ERROR)
     for v in ids:

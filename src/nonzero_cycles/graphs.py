@@ -70,7 +70,7 @@ class LabeledGraph:
                 raise GraphFormatError(f"duplicate edge id {e.id}")
             if e.tail not in self._vertices or e.head not in self._vertices:
                 raise GraphFormatError(f"edge {e.id} attached to unknown vertex")
-            if e.label.descriptor != descriptor:
+            if e.label.descriptor is not descriptor:
                 raise GraphFormatError(f"edge {e.id} labeled in the wrong group")
             edge_map[e.id] = e
         self._edges = edge_map
@@ -392,7 +392,7 @@ def shift_sequence(graph: LabeledGraph, shifts: Sequence[Tuple[int, GroupElement
     for v, a in shifts:
         if v not in graph.vertices:
             raise GraphFormatError(f"no vertex {v}")
-        if a.descriptor != graph.descriptor:
+        if a.descriptor is not graph.descriptor:
             raise GraphFormatError("shift value lives in the wrong group")
         a = t.unwrap(a)
         alpha[v] = t.add(alpha[v], a) if v in alpha else a

@@ -23,8 +23,11 @@ coordinate of a raw value, and `zero_reader` is the one test of whether a
 raw value is zero in each.
 
 Every constructor (`integers`, `cyclic`, `direct_sum`, `parse_descriptor`,
-unpickling, ...) goes through one intern table, so each distinct group has
-one descriptor and one table per process.
+unpickling, copying, ...) goes through one intern table, so each distinct
+group has one descriptor and one table per process, and descriptors compare
+and hash by identity.  Each descriptor also has one zero element,
+`identity(desc)`, which `decode_element` returns for every zero payload, so
+a decoded zero label and a wall's zero label are the same object.
 """
 
 from __future__ import annotations
@@ -46,17 +49,18 @@ class GroupParseError(ValueError):
     """Raised when a group or element description cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupDescriptor:
     """Identifies a concrete group; `n` is a modulus/rank/generator count
     depending on kind, `parts` holds summands (direct sum) or invariant
-    factors (quotient)."""
+    factors (quotient).  Made only by `_intern`, so equal descriptors are
+    the same object, and equality and hashing are the object's own."""
 
     kind: str
     n: int = 0
     parts: tuple = ()
     # compiled arithmetic, filled in by `table` on first use
-    _table: Optional["Table"] = field(default=None, init=False, repr=False, compare=False)
+    _table: Optional["Table"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == KIND_CYCLIC and self.n < 1:
@@ -173,7 +177,9 @@ def quotient(factors: Iterable[int]) -> GroupDescriptor:
     return _intern(KIND_QUOTIENT, parts=ordered)
 
 
+@functools.lru_cache(maxsize=None)
 def identity(desc: GroupDescriptor) -> GroupElement:
+    """The one zero element of `desc`, made on first request."""
     t = table(desc)
     return t.wrap(t.zero)
 
@@ -229,18 +235,21 @@ def table(desc: GroupDescriptor) -> Table:
 
 
 def as_integer(value) -> int:
-    """An int, an integral float or a decimal string as an integer, with
-    ValueError for anything else (a bool, a fraction): the one rule for
-    integers in label payloads, instance files and certificates."""
+    """An int, an integral float or a decimal string (an optional sign and
+    ASCII digits, nothing else) as an integer, with ValueError for anything
+    else (a bool, a fraction, `"1_0"`, `" 7 "`, non-ASCII digits): the one
+    rule for integers in label payloads, instance files, certificates and
+    vertex options."""
     if type(value) is int:  # the common case, first: instance files hold many
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str):
+        digits = value[1:] if value.startswith(("+", "-")) else value
+        if digits.isascii() and digits.isdigit():
             return int(value)
-        except ValueError:
-            pass
     raise ValueError(f"{value!r} is not an integer")
 
 
@@ -324,7 +333,7 @@ def _compile(desc: GroupDescriptor) -> Table:
             # entry must already live in that summand
             if not isinstance(x, GroupElement):
                 return t.make(x)
-            if x.descriptor != part:
+            if x.descriptor is not part:
                 raise GroupParseError("direct sum components in wrong groups")
             return t.unwrap(x)
 
@@ -364,7 +373,7 @@ def _compile(desc: GroupDescriptor) -> Table:
 
 def op(a: GroupElement, b: GroupElement) -> GroupElement:
     desc = a.descriptor
-    if b.descriptor is not desc and b.descriptor != desc:
+    if b.descriptor is not desc:
         raise GroupParseError("operands live in different groups")
     t = table(desc)
     return t.wrap(t.add(t.unwrap(a), t.unwrap(b)))
@@ -519,11 +528,14 @@ def encode_element(a: GroupElement):
 
 
 def decode_element(desc: GroupDescriptor, data) -> GroupElement:
+    """The element of `desc` that the JSON value `data` encodes; a zero
+    payload gives `identity(desc)` itself."""
     t = table(desc)
     try:
-        return t.wrap(t.make(data))
+        raw = t.make(data)
     except (TypeError, ValueError) as exc:
         raise GroupParseError(f"bad element payload {data!r}: {exc}") from exc
+    return identity(desc) if raw == t.zero else t.wrap(raw)
 
 
 # ---------------------------------------------------------------------------

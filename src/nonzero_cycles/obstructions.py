@@ -216,7 +216,7 @@ def _validate_spec(spec: ObstructionSpec) -> None:
         if len(values) != spec.h:
             raise ObstructionFormatError(f"{label}-linkage needs {spec.h} values")
         for v in values:
-            if v.descriptor != desc:
+            if v.descriptor is not desc:
                 raise ObstructionFormatError(f"{label}-linkage value in wrong group")
             if groups.is_zero(v):
                 raise ObstructionFormatError(f"{label}-linkage values must be nonzero")
@@ -584,9 +584,9 @@ def verify_instance(inst: WallInstance, h: int) -> dict:
     the obstruction requirements ν = 1 and τ > h.  ν is the largest k for
     which `_find_cycles` routes a family of k shapes, and τ is the size of
     the minimum transversal `packing.implicit_transversal` certifies."""
-    for e in inst.wall.graph.edges.values():
-        if not groups.is_zero(e.label):
-            raise ObstructionFormatError("the wall part must be null-labeled")
+    # the wall's steps hold None for every zero payload
+    if any(fwd is not None for _, _, fwd, _ in inst.wall.graph.steps().values()):
+        raise ObstructionFormatError("the wall part must be null-labeled")
     first = _witness(inst)
     nu = 0 if first is None else 1
     while nu and _find_cycles(inst, nu + 1) is not None:
@@ -611,14 +611,16 @@ def _reconstruct(graph: LabeledGraph) -> Optional[WallInstance]:
     exactly when each edge touching no middle equals the wall's edge of the
     same id and there are as many such edges as the wall has.  Its vertex
     set is then the wall's too: every wall vertex ends a wall edge, so it is
-    in the core, and the core has as many vertices as the wall."""
-    middles = []
-    for v in sorted(graph.vertices):
-        if graph.degree(v) != 2:
-            continue
-        eids = graph.incident(v)
-        if any(not groups.is_zero(graph.edge(e).label) for e in eids):
-            middles.append(v)
+    in the core, and the core has as many vertices as the wall.
+
+    The middles are the degree-2 vertices with a non-zero incident edge,
+    found among the ends of the non-zero steps of `graph.steps()` (a zero
+    payload is None there), not by a scan of every vertex.  A decoded zero
+    label is `groups.identity`, as the wall's labels are, so comparing a
+    core edge with the wall's settles its label by identity."""
+    steps = graph.steps()
+    ends = {v for tail, head, fwd, _ in steps.values() if fwd is not None for v in (tail, head)}
+    middles = sorted(v for v in ends if graph.degree(v) == 2)
     core = len(graph.vertices) - len(middles)
     side = math.isqrt((core + 2) // 2)
     if core != 2 * side * side - 2 or side < 5 or (side - 1) % 4:

@@ -17,11 +17,11 @@ stopping at the first packing of that size, so its answer is the
 lexicographically smallest optimal index tuple over all of them.  The
 branch-and-bound hands each branch only the candidates that still fit, and
 cuts a branch when the vertex uses left cannot hold enough further
-candidates to beat the best packing found.  `pack_and_cover` computes ν½
-last and hands it τ's transversal X as a cover: every candidate takes a
-use of a vertex of X, so the free uses left on X bound the further picks,
-drop the candidates that would take too many of them, and stop the search
-once ν½ reaches 2τ.
+candidates to beat the best packing found.  `pack_and_cover` builds both
+families in one pass (`_exchange_families`), computes ν½ last and hands it
+τ's transversal X as a cover: every candidate takes a use of a vertex of X,
+so the free uses left on X bound the further picks, drop the candidates
+that would take too many of them, and stop the search once ν½ reaches 2τ.
 
 `_min_hitting_set` is the package's one exact hitting-set solver: over
 every enumerated cycle or A-path, and over the witnesses of the implicit
@@ -62,8 +62,16 @@ class PackCoverReport:
 
 
 def _mask_vertices(mask: int, bit: Dict[int, int]) -> FrozenSet[int]:
-    """The vertices of `mask`, each vertex v standing for its bit `bit[v]`."""
-    return frozenset(v for v, b in bit.items() if mask & b)
+    """The vertices of `mask`, each vertex v standing for its bit `bit[v]`
+    (a `_vertex_bits` table, whose i-th vertex holds bit i); only the set
+    bits are decoded."""
+    order = list(bit)
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(order[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(found)
 
 
 def _union(masks: Sequence[int]) -> int:
@@ -73,7 +81,9 @@ def _union(masks: Sequence[int]) -> int:
     return functools.reduce(operator.or_, masks, 0)
 
 
-def _max_disjoint(masks: Sequence[int], max_use: int, cover: Optional[int] = None) -> List[int]:
+def _max_disjoint(
+    masks: Sequence[int], max_use: int, cover: Optional[int] = None, family: Optional[List[int]] = None
+) -> List[int]:
     """Largest selection of vertex masks that uses every vertex at most
     `max_use` times (1 or 2); returns the indices of the lexicographically
     smallest such selection.
@@ -84,6 +94,8 @@ def _max_disjoint(masks: Sequence[int], max_use: int, cover: Optional[int] = Non
     (ValueError otherwise), such as a transversal: each chosen set then
     takes a use of a vertex of X, so no selection exceeds `max_use * |X|`.
     Only vertices of the union of the masks count, in X as in the capacity.
+    `family`, when given, is `_exchange_family(masks, max_use)`, built once
+    by a caller that packs the same masks twice.
 
     The size comes from `_exchange_family`, which holds a maximum selection
     of least total size: if such a selection used C but not some D strictly
@@ -97,7 +109,8 @@ def _max_disjoint(masks: Sequence[int], max_use: int, cover: Optional[int] = Non
     _union(masks)  # ValueError on an empty mask
     if cover is not None and not all(m & cover for m in masks):
         raise ValueError("cover must meet every vertex set")
-    family = _exchange_family(masks, max_use)
+    if family is None:
+        family = _exchange_family(masks, max_use)
     if len(family) == len(masks):
         return _packing_search(masks, max_use, cover)
     size = len(_packing_search([masks[i] for i in family], max_use, cover))
@@ -108,7 +121,15 @@ def _exchange_family(masks: Sequence[int], max_use: int) -> List[int]:
     """The indices, in order, of the masks that some maximum selection of
     least total size may use: mask C is kept when the masks strictly inside
     it are pairwise disjoint (`max_use=2`), or when there are none
-    (`max_use=1`), so equal masks are kept together.
+    (`max_use=1`), so equal masks are kept together.  This is one of the two
+    lists of `_exchange_families`."""
+    return _exchange_families(masks)[max_use - 1]
+
+
+def _exchange_families(masks: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """`_exchange_family` for `max_use=1` and for `max_use=2` from one pass:
+    each mask's strictly-inside masks are found once, and a mask with none is
+    kept in both lists, so the first list is a sublist of the second.
 
     Only a mask with fewer vertices lies strictly inside C, so the masks are
     ranked by size.  The vertices through the same smaller masks form one
@@ -125,7 +146,7 @@ def _exchange_family(masks: Sequence[int], max_use: int) -> List[int]:
     # only the masks below the largest size can lie inside another
     small = below[sizes[ranked[-1]]] if masks else 0
     if not small:
-        return list(range(len(masks)))
+        return list(range(len(masks))), list(range(len(masks)))
     # the vertices that the same smaller masks pass through form a class,
     # kept as (its vertex mask, the ranks of the smaller masks that miss
     # it); each smaller mask splits every class it cuts in two
@@ -140,7 +161,7 @@ def _exchange_family(masks: Sequence[int], max_use: int) -> List[int]:
             if through != vertices:
                 split.append((vertices ^ through, missing))
         classes = split
-    kept = []
+    ones, twos = [], []
     for i, c in enumerate(masks):
         inside = (1 << below[sizes[i]]) - 1
         outside = ~c
@@ -149,19 +170,22 @@ def _exchange_family(masks: Sequence[int], max_use: int) -> List[int]:
                 break
             if vertices & outside:
                 inside &= missing
-        if inside and max_use == 2:
-            # the masks inside must be pairwise disjoint
-            used = 0
-            while inside:
-                r = inside & -inside
-                m = masks[ranked[r.bit_length() - 1]]
-                if m & used:
-                    break
-                used |= m
-                inside ^= r
         if not inside:
-            kept.append(i)
-    return kept
+            ones.append(i)
+            twos.append(i)
+            continue
+        # for max_use=2 the masks inside must be pairwise disjoint
+        used = 0
+        while inside:
+            r = inside & -inside
+            m = masks[ranked[r.bit_length() - 1]]
+            if m & used:
+                break
+            used |= m
+            inside ^= r
+        if not inside:
+            twos.append(i)
+    return ones, twos
 
 
 def _packing_search(
@@ -364,9 +388,10 @@ def pack_and_cover(graph: LabeledGraph, limit: Optional[int] = None) -> PackCove
     search."""
     found = doubly_nonzero_masks(graph, limit)
     masks = [m for m, _ in found]
-    pack_idx = _max_disjoint(masks, max_use=1)
+    ones, twos = _exchange_families(masks)
+    pack_idx = _max_disjoint(masks, max_use=1, family=ones)
     transversal = _min_hitting_set(masks, at_least=len(pack_idx))
-    half_idx = _max_disjoint(masks, max_use=2, cover=transversal)
+    half_idx = _max_disjoint(masks, max_use=2, cover=transversal, family=twos)
     return PackCoverReport(
         nu=len(pack_idx),
         nu_half=len(half_idx),

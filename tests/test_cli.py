@@ -596,6 +596,17 @@ def test_gen_obstruction_groups_split_only_at_top_level_commas(tmp_path, capsys)
         assert (code, out, err) == (2, "", "--groups takes two comma-separated descriptors\n")
 
 
+@pytest.mark.parametrize("text", ["1_0", " 7 ", "\u0661\u0662", "3, 4"])
+@pytest.mark.parametrize("option", ["--s1", "--s2"])
+def test_reduce_vertex_ids_are_read_by_the_one_integer_rule(option, text, tmp_path, capsys):
+    # int() would read these as 10, 7, 12 and 3 and 4; `groups.as_integer` does not
+    inst = tmp_path / "r.json"
+    run(["gen", "random", "--seed", "4", "--out", str(inst)], capsys)
+    code, out, err = run(["reduce", str(inst), "s1s2", "--s1", "0", "--s2", "0", option, text], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"{option} takes comma-separated vertex ids, not {text!r}\n"
+
+
 @pytest.mark.parametrize("option", ["--s1", "--s2"])
 def test_reduce_unknown_vertex_ids_are_parse_errors(option, tmp_path, capsys):
     inst = tmp_path / "r.json"

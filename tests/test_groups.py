@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -366,3 +367,48 @@ def test_each_group_has_one_descriptor_and_one_table(desc):
     assert parse_descriptor(format_descriptor(desc)) is desc
     assert pickle.loads(pickle.dumps(desc)) is desc
     assert groups.table(parse_descriptor(str(desc))) is groups.table(desc)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=str)
+def test_descriptors_compare_and_hash_by_identity(desc):
+    groups.table(desc)  # a built table must not change what a copy returns
+    for again in (copy.copy(desc), copy.deepcopy(desc), pickle.loads(pickle.dumps(desc)), parse_descriptor(str(desc))):
+        assert again is desc
+    assert type(desc).__eq__ is object.__eq__ and type(desc).__hash__ is object.__hash__
+    assert all(other != desc for other in DESCRIPTORS if other is not desc)
+    names = {d: str(d) for d in DESCRIPTORS}
+    assert len(names) == len(DESCRIPTORS)
+    assert names[parse_descriptor(str(desc))] == str(desc)
+
+
+@pytest.mark.parametrize(
+    "text, zeros, nonzero",
+    [
+        ("z", [0, "0", 0.0], 1),
+        ("z5", [5, 0], 1),
+        ("za2", [[0, 0]], [0, 1]),
+        ("free2", [[], [1, -1]], [1]),
+        ("q(2,4,0)", [[0, 0, 0], [2, -4, 0]], [0, 0, 1]),
+        ("sum(z2,z3)", [[0, 0], [2, 3]], [0, 1]),
+    ],
+)
+def test_decode_element_returns_the_one_zero_element_for_every_zero_payload(text, zeros, nonzero):
+    desc = parse_descriptor(text)
+    zero = identity(desc)
+    assert identity(desc) is zero and is_zero(zero)
+    for data in zeros:
+        assert decode_element(desc, data) is zero
+    x = decode_element(desc, nonzero)
+    assert x is not zero and not is_zero(x)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 7 ", "7 ", "\u0661\u0662", "", "+", "-", "0x10", "1e3", "+-1"])
+def test_as_integer_reads_only_a_sign_and_ascii_digits(text):
+    with pytest.raises(ValueError, match="not an integer"):
+        groups.as_integer(text)
+    with pytest.raises(GroupParseError, match="not an integer"):
+        decode_element(integers(), text)
+
+
+def test_as_integer_reads_signed_decimal_strings():
+    assert [groups.as_integer(s) for s in ("7", "-7", "+7", "007", "-0")] == [7, -7, 7, 7, 0]

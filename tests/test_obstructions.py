@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from collections import deque
 
@@ -10,7 +11,7 @@ import networkx as nx
 import pytest
 
 from nonzero_cycles import cycles, groups, obstructions, packing
-from nonzero_cycles.graphs import Edge, LabeledGraph, Walk
+from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, decode_graph, encode_graph
 from nonzero_cycles.linkage import (
     LINKAGE_TYPES,
     LinkPath,
@@ -963,3 +964,52 @@ def test_reconstruct_rejects_a_core_that_differs_from_the_wall_by_one_edge():
     }
     for name, changed in cases.items():
         assert _reconstruct(LabeledGraph(graph.descriptor, graph.vertices, changed)) is None, name
+
+
+def reconstruct_by_vertex_scan(graph):
+    """The instance `_reconstruct` built when it found the attachment middles
+    by scanning every vertex for degree 2 and a non-zero incident label."""
+    middles = [
+        v
+        for v in sorted(graph.vertices)
+        if graph.degree(v) == 2 and any(not groups.is_zero(graph.edge(e).label) for e in graph.incident(v))
+    ]
+    side = math.isqrt((len(graph.vertices) - len(middles) + 2) // 2)
+    ref = elementary_wall(side - 1, graph.descriptor)
+    walks = []
+    for i, m in enumerate(middles):
+        e1, e2 = graph.incident(m)
+        walks.append((f"A{i + 1}", Walk((graph.other_end(e1, m), m, graph.other_end(e2, m)), (e1, e2))))
+    return obstructions._instance(graph, ref, walks)
+
+
+def _attachments(inst):
+    return [(a.name, a.kind, a.walk, a.value, a.left_pos, a.right_pos) for a in inst.attachments]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("gamma1", [Z3, groups.direct_sum(Z2, Z3)], ids=str)
+def test_reconstruct_finds_the_attachments_the_vertex_scan_found(h, gamma1):
+    p_value = groups.element(gamma1, 1 if gamma1 is Z3 else (1, 2))
+    for p_type, q_type in TYPE_PAIRS:
+        spec = dataclasses.replace(simple_spec(h, p_type, q_type), gamma1=gamma1, p_values=(p_value,) * h)
+        built = build_obstruction_instance(spec)
+        for graph in (built.graph, decode_graph(encode_graph(built.graph))):
+            inst = _reconstruct(graph)
+            assert inst.wall is built.wall
+            assert _attachments(inst) == _attachments(reconstruct_by_vertex_scan(graph))
+            assert [a.walk for a in inst.attachments] == [a.walk for a in built.attachments]
+
+
+def test_reconstruct_rejects_a_labelled_wall_edge_and_a_middle_of_degree_three():
+    inst = build_obstruction_instance(simple_spec(1, "nested", "series"))
+    graph, wall = inst.graph, inst.wall.graph
+    value = groups.element(graph.descriptor, (1, 0))
+    for eid in wall.edge_ids():
+        edges = [e._replace(label=value) if e.id == eid else e for e in graph.edges.values()]
+        assert _reconstruct(LabeledGraph(graph.descriptor, graph.vertices, edges)) is None, eid
+    # a third, zero edge at a middle leaves it a wall vertex too many
+    m = inst.attachments[0].interior[0]
+    far = next(v for v in sorted(wall.vertices) if v not in inst.attachments[0].walk.vertices)
+    extra = Edge(max(graph.edge_ids()) + 1, m, far, groups.identity(graph.descriptor))
+    assert _reconstruct(LabeledGraph(graph.descriptor, graph.vertices, [*graph.edges.values(), extra])) is None

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -10,6 +12,7 @@ from nonzero_cycles.cycles import LIMIT_ENV_VAR, EnumerationLimitError, _vertex_
 from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, walk_value
 from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
+    _exchange_families,
     _exchange_family,
     _mask_vertices,
     _max_disjoint,
@@ -360,6 +363,83 @@ def exchange_family_reference(vertex_sets, max_use):
         if not inside if max_use == 1 else all(not a & b for a, b in itertools.combinations(inside, 2)):
             kept.append(i)
     return kept
+
+
+def exchange_family_before_fusing(masks, max_use):
+    """`_exchange_family` as one call built it for one `max_use`."""
+    sizes = [m.bit_count() for m in masks]
+    ranked = sorted(range(len(masks)), key=sizes.__getitem__)
+    below = {}
+    for r, i in enumerate(ranked):
+        below.setdefault(sizes[i], r)
+    small = below[sizes[ranked[-1]]] if masks else 0
+    if not small:
+        return list(range(len(masks)))
+    classes = [(functools.reduce(operator.or_, (masks[i] for i in ranked[:small])), (1 << small) - 1)]
+    for r in range(small):
+        d, bit = masks[ranked[r]], 1 << r
+        split = []
+        for vertices, missing in classes:
+            through = vertices & d
+            if through:
+                split.append((through, missing ^ bit))
+            if through != vertices:
+                split.append((vertices ^ through, missing))
+        classes = split
+    kept = []
+    for i, c in enumerate(masks):
+        inside = (1 << below[sizes[i]]) - 1
+        outside = ~c
+        for vertices, missing in classes:
+            if not inside:
+                break
+            if vertices & outside:
+                inside &= missing
+        if inside and max_use == 2:
+            used = 0
+            while inside:
+                r = inside & -inside
+                m = masks[ranked[r.bit_length() - 1]]
+                if m & used:
+                    break
+                used |= m
+                inside ^= r
+        if not inside:
+            kept.append(i)
+    return kept
+
+
+def duplicate_family(rng):
+    """Up to 14 vertex sets drawn with repetition from a pool of at most 4
+    sets over at most 6 vertices."""
+    n = rng.randint(1, 6)
+    pool = [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 4))]
+    return [rng.choice(pool) for _ in range(rng.randint(0, 14))]
+
+
+def test_exchange_families_equal_two_builds_before_fusing():
+    rng = random.Random(26)
+    differ = dropped = 0
+    for draw in (nested_family, duplicate_family) * 300:
+        vertex_sets = draw(rng)
+        bit = _vertex_bits(set().union(*vertex_sets))
+        masks = [sum(map(bit.__getitem__, s)) for s in vertex_sets]
+        ones, twos = _exchange_families(masks)
+        assert ones == exchange_family_before_fusing(masks, 1)
+        assert twos == exchange_family_before_fusing(masks, 2)
+        assert set(ones) <= set(twos)
+        differ += ones != twos
+        dropped += len(twos) < len(masks)
+    assert differ > 60 and dropped > 120
+
+
+def test_mask_vertices_reads_the_set_bits_in_the_vertex_bit_order():
+    rng = random.Random(5)
+    for _ in range(200):
+        vertices = rng.sample(range(-20, 200), rng.randint(1, 40))
+        bit = _vertex_bits(vertices)
+        chosen = frozenset(rng.sample(vertices, rng.randint(0, len(vertices))))
+        assert _mask_vertices(sum(map(bit.__getitem__, chosen)), bit) == chosen
 
 
 @pytest.mark.parametrize("max_use", [1, 2])
