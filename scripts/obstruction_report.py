@@ -29,7 +29,7 @@ USAGE = "usage: obstruction_report.py [h], with h a positive integer"
 
 def main() -> int:
     try:
-        h = int(sys.argv[1]) if len(sys.argv) > 1 else 2
+        h = groups.as_integer(sys.argv[1]) if len(sys.argv) > 1 else 2
     except ValueError:
         h = 0
     if h < 1:

@@ -7,6 +7,7 @@ Usage: wall_census.py [r_min] [r_max]   (integers, r_min at least 2; 2 and
 
 import sys
 
+from nonzero_cycles.groups import as_integer
 from nonzero_cycles.walls import elementary_wall, validate_wall
 
 
@@ -15,8 +16,8 @@ USAGE = "usage: wall_census.py [r_min] [r_max], with integers r_min >= 2 and r_m
 
 def main() -> int:
     try:
-        lo = int(sys.argv[1]) if len(sys.argv) > 1 else 2
-        hi = int(sys.argv[2]) if len(sys.argv) > 2 else 10
+        lo = as_integer(sys.argv[1]) if len(sys.argv) > 1 else 2
+        hi = as_integer(sys.argv[2]) if len(sys.argv) > 2 else 10
     except ValueError:
         lo = 0
     if lo < 2 or len(sys.argv) > 3:

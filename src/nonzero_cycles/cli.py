@@ -365,6 +365,15 @@ def _limit(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _integer(text: str) -> int:
+    """An integer option, read by `groups.as_integer`, with argparse's
+    message for a bad int."""
+    try:
+        return groups.as_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves no state
@@ -381,14 +390,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("kind", choices=["wall", "escher", "obstruction", "random"])
-    p.add_argument("--r", type=int, help="wall size")
-    p.add_argument("--h", type=int, help="height")
+    p.add_argument("--r", type=_integer, help="wall size")
+    p.add_argument("--h", type=_integer, help="height")
     p.add_argument("--p", choices=LINKAGE_TYPES)
     p.add_argument("--q", choices=LINKAGE_TYPES)
     p.add_argument("--groups", help="group descriptor(s)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--max-m", type=int, default=12)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--max-n", type=_integer, default=7)
+    p.add_argument("--max-m", type=_integer, default=12)
     common(p)
     p.set_defaults(func=cmd_gen)
 
@@ -419,10 +428,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="randomized duality sweep")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--max-m", type=int, default=12)
+    p.add_argument("--seed", type=_integer, default=1)
+    p.add_argument("--count", type=_integer, default=100)
+    p.add_argument("--max-n", type=_integer, default=7)
+    p.add_argument("--max-m", type=_integer, default=12)
     p.add_argument("--groups", help="group descriptor")
     common(p)
     p.set_defaults(func=cmd_experiment)

@@ -7,8 +7,9 @@ for a single group both coordinates coincide.
 Cycles and A-paths (`packing.enumerate_nonzero_a_paths`) come from one
 simple-path DFS over int bitmasks, `_simple_paths`, under one enumeration
 limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`).
-The DFS carries each step's raw label payload and folds a path's value as
-it closes the path.  `enumerate_cycles` keeps every cycle as a
+The DFS carries each step's raw label payload, and as it closes a path
+it reads the path back and sums the non-zero payloads in path order with
+one `groups.Table.fold` call.  `enumerate_cycles` keeps every cycle as a
 `ClassifiedCycle`, a record of its edge set, representative, zero flags
 and that raw value, and builds no group element: `values` wraps the raw
 value only when read.  `classify` gives walks from outside (certificates,
@@ -43,9 +44,9 @@ class LimitFormatError(ValueError):
 
 def parse_limit(text: str) -> int:
     """The enumeration limit written as `text`; LimitFormatError unless it
-    is a non-negative integer."""
+    is a non-negative integer by `groups.as_integer`."""
     try:
-        value = int(text)
+        value = groups.as_integer(text)
     except ValueError:
         value = -1
     if value < 0:
@@ -132,12 +133,13 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
     to a vertex of the bitmask `used` closes a path, and a step to any other
     vertex extends it while a vertex of `ends` is off `used`.  The raw
     value, in `table`'s group, is the sum of the arrival payloads in path
-    order; it is folded while the closed path is read back, right to left
-    as `add(x, total)`, so that the order holds in a non-abelian group.
+    order: the non-zero ones are collected while the closed path is read
+    back and, when there are two or more, summed by one `table.fold` call
+    in path order, so that the order holds in a non-abelian group.
     Raises EnumerationLimitError when more than `limit` paths close, kept
     or not."""
     ceiling = enumeration_limit(limit)
-    add, zero = table.add, table.zero
+    fold, zero = table.fold, table.zero
     out = []
     closed = 0
     for top, used, closing, ends in jobs:
@@ -156,17 +158,21 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
                         # lists, then one tuple each: short-lived tuples of
                         # every length would stay in the interpreter's tuple
                         # free lists and raise the process's peak memory
-                        verts, eids, at = [w], [eid], node
-                        total = zero if x is None else x
+                        verts, eids, xs, at = [w], [eid], [] if x is None else [x], node
                         while at[1] is not None:
                             verts.append(at[0])
                             eids.append(at[1])
                             if at[2] is not None:
-                                total = add(at[2], total)
+                                xs.append(at[2])
                             at = at[3]
                         verts.append(at[0])
                         verts.reverse()
                         eids.reverse()
+                        if len(xs) > 1:
+                            xs.reverse()
+                            total = fold(xs)
+                        else:
+                            total = xs[0] if xs else zero
                         item = make(tuple(verts), tuple(eids), total)
                         if item is not None:
                             out.append(item)
@@ -295,9 +301,10 @@ def is_robust(
     coordinate's table.  Rerooting is the shift rule: from the j-th vertex
     v of its representative, a cycle of raw value x has value -p + x + p
     (`shifted_value` at v by p), p the raw value of the first j edges,
-    folded over `graph.steps()`, or its negative the other way.  An abelian
-    coordinate tries only the smallest common vertex, where a cycle's
-    value is x from every root, so it folds no prefix.
+    one `fold` of their non-zero payloads in `graph.steps()`, or its
+    negative the other way.  An abelian coordinate tries only the smallest
+    common vertex, where a cycle's value is x from every root, so it folds
+    no prefix.
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
@@ -321,13 +328,13 @@ def is_robust(
                 c = hot[a]
                 x = read(c.raw)
                 if not abelian:
-                    verts, eids, p = c.rep.vertices, c.rep.edges, t.zero
+                    verts, eids, prefix = c.rep.vertices, c.rep.edges, []
                     for k in range(verts.index(root)):
                         tail, _, fwd, bwd = steps[eids[k]]
                         step = fwd if verts[k] == tail else bwd
                         if step is not None:
-                            p = t.add(p, read(step))
-                    x = shifted_value(t, {root: p}, root, x, root)
+                            prefix.append(read(step))
+                    x = shifted_value(t, {root: t.fold(prefix)}, root, x, root)
                 # a loop reversed keeps its value rather than negating it,
                 # but no loop is ever a candidate: no other cycle has its edge
                 rooted[key] = {x, t.neg(x)}

@@ -17,8 +17,8 @@ the group, a raw shift per vertex and a raw value.  `shift_sequence`
 relabels by it into one graph however many shifts it applies;
 `is_gamma_bipartite` and `cycles.is_robust` read shifted raw values through
 it and build no graph, and only the shifts `is_gamma_bipartite` returns are
-wrapped as elements.  `walk_payload` folds a walk's raw value, and
-`walk_value` wraps it.
+wrapped as elements.  `walk_payload` sums a walk's raw payloads with one
+`groups.Table.fold` call, and `walk_value` wraps it.
 
 One breadth-first spanning forest (`_bfs_forest`) and one walk along its
 parent links (`_tree_walk`) serve the package: the fundamental cycle of
@@ -288,13 +288,11 @@ def walk_payload(graph: LabeledGraph, walk: Walk):
     sum of edge labels as seen from each step's arrival vertex.
 
     Checks each step as `Walk.validate` does, with the same errors, while
-    folding the raw payloads of `graph.steps()`.  Zero payloads, stored as
-    None, are skipped: adding zero leaves the sum as it is, so only the
-    non-zero labels of a walk cost an addition."""
-    t = groups.table(graph.descriptor)
+    collecting the raw payloads of `graph.steps()`, and sums them in walk
+    order with one `groups.Table.fold` call.  Zero payloads, stored as
+    None, are left out: adding zero leaves the sum as it is."""
     steps = graph.steps()
-    add = t.add
-    total = t.zero
+    xs = []
     verts = walk.vertices
     u = verts[0]
     for i, eid in enumerate(walk.edges):
@@ -310,9 +308,9 @@ def walk_payload(graph: LabeledGraph, walk: Walk):
         else:
             raise GraphFormatError(f"step {i} of walk does not follow edge {eid}")
         if x is not None:
-            total = add(total, x)
+            xs.append(x)
         u = v
-    return total
+    return groups.table(graph.descriptor).fold(xs)
 
 
 def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:

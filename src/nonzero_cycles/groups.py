@@ -8,19 +8,21 @@ as quotients of Z^k (canonicalised through invariant factors).
 Elements are immutable and hashable; all arithmetic is exact.
 
 Each descriptor compiles once, on first use, into a `Table` over raw
-payloads: add, negate and zero, wrap and unwrap to and from
-`GroupElement`s, and make, encode and draw, which check, serialise and
-randomly draw payloads.  `_compile` is the only place that switches on
-the kind of group for elements: `op`, `inv`, `identity`, `is_zero`,
-`element`, `random_element`, `encode_element` and `decode_element` all go
-through the table (the descriptor grammar still reads the kind).  A
-free-group sum cancels only at the seam of two reduced words, and a direct
-sum pairs the tables of its summands.  Hot loops (`graphs.walk_payload`,
-the cycle DFS, the shift rule) unwrap once and fold raw payloads, and wrap
-only what they hand out as elements.  Only `coordinate_groups` decides how
-a label splits into its two coordinates, `coordinate_payload` reads one
-coordinate of a raw value, and `zero_reader` is the one test of whether a
-raw value is zero in each.
+payloads: add, negate, zero and fold (the sum of a list), wrap and unwrap
+to and from `GroupElement`s, and make, encode and draw, which check,
+serialise and randomly draw payloads.  `_compile` is the only place that
+switches on the kind of group for elements: `op`, `inv`, `identity`,
+`is_zero`, `element`, `random_element`, `encode_element` and
+`decode_element` all go through the table (the descriptor grammar still
+reads the kind).  A free-group sum cancels only at the seam of two reduced
+words, and a direct sum pairs the tables of its summands.  Hot loops
+unwrap once and work on raw payloads, and wrap only what they hand out as
+elements: a walk's value (`graphs.walk_payload`, the cycle DFS, the
+rerooting prefix of `cycles.is_robust`) is one `fold` call over its
+non-zero steps, and the shift rule adds and negates raw values.  Only
+`coordinate_groups` decides how a label splits into its two coordinates,
+`coordinate_payload` reads one coordinate of a raw value, and
+`zero_reader` is the one test of whether a raw value is zero in each.
 
 Every constructor (`integers`, `cyclic`, `direct_sum`, `parse_descriptor`,
 unpickling, copying, ...) goes through one intern table, so each distinct
@@ -190,13 +192,16 @@ def element(desc: GroupDescriptor, payload) -> GroupElement:
     return t.wrap(t.make(payload))
 
 
-def _reduce_word(word: Sequence[int]) -> Tuple[int, ...]:
+def _reduce_words(words: Iterable[Sequence[int]]) -> Tuple[int, ...]:
+    """The reduced word of the words written one after another, in one pass
+    over their letters: a letter cancels the one before it when inverse."""
     out: list[int] = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
+    for word in words:
+        for x in word:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
     return tuple(out)
 
 
@@ -207,7 +212,16 @@ class Table(NamedTuple):
     payload; a direct sum's raw payload is the pair of its summands' raw
     payloads.  `wrap` and `unwrap` convert between raw payloads and
     `GroupElement`s, so a long computation unwraps its inputs once, folds
-    `add` and `neg` over raw values, and wraps the result once.  `make`
+    `add` and `neg` over raw values, and wraps the result once.
+
+    `fold(xs)` is the ordered sum `xs[0] + xs[1] + ...` of a list or tuple
+    of raw payloads (`zero` for none) in one call: a `sum` for the
+    integers, reduced once mod n for a cyclic group, a `sum` per column
+    for the vector kinds, one cancelling pass over the letters for a free
+    group, and one column per summand for a direct sum.  Raw payloads are
+    canonical and addition is associative, so `fold(xs)` equals the
+    pairwise left fold of `add` from `zero`, also in a free group, where
+    the order of `xs` matters.  `make`
     checks a loose payload (an integer by `as_integer`, a list or tuple of
     them for the vector and word kinds, or a pair for a direct sum) and
     returns the canonical raw payload, `encode` turns a raw payload into its
@@ -217,6 +231,7 @@ class Table(NamedTuple):
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     zero: Any
+    fold: Callable[[Sequence[Any]], Any]
     wrap: Callable[[Any], GroupElement]
     unwrap: Callable[[GroupElement], Any]
     make: Callable[[Any], Any]
@@ -270,13 +285,14 @@ def _compile(desc: GroupDescriptor) -> Table:
     if k == KIND_INTEGERS:
         # a decimal string keeps arbitrary precision portable
         return Table(
-            operator.add, operator.neg, 0, wrap, unwrap, as_integer, str, lambda rng, span: rng.randint(-span, span)
+            operator.add, operator.neg, 0, sum, wrap, unwrap, as_integer, str, lambda rng, span: rng.randint(-span, span)
         )
     if k == KIND_CYCLIC:
         return Table(
             lambda p, q: (p + q) % n,
             lambda p: -p % n,
             0,
+            lambda xs: sum(xs) % n,
             wrap,
             unwrap,
             lambda p: as_integer(p) % n,
@@ -284,10 +300,13 @@ def _compile(desc: GroupDescriptor) -> Table:
             lambda rng, span: rng.randrange(n),
         )
     if k == KIND_FREE_ABELIAN:
+        zero = (0,) * n
         return Table(
             lambda p, q: tuple(map(operator.add, p, q)),
             lambda p: tuple(map(operator.neg, p)),
-            (0,) * n,
+            zero,
+            # the zero as a first row gives an empty list its columns
+            lambda xs: tuple(map(sum, zip(zero, *xs))),
             wrap,
             unwrap,
             lambda p: tuple(map(as_integer, _entries(p, "free abelian", n))),
@@ -310,7 +329,7 @@ def _compile(desc: GroupDescriptor) -> Table:
             for x in word:
                 if x == 0 or abs(x) > n:
                     raise GroupParseError("free group letter out of range")
-            return _reduce_word(word)
+            return _reduce_words((word,))
 
         def draw(rng, span):
             length = rng.randint(0, span)
@@ -318,14 +337,15 @@ def _compile(desc: GroupDescriptor) -> Table:
             for _ in range(length if n else 0):
                 g = rng.randint(1, n)
                 word.append(g if rng.random() < 0.5 else -g)
-            return _reduce_word(word)
+            return _reduce_words((word,))
 
         # inversion reverses the word and negates each letter
-        return Table(add, lambda p: tuple(-x for x in reversed(p)), (), wrap, unwrap, make, list, draw)
+        return Table(add, lambda p: tuple(-x for x in reversed(p)), (), _reduce_words, wrap, unwrap, make, list, draw)
     if k == KIND_DIRECT_SUM:
         parts = desc.parts
         left, right = table(parts[0]), table(parts[1])
         ladd, radd, lneg, rneg = left.add, right.add, left.neg, right.neg
+        lfold, rfold, zero = left.fold, right.fold, (left.zero, right.zero)
         lwrap, rwrap, lunwrap, runwrap = left.wrap, right.wrap, left.unwrap, right.unwrap
 
         def summand(x, part, t):
@@ -341,10 +361,17 @@ def _compile(desc: GroupDescriptor) -> Table:
             a, b = _entries(p, "direct sum", 2)
             return summand(a, parts[0], left), summand(b, parts[1], right)
 
+        def fold(xs):
+            if not xs:
+                return zero
+            a, b = zip(*xs)  # each summand folds its own column
+            return lfold(a), rfold(b)
+
         return Table(
             lambda p, q: (ladd(p[0], q[0]), radd(p[1], q[1])),
             lambda p: (lneg(p[0]), rneg(p[1])),
-            (left.zero, right.zero),
+            zero,
+            fold,
             lambda p: GroupElement(desc, (lwrap(p[0]), rwrap(p[1]))),
             lambda a: (lunwrap(a.payload[0]), runwrap(a.payload[1])),
             make,
@@ -358,10 +385,12 @@ def _compile(desc: GroupDescriptor) -> Table:
             vec = map(as_integer, _entries(p, "quotient", len(factors)))
             return tuple(x % d if d else x for x, d in zip(vec, factors))
 
+        zero = (0,) * len(factors)
         return Table(
             lambda p, q: tuple((x + y) % d if d else x + y for x, y, d in zip(p, q, factors)),
             lambda p: tuple(-x % d if d else -x for x, d in zip(p, factors)),
-            (0,) * len(factors),
+            zero,
+            lambda xs: tuple(s % d if d else s for s, d in zip(map(sum, zip(zero, *xs)), factors)),
             wrap,
             unwrap,
             make,

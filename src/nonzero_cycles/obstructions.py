@@ -615,7 +615,9 @@ def _reconstruct(graph: LabeledGraph) -> Optional[WallInstance]:
 
     The middles are the degree-2 vertices with a non-zero incident edge,
     found among the ends of the non-zero steps of `graph.steps()` (a zero
-    payload is None there), not by a scan of every vertex.  A decoded zero
+    payload is None there), not by a scan of every vertex.  A middle needs
+    two distinct incident edges: a vertex whose only edge is a loop has
+    degree 2 too, and makes the graph no wall instance.  A decoded zero
     label is `groups.identity`, as the wall's labels are, so comparing a
     core edge with the wall's settles its label by identity."""
     steps = graph.steps()
@@ -640,7 +642,10 @@ def _reconstruct(graph: LabeledGraph) -> Optional[WallInstance]:
     pos = _boundary_positions(ref)
     walks = []
     for i, m in enumerate(middles):
-        e1, e2 = graph.incident(m)
+        incident = graph.incident(m)
+        if len(incident) != 2:
+            return None
+        e1, e2 = incident
         a, b = graph.other_end(e1, m), graph.other_end(e2, m)
         if a not in pos or b not in pos:
             return None

@@ -10,7 +10,7 @@ import pytest
 
 from nonzero_cycles import cli, cycles, groups, obstructions
 from nonzero_cycles.graphs import decode_graph, encode_graph
-from test_obstructions import shared_end_graph
+from test_obstructions import shared_end_graph, wall_with_a_looped_vertex
 
 
 def run(argv, capsys):
@@ -146,6 +146,19 @@ def test_verify_attachments_sharing_a_wall_end_by_enumeration(tmp_path, capsys):
     code, out, err = run(["verify", str(inst), str(cert), "--limit", "2000"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("more than 2000 cycles")
+
+
+def test_verify_falls_back_to_enumeration_on_a_vertex_with_only_a_loop(tmp_path, capsys):
+    # a degree-2 vertex whose one edge is a non-zero loop is no attachment
+    # middle, so the graph is no wall instance and verify enumerates
+    inst = tmp_path / "l.json"
+    cert = tmp_path / "c.json"
+    inst.write_text(json.dumps({"graph": encode_graph(wall_with_a_looped_vertex())}))
+    cert.write_text(json.dumps({"type": "obstruction", "h": 1}))
+    code, out, err = run(["verify", str(inst), str(cert)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["method"], report["nu"], report["tau"]) == ("enumeration", 1, 1)
 
 
 def test_verify_with_no_family_routing_reports_nu_zero(tmp_path, capsys, monkeypatch):
@@ -299,6 +312,62 @@ def test_negative_limit_option_is_parse_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --limit: must be a non-negative integer, not '-1'" in captured.err
+
+
+# strings that a bare int() reads but `groups.as_integer` does not
+LOOSE_INTEGERS = ["1_0", " 7 ", "\u0663"]
+INTEGER_OPTIONS = [
+    ["gen", "wall", "--r"],
+    ["gen", "obstruction", "--p", "nested", "--q", "series", "--h"],
+    ["gen", "random", "--seed"],
+    ["gen", "random", "--max-n"],
+    ["gen", "random", "--max-m"],
+    ["experiment", "--seed"],
+    ["experiment", "--count"],
+    ["experiment", "--max-n"],
+    ["experiment", "--max-m"],
+]
+
+
+@pytest.mark.parametrize("value", LOOSE_INTEGERS)
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_integer_options_follow_the_one_integer_rule(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-1]}: invalid int value: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("value", LOOSE_INTEGERS)
+def test_limit_option_follows_the_one_integer_rule(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pack", "missing.json", "--limit", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --limit: must be a non-negative integer, not {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("value", LOOSE_INTEGERS)
+def test_limit_in_the_environment_follows_the_one_integer_rule(value, tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "r.json"
+    run(["gen", "random", "--seed", "8", "--out", str(inst)], capsys)
+    monkeypatch.setenv("NONZERO_CYCLES_LIMIT", value)
+    code, out, err = run(["pack", str(inst)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"NONZERO_CYCLES_LIMIT must be a non-negative integer, not {value!r}\n"
+
+
+def test_integer_options_read_a_sign_and_ascii_digits(tmp_path, capsys):
+    # the same instance from "+8" and "8", and a limit with a leading zero
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    run(["gen", "random", "--seed", "8", "--max-n", "6", "--out", str(first)], capsys)
+    run(["gen", "random", "--seed", "+8", "--max-n", "06", "--out", str(second)], capsys)
+    assert first.read_text() == second.read_text()
+    code, out, _ = run(["pack", str(first), "--limit", "0100000"], capsys)
+    assert code == 0 and json.loads(out)["nu"] >= 0
 
 
 def test_reduce_outputs_decodable_graph(tmp_path, capsys):

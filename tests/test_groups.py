@@ -1,4 +1,5 @@
 import copy
+import functools
 import pickle
 import random
 
@@ -349,7 +350,7 @@ def test_quotient_with_projection_kills_relations():
 def test_free_group_product_reduces_the_whole_concatenation(u, v):
     desc = free_group(3)
     a, b = element(desc, u), element(desc, v)
-    assert op(a, b).payload == groups._reduce_word(a.payload + b.payload)
+    assert op(a, b).payload == groups._reduce_words([a.payload + b.payload])
     assert op(a, b) == element(desc, u + v)
 
 
@@ -412,3 +413,45 @@ def test_as_integer_reads_only_a_sign_and_ascii_digits(text):
 
 def test_as_integer_reads_signed_decimal_strings():
     assert [groups.as_integer(s) for s in ("7", "-7", "+7", "007", "-0")] == [7, -7, 7, 7, 0]
+
+
+FOLD_GROUPS = [
+    "z",
+    "z5",
+    "za2",
+    "free2",
+    "free3",
+    "q(2,6,0)",
+    "sum(z5,za2)",
+    "sum(free2,free2)",
+    "sum(sum(z2,free2),q(2,6,0))",
+]
+
+
+@pytest.mark.parametrize("text", FOLD_GROUPS)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), length=st.integers(min_value=0, max_value=12))
+def test_fold_is_the_left_fold_of_add(text, seed, length):
+    t = groups.table(parse_descriptor(text))
+    rng = random.Random(seed)
+    xs = [t.draw(rng, 3) for _ in range(length)]
+    expected = functools.reduce(t.add, xs, t.zero)
+    assert t.fold(xs) == expected
+    assert t.fold(tuple(xs)) == expected  # a direct sum hands its summands tuples
+
+
+@pytest.mark.parametrize("text", FOLD_GROUPS)
+def test_fold_of_nothing_is_zero(text):
+    t = groups.table(parse_descriptor(text))
+    assert t.fold([]) == t.zero and t.fold(()) == t.zero
+
+
+def test_fold_keeps_the_order_in_a_free_group():
+    t = groups.table(free_group(2))
+    assert t.fold([(1,), (2,)]) == (1, 2)
+    assert t.fold([(2,), (1,)]) == (2, 1)
+    # letters cancel across more than one seam
+    assert t.fold([(1, 2), (-2,), (-1, 2), (-2, 1)]) == (1,)
+    s = groups.table(parse_descriptor("sum(free2,z3)"))
+    assert s.fold([((1,), 1), ((2,), 2)]) == ((1, 2), 0)
+    assert s.fold([((2,), 2), ((1,), 1)]) == ((2, 1), 0)

@@ -1013,3 +1013,21 @@ def test_reconstruct_rejects_a_labelled_wall_edge_and_a_middle_of_degree_three()
     far = next(v for v in sorted(wall.vertices) if v not in inst.attachments[0].walk.vertices)
     extra = Edge(max(graph.edge_ids()) + 1, m, far, groups.identity(graph.descriptor))
     assert _reconstruct(LabeledGraph(graph.descriptor, graph.vertices, [*graph.edges.values(), extra])) is None
+
+
+def wall_with_a_looped_vertex():
+    """`elementary_wall(4)` over sum(z3,z3) plus one vertex whose only edge
+    is a (1,1) loop: that vertex has degree 2 and a non-zero edge, as an
+    attachment middle has, but only one incident edge."""
+    desc = groups.parse_descriptor("sum(z3,z3)")
+    wall = elementary_wall(4, desc).graph
+    v, eid = max(wall.vertices) + 1, max(wall.edge_ids()) + 1
+    loop = Edge(eid, v, v, groups.element(desc, (1, 1)))
+    return LabeledGraph(desc, [*wall.vertices, v], [*wall.edges.values(), loop])
+
+
+def test_reconstruct_rejects_a_middle_whose_only_edge_is_a_loop():
+    graph = wall_with_a_looped_vertex()
+    assert _reconstruct(graph) is None
+    report = verify_obstruction(graph, 1)
+    assert (report["method"], report["nu"], report["tau"]) == ("enumeration", 1, 1)

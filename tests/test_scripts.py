@@ -75,3 +75,18 @@ def test_wall_census_rejects_bad_sizes(args):
     proc = start_script("wall_census.py", *args)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "usage: wall_census.py [r_min] [r_max], with integers r_min >= 2 and r_max\n"
+
+
+@pytest.mark.parametrize(
+    "name, args, usage",
+    [
+        ("obstruction_report.py", ["1_0"], "usage: obstruction_report.py [h], with h a positive integer\n"),
+        ("obstruction_report.py", [" 2 "], "usage: obstruction_report.py [h], with h a positive integer\n"),
+        ("wall_census.py", ["٢", "3"], "usage: wall_census.py [r_min] [r_max], with integers r_min >= 2 and r_max\n"),
+        ("wall_census.py", ["2", "1_0"], "usage: wall_census.py [r_min] [r_max], with integers r_min >= 2 and r_max\n"),
+    ],
+)
+def test_scripts_read_sizes_by_the_one_integer_rule(name, args, usage):
+    # `groups.as_integer` takes an optional sign and ASCII digits only
+    proc = start_script(name, *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", usage)
