@@ -181,13 +181,10 @@ def cmd_gen(args) -> int:
         except ObstructionFormatError as exc:
             raise CliError(str(exc), PARSE_ERROR)
         doc = {"kind": "obstruction", "h": args.h, "graph": encode_graph(graph)}
-    elif args.kind == "random":
+    else:  # random
         desc = _descriptor(args.groups or "sum(z2,z3)")
-        rng = random.Random(args.seed)
-        graph = _random_graph(rng, desc, args.max_n, args.max_m)
+        graph = _random_graph(random.Random(args.seed), desc, args.max_n, args.max_m)
         doc = {"kind": "random", "graph": encode_graph(graph)}
-    else:
-        raise CliError(f"unknown kind {args.kind!r}", PARSE_ERROR)
     _dump(doc, args.out)
     return 0
 
@@ -259,21 +256,9 @@ def cmd_cover(args) -> int:
 
 def cmd_reduce(args) -> int:
     graph = _load_graph(args.file)
-    s1 = _vertex_ids(args.s1, "--s1", graph)
-    s2 = _vertex_ids(args.s2, "--s2", graph)
-    if args.kind == "plain":
-        reduced = reductions.reduce_plain_cycles(graph)
-    elif args.kind == "odd":
-        reduced = reductions.reduce_odd_cycles(graph)
-    elif args.kind == "s":
-        reduced = reductions.reduce_S_cycles(graph, s1)
-    elif args.kind == "odd_s":
-        reduced = reductions.reduce_odd_S_cycles(graph, s1)
-    elif args.kind == "s1s2":
-        reduced = reductions.reduce_S1_S2_cycles(graph, s1, s2)
-    else:
-        raise CliError(f"unknown reduction {args.kind!r}", PARSE_ERROR)
-    _dump({"kind": f"reduced-{args.kind}", "graph": encode_graph(reduced)}, args.out)
+    reduction = reductions.REDUCTIONS[args.kind]
+    sets = [_vertex_ids(getattr(args, s), f"--{s}", graph) for s in ("s1", "s2")[: reduction.sets]]
+    _dump({"kind": f"reduced-{args.kind}", "graph": encode_graph(reduction.reduce(graph, *sets))}, args.out)
     return 0
 
 
@@ -384,22 +369,34 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, limit=True):
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--limit", type=_limit, help="enumeration limit override")
+        if limit:
+            p.add_argument("--limit", type=_limit, help="enumeration limit override")
 
+    gen_options = {
+        "--r": dict(type=_integer, help="wall size"),
+        "--h": dict(type=_integer, help="height"),
+        "--p": dict(choices=LINKAGE_TYPES),
+        "--q": dict(choices=LINKAGE_TYPES),
+        "--groups": dict(help="group descriptor(s)"),
+        "--seed": dict(type=_integer, default=0),
+        "--max-n": dict(type=_integer, default=7),
+        "--max-m": dict(type=_integer, default=12),
+    }
     p = sub.add_parser("gen", help="generate an instance")
-    p.add_argument("kind", choices=["wall", "escher", "obstruction", "random"])
-    p.add_argument("--r", type=_integer, help="wall size")
-    p.add_argument("--h", type=_integer, help="height")
-    p.add_argument("--p", choices=LINKAGE_TYPES)
-    p.add_argument("--q", choices=LINKAGE_TYPES)
-    p.add_argument("--groups", help="group descriptor(s)")
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--max-n", type=_integer, default=7)
-    p.add_argument("--max-m", type=_integer, default=12)
-    common(p)
     p.set_defaults(func=cmd_gen)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, options in (
+        ("wall", ["--r", "--groups"]),
+        ("escher", ["--h"]),
+        ("obstruction", ["--h", "--p", "--q", "--groups", "--seed"]),
+        ("random", ["--groups", "--seed", "--max-n", "--max-m"]),
+    ):
+        k = kinds.add_parser(kind, allow_abbrev=False)  # else a kind without --h reads it as --help
+        for option in options:
+            k.add_argument(option, **gen_options[option])
+        common(k, limit=False)
 
     p = sub.add_parser("analyze", help="run checks on an instance")
     p.add_argument("file")
@@ -415,11 +412,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="encode a constrained-cycle problem")
     p.add_argument("file")
-    p.add_argument("kind", choices=["plain", "odd", "s", "odd_s", "s1s2"])
-    p.add_argument("--s1", help="comma-separated vertex ids")
-    p.add_argument("--s2", help="comma-separated vertex ids")
-    common(p)
     p.set_defaults(func=cmd_reduce)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, reduction in reductions.REDUCTIONS.items():
+        k = kinds.add_parser(kind, allow_abbrev=False)
+        for s in ("s1", "s2")[: reduction.sets]:
+            k.add_argument(f"--{s}", help="comma-separated vertex ids")
+        common(k, limit=False)
 
     p = sub.add_parser("verify", help="check a certificate against an instance")
     p.add_argument("file")

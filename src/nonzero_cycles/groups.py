@@ -519,7 +519,7 @@ def _parse_desc(text: str) -> tuple[GroupDescriptor, str]:
         if _ != ")":
             raise GroupParseError("unterminated q(...)")
         try:
-            factors = [int(x) for x in body.split(",")] if body else []
+            factors = [as_integer(x.strip()) for x in body.split(",")] if body else []
         except ValueError:
             raise GroupParseError(f"q(...) takes comma-separated integers, not {body!r}") from None
         return quotient(factors), rest
@@ -531,16 +531,20 @@ def _parse_desc(text: str) -> tuple[GroupDescriptor, str]:
         return free_abelian(num), rest
     if text.startswith("z"):
         body = text[1:]
-        if not body or not body[0].isdigit():
+        if not body or body[0] not in _DIGITS:
             return integers(), body
         num, rest = _take_int(body)
         return cyclic(num), rest
     raise GroupParseError(f"cannot parse group description: {text!r}")
 
 
+_DIGITS = "0123456789"
+
+
 def _take_int(text: str) -> tuple[int, str]:
+    """The ASCII digits that start `text` as an integer, and the rest."""
     i = 0
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and text[i] in _DIGITS:
         i += 1
     if i == 0:
         raise GroupParseError(f"expected a number at {text!r}")

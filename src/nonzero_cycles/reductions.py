@@ -11,10 +11,10 @@ the plain, S-, and S1-S2 encodings rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import cycles, groups
-from .graphs import Cycle, Edge, GraphFormatError, LabeledGraph, _bfs_forest, decode_graph, encode_graph
+from .graphs import Edge, GraphFormatError, LabeledGraph, _bfs_forest, decode_graph, encode_graph
 
 
 # ---------------------------------------------------------------------------
@@ -99,24 +99,22 @@ def reduce_S1_S2_cycles(
 
 
 # ---------------------------------------------------------------------------
-# correspondence between constrained cycles and nonzero cycles
+# the reductions, by kind, and the cycles each one keeps
 
 
-def _predicate(kind: str, s1: FrozenSet[int], s2: FrozenSet[int]) -> Callable[[Cycle], bool]:
-    def meets(c: Cycle, s: FrozenSet[int]) -> bool:
-        return bool(c.vertex_set() & s)
+class Reduction(NamedTuple):
+    reduce: Callable[..., LabeledGraph]  # reduce(graph, *sets) labels the graph
+    sets: int  # how many vertex sets both read: none, S, or S1 and S2
+    keeps: Callable[..., bool]  # keeps(cycle, *sets): is the cycle made doubly nonzero
 
-    if kind == "plain":
-        return lambda c: True
-    if kind == "odd":
-        return lambda c: len(c.edges) % 2 == 1
-    if kind == "s":
-        return lambda c: meets(c, s1)
-    if kind == "odd_s":
-        return lambda c: len(c.edges) % 2 == 1 and meets(c, s1)
-    if kind == "s1s2":
-        return lambda c: meets(c, s1) and meets(c, s2)
-    raise ValueError(f"unknown reduction kind {kind!r}")
+
+REDUCTIONS: Dict[str, Reduction] = {
+    "plain": Reduction(reduce_plain_cycles, 0, lambda c: True),
+    "odd": Reduction(reduce_odd_cycles, 0, lambda c: len(c.edges) % 2 == 1),
+    "s": Reduction(reduce_S_cycles, 1, lambda c, s: bool(c.vertex_set() & s)),
+    "odd_s": Reduction(reduce_odd_S_cycles, 1, lambda c, s: len(c.edges) % 2 == 1 and bool(c.vertex_set() & s)),
+    "s1s2": Reduction(reduce_S1_S2_cycles, 2, lambda c, s1, s2: bool(c.vertex_set() & s1 and c.vertex_set() & s2)),
+}
 
 
 def correspondence_check(
@@ -129,9 +127,12 @@ def correspondence_check(
     """Exhaustively confirm that the doubly nonzero cycles of a reduced
     graph are exactly the constrained cycles of the original (which has
     the same vertices, edge ids, and adjacencies)."""
-    want = _predicate(kind, frozenset(s1), frozenset(s2))
+    reduction = REDUCTIONS.get(kind)
+    if reduction is None:
+        raise ValueError(f"unknown reduction kind {kind!r}")
+    sets = (frozenset(s1), frozenset(s2))[: reduction.sets]
     return all(
-        c.doubly_nonzero == want(c.rep)
+        c.doubly_nonzero == reduction.keeps(c.rep, *sets)
         for c in cycles.enumerate_cycles(reduced, limit=limit)
     )
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from nonzero_cycles import cli, cycles, groups, obstructions
-from nonzero_cycles.graphs import decode_graph, encode_graph
+from nonzero_cycles import cli, cycles, groups, obstructions, packing, reductions
+from nonzero_cycles.graphs import Edge, LabeledGraph, decode_graph, encode_graph, shift_sequence
+from nonzero_cycles.walls import elementary_wall
 from test_obstructions import shared_end_graph, wall_with_a_looped_vertex
 
 
@@ -790,3 +791,153 @@ def test_pack_cover_and_verify_stop_at_the_limit_analyze_stops_at(tmp_path, caps
     assert codes == [0, 0, 0, 1]
     code, out, _ = run(argvs[0], capsys)
     assert json.loads(out)["classify"]["doubly_nonzero"] == 4
+
+
+# Each `gen` and `reduce` kind takes only the options it reads, and `--out`.
+# A valid value for every option, and the options each kind reads.
+OPTION_VALUES = {
+    "--r": "3", "--h": "1", "--p": "nested", "--q": "series", "--groups": "z3", "--seed": "1",
+    "--max-n": "5", "--max-m": "5", "--s1": "0", "--s2": "0", "--limit": "5",
+}
+GEN_OPTIONS = {
+    "wall": ["--r", "--groups"],
+    "escher": ["--h"],
+    "obstruction": ["--h", "--p", "--q", "--groups", "--seed"],
+    "random": ["--groups", "--seed", "--max-n", "--max-m"],
+}
+REDUCE_OPTIONS = {"plain": [], "odd": [], "s": ["--s1"], "odd_s": ["--s1"], "s1s2": ["--s1", "--s2"]}
+UNREAD_OPTIONS = [
+    (["gen", kind], option) for kind, read in GEN_OPTIONS.items()
+    for option in ["--r", "--h", "--p", "--q", "--groups", "--seed", "--max-n", "--max-m", "--limit"]
+    if option not in read
+] + [
+    (["reduce", "FILE", kind], option) for kind, read in REDUCE_OPTIONS.items()
+    for option in ["--s1", "--s2", "--limit"] if option not in read
+]
+
+
+def test_every_gen_and_reduce_kind_is_listed_with_its_options():
+    assert len(UNREAD_OPTIONS) == 35
+    assert sorted(REDUCE_OPTIONS) == sorted(reductions.REDUCTIONS)
+    assert {k: len(v) for k, v in REDUCE_OPTIONS.items()} == {k: r.sets for k, r in reductions.REDUCTIONS.items()}
+
+
+@pytest.mark.parametrize("kind, option", UNREAD_OPTIONS, ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_an_option_the_kind_does_not_read_is_unrecognized(kind, option, tmp_path, capsys):
+    inst = tmp_path / "r.json"
+    run(["gen", "random", "--seed", "4", "--out", str(inst)], capsys)
+    read = GEN_OPTIONS.get(kind[-1], REDUCE_OPTIONS.get(kind[-1]))
+    # obstruction's --groups takes two descriptors
+    values = {**OPTION_VALUES, "--groups": "z3,z3"} if kind[-1] == "obstruction" else OPTION_VALUES
+    argv = [str(inst) if a == "FILE" else a for a in kind]
+    argv += [x for o in read for x in (o, values[o])]
+    assert run(argv + ["--out", str(tmp_path / "o.json")], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [option, OPTION_VALUES[option]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option} {OPTION_VALUES[option]}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gen wall", "gen wall needs --r"),
+        ("gen wall --groups z3", "gen wall needs --r"),
+        ("gen escher", "gen escher needs --h"),
+        ("gen obstruction --p nested --q series", "gen obstruction needs --h, --p, --q"),
+        ("gen obstruction --h 1 --q series", "gen obstruction needs --h, --p, --q"),
+        ("gen obstruction --h 1 --p nested", "gen obstruction needs --h, --p, --q"),
+    ],
+)
+def test_gen_without_a_needed_option_is_parse_error(argv, message, capsys):
+    assert run(argv.split(), capsys) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("kind", sorted(reductions.REDUCTIONS))
+def test_reduce_prints_the_encoding_of_its_table_entry(kind, tmp_path, capsys):
+    inst = tmp_path / "r.json"
+    run(["gen", "random", "--seed", "2", "--max-n", "8", "--max-m", "14", "--out", str(inst)], capsys)
+    reduction = reductions.REDUCTIONS[kind]
+    sets = [[0, 3], [1]][: reduction.sets]
+    argv = [x for option, s in zip(["--s1", "--s2"], sets) for x in (option, ",".join(map(str, s)))]
+    code, out, err = run(["reduce", str(inst), kind, *argv], capsys)
+    assert (code, err) == (0, "")
+    graph = decode_graph(json.loads(inst.read_text())["graph"])
+    reduced = reduction.reduce(graph, *sets)
+    assert json.loads(out) == {"kind": f"reduced-{kind}", "graph": encode_graph(reduced)}
+    assert reductions.correspondence_check(kind, reduced, *sets)
+
+
+def test_gen_group_numbers_follow_the_one_integer_rule(capsys):
+    # z followed by an Arabic-Indic three: not z3
+    code, out, err = run(["gen", "random", "--groups", "z\u0663"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "trailing characters in group description: '\u0663'\n"
+
+
+# three triangles through vertex 0 valued (1, 1), and two away from them
+# valued (0, 1) and (1, 0), over sum(z2,z3): triangle i has edges 3i..3i+2
+def _triangles_graph() -> LabeledGraph:
+    desc = groups.parse_descriptor("sum(z2,z3)")
+    labels = [(1, 1), (1, 1), (1, 1), (0, 1), (1, 0)]
+    triangles = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (7, 8, 9), (10, 11, 12)]
+    edges = []
+    for (a, b, c), label in zip(triangles, labels):
+        for u, v, x in ((a, b, label), (b, c, (0, 0)), (c, a, (0, 0))):
+            edges.append(Edge(len(edges), u, v, groups.element(desc, x)))
+    return LabeledGraph(desc, range(13), edges)
+
+
+def test_verify_packing_accepts_triangles_within_their_vertex_uses():
+    graph = _triangles_graph()
+    assert packing.verify_packing(graph, [frozenset([0, 1, 2])], max_use=1)
+    assert packing.verify_packing(graph, [frozenset([0, 1, 2]), frozenset([3, 4, 5])], max_use=2)
+
+
+@pytest.mark.parametrize(
+    "edge_sets, max_use",
+    [
+        ([[0, 1, 2], [0, 1, 2]], 2),  # one cycle twice, where each vertex may be used twice
+        ([[9, 10, 11]], 1),  # zero in the first coordinate
+        ([[12, 13, 14]], 1),  # zero in the second coordinate
+        ([[0, 1, 2], [3, 4, 5]], 1),  # vertex 0 used twice
+        ([[0, 1, 2], [3, 4, 5], [6, 7, 8]], 2),  # vertex 0 used three times
+    ],
+    ids=["repeated", "zero_first", "zero_second", "overused_once", "overused_twice"],
+)
+def test_verify_packing_rejects_a_repeated_zero_or_overused_cycle(edge_sets, max_use, tmp_path, capsys):
+    graph = _triangles_graph()
+    assert not packing.verify_packing(graph, [frozenset(es) for es in edge_sets], max_use=max_use)
+    inst, cert = tmp_path / "t.json", tmp_path / "c.json"
+    inst.write_text(json.dumps(encode_graph(graph)))
+    cert.write_text(json.dumps({"type": "packing", "cycles": edge_sets, "max_use": max_use}))
+    assert run(["verify", str(inst), str(cert)], capsys) == (1, "", "packing certificate violates disjointness\n")
+
+
+# a null-labelled 2-wall over z5 shifted at vertices 1, 6 and 11: flat, so
+# analyze prints shifts that make every label zero
+FLAT_WALL_STDOUT = {
+    "bipartite": True,
+    "bipartite_shifts": [
+        [2, 1], [7, 1], [3, 1], [6, 3], [8, 1], [4, 1], [9, 1], [12, 1],
+        [14, 1], [5, 1], [10, 1], [13, 1], [15, 1], [11, 4], [16, 1],
+    ],
+    "classify": {"cycles": 14, "doubly_nonzero": 0, "nonzero_first": 0, "nonzero_second": 0},
+    "robust": True,
+}
+
+
+def test_analyze_prints_the_shifts_that_flatten_a_flat_labelling(tmp_path, capsys):
+    z5 = groups.cyclic(5)
+    wall = elementary_wall(2, z5).graph
+    graph = shift_sequence(wall, [(v, groups.element(z5, a)) for v, a in ((1, 1), (6, 3), (11, 2))])
+    assert any(not groups.is_zero(e.label) for e in graph.edges.values())
+    inst = tmp_path / "flat.json"
+    inst.write_text(json.dumps(encode_graph(graph)))
+    code, out, err = run(["analyze", str(inst)], capsys)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(FLAT_WALL_STDOUT, indent=2, sort_keys=True) + "\n"
+    shifts = [(v, groups.decode_element(graph.descriptor, a)) for v, a in json.loads(out)["bipartite_shifts"]]
+    assert all(groups.is_zero(e.label) for e in shift_sequence(graph, shifts).edges.values())

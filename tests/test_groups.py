@@ -132,6 +132,16 @@ def test_grammar_rejects_non_integer_quotient_factors(text):
         parse_descriptor(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["z\u0663", "za\u0662", "free\u0661", "sum(z2,z\u0663)", "q(1_0)", "q(\u0662)", "q(2, 1_0)"]
+)
+def test_grammar_reads_numbers_by_the_one_integer_rule(text):
+    # int() and str.isdigit accept these; `as_integer` and ASCII digits do not
+    match = r"q\(\.\.\.\) takes comma-separated integers" if text.startswith("q(") else None
+    with pytest.raises(GroupParseError, match=match):
+        parse_descriptor(text)
+
+
 def test_grammar_keeps_reading_the_quotient_factors_int_reads():
     assert parse_descriptor("q(2,4)") == quotient([2, 4])
     assert parse_descriptor("q( 2,+4)") == quotient([2, 4])
