@@ -71,6 +71,8 @@ def _load(path: str) -> dict:
 
 def _load_graph(path: str) -> LabeledGraph:
     doc = _load(path)
+    if not isinstance(doc, dict):
+        raise CliError("bad instance: expected a JSON object", PARSE_ERROR)
     try:
         if "graph" in doc:
             return decode_graph(doc["graph"])

@@ -9,19 +9,19 @@ stack.  Doubly non-zero cycles come as masks from the enumerating DFS
 (`cycles.doubly_nonzero_masks`); other vertex sets become masks here.
 
 The packing search (`_max_disjoint`, for ν with each vertex used once and
-ν½ with each vertex used at most twice) first finds the size on the
-exchange-closed family (`_exchange_family`): the masks whose strictly
-smaller sub-masks are pairwise disjoint, or absent for ν, which still hold
-a maximum packing.  It then runs the same branch-and-bound on every mask,
-stopping at the first packing of that size, so its answer is the
-lexicographically smallest optimal index tuple over all of them.  The
-branch-and-bound hands each branch only the candidates that still fit, and
-cuts a branch when the vertex uses left cannot hold enough further
-candidates to beat the best packing found.  `pack_and_cover` builds both
-families in one pass (`_exchange_families`), computes ν½ last and hands it
-τ's transversal X as a cover: every candidate takes a use of a vertex of X,
-so the free uses left on X bound the further picks, drop the candidates
-that would take too many of them, and stop the search once ν½ reaches 2τ.
+ν½ with each vertex used at most twice) runs one branch-and-bound on the
+exchange-closed family (`_exchange_families`): the masks whose earlier
+strictly smaller sub-masks are pairwise disjoint, or absent for ν.  That
+family holds the lexicographically smallest maximum packing, so the search's
+answer, mapped back by index, is the lexicographically smallest optimal
+index tuple over all the masks.  The branch-and-bound hands each branch
+only the candidates that still fit, and cuts a branch when the vertex uses
+left cannot hold enough further candidates to beat the best packing found.
+`pack_and_cover` builds both families in one pass, computes ν½ last and
+hands it τ's transversal X as a cover: every candidate takes a use of a
+vertex of X, so the free uses left on X bound the further picks, drop the
+candidates that would take too many of them, and stop the search once ν½
+reaches 2τ.
 
 `_min_hitting_set` is the package's one exact hitting-set solver: over
 every enumerated cycle or A-path, and over the witnesses of the implicit
@@ -93,16 +93,14 @@ def _max_disjoint(
     `cover`, when given, is the mask of a vertex set X that meets every mask
     (ValueError otherwise), such as a transversal: each chosen set then
     takes a use of a vertex of X, so no selection exceeds `max_use * |X|`.
-    Only vertices of the union of the masks count, in X as in the capacity.
-    `family`, when given, is `_exchange_family(masks, max_use)`, built once
-    by a caller that packs the same masks twice.
+    Only vertices of the union of the family's masks count, in X as in the
+    capacity.  `family`, when given, is `_exchange_families(masks)[max_use -
+    1]`, built once by a caller that packs the same masks twice.
 
-    The size comes from `_exchange_family`, which holds a maximum selection
-    of least total size: if such a selection used C but not some D strictly
-    inside C, swapping C for D would shrink it, and two such D that met
-    would put a third use on a shared vertex.  When the family drops a
-    mask, the same search then runs on every mask, stopping at the first
-    selection of the proved size, which is the lexicographically smallest.
+    One `_packing_search` on the family, mapped back by index, gives the
+    answer: the family holds the lexicographically smallest maximum
+    selection (see `_exchange_families`), so a largest selection of the
+    family is a largest one of all the masks.
     """
     if max_use not in (1, 2):
         raise ValueError("max_use must be 1 or 2")
@@ -110,49 +108,46 @@ def _max_disjoint(
     if cover is not None and not all(m & cover for m in masks):
         raise ValueError("cover must meet every vertex set")
     if family is None:
-        family = _exchange_family(masks, max_use)
-    if len(family) == len(masks):
-        return _packing_search(masks, max_use, cover)
-    size = len(_packing_search([masks[i] for i in family], max_use, cover))
-    return _packing_search(masks, max_use, cover, size)
-
-
-def _exchange_family(masks: Sequence[int], max_use: int) -> List[int]:
-    """The indices, in order, of the masks that some maximum selection of
-    least total size may use: mask C is kept when the masks strictly inside
-    it are pairwise disjoint (`max_use=2`), or when there are none
-    (`max_use=1`), so equal masks are kept together.  This is one of the two
-    lists of `_exchange_families`."""
-    return _exchange_families(masks)[max_use - 1]
+        family = _exchange_families(masks)[max_use - 1]
+    return [family[i] for i in _packing_search([masks[i] for i in family], max_use, cover)]
 
 
 def _exchange_families(masks: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """`_exchange_family` for `max_use=1` and for `max_use=2` from one pass:
-    each mask's strictly-inside masks are found once, and a mask with none is
-    kept in both lists, so the first list is a sublist of the second.
+    """The indices, in order, of the masks that the lexicographically
+    smallest maximum selection may use, for `max_use=1` and for `max_use=2`:
+    mask C is kept when no earlier mask lies strictly inside it
+    (`max_use=1`), or when the earlier masks strictly inside it are pairwise
+    disjoint (`max_use=2`).  Equal masks are never strictly inside each
+    other, so they are kept together, and the first list is a sublist of the
+    second.
 
-    Only a mask with fewer vertices lies strictly inside C, so the masks are
-    ranked by size.  The vertices through the same smaller masks form one
-    class, with the mask of the ranks that miss it, and C starts from the
-    ranks below its size and keeps those that miss each class with a vertex
-    outside C.  A mask of the least size is kept unchecked.
+    Why it is exact, for any order of the masks: if that selection S used C
+    but not an earlier D strictly inside C, S - C + D would be a selection
+    of the same size and lexicographically smaller.  So S holds every such
+    D, and two of them that met would put a third use on a shared vertex.
+    On masks sorted by size, as the package packs them, every mask strictly
+    inside C comes earlier; this is then the domination rule of Fomin,
+    Grandoni and Kratsch (JACM 2009).
+
+    Bit j stands for mask j.  The vertices that the same small masks (those
+    with fewer vertices than the largest) pass through form one class, with
+    the bits of the small masks that miss it.  C starts from the earlier
+    small masks other than its equals, one AND with `(1 << i) - 1`, and
+    keeps those that miss each class with a vertex outside C.
     """
     sizes = [m.bit_count() for m in masks]
-    ranked = sorted(range(len(masks)), key=sizes.__getitem__)
-    # below[s]: how many masks have fewer than s vertices
-    below: Dict[int, int] = {}
-    for r, i in enumerate(ranked):
-        below.setdefault(sizes[i], r)
-    # only the masks below the largest size can lie inside another
-    small = below[sizes[ranked[-1]]] if masks else 0
+    # only a mask with fewer vertices than the largest can lie inside another
+    largest = max(sizes, default=0)
+    small = [j for j, s in enumerate(sizes) if s < largest]
     if not small:
         return list(range(len(masks))), list(range(len(masks)))
-    # the vertices that the same smaller masks pass through form a class,
-    # kept as (its vertex mask, the ranks of the smaller masks that miss
-    # it); each smaller mask splits every class it cuts in two
-    classes = [(functools.reduce(operator.or_, (masks[i] for i in ranked[:small])), (1 << small) - 1)]
-    for r in range(small):
-        d, bit = masks[ranked[r]], 1 << r
+    # the vertices that the same small masks pass through form a class, kept
+    # as (its vertex mask, the bits of the small masks that miss it); each
+    # small mask splits every class it cuts in two
+    smalls = sum(1 << j for j in small)
+    classes = [(functools.reduce(operator.or_, (masks[j] for j in small)), smalls)]
+    for j in small:
+        d, bit = masks[j], 1 << j
         split = []
         for vertices, missing in classes:
             through = vertices & d
@@ -161,9 +156,12 @@ def _exchange_families(masks: Sequence[int]) -> Tuple[List[int], List[int]]:
             if through != vertices:
                 split.append((vertices ^ through, missing))
         classes = split
+    same: Dict[int, int] = {}
+    for j, m in enumerate(masks):
+        same[m] = same.get(m, 0) | 1 << j
     ones, twos = [], []
     for i, c in enumerate(masks):
-        inside = (1 << below[sizes[i]]) - 1
+        inside = smalls & ~same[c] & ((1 << i) - 1)
         outside = ~c
         for vertices, missing in classes:
             if not inside:
@@ -177,42 +175,37 @@ def _exchange_families(masks: Sequence[int]) -> Tuple[List[int], List[int]]:
         # for max_use=2 the masks inside must be pairwise disjoint
         used = 0
         while inside:
-            r = inside & -inside
-            m = masks[ranked[r.bit_length() - 1]]
+            j = inside & -inside
+            m = masks[j.bit_length() - 1]
             if m & used:
                 break
             used |= m
-            inside ^= r
+            inside ^= j
         if not inside:
             twos.append(i)
     return ones, twos
 
 
-def _packing_search(
-    masks: Sequence[int], max_use: int, cover: Optional[int], target: Optional[int] = None
-) -> List[int]:
+def _packing_search(masks: Sequence[int], max_use: int, cover: Optional[int]) -> List[int]:
     """The branch-and-bound of `_max_disjoint` on non-empty masks, with
     `cover` already checked: the lexicographically smallest largest
-    selection, or, given `target`, the largest size, the lexicographically
-    smallest selection of that size.
+    selection.
 
     The search carries `once`, the vertices one more use would fill (with
     `max_use=1` every vertex starts there), and `full`, the vertices used
     up; each child gets only the later candidates whose masks miss `full`.
-    A selection must have more than `bar` items to count: the best found,
-    or one less than `target`.  A child is cut when even `min(later
-    candidates, free uses on X)` more items cannot beat `bar`, where the
-    free uses on X are `2|X| - |X & once| - 2|X & full|`, before its
-    candidates are filtered; then also when `capacity // smallest candidate
-    size` cannot, where capacity is `max_use * |V|` minus the vertex uses so
-    far.  Each further item takes at least one use of X, so a candidate
-    taking more uses of X than the free ones, less one for each other item a
-    selection beating `bar` needs, is dropped.  The search stops once the
-    best reaches `target` or `max_use * |X|`.  Branches run in index order
-    and `best` changes only on a strictly larger selection, and a cut or a
-    drop removes only selections that cannot beat `bar`, so the first
-    optimum in branch order, the lexicographically smallest, is the one
-    returned, with or without `cover` or `target`.
+    A selection must have more than `bar` items, the best found, to count.
+    Each further item takes at least one use of X, so a candidate taking
+    more uses of X than the free ones (`2|X| - |X & once| - 2|X & full|`),
+    less one for each other item a selection beating `bar` needs, is
+    dropped.  A child is cut when even `min(its candidates, capacity //
+    smallest candidate size, free uses on X)` more items cannot beat `bar`,
+    where capacity is `max_use * |V|` minus the vertex uses so far.  The
+    search stops once the best reaches `max_use * |X|`.  Branches run in
+    index order and `best` changes only on a strictly larger selection, and
+    a cut or a drop removes only selections that cannot beat `bar`, so the
+    first optimum in branch order, the lexicographically smallest, is the
+    one returned, with or without `cover`.
     """
     union = _union(masks)
     sizes = [m.bit_count() for m in masks]
@@ -220,11 +213,10 @@ def _packing_search(
     xuses = [(m & xmask).bit_count() for m in masks]
     most_xuses = max(xuses, default=0)
     xsize = xmask.bit_count()
-    # the most items any selection holds: the target, all of them, or one
-    # per use of X
-    most = target if target is not None else len(masks) if cover is None else max_use * xsize
+    # the most items any selection holds: all of them, or one per use of X
+    most = len(masks) if cover is None else max_use * xsize
     # a selection counts only when it has more than `bar` items
-    bar = 0 if target is None else target - 1
+    bar = 0
     best: List[int] = []
     chosen: List[int] = []
     # the open branches above the current one, as (candidates, once, full,
@@ -264,10 +256,6 @@ def _packing_search(
         free = most
         if cover is not None:
             free = 2 * xsize - (child_once & xmask).bit_count() - 2 * (child_full & xmask).bit_count()
-        # the later candidates and the free uses bound the child before its
-        # candidates are filtered
-        if depth + min(len(cands) - k, free) <= bar:
-            continue
         # an item beyond X's spare uses cannot join a selection beating bar
         spare = free - (bar - depth)
         rest = cands[k:]
@@ -377,7 +365,9 @@ def implicit_transversal(
 
 def max_packing(vertices: Iterable[int], sets: Sequence[AbstractSet[int]], max_use: int = 1) -> List[int]:
     """`_max_disjoint` over the non-empty vertex `sets` of a graph on
-    `vertices`: the lexicographically smallest largest selection's indices."""
+    `vertices`: the lexicographically smallest largest selection's indices.
+    The sets may come in any order, not only by size: the exchange family
+    keeps that selection for every order."""
     bit = _vertex_bits(vertices)
     return _max_disjoint([sum(map(bit.__getitem__, s)) for s in sets], max_use)
 

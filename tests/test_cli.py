@@ -593,6 +593,20 @@ def test_pack_rejects_malformed_direct_sum_labels(tmp_path, capsys, labels):
     assert "bad instance" in err
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true", '"text"', "[1, 2]"])
+@pytest.mark.parametrize("command", ["analyze", "pack", "cover", "reduce", "verify"])
+def test_an_instance_that_is_no_json_object_is_a_parse_error(tmp_path, capsys, command, text):
+    # a number, null or a boolean crashed every command with exit 1, the
+    # failed-certificate code
+    inst, cert = tmp_path / "x.json", tmp_path / "cert.json"
+    inst.write_text(text)
+    cert.write_text(json.dumps({"type": "transversal", "vertices": []}))
+    extra = {"reduce": ["plain"], "verify": [str(cert)]}.get(command, [])
+    code, out, err = run([command, str(inst), *extra], capsys)
+    assert (code, out) == (2, "")
+    assert "bad instance" in err
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [

@@ -7,13 +7,12 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from nonzero_cycles import groups
+from nonzero_cycles import groups, packing
 from nonzero_cycles.cycles import LIMIT_ENV_VAR, EnumerationLimitError, _vertex_bits, enumerate_cycles
 from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, walk_value
 from nonzero_cycles.obstructions import escher_wall
 from nonzero_cycles.packing import (
     _exchange_families,
-    _exchange_family,
     _mask_vertices,
     _max_disjoint,
     _min_hitting_set,
@@ -365,6 +364,18 @@ def exchange_family_reference(vertex_sets, max_use):
     return kept
 
 
+def exchange_family_earlier_reference(vertex_sets, max_use):
+    """The indices of the sets C whose earlier strictly smaller subsets,
+    equal ones counted apart, are pairwise disjoint (`max_use=2`) or absent,
+    by comparing every pair."""
+    kept = []
+    for i, c in enumerate(vertex_sets):
+        inside = [d for d in vertex_sets[:i] if d < c]
+        if not inside if max_use == 1 else all(not a & b for a, b in itertools.combinations(inside, 2)):
+            kept.append(i)
+    return kept
+
+
 def exchange_family_before_fusing(masks, max_use):
     """`_exchange_family` as one call built it for one `max_use`."""
     sizes = [m.bit_count() for m in masks]
@@ -425,9 +436,15 @@ def test_exchange_families_equal_two_builds_before_fusing():
         bit = _vertex_bits(set().union(*vertex_sets))
         masks = [sum(map(bit.__getitem__, s)) for s in vertex_sets]
         ones, twos = _exchange_families(masks)
-        assert ones == exchange_family_before_fusing(masks, 1)
-        assert twos == exchange_family_before_fusing(masks, 2)
+        assert ones == exchange_family_earlier_reference(vertex_sets, 1)
+        assert twos == exchange_family_earlier_reference(vertex_sets, 2)
         assert set(ones) <= set(twos)
+        # sorted by size, as the package packs, a set inside another comes
+        # earlier, and the family is the one built before the index order
+        by_size = sorted(masks, key=int.bit_count)
+        ones, twos = _exchange_families(by_size)
+        assert ones == exchange_family_before_fusing(by_size, 1)
+        assert twos == exchange_family_before_fusing(by_size, 2)
         differ += ones != twos
         dropped += len(twos) < len(masks)
     assert differ > 60 and dropped > 120
@@ -450,8 +467,9 @@ def test_exchange_family_matches_the_pairwise_reference(max_use):
         vertex_sets = nested_family(rng)
         bit = _vertex_bits(set().union(*vertex_sets))
         masks = [sum(map(bit.__getitem__, s)) for s in vertex_sets]
-        expected = exchange_family_reference(vertex_sets, max_use)
-        assert _exchange_family(masks, max_use) == expected
+        assert _exchange_families(masks)[max_use - 1] == exchange_family_earlier_reference(vertex_sets, max_use)
+        expected = exchange_family_reference(sorted(vertex_sets, key=len), max_use)
+        assert _exchange_families(sorted(masks, key=int.bit_count))[max_use - 1] == expected
         dropped += len(expected) < len(vertex_sets)
         equal += len(set(vertex_sets)) < len(vertex_sets)
     assert dropped > 150 and equal > 150
@@ -488,6 +506,23 @@ def test_max_disjoint_recovers_a_lexmin_optimum_through_a_dropped_set(vertex_set
     assert lexmin_max_disjoint(vertex_sets, max_use) == expected
     assert max_disjoint(vertex_sets, max_use) == expected
     assert max_disjoint(vertex_sets, max_use, cover={0, 2}) == expected
+
+
+def test_exchange_families_keep_a_set_whose_inner_sets_all_come_later():
+    masks = [0b11, 0b01, 0b100]  # {0, 1}, {0}, {2}
+    assert _exchange_families(masks) == ([0, 1, 2], [0, 1, 2])
+    assert _exchange_families([0b11, 0b01, 0b01, 0b100])[1] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "vertex_sets, max_use, expected", [([{0, 1}, {0}, {2}], 1, [0, 2]), ([{0, 1}, {0}, {0}, {2}], 2, [0, 1, 3])]
+)
+def test_max_disjoint_runs_one_search(monkeypatch, vertex_sets, max_use, expected):
+    calls = []
+    search = packing._packing_search
+    monkeypatch.setattr(packing, "_packing_search", lambda *args: calls.append(args) or search(*args))
+    assert max_disjoint([frozenset(s) for s in vertex_sets], max_use) == expected
+    assert len(calls) == 1
 
 
 def larger_hitting_set(vertex_sets, rng):
