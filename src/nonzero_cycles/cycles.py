@@ -4,7 +4,7 @@ A cycle is identified with its edge set; representatives store one rooted
 traversal.  For direct-sum labels each coordinate is classified separately,
 for a single group both coordinates coincide.
 
-Cycles and A-paths (`packing.enumerate_nonzero_a_paths`) come from one
+Cycles and non-zero A-paths (`enumerate_nonzero_a_paths`) come from one
 simple-path DFS over int bitmasks, `_simple_paths`, under one enumeration
 limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`).
 The DFS carries each step's raw label payload, and as it closes a path
@@ -19,6 +19,10 @@ by `graphs.shifted_value` where a non-abelian coordinate is rerooted.
 `doubly_nonzero_masks`, which the exact packing and covering solvers read,
 keeps only the doubly non-zero cycles, each as the vertex bitmask and the
 edge ids the DFS already holds.
+
+Only this module builds DFS jobs or reads the DFS's step, job and path
+formats; other modules read the vertex-bit order (`_vertex_bits`, decoded
+by `_mask_vertices`) and the public functions.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import groups
-from .graphs import Cycle, LabeledGraph, shifted_value, walk_payload, walk_value
+from .graphs import Cycle, LabeledGraph, Walk, shifted_value, walk_payload, walk_value
 
 DEFAULT_LIMIT = 10**6
 LIMIT_ENV_VAR = "NONZERO_CYCLES_LIMIT"
@@ -102,6 +106,19 @@ def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
 def _vertex_bits(vertices: Iterable[int]) -> Dict[int, int]:
     """Bit i for the i-th smallest vertex: the package's one vertex-bit order."""
     return {v: 1 << i for i, v in enumerate(sorted(vertices))}
+
+
+def _mask_vertices(mask: int, bit: Dict[int, int]) -> FrozenSet[int]:
+    """The vertices of `mask`, each vertex v standing for its bit `bit[v]`
+    (a `_vertex_bits` table, whose i-th vertex holds bit i); only the set
+    bits are decoded."""
+    order = list(bit)
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(order[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(found)
 
 
 def _bit_steps(graph: LabeledGraph):
@@ -201,6 +218,31 @@ def _cycle_jobs(bit, adj) -> list:
                 closing |= eb
                 ends |= wb
     return jobs
+
+
+def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[int] = None) -> List[Walk]:
+    """All nonzero-valued paths with both (distinct) ends in `terminals`
+    and no internal vertex there, each from its smaller end, sorted by
+    (length, sorted edge ids)."""
+    a_set = set(terminals)
+    if not a_set <= graph.vertices:
+        raise ValueError("terminals must be vertices of the graph")
+    bit, adj = _bit_steps(graph)
+    t = groups.table(graph.descriptor)
+    used = sum(bit[v] for v in a_set)
+    # one job per start s, every terminal used: a path closes by an edge at
+    # a later terminal, so it grows only while a neighbour of one is free
+    jobs = []
+    closing = ends = 0
+    for s in sorted(a_set, reverse=True):
+        jobs.append(((s, None, None, None), used, closing, ends))
+        for _, _, wb, eb, _ in adj[s]:
+            closing |= eb
+            ends |= wb
+    # every closed path counts towards the limit; only the nonzero ones are kept
+    paths = _simple_paths(adj, jobs, limit, "A-paths", lambda vs, es, raw: None if raw == t.zero else Walk(vs, es), t)
+    paths.sort(key=lambda w: _by_length_then_edges(w.edges))
+    return paths
 
 
 def _by_length_then_edges(eids) -> Tuple[int, List[int]]:

@@ -22,8 +22,8 @@ wrapped as elements.  `walk_payload` sums a walk's raw payloads with one
 
 One breadth-first spanning forest (`_bfs_forest`) and one walk along its
 parent links (`_tree_walk`) serve the package: the fundamental cycle of
-`is_gamma_bipartite`, the tree paths of clique models and the column
-snakes of elementary walls.
+`is_gamma_bipartite` and the tree paths of clique models; the forest alone
+is the spanning tree of `reductions.homology_labeling`.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ All solvers enumerate candidate cycles/paths explicitly and then run a
 deterministic branch-and-bound; ties break lexicographically on sorted
 edge-id tuples.  Intended for desk-scale instances.  Both searches read
 vertex sets as int bitmasks, bit i for the i-th smallest vertex of the
-graph (`cycles._vertex_bits`), and keep their open branches on an explicit
-stack.  Doubly non-zero cycles come as masks from the enumerating DFS
-(`cycles.doubly_nonzero_masks`); other vertex sets become masks here.
+graph (`cycles._vertex_bits`, decoded by `cycles._mask_vertices`), and keep
+their open branches on an explicit stack.  Doubly non-zero cycles come as
+masks from the enumerating DFS (`cycles.doubly_nonzero_masks`), A-paths as
+walks (`cycles.enumerate_nonzero_a_paths`, under the same limit); other
+vertex sets become masks here.  `missed_cycle` is the one transversal check.
 
 The packing search (`_max_disjoint`, for ν with each vertex used once and
 ν½ with each vertex used at most twice) runs one branch-and-bound on the
@@ -29,11 +31,6 @@ hitting-set loop `implicit_transversal`, which asks an oracle instead (the
 wall instances' chord router).  It stops at a hitting set as small as the
 lower bound its caller has proved: ν here, the previous round's minimum in
 that loop.
-
-A-paths come from the DFS that enumerates cycles (`cycles._simple_paths`),
-one start per terminal, so they obey the same limit, `NONZERO_CYCLES_LIMIT`
-included, and are kept by the value that DFS folds as it closes each one.
-`missed_cycle` is the one transversal check.
 """
 
 from __future__ import annotations
@@ -43,8 +40,7 @@ import operator
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from . import groups
-from .cycles import _bit_steps, _by_length_then_edges, _simple_paths, _vertex_bits, classify, doubly_nonzero_masks
+from .cycles import _mask_vertices, _vertex_bits, classify, doubly_nonzero_masks, enumerate_nonzero_a_paths
 from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges
 
 
@@ -59,19 +55,6 @@ class PackCoverReport:
     packing: Tuple[FrozenSet[int], ...]
     half_packing: Tuple[FrozenSet[int], ...]
     transversal: FrozenSet[int]
-
-
-def _mask_vertices(mask: int, bit: Dict[int, int]) -> FrozenSet[int]:
-    """The vertices of `mask`, each vertex v standing for its bit `bit[v]`
-    (a `_vertex_bits` table, whose i-th vertex holds bit i); only the set
-    bits are decoded."""
-    order = list(bit)
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(order[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(found)
 
 
 def _union(masks: Sequence[int]) -> int:
@@ -232,8 +215,7 @@ def _packing_search(masks: Sequence[int], max_use: int, cover: Optional[int]) ->
     once = union if max_use == 1 else 0
     full = 0
     capacity = max_use * union.bit_count()
-    # at the root every use of X is free: `most` bounds the picks
-    k = 0 if cands and promising(cands, capacity, most, 0) else len(cands)
+    k = 0
     while True:
         if k == len(cands) or len(chosen) + len(cands) - k <= bar:
             if not above:
@@ -445,31 +427,6 @@ class APathReport:
     packing: Tuple[Walk, ...]
     cover: FrozenSet[int]
     duality_ok: bool  # tau <= 2 * nu
-
-
-def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[int] = None) -> List[Walk]:
-    """All nonzero-valued paths with both (distinct) ends in `terminals`
-    and no internal vertex there, each from its smaller end, sorted by
-    (length, sorted edge ids)."""
-    a_set = set(terminals)
-    if not a_set <= graph.vertices:
-        raise ValueError("terminals must be vertices of the graph")
-    bit, adj = _bit_steps(graph)
-    t = groups.table(graph.descriptor)
-    used = sum(bit[v] for v in a_set)
-    # one job per start s, every terminal used: a path closes by an edge at
-    # a later terminal, so it grows only while a neighbour of one is free
-    jobs = []
-    closing = ends = 0
-    for s in sorted(a_set, reverse=True):
-        jobs.append(((s, None, None, None), used, closing, ends))
-        for _, _, wb, eb, _ in adj[s]:
-            closing |= eb
-            ends |= wb
-    # every closed path counts towards the limit; only the nonzero ones are kept
-    paths = _simple_paths(adj, jobs, limit, "A-paths", lambda vs, es, raw: None if raw == t.zero else Walk(vs, es), t)
-    paths.sort(key=lambda w: _by_length_then_edges(w.edges))
-    return paths
 
 
 def a_path_pack_and_cover(graph: LabeledGraph, terminals, limit: Optional[int] = None) -> APathReport:

@@ -7,8 +7,8 @@ the darts at each vertex by angle, the package's one angle sort, and
 `trace_faces` traces that rotation system with
 `reductions.trace_embedded_faces`, the package's one face tracer.  A `Wall`
 keeps each vertex's neighbours in that order (`Wall.rotations`) for the
-chord router.  Column snakes are walks in a breadth-first forest
-(`graphs._tree_walk`).
+chord router.  An elementary wall's column snakes are read off the grid
+as zigzags.
 
 A `Wall` is read-only (its `coords` is a `MappingProxyType`), so elementary
 walls are memoised on `(r, descriptor)`: every caller asking for the same
@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import groups
-from .graphs import Cycle, Edge, LabeledGraph, Walk, _bfs_forest, _tree_walk, decode_graph, encode_graph
+from .graphs import Cycle, Edge, LabeledGraph, Walk, decode_graph, encode_graph
 from .reductions import EmbeddedGraph, trace_embedded_faces
 
 
@@ -282,14 +282,13 @@ def _build_elementary(r: int, desc: groups.GroupDescriptor) -> Wall:
     for y in range(height):
         vs = [vid(x, y) for x in range(width) if (x, y) not in dropped]
         rows.append(walk_of(vs))
+    # snake i zigzags down grid columns 2i and 2i + 1: even rows left to right,
+    # odd rows right to left, each row's last vertex above the next row's first
     snakes = []
     for i in range(r + 1):
-        cols = {2 * i, 2 * i + 1}
-        column = graph.subgraph(
-            e.id for e in edges if coords[e.tail][0] in cols and coords[e.head][0] in cols
-        )
-        tips = sorted((coords[v][1], coords[v][0], v) for v in column.vertices if column.degree(v) == 1)
-        snakes.append(_tree_walk(_bfs_forest(column)[1], tips[0][2], tips[1][2]))
+        pair = (2 * i, 2 * i + 1)
+        vs = [vid(x, y) for y in range(height) for x in (pair[::-1] if y % 2 else pair) if (x, y) not in dropped]
+        snakes.append(walk_of(vs))
     return _assemble(graph, coords, rows, snakes)
 
 

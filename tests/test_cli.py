@@ -955,3 +955,46 @@ def test_analyze_prints_the_shifts_that_flatten_a_flat_labelling(tmp_path, capsy
     assert out == json.dumps(FLAT_WALL_STDOUT, indent=2, sort_keys=True) + "\n"
     shifts = [(v, groups.decode_element(graph.descriptor, a)) for v, a in json.loads(out)["bipartite_shifts"]]
     assert all(groups.is_zero(e.label) for e in shift_sequence(graph, shifts).edges.values())
+
+
+def test_pack_on_a_missing_file_is_a_parse_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(["pack", str(missing)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"cannot read instance: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_pack_on_a_file_that_is_not_json_is_a_parse_error(tmp_path, capsys):
+    inst = tmp_path / "x.json"
+    inst.write_text("not json")
+    code, out, err = run(["pack", str(inst)], capsys)
+    assert (code, out, err) == (2, "", "cannot read instance: Expecting value: line 1 column 1 (char 0)\n")
+
+
+def test_pack_on_an_instance_with_a_repeated_edge_id_is_a_parse_error(tmp_path, capsys):
+    inst = tmp_path / "x.json"
+    edges = [{"id": 0, "tail": 0, "head": 1, "label": 1}, {"id": 0, "tail": 1, "head": 0, "label": 0}]
+    inst.write_text(json.dumps({"graph": {"group": "z2", "vertices": [0, 1], "edges": edges}}))
+    code, out, err = run(["pack", str(inst)], capsys)
+    assert (code, out, err) == (2, "", "bad instance: duplicate edge id 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("gen wall --r 1", "wall size must be at least 2"),
+        ("gen escher --h 0", "height must be at least 1"),
+        ("gen obstruction --h 1 --p nested --q nested", "the two linkages must be of different type"),
+    ],
+)
+def test_gen_out_of_range_sizes_and_equal_linkage_types_are_parse_errors(argv, message, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_verify_an_unknown_certificate_type_is_a_parse_error(tmp_path, capsys):
+    inst, cert = tmp_path / "e.json", tmp_path / "c.json"
+    run(["gen", "escher", "--h", "1", "--out", str(inst)], capsys)
+    cert.write_text(json.dumps({"type": "bogus"}))
+    code, out, err = run(["verify", str(inst), str(cert)], capsys)
+    assert (code, out, err) == (2, "", "unknown certificate type 'bogus'\n")

@@ -5,7 +5,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from nonzero_cycles import cycles, groups
+from nonzero_cycles import cycles, groups, packing
 from nonzero_cycles.cycles import (
     EnumerationLimitError,
     coordinate_values,
@@ -471,3 +471,9 @@ def test_enumeration_and_robustness_check_wrap_no_element(monkeypatch):
         witnesses += not ok
         checked.clear()
     assert witnesses >= 3
+
+
+def test_packing_reads_the_a_path_dfs_and_the_mask_decoder_from_cycles():
+    # one module owns the DFS formats: packing re-exports, it does not copy
+    assert packing.enumerate_nonzero_a_paths is cycles.enumerate_nonzero_a_paths
+    assert packing._mask_vertices is cycles._mask_vertices

@@ -486,3 +486,10 @@ def test_walk_value_errors_are_unchanged_on_zero_edges():
         with pytest.raises(GraphFormatError) as info:
             walk_value(g, walk)
         assert str(info.value) == message
+
+
+def test_a_label_from_another_group_is_a_format_error():
+    label = groups.element(groups.cyclic(2), 1)
+    with pytest.raises(GraphFormatError) as info:
+        LabeledGraph(groups.cyclic(3), [0, 1], [Edge(0, 0, 1, label)])
+    assert str(info.value) == "edge 0 labeled in the wrong group"

@@ -465,3 +465,11 @@ def test_fold_keeps_the_order_in_a_free_group():
     s = groups.table(parse_descriptor("sum(free2,z3)"))
     assert s.fold([((1,), 1), ((2,), 2)]) == ((1, 2), 0)
     assert s.fold([((2,), 2), ((1,), 1)]) == ((2, 1), 0)
+
+
+def test_quotient_with_no_relations_is_the_free_abelian_group():
+    desc, proj = quotient_with_projection([], 2)
+    assert desc is groups.quotient([0, 0])
+    assert str(desc) == "q(0,0)"
+    for coords in [(0, 0), (3, -2), (-5, 7)]:
+        assert proj(coords) == groups.element(desc, coords)

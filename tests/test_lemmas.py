@@ -730,3 +730,15 @@ def test_triangle_color():
     assert triangle_color(graph, model, (0, 1, 2)) == "red"  # 1+1+1 is odd
     assert triangle_color(graph, model, (1, 2, 3)) == "red"
     assert triangle_color(graph, model, (0, 1, 3)) == "blue"  # 1+1+0 is even
+
+
+@pytest.mark.parametrize("desc, seed", [(Z5Z7, 20240), (FZ, 20241)], ids=["z5+z7", "free2+z"])
+def test_combine_two_cycles_reads_the_paths_in_either_direction(desc, seed):
+    # p1 and p2 given from c2 to c1 are turned round, so the cycle is the one
+    # they give from c1 to c2
+    rng = random.Random(seed)
+    for trial in range(300):
+        graph, c1, c2, p1, p2 = two_cycle_instance(desc, rng, force_combination=trial % 2 == 0)
+        out = combine_two_cycles(graph, c1, c2, p1, p2)
+        back = combine_two_cycles(graph, c1, c2, p1.reversed(), p2.reversed())
+        assert (back.vertices, back.edges) == (out.vertices, out.edges)

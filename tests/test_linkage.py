@@ -295,3 +295,10 @@ def test_pure_linkage_hand_cases():
     assert pure_linkage(CROSSING, [0, 1, 2, 3]) == [lp(0, 2), lp(1, 3)]
     with pytest.raises(LinkageError):
         pure_linkage("spiral", [0, 1])
+
+
+def test_extract_pure_returns_a_nested_linkage_when_no_run_crosses():
+    # eight intervals nested in one another: no two are disjoint and no two
+    # cross, so the decreasing run of right ends gives the nested linkage
+    paths = [LinkPath(i, 15 - i) for i in range(8)]
+    assert extract_pure(paths, 2) == (NESTED, [LinkPath(0, 15), LinkPath(1, 14)])

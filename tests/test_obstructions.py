@@ -1031,3 +1031,18 @@ def test_reconstruct_rejects_a_middle_whose_only_edge_is_a_loop():
     assert _reconstruct(graph) is None
     report = verify_obstruction(graph, 1)
     assert (report["method"], report["nu"], report["tau"]) == ("enumeration", 1, 1)
+
+
+def test_reconstruct_refuses_an_attachment_between_interior_wall_vertices():
+    # vertices 12 and 37 of the 4-wall are off its boundary, so no
+    # attachment may end there
+    desc = groups.direct_sum(groups.cyclic(3), groups.cyclic(3))
+    wall = elementary_wall(4, desc).graph
+    middle, eid = max(wall.vertices) + 1, max(wall.edge_ids()) + 1
+    label = groups.element(desc, (1, 1))
+    graph = LabeledGraph(
+        desc,
+        sorted(wall.vertices) + [middle],
+        list(wall.edges.values()) + [Edge(eid, 12, middle, label), Edge(eid + 1, middle, 37, label)],
+    )
+    assert _reconstruct(graph) is None

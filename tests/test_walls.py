@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from nonzero_cycles import groups
-from nonzero_cycles.graphs import Edge, LabeledGraph, Walk
+from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, _bfs_forest, _tree_walk
 from nonzero_cycles.walls import (
     Wall,
     WallFormatError,
@@ -394,3 +394,25 @@ def test_trace_faces_matches_the_reference_tracer():
         wall = _elementary(r)
         faces = {frozenset(eid for eid, _ in f) for f in reference_trace_faces(wall.graph, wall.coords)}
         assert all(b.edge_set() in faces for b in wall.bricks)
+
+
+def reference_snakes(wall, r):
+    """The column snakes as the walk between the two degree-1 vertices of
+    each column subgraph, in its breadth-first forest."""
+    snakes = []
+    for i in range(r + 1):
+        cols = {2 * i, 2 * i + 1}
+        column = wall.graph.subgraph(
+            e.id for e in wall.graph.edges.values() if wall.coords[e.tail][0] in cols and wall.coords[e.head][0] in cols
+        )
+        tips = sorted((wall.coords[v][1], wall.coords[v][0], v) for v in column.vertices if column.degree(v) == 1)
+        snakes.append(_tree_walk(_bfs_forest(column)[1], tips[0][2], tips[1][2]))
+    return tuple(snakes)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_elementary_snakes_are_the_column_tree_walks(r):
+    # the snakes are read off the grid as zigzags; each column subgraph is a
+    # path, so its tree walk from top tip to bottom tip is the same walk
+    wall = _elementary(r)
+    assert wall.snakes == reference_snakes(wall, r)
