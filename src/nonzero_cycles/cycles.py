@@ -6,10 +6,16 @@ for a single group both coordinates coincide.
 
 Cycles and non-zero A-paths (`enumerate_nonzero_a_paths`) come from one
 simple-path DFS over int bitmasks, `_simple_paths`, under one enumeration
-limit.  Each cycle is met once, in one orientation (see `enumerate_cycles`).
-The DFS carries each step's raw label payload, and as it closes a path
-it reads the path back and sums the non-zero payloads in path order with
-one `groups.Table.fold` call.  `enumerate_cycles` keeps every cycle as a
+limit.  The DFS steps over chains (`_bit_steps`): a vertex with exactly
+two edges, neither a loop, is passed through unless it is kept, so one
+step walks a whole run of such degree-2 vertices.  The smallest vertex of
+a run is kept when it is smaller than every end of the run, or the run has
+no end; so every cycle's smallest vertex is kept, and each cycle is met
+once, from that vertex, already in its representative's orientation (see
+`enumerate_cycles`).  The DFS carries each chain's raw label payload,
+prefolded in its direction of travel, and as it closes a path it reads the
+path back and sums the non-zero payloads in path order with one
+`groups.Table.fold` call.  `enumerate_cycles` keeps every cycle as a
 `ClassifiedCycle`, a record of its edge set, representative, zero flags
 and that raw value, and builds no group element: `values` wraps the raw
 value only when read.  `classify` gives walks from outside (certificates,
@@ -17,8 +23,8 @@ lemmas) the same record through `walk_payload`; both test zeros by
 `groups.zero_reader`.  `is_robust` compares raw coordinate values, shifted
 by `graphs.shifted_value` where a non-abelian coordinate is rerooted.
 `doubly_nonzero_masks`, which the exact packing and covering solvers read,
-keeps only the doubly non-zero cycles, each as the vertex bitmask and the
-edge ids the DFS already holds.
+keeps only the doubly non-zero cycles, each as the OR of its chains'
+vertex bitmasks and its edge ids.
 
 Only this module builds DFS jobs or reads the DFS's step, job and path
 formats; other modules read the vertex-bit order (`_vertex_bits`, decoded
@@ -121,38 +127,120 @@ def _mask_vertices(mask: int, bit: Dict[int, int]) -> FrozenSet[int]:
     return frozenset(found)
 
 
-def _bit_steps(graph: LabeledGraph):
-    """`(bit, adj)`: the `_vertex_bits` of the graph, and per vertex its
-    steps `(eid, neighbour, neighbour's bit, edge's bit, arrival payload)`
-    in `incident` order, a loop being a step back to its vertex.  The
-    arrival payload is the raw label seen arriving at the neighbour, from
-    `graph.steps()`, so None where zero."""
+def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
+    """`(bit, adj)`: the `_vertex_bits` of the graph, and per kept vertex,
+    in that order, one step per chain at it in `incident` order of the
+    chain's first edge, `(far end, far end's bit, chain's edge bits, chain,
+    payload)`.
+
+    A vertex is kept unless it has exactly two edges, neither a loop, and
+    is not in `keep`; the others are the degree-2 vertices.  Of each
+    maximal run of degree-2 vertices, the smallest vertex is kept too when
+    it is smaller than every end of the run, or when the run has no end (a
+    component that is a bare cycle).  So the smallest vertex v of a cycle
+    is kept: were it not, v would lie in a run with ends, since a run with
+    no end keeps its smallest vertex; the cycle passes through v, so it
+    holds the whole run and both its ends; then v, smallest on the cycle,
+    is the run's smallest and smaller than both ends, and the rule keeps it.
+
+    A chain is a walk from a kept vertex whose inner vertices are not kept,
+    to the next kept vertex, its far end: one edge, a loop, or a run with
+    its two edges out.  `chain` is `(edge ids, vertices, vertex mask)`: the
+    edge ids and the vertices after the first in the direction of travel,
+    and the `_vertex_bits` of those vertices.  The edge bits are the
+    chain's edges' bits, bit i for the i-th smallest edge id.  The payload
+    is the sum of the raw labels seen arriving along the chain, from
+    `graph.steps()`, folded in the direction of travel (exact in a
+    non-abelian group too), None where zero.  A loop is a chain back to its
+    vertex.  So is a closed chain, a run whose two ends are one vertex; its
+    two directions make one cycle, so it is listed once, leaving by its
+    later edge."""
     bit = _vertex_bits(graph.vertices)
     ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
     steps = graph.steps()
+    t = groups.table(graph.descriptor)
+    fold, zero = t.fold, t.zero
+    keep = set(keep)
+    links = {}  # degree-2 vertex -> its two edge ids
+    for v in bit:
+        eids = graph.incident(v)
+        if len(eids) == 2 and v not in keep:
+            a, b = steps[eids[0]], steps[eids[1]]
+            if a[0] != a[1] and b[0] != b[1]:
+                links[v] = eids
+    kept = {v for v in bit if v not in links}
+    # in sorted order, the first vertex met of a run is the run's smallest
+    seen = set()
+    for v in links:
+        if v in seen:
+            continue
+        ends = []
+        for eid in links[v]:
+            at = v
+            while True:
+                seen.add(at)
+                tail, head = steps[eid][:2]
+                at = head if at == tail else tail
+                if at == v or at not in links:
+                    break
+                a, b = links[at]
+                eid = b if a == eid else a
+            if at == v:  # round a bare cycle
+                break
+            ends.append(at)
+        if not ends or v < min(ends):
+            kept.add(v)
     adj = {}
     for v in bit:
+        if v not in kept:
+            continue
         out = []
-        for eid in graph.incident(v):
-            tail, head, fwd, bwd = steps[eid]
+        for first in graph.incident(v):
+            tail, head, fwd, bwd = steps[first]
             w, x = (head, fwd) if v == tail else (tail, bwd)
-            out.append((eid, w, bit[w], ebit[eid], x))
+            wb = bit[w]
+            if w in kept:  # a chain of one edge, or a loop
+                out.append((w, wb, ebit[first], ((first,), (w,), wb), x))
+                continue
+            eids, verts, xs, eb, mask, eid = [first], [w], [] if x is None else [x], ebit[first], wb, first
+            while w not in kept:
+                a, b = links[w]
+                at, eid = w, (b if a == eid else a)
+                tail, head, fwd, bwd = steps[eid]
+                w, x = (head, fwd) if at == tail else (tail, bwd)
+                eids.append(eid)
+                verts.append(w)
+                eb |= ebit[eid]
+                mask |= bit[w]
+                if x is not None:
+                    xs.append(x)
+            if w == v and first < eid:
+                continue  # a closed chain, listed leaving by its later edge
+            if len(xs) > 1:
+                x = fold(xs)
+                x = None if x == zero else x
+            else:
+                x = xs[0] if xs else None
+            out.append((w, bit[w], eb, (tuple(eids), tuple(verts), mask), x))
         adj[v] = tuple(out)
     return bit, adj
 
 
 def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: groups.Table) -> list:
     """The paths a DFS from each job closes over the `_bit_steps` adjacency,
-    as `make(vertices, edge ids, raw value)`, left out where that is None.
+    as `make(start, chains, raw value)`, left out where that is None; the
+    chains are those of the path in order, and the path leaves `start`.
     A job `(node, used, closing, ends)` starts from the path `node`,
-    `(vertex, edge into it, arrival payload, parent node)` back to
-    `(start, None, None, None)`: a step by an edge of the bitmask `closing`
-    to a vertex of the bitmask `used` closes a path, and a step to any other
-    vertex extends it while a vertex of `ends` is off `used`.  The raw
-    value, in `table`'s group, is the sum of the arrival payloads in path
-    order: the non-zero ones are collected while the closed path is read
-    back and, when there are two or more, summed by one `table.fold` call
-    in path order, so that the order holds in a non-abelian group.
+    `(vertex, chain into it, its payload, parent node)` back to
+    `(start, None, None, None)`: a step by a chain with an edge in the
+    bitmask `closing` to a vertex of the bitmask `used` closes a path, and
+    a step to any other vertex extends it while a vertex of `ends` is off
+    `used`.  Only kept vertices have bits in `used`: a chain's inner
+    vertices lie on no other chain, so a path meets them only along it.
+    The raw value, in `table`'s group, is the sum of the chain payloads in
+    path order: the non-zero ones are collected while the closed path is
+    read back and, when there are two or more, summed by one `table.fold`
+    call in path order, so that the order holds in a non-abelian group.
     Raises EnumerationLimitError when more than `limit` paths close, kept
     or not."""
     ceiling = enumeration_limit(limit)
@@ -164,7 +252,7 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
         while stack:
             node, used = stack.pop()
             grow = ends & ~used  # 0: no vertex off the path can close
-            for eid, w, wb, eb, x in adj[node[0]]:
+            for w, wb, eb, chain, x in adj[node[0]]:
                 if used & wb:
                     if eb & closing:
                         if closed == ceiling:
@@ -172,49 +260,60 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
                                 f"more than {ceiling} {what}; raise {LIMIT_ENV_VAR} to continue"
                             )
                         closed += 1
-                        # lists, then one tuple each: short-lived tuples of
-                        # every length would stay in the interpreter's tuple
-                        # free lists and raise the process's peak memory
-                        verts, eids, xs, at = [w], [eid], [] if x is None else [x], node
+                        chains, xs, at = [chain], [] if x is None else [x], node
                         while at[1] is not None:
-                            verts.append(at[0])
-                            eids.append(at[1])
+                            chains.append(at[1])
                             if at[2] is not None:
                                 xs.append(at[2])
                             at = at[3]
-                        verts.append(at[0])
-                        verts.reverse()
-                        eids.reverse()
+                        chains.reverse()
                         if len(xs) > 1:
                             xs.reverse()
                             total = fold(xs)
                         else:
                             total = xs[0] if xs else zero
-                        item = make(tuple(verts), tuple(eids), total)
+                        item = make(at[0], chains, total)
                         if item is not None:
                             out.append(item)
                 elif grow:
-                    stack.append(((w, eid, x, node), used | wb))
+                    stack.append(((w, chain, x, node), used | wb))
     return out
+
+
+def _walk_lists(start, chains):
+    """The vertices and edge ids of the path that leaves `start` along
+    `chains`, extended once per chain: lists, then one tuple each, since
+    short-lived tuples of every length would stay in the interpreter's
+    tuple free lists and raise the process's peak memory."""
+    verts, eids = [start], []
+    for chain_eids, chain_verts, _ in chains:
+        eids += chain_eids
+        verts += chain_verts
+    return tuple(verts), tuple(eids)
 
 
 def _cycle_jobs(bit, adj) -> list:
     """The `_simple_paths` jobs that meet every cycle once, in the
     orientation `enumerate_cycles` describes, over the `_bit_steps`
-    bitmasks `bit` and adjacency `adj`."""
+    bitmasks `bit` and adjacency `adj`.  The roots are the kept vertices,
+    which hold every cycle's smallest vertex (see `_bit_steps`): one job
+    per root chain to a later vertex after the first, and one more at a
+    root with a loop or a closed chain, which closes those."""
     jobs = []
-    # a path from `root` may use only vertices after root in sorted order,
-    # so the bits of root and every earlier vertex start out used
+    # a path from `root` may use only kept vertices after root in sorted
+    # order, so the bits of root and every earlier kept vertex start out used
     before = 0
-    for root, rb in bit.items():
-        before |= rb
+    for root, steps in adj.items():
+        before |= bit[root]
         top = (root, None, None, None)
-        jobs.append((top, before, sum(eb for _, w, _, eb, _ in adj[root] if w == root), 0))
-        closing = ends = 0  # the root edges before this one, the vertices they lead to
-        for eid, w, wb, eb, x in adj[root]:
+        own = sum(eb for w, _, eb, _, _ in steps if w == root)
+        if own:
+            jobs.append((top, before, own, 0))
+        closing = ends = 0  # the root chains before this one, the vertices they lead to
+        for w, wb, eb, chain, x in steps:
             if not before & wb:
                 if closing:
-                    jobs.append(((w, eid, x, top), before | wb, closing, ends))
+                    jobs.append(((w, chain, x, top), before | wb, closing, ends))
                 closing |= eb
                 ends |= wb
     return jobs
@@ -227,20 +326,25 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
     a_set = set(terminals)
     if not a_set <= graph.vertices:
         raise ValueError("terminals must be vertices of the graph")
-    bit, adj = _bit_steps(graph)
+    # terminals are kept, so every A-path is a walk along whole chains
+    bit, adj = _bit_steps(graph, a_set)
     t = groups.table(graph.descriptor)
     used = sum(bit[v] for v in a_set)
-    # one job per start s, every terminal used: a path closes by an edge at
+    # one job per start s, every terminal used: a path closes by a chain at
     # a later terminal, so it grows only while a neighbour of one is free
     jobs = []
     closing = ends = 0
     for s in sorted(a_set, reverse=True):
         jobs.append(((s, None, None, None), used, closing, ends))
-        for _, _, wb, eb, _ in adj[s]:
+        for _, wb, eb, _, _ in adj[s]:
             closing |= eb
             ends |= wb
+
+    def make(start, chains, raw):
+        return None if raw == t.zero else Walk(*_walk_lists(start, chains))
+
     # every closed path counts towards the limit; only the nonzero ones are kept
-    paths = _simple_paths(adj, jobs, limit, "A-paths", lambda vs, es, raw: None if raw == t.zero else Walk(vs, es), t)
+    paths = _simple_paths(adj, jobs, limit, "A-paths", make, t)
     paths.sort(key=lambda w: _by_length_then_edges(w.edges))
     return paths
 
@@ -258,18 +362,29 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
     representative is the orientation that leaves the root by the later of
     its two root edges (in `incident(root)` order among the edges to later
     vertices) and comes back by the earlier one: the orientation a
-    last-in first-out DFS over every root edge meets first.  So the DFS
-    skips the subtree of the root's first such edge, closes a cycle in the
-    subtree of the k-th one only through an edge before k, and cuts a
-    branch once every vertex such an edge leads to is on the path (the
-    branch at one of them still closes there).  A loop closes at its root.
-    The DFS builds each representative closed and simple, so it takes
-    `Cycle.trusted`, without the checks."""
+    last-in first-out DFS over every root edge meets first.
+
+    The DFS walks the chains between the kept vertices of `_bit_steps`
+    (kept: every vertex but those with exactly two edges, neither a loop,
+    and of each run of those its smallest when that is smaller than the
+    run's ends or the run has none).  Every cycle's smallest vertex is kept
+    (proof at `_bit_steps`), so the DFS roots each cycle there.  A chain
+    leaves the root by its first edge, in `incident` order, so the DFS
+    skips the subtree of the root's first chain to a later vertex, closes a
+    cycle in the subtree of the k-th one only through a chain before k,
+    and cuts a branch once every vertex such a chain leads to is on the
+    path (the branch at one of them still closes there).  A loop, or a
+    closed chain, listed leaving by its later edge, closes at its root.
+    Each cycle is so met once and already in the representative's
+    orientation, with no rotation or reversal.  The DFS builds each
+    representative closed and simple, so it takes `Cycle.trusted`, without
+    the checks."""
     bit, adj = _bit_steps(graph)
     desc = graph.descriptor
     zeros = groups.zero_reader(desc)
 
-    def make(verts, eids, raw):
+    def make(start, chains, raw):
+        verts, eids = _walk_lists(start, chains)
         return ClassifiedCycle(frozenset(eids), Cycle.trusted(verts, eids), zeros(raw), raw, desc)
 
     cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(desc))
@@ -281,15 +396,24 @@ def doubly_nonzero_masks(graph: LabeledGraph, limit: Optional[int] = None) -> Li
     """The doubly non-zero cycles of `enumerate_cycles`, in its order, each
     as `(vertex mask, edge ids)`: the `_vertex_bits` of its vertices and
     the edge ids of its representative.  A cycle is kept by the value the
-    DFS folds as it closes the cycle, and no `Cycle`, `ClassifiedCycle` or
-    frozenset is built for any cycle.  Every closed cycle, kept or not, counts towards
-    `limit`, so the limit is `enumerate_cycles`'s."""
+    DFS folds as it closes the cycle; its mask is the OR of its chains'
+    vertex masks, and its edge ids are built only when it is kept.  No
+    `Cycle`, `ClassifiedCycle` or frozenset is built for any cycle.  The
+    DFS is `enumerate_cycles`'s, rooted at the kept vertices of
+    `_bit_steps`, which hold every cycle's smallest vertex, and every
+    closed cycle, kept or not, counts towards `limit`, so the limit is
+    `enumerate_cycles`'s."""
     bit, adj = _bit_steps(graph)
     zeros = groups.zero_reader(graph.descriptor)
 
-    def make(verts, eids, raw):
-        # the root closes the cycle, so it is the first and the last vertex
-        return None if True in zeros(raw) else (sum(map(bit.__getitem__, verts[1:])), eids)
+    def make(start, chains, raw):
+        if True in zeros(raw):
+            return None
+        mask, eids = 0, []
+        for chain_eids, _, chain_mask in chains:
+            mask |= chain_mask
+            eids += chain_eids
+        return mask, tuple(eids)
 
     cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(graph.descriptor))
     cycles.sort(key=lambda c: _by_length_then_edges(c[1]))

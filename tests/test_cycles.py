@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import networkx as nx
@@ -11,11 +12,13 @@ from nonzero_cycles.cycles import (
     coordinate_values,
     doubly_nonzero_masks,
     enumerate_cycles,
+    enumerate_nonzero_a_paths,
     is_robust,
     zero_edge_set,
 )
 from nonzero_cycles.graphs import Cycle, Edge, LabeledGraph, Walk, decode_graph, shifted_value, walk_payload, walk_value
 from nonzero_cycles.walls import elementary_wall
+from test_packing import reference_a_paths
 
 Z = groups.integers()
 
@@ -477,3 +480,195 @@ def test_packing_reads_the_a_path_dfs_and_the_mask_decoder_from_cycles():
     # one module owns the DFS formats: packing re-exports, it does not copy
     assert packing.enumerate_nonzero_a_paths is cycles.enumerate_nonzero_a_paths
     assert packing._mask_vertices is cycles._mask_vertices
+
+
+# ---------------------------------------------------------------------------
+# chains: the DFS passes through vertices with exactly two edges, neither a
+# loop, and keeps the smallest vertex of a run only when it is smaller than
+# every end of the run (or the run has no end); every shape of run, read
+# against the per-edge reference DFS above, which knows nothing of chains
+
+
+def subdivided_multigraph(rng, desc):
+    """A random multigraph on one to five branch vertices whose edges are
+    chains of zero to three inner vertices, with closed chains (a chain
+    from a vertex back to itself), loops on branch and inner vertices, and
+    components that are bare cycles.  Vertex and edge ids are drawn at
+    random, so a chain's inner ids lie below and above its ends."""
+    new_vertex = iter(rng.sample(range(300), 300)).__next__
+    new_edge = iter(rng.sample(range(600), 600)).__next__
+    branch = [new_vertex() for _ in range(rng.randint(1, 5))]
+    verts, edges = set(branch), []
+
+    def path(seq):
+        for a, b in zip(seq, seq[1:]):
+            if rng.random() < 0.5:
+                a, b = b, a
+            edges.append(Edge(new_edge(), a, b, sparse_label(desc, rng)))
+
+    inner = []
+    for _ in range(rng.randint(0, 7)):
+        u, v = rng.choice(branch), rng.choice(branch)
+        run = [new_vertex() for _ in range(rng.randint(1 if u == v else 0, 3))]
+        inner += run
+        path([u] + run + [v])
+    for _ in range(rng.choice((0, 0, 1, 2))):  # a bare cycle of one to four vertices
+        ring = [new_vertex() for _ in range(rng.randint(1, 4))]
+        verts.update(ring)
+        path(ring + ring[:1] if len(ring) > 1 else ring * 2)
+    for _ in range(rng.choice((0, 0, 1))):
+        v = rng.choice(inner or branch)
+        edges.append(Edge(new_edge(), v, v, sparse_label(desc, rng)))
+    return LabeledGraph(desc, verts | set(inner), edges)
+
+
+def runs_of(graph):
+    """The maximal runs of vertices with exactly two edges, neither a loop,
+    each with its ends: one per edge leaving the run, none for a component
+    that is a bare cycle."""
+    def is_loop(eid):
+        e = graph.edge(eid)
+        return e.tail == e.head
+
+    two = {v for v in graph.vertices if len(graph.incident(v)) == 2 and not any(map(is_loop, graph.incident(v)))}
+    out, seen = [], set()
+    for start in sorted(two):
+        if start in seen:
+            continue
+        run, ends, todo = set(), [], [start]
+        while todo:
+            v = todo.pop()
+            if v in run:
+                continue
+            run.add(v)
+            for eid in graph.incident(v):
+                w = graph.other_end(eid, v)
+                (todo if w in two else ends).append(w)
+        seen |= run
+        out.append((run, ends))
+    return out
+
+
+def run_shapes(graph):
+    shapes = set()
+    for run, ends in runs_of(graph):
+        if not ends:
+            shapes.add("bare cycle")
+        else:
+            shapes.add("closed chain" if len(set(ends)) == 1 else "open chain")
+            shapes.add("smallest inside" if min(run) < min(ends) else "smallest at an end")
+            shapes.add(f"{len(run)} inner" if len(run) < 4 else "4+ inner")
+    for eid in graph.edge_ids():
+        e = graph.edge(eid)
+        if e.tail == e.head and len(graph.incident(e.tail)) == 2:
+            shapes.add("loop on a vertex of two edges")
+    return shapes
+
+
+SUBDIVIDED_GROUPS = ("z", "z5", "free2", "sum(z2,z3)", "sum(free2,free2)")
+
+
+def subdivided_graphs(seed, per_group):
+    rng = random.Random(seed)
+    return [
+        subdivided_multigraph(rng, groups.parse_descriptor(text)) for text in SUBDIVIDED_GROUPS for _ in range(per_group)
+    ]
+
+
+def test_chains_of_every_shape_enumerate_as_the_reference_dfs():
+    shapes, found = set(), 0
+    for g in subdivided_graphs(2031, 80):
+        shapes |= run_shapes(g)
+        cs = enumerate_cycles(g)
+        assert [(c.edges, c.rep.vertices, c.rep.edges, c.zero) for c in cs] == reference_enumeration(g)
+        for c in cs:
+            assert c.values == coordinate_values(g, c.rep)
+        bit = {v: 1 << i for i, v in enumerate(sorted(g.vertices))}
+        expected = [(sum(bit[v] for v in c.rep.vertex_set()), c.rep.edges) for c in cs if c.doubly_nonzero]
+        assert doubly_nonzero_masks(g) == expected
+        found += len(cs)
+    assert shapes == {
+        "bare cycle", "closed chain", "open chain", "smallest inside", "smallest at an end",
+        "1 inner", "2 inner", "3 inner", "4+ inner", "loop on a vertex of two edges",
+    }
+    assert found > 1000
+
+
+def test_a_subdivided_bundle_counts_every_cycle_towards_the_limit():
+    # four chains from 10 to 20 with inner ids below, between and above
+    # their ends, the first edge of each labelled 1, 1, 0, 0 in z: six
+    # cycles, of which only the four mixed pairs are non-zero
+    runs = ([5], [15, 25], [30], [1, 2])
+    edges = []
+    for label, run in zip((1, 1, 0, 0), runs):
+        seq = [10] + run + [20]
+        for a, b in zip(seq, seq[1:]):
+            edges.append(Edge(len(edges), a, b, lab(label if a == 10 else 0)))
+    g = LabeledGraph(Z, {10, 20}.union(*runs), edges)
+    assert len(enumerate_cycles(g)) == 6 and len(doubly_nonzero_masks(g)) == 4
+    for limit in range(6):
+        for enumerate_ in (enumerate_cycles, doubly_nonzero_masks):
+            with pytest.raises(EnumerationLimitError, match=f"more than {limit} cycles"):
+                enumerate_(g, limit=limit)
+    assert len(doubly_nonzero_masks(g, limit=6)) == 4
+
+
+def test_a_paths_with_terminals_inside_runs_and_at_their_ends():
+    # each path in the reference's order and from its smaller end
+    rng = random.Random(2032)
+    seen = Counter()
+    for g in subdivided_graphs(2033, 40):
+        runs = runs_of(g)
+        inside = sorted(set().union(*(run for run, _ in runs)))
+        at_ends = sorted({v for _, ends in runs for v in ends})
+        pool = sorted(g.vertices)
+        for _ in range(3):
+            terms = set(rng.sample(inside, min(len(inside), rng.randint(0, 2))))
+            terms |= set(rng.sample(at_ends, min(len(at_ends), rng.randint(0, 2))))
+            if len(terms) < 2:
+                terms |= set(rng.sample(pool, min(len(pool), 2)))
+            seen["inside"] += bool(terms & set(inside))
+            seen["at an end"] += bool(terms & set(at_ends))
+            seen["run between two"] += any(len(set(ends) & terms) == 2 and not run & terms for run, ends in runs)
+            paths = enumerate_nonzero_a_paths(g, terms)
+            assert paths == reference_a_paths(g, terms)
+            seen["paths"] += len(paths)
+    assert min(seen.values()) > 30, seen
+
+
+def test_cycle_counts_match_networkx_on_subdivided_graphs():
+    # an oracle apart from the package: the number of cycles of the
+    # undirected graph, on walls with extra subdivisions and on subdivided
+    # simple random graphs, all with shuffled vertex ids
+    rng = random.Random(2034)
+
+    def subdivide(pairs, n):
+        # pairs over the vertices 0..n-1, each edge a chain of 0-2 new vertices
+        ids = iter(rng.sample(range(3 * len(pairs) + n), 3 * len(pairs) + n)).__next__
+        named = [ids() for _ in range(n)]
+        arcs = []
+        for u, v in pairs:
+            seq = [named[u]] + [ids() for _ in range(rng.choice((0, 0, 1, 2)))] + [named[v]]
+            arcs += zip(seq, seq[1:])
+        verts = set(named).union(*arcs)
+        g = LabeledGraph(Z, verts, [Edge(i, a, b, lab(0)) for i, (a, b) in enumerate(arcs)])
+        nxg = nx.Graph()
+        nxg.add_nodes_from(verts)
+        nxg.add_edges_from(arcs)
+        return g, nxg
+
+    cases = []
+    for r in (2, 3, 4):
+        w = elementary_wall(r, Z).graph
+        index = {v: i for i, v in enumerate(sorted(w.vertices))}
+        pairs = [(index[w.edge(e).tail], index[w.edge(e).head]) for e in w.edge_ids()]
+        cases.append(subdivide(pairs, len(index)))
+    for _ in range(100):
+        n = rng.randint(2, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+        cases.append(subdivide(pairs, n))
+    counts = []
+    for g, nxg in cases:
+        counts.append(len(enumerate_cycles(g)))
+        assert counts[-1] == sum(1 for _ in nx.simple_cycles(nxg))
+    assert counts[:3] == [14, 288, 19306] and sum(counts[3:]) > 500
