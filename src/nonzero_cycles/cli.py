@@ -323,6 +323,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.count < 0:
+        raise CliError("--count must be at least 0", PARSE_ERROR)
     desc = _descriptor(args.groups or "sum(z2,z3)")
     rng = random.Random(args.seed)
     lines = []

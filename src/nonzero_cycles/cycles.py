@@ -7,11 +7,11 @@ for a single group both coordinates coincide.
 Cycles and non-zero A-paths (`enumerate_nonzero_a_paths`) come from one
 simple-path DFS over int bitmasks, `_simple_paths`, under one enumeration
 limit.  The DFS steps over chains (`_bit_steps`): a vertex with exactly
-two edges, neither a loop, is passed through unless it is kept, so one
-step walks a whole run of such degree-2 vertices.  The smallest vertex of
-a run is kept when it is smaller than every end of the run, or the run has
-no end; so every cycle's smallest vertex is kept, and each cycle is met
-once, from that vertex, already in its representative's orientation (see
+two edges, neither a loop, is passed through unless it is smaller than
+both its neighbours, so one step walks a whole run of such degree-2
+vertices.  Every cycle's smallest vertex is kept (proof at `_bit_steps`),
+and each cycle is met once, from that vertex, already in its
+representative's orientation, with no rotation or reversal (see
 `enumerate_cycles`).  The DFS carries each chain's raw label payload,
 prefolded in its direction of travel, and as it closes a path it reads the
 path back and sums the non-zero payloads in path order with one
@@ -133,15 +133,12 @@ def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
     chain's first edge, `(far end, far end's bit, chain's edge bits, chain,
     payload)`.
 
-    A vertex is kept unless it has exactly two edges, neither a loop, and
-    is not in `keep`; the others are the degree-2 vertices.  Of each
-    maximal run of degree-2 vertices, the smallest vertex is kept too when
-    it is smaller than every end of the run, or when the run has no end (a
-    component that is a bare cycle).  So the smallest vertex v of a cycle
-    is kept: were it not, v would lie in a run with ends, since a run with
-    no end keeps its smallest vertex; the cycle passes through v, so it
-    holds the whole run and both its ends; then v, smallest on the cycle,
-    is the run's smallest and smaller than both ends, and the rule keeps it.
+    The kept-vertex rule: a vertex with exactly two edges, neither a loop,
+    that is not in `keep`, is passed through unless it is smaller than both
+    its neighbours; every other vertex is kept.  The smallest vertex of a
+    cycle is smaller than its two neighbours on the cycle, and a vertex
+    with two edges has no other neighbours, so every cycle's smallest
+    vertex is kept.
 
     A chain is a walk from a kept vertex whose inner vertices are not kept,
     to the next kept vertex, its far end: one edge, a loop, or a run with
@@ -161,35 +158,15 @@ def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
     t = groups.table(graph.descriptor)
     fold, zero = t.fold, t.zero
     keep = set(keep)
-    links = {}  # degree-2 vertex -> its two edge ids
+    links = {}  # passed-through vertex -> its two edge ids
     for v in bit:
         eids = graph.incident(v)
         if len(eids) == 2 and v not in keep:
-            a, b = steps[eids[0]], steps[eids[1]]
-            if a[0] != a[1] and b[0] != b[1]:
+            (a, b), (c, d) = steps[eids[0]][:2], steps[eids[1]][:2]
+            # v ends both edges, so it is below both neighbours iff it is least of the four ends
+            if a != b and c != d and v > min(a, b, c, d):
                 links[v] = eids
     kept = {v for v in bit if v not in links}
-    # in sorted order, the first vertex met of a run is the run's smallest
-    seen = set()
-    for v in links:
-        if v in seen:
-            continue
-        ends = []
-        for eid in links[v]:
-            at = v
-            while True:
-                seen.add(at)
-                tail, head = steps[eid][:2]
-                at = head if at == tail else tail
-                if at == v or at not in links:
-                    break
-                a, b = links[at]
-                eid = b if a == eid else a
-            if at == v:  # round a bare cycle
-                break
-            ends.append(at)
-        if not ends or v < min(ends):
-            kept.add(v)
     adj = {}
     for v in bit:
         if v not in kept:
@@ -364,10 +341,8 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
     vertices) and comes back by the earlier one: the orientation a
     last-in first-out DFS over every root edge meets first.
 
-    The DFS walks the chains between the kept vertices of `_bit_steps`
-    (kept: every vertex but those with exactly two edges, neither a loop,
-    and of each run of those its smallest when that is smaller than the
-    run's ends or the run has none).  Every cycle's smallest vertex is kept
+    The DFS walks the chains between the vertices that the kept-vertex
+    rule of `_bit_steps` keeps.  Every cycle's smallest vertex is kept
     (proof at `_bit_steps`), so the DFS roots each cycle there.  A chain
     leaves the root by its first edge, in `incident` order, so the DFS
     skips the subtree of the root's first chain to a later vertex, closes a

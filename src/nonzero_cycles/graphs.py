@@ -537,7 +537,8 @@ def encode_graph(graph: LabeledGraph) -> dict:
 
 
 def decode_graph(data: dict) -> LabeledGraph:
-    """Parse an `encode_graph` payload.  Each distinct label is decoded once,
+    """Parse an `encode_graph` payload, whose vertices and edges are JSON
+    lists (GraphFormatError otherwise).  Each distinct label is decoded once,
     keyed by the `repr` of its raw JSON value (which tells `0` from `"0"`);
     only successful decodes are kept, so a bad label raises every time."""
     decoded: Dict[str, GroupElement] = {}
@@ -549,12 +550,18 @@ def decode_graph(data: dict) -> LabeledGraph:
             value = decoded[key] = groups.decode_element(desc, raw)
         return value
 
+    def listed(key: str) -> list:
+        items = data[key]
+        if not isinstance(items, list):
+            raise TypeError(f"{key!r} must be a list, not {type(items).__name__}")
+        return items
+
     try:
         desc = groups.parse_descriptor(data["group"])
-        vertices = [as_integer(v) for v in data["vertices"]]
+        vertices = [as_integer(v) for v in listed("vertices")]
         edges = [
             Edge(as_integer(item["id"]), as_integer(item["tail"]), as_integer(item["head"]), label(desc, item["label"]))
-            for item in data["edges"]
+            for item in listed("edges")
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph payload: {exc}") from exc

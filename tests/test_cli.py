@@ -648,6 +648,7 @@ def test_gen_obstruction_with_a_trivial_summand_is_parse_error(pair):
         ("gen random --max-m 0", "--max-m"),
         ("experiment --max-n 1 --count 1", "--max-n"),
         ("experiment --max-m 0 --count 1", "--max-m"),
+        ("experiment --count -1", "--count"),
     ],
 )
 def test_random_graph_sizes_out_of_range_are_parse_errors(argv, option, capsys):

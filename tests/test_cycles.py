@@ -484,9 +484,9 @@ def test_packing_reads_the_a_path_dfs_and_the_mask_decoder_from_cycles():
 
 # ---------------------------------------------------------------------------
 # chains: the DFS passes through vertices with exactly two edges, neither a
-# loop, and keeps the smallest vertex of a run only when it is smaller than
-# every end of the run (or the run has no end); every shape of run, read
-# against the per-edge reference DFS above, which knows nothing of chains
+# loop, unless they are smaller than both their neighbours; every shape of
+# run, read against the per-edge reference DFS above, which knows nothing of
+# chains
 
 
 def subdivided_multigraph(rng, desc):
@@ -592,6 +592,37 @@ def test_chains_of_every_shape_enumerate_as_the_reference_dfs():
         "1 inner", "2 inner", "3 inner", "4+ inner", "loop on a vertex of two edges",
     }
     assert found > 1000
+
+
+def rule_kept(graph, keep):
+    """The vertices the kept-vertex rule keeps, read from the edges: those
+    without exactly two edges, neither a loop, those of `keep`, and those
+    smaller than both their neighbours."""
+    out = set()
+    for v in graph.vertices:
+        eids = graph.incident(v)
+        loops = any(graph.edge(eid).tail == graph.edge(eid).head for eid in eids)
+        if len(eids) != 2 or loops or v in keep or all(v < graph.other_end(eid, v) for eid in eids):
+            out.add(v)
+    return out
+
+
+def test_bit_steps_keeps_the_vertices_below_both_neighbours():
+    # with no terminals and with random ones; every cycle's smallest vertex
+    # is kept, and many runs keep two or more of their vertices, so the
+    # enumeration test on the same graphs meets chains between such vertices
+    rng = random.Random(2035)
+    several = 0
+    for g in subdivided_graphs(2031, 80):
+        pool = sorted(g.vertices)
+        few = set(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
+        for keep in (set(), few, set(rng.sample(pool, len(pool) // 2))):
+            assert list(cycles._bit_steps(g, keep)[1]) == sorted(rule_kept(g, keep))
+        kept = cycles._bit_steps(g)[1]
+        for c in enumerate_cycles(g):
+            assert min(c.rep.vertex_set()) in kept
+        several += sum(len(run & kept.keys()) >= 2 for run, _ in runs_of(g))
+    assert several > 100
 
 
 def test_a_subdivided_bundle_counts_every_cycle_towards_the_limit():

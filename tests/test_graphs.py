@@ -355,6 +355,16 @@ def test_decode_rejects_malformed():
         decode_graph({"group": "z", "vertices": [0], "edges": [{"id": 0}]})
     with pytest.raises(GraphFormatError):
         decode_graph({"group": "z", "vertices": [0], "edges": [{"id": 0, "tail": 0, "head": 3, "label": "0"}]})
+    # vertices and edges must be lists: a string is not read as its
+    # characters, nor an object as its keys, nor "" or {} as no edges
+    edge = {"id": 0, "tail": 0, "head": 1, "label": "1"}
+    for key, value in [
+        ("vertices", "01"), ("vertices", {"0": 0, "1": 1}), ("vertices", ""),
+        ("edges", ""), ("edges", {}), ("edges", {"0": edge}), ("edges", "0"),
+    ]:
+        data = {"group": "z", "vertices": [0, 1], "edges": [edge], key: value}
+        with pytest.raises(GraphFormatError, match=f"^malformed graph payload: '{key}' must be a list"):
+            decode_graph(data)
 
 
 def test_decode_repeated_labels_once_and_bad_labels_every_time():
