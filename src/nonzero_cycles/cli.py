@@ -18,7 +18,7 @@ import itertools
 import json
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import cycles, groups, packing, reductions
 from .cycles import EnumerationLimitError, LimitFormatError
@@ -115,11 +115,17 @@ def _top_level_parts(text: str) -> List[str]:
     return parts
 
 
-def _random_graph(rng: random.Random, desc, max_n: int, max_m: int) -> LabeledGraph:
-    if max_n < 2:
+def _random_sizes(args) -> Tuple[int, int]:
+    """`--max-n` and `--max-m` of `gen random` or `experiment`, checked
+    before any graph is drawn."""
+    if args.max_n < 2:
         raise CliError("--max-n must be at least 2", PARSE_ERROR)
-    if max_m < 1:
+    if args.max_m < 1:
         raise CliError("--max-m must be at least 1", PARSE_ERROR)
+    return args.max_n, args.max_m
+
+
+def _random_graph(rng: random.Random, desc, max_n: int, max_m: int) -> LabeledGraph:
     n = rng.randint(2, max_n)
     pairs = list(itertools.combinations(range(n), 2))
     m = rng.randint(1, min(max_m, len(pairs)))
@@ -185,7 +191,7 @@ def cmd_gen(args) -> int:
         doc = {"kind": "obstruction", "h": args.h, "graph": encode_graph(graph)}
     else:  # random
         desc = _descriptor(args.groups or "sum(z2,z3)")
-        graph = _random_graph(random.Random(args.seed), desc, args.max_n, args.max_m)
+        graph = _random_graph(random.Random(args.seed), desc, *_random_sizes(args))
         doc = {"kind": "random", "graph": encode_graph(graph)}
     _dump(doc, args.out)
     return 0
@@ -326,11 +332,12 @@ def cmd_experiment(args) -> int:
     if args.count < 0:
         raise CliError("--count must be at least 0", PARSE_ERROR)
     desc = _descriptor(args.groups or "sum(z2,z3)")
+    sizes = _random_sizes(args)
     rng = random.Random(args.seed)
     lines = []
     best = (0.0, "0/0")
     for i in range(args.count):
-        graph = _random_graph(rng, desc, args.max_n, args.max_m)
+        graph = _random_graph(rng, desc, *sizes)
         report = packing.pack_and_cover(graph, limit=args.limit)
         lines.append(
             f"{i}\t{len(graph.vertices)}\t{len(graph.edge_ids())}"

@@ -16,15 +16,19 @@ representative's orientation, with no rotation or reversal (see
 prefolded in its direction of travel, and as it closes a path it reads the
 path back and sums the non-zero payloads in path order with one
 `groups.Table.fold` call.  `enumerate_cycles` keeps every cycle as a
-`ClassifiedCycle`, a record of its edge set, representative, zero flags
-and that raw value, and builds no group element: `values` wraps the raw
-value only when read.  `classify` gives walks from outside (certificates,
-lemmas) the same record through `walk_payload`; both test zeros by
-`groups.zero_reader`.  `is_robust` compares raw coordinate values, shifted
-by `graphs.shifted_value` where a non-abelian coordinate is rerooted.
-`doubly_nonzero_masks`, which the exact packing and covering solvers read,
-keeps only the doubly non-zero cycles, each as the OR of its chains'
-vertex bitmasks and its edge ids.
+lean `ClassifiedCycle` record: its edge and vertex bitmasks, zero flags,
+that raw value, and its start and chains.  Its edge set and
+representative are built from the chains only when read, and `values`
+wraps the raw value only when read, so no group element is built.  Edge
+bits run from the largest edge id down (`_edge_bits`), so one integer
+per cycle sorts by (length, sorted edge ids).  `classify` gives walks from
+outside (certificates, lemmas) the same record, the walk as one chain,
+through `walk_payload`; both test zeros by `groups.zero_reader`.
+`is_robust` picks and pairs cycles by their masks, and compares raw
+coordinate values, shifted by `graphs.shifted_value` where a non-abelian
+coordinate is rerooted.  `doubly_nonzero_masks`, which the exact packing
+and covering solvers read, keeps only the doubly non-zero cycles, each as
+the OR of its chains' vertex bitmasks and its edge ids, in the same order.
 
 Only this module builds DFS jobs or reads the DFS's step, job and path
 formats; other modules read the vertex-bit order (`_vertex_bits`, decoded
@@ -34,7 +38,9 @@ by `_mask_vertices`) and the public functions.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import groups
@@ -75,15 +81,32 @@ def enumeration_limit(explicit: Optional[int] = None) -> int:
 
 
 class ClassifiedCycle(NamedTuple):
-    """One cycle with its zero/nonzero status per label coordinate, and the
-    raw payload (see `groups.Table`) of its representative's value in the
-    group `descriptor`, as the DFS or `classify` folded it."""
+    """One cycle, kept lean: its edge and vertex bitmasks (`_edge_bits` and
+    `_vertex_bits` of the graph), its zero/nonzero status per label
+    coordinate, the raw payload (see `groups.Table`) of its
+    representative's value in the group `descriptor`, as the DFS or
+    `classify` folded it, and the representative as its first vertex
+    `start` and the list of its chains (see `_bit_steps`).  The edge set
+    `edges` and the representative `rep` are built from the chains each
+    time they are read."""
 
-    edges: FrozenSet[int]
-    rep: Cycle
+    emask: int
+    vmask: int
     zero: Tuple[bool, bool]
     raw: Any
+    start: int
+    chains: list
     descriptor: groups.GroupDescriptor
+
+    @property
+    def edges(self) -> FrozenSet[int]:
+        return frozenset(eid for chain in self.chains for eid in chain[0])
+
+    @property
+    def rep(self) -> Cycle:
+        """The representative, built without the checks of `Cycle`: the DFS
+        or `classify`'s caller made it closed and simple."""
+        return Cycle.trusted(*_walk_lists(self.start, self.chains))
 
     @property
     def values(self) -> Tuple[groups.GroupElement, groups.GroupElement]:
@@ -104,9 +127,22 @@ def coordinate_values(graph: LabeledGraph, walk) -> Tuple[groups.GroupElement, g
 
 
 def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
+    """The record of a cycle from outside (a certificate, a lemma), its
+    walk kept as one chain.  Its masks hold the bits of `_vertex_bits` and
+    `_edge_bits`, each found as the rank of the vertex or edge id in the
+    sorted ids, without building the graph's tables."""
     raw = walk_payload(graph, cycle)
     desc = graph.descriptor
-    return ClassifiedCycle(cycle.edge_set(), cycle, groups.zero_reader(desc)(raw), raw, desc)
+    order, eids = sorted(graph.vertices), graph.edge_ids()
+    top = len(eids) - 1
+    verts = cycle.vertices[1:]
+    vmask = emask = 0
+    for v in verts:
+        vmask |= 1 << bisect_left(order, v)
+    for e in cycle.edges:
+        emask |= 1 << top - bisect_left(eids, e)
+    chain = (cycle.edges, verts, vmask, emask)
+    return ClassifiedCycle(emask, vmask, groups.zero_reader(desc)(raw), raw, cycle.vertices[0], [chain], desc)
 
 
 def _vertex_bits(vertices: Iterable[int]) -> Dict[int, int]:
@@ -114,10 +150,33 @@ def _vertex_bits(vertices: Iterable[int]) -> Dict[int, int]:
     return {v: 1 << i for i, v in enumerate(sorted(vertices))}
 
 
+def _edge_bits(graph: LabeledGraph) -> Dict[int, int]:
+    """Bit i for the i-th largest edge id: the package's one edge-bit order.
+
+    Numbered from the largest id down, the masks of two edge sets of one
+    size compare as their sorted id lists do, reversed: the lists first
+    differ at the smallest id of the symmetric difference, which is the
+    highest bit where the masks differ.  So the integer `_edge_order` key
+    sorts by (length, sorted edge ids)."""
+    return {eid: 1 << i for i, eid in enumerate(reversed(graph.edge_ids()))}
+
+
+def _edge_order(m: int, mask_of):
+    """The sort key of (length, sorted edge ids) for items whose edge set
+    is `mask_of(item)`, an `_edge_bits` mask of a graph with m edges:
+    `(length << m) - mask`, one integer per item (see `_edge_bits`)."""
+
+    def key(item):
+        mask = mask_of(item)
+        return (mask.bit_count() << m) - mask
+
+    return key
+
+
 def _mask_vertices(mask: int, bit: Dict[int, int]) -> FrozenSet[int]:
     """The vertices of `mask`, each vertex v standing for its bit `bit[v]`
-    (a `_vertex_bits` table, whose i-th vertex holds bit i); only the set
-    bits are decoded."""
+    (a `_vertex_bits` table, whose i-th vertex holds bit i; an `_edge_bits`
+    table decodes edge ids the same way); only the set bits are decoded."""
     order = list(bit)
     found = []
     while mask:
@@ -142,10 +201,10 @@ def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
 
     A chain is a walk from a kept vertex whose inner vertices are not kept,
     to the next kept vertex, its far end: one edge, a loop, or a run with
-    its two edges out.  `chain` is `(edge ids, vertices, vertex mask)`: the
-    edge ids and the vertices after the first in the direction of travel,
-    and the `_vertex_bits` of those vertices.  The edge bits are the
-    chain's edges' bits, bit i for the i-th smallest edge id.  The payload
+    its two edges out.  `chain` is `(edge ids, vertices, vertex mask, edge
+    mask)`: the edge ids and the vertices after the first in the direction
+    of travel, the `_vertex_bits` of those vertices and the `_edge_bits` of
+    those edges, which the step repeats as its edge bits.  The payload
     is the sum of the raw labels seen arriving along the chain, from
     `graph.steps()`, folded in the direction of travel (exact in a
     non-abelian group too), None where zero.  A loop is a chain back to its
@@ -153,7 +212,7 @@ def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
     two directions make one cycle, so it is listed once, leaving by its
     later edge."""
     bit = _vertex_bits(graph.vertices)
-    ebit = {eid: 1 << i for i, eid in enumerate(graph.edge_ids())}
+    ebit = _edge_bits(graph)
     steps = graph.steps()
     t = groups.table(graph.descriptor)
     fold, zero = t.fold, t.zero
@@ -175,11 +234,11 @@ def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
         for first in graph.incident(v):
             tail, head, fwd, bwd = steps[first]
             w, x = (head, fwd) if v == tail else (tail, bwd)
-            wb = bit[w]
+            wb, eb = bit[w], ebit[first]
             if w in kept:  # a chain of one edge, or a loop
-                out.append((w, wb, ebit[first], ((first,), (w,), wb), x))
+                out.append((w, wb, eb, ((first,), (w,), wb, eb), x))
                 continue
-            eids, verts, xs, eb, mask, eid = [first], [w], [] if x is None else [x], ebit[first], wb, first
+            eids, verts, xs, mask, eid = [first], [w], [] if x is None else [x], wb, first
             while w not in kept:
                 a, b = links[w]
                 at, eid = w, (b if a == eid else a)
@@ -198,7 +257,7 @@ def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
                 x = None if x == zero else x
             else:
                 x = xs[0] if xs else None
-            out.append((w, bit[w], eb, (tuple(eids), tuple(verts), mask), x))
+            out.append((w, bit[w], eb, (tuple(eids), tuple(verts), mask, eb), x))
         adj[v] = tuple(out)
     return bit, adj
 
@@ -206,7 +265,11 @@ def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
 def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: groups.Table) -> list:
     """The paths a DFS from each job closes over the `_bit_steps` adjacency,
     as `make(start, chains, raw value)`, left out where that is None; the
-    chains are those of the path in order, and the path leaves `start`.
+    chains are those of the path in order, in a list of their own that
+    `make` may keep, and the path leaves `start`.  (A list, not a tuple:
+    tuples shorter than 20, freed by the thousand when the kept records
+    go, would stay in the interpreter's tuple free lists and raise the
+    process's peak memory.)
     A job `(node, used, closing, ends)` starts from the path `node`,
     `(vertex, chain into it, its payload, parent node)` back to
     `(start, None, None, None)`: a step by a chain with an edge in the
@@ -243,13 +306,12 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
                             if at[2] is not None:
                                 xs.append(at[2])
                             at = at[3]
-                        chains.reverse()
                         if len(xs) > 1:
                             xs.reverse()
                             total = fold(xs)
                         else:
                             total = xs[0] if xs else zero
-                        item = make(at[0], chains, total)
+                        item = make(at[0], chains[::-1], total)
                         if item is not None:
                             out.append(item)
                 elif grow:
@@ -263,7 +325,7 @@ def _walk_lists(start, chains):
     short-lived tuples of every length would stay in the interpreter's
     tuple free lists and raise the process's peak memory."""
     verts, eids = [start], []
-    for chain_eids, chain_verts, _ in chains:
+    for chain_eids, chain_verts, _, _ in chains:
         eids += chain_eids
         verts += chain_verts
     return tuple(verts), tuple(eids)
@@ -318,16 +380,17 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
             ends |= wb
 
     def make(start, chains, raw):
-        return None if raw == t.zero else Walk(*_walk_lists(start, chains))
+        if raw == t.zero:
+            return None
+        emask = 0
+        for chain in chains:
+            emask |= chain[3]
+        return emask, Walk(*_walk_lists(start, chains))
 
     # every closed path counts towards the limit; only the nonzero ones are kept
     paths = _simple_paths(adj, jobs, limit, "A-paths", make, t)
-    paths.sort(key=lambda w: _by_length_then_edges(w.edges))
-    return paths
-
-
-def _by_length_then_edges(eids) -> Tuple[int, List[int]]:
-    return len(eids), sorted(eids)
+    paths.sort(key=_edge_order(len(graph.edge_ids()), itemgetter(0)))
+    return [walk for _, walk in paths]
 
 
 def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[ClassifiedCycle]:
@@ -351,19 +414,28 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
     path (the branch at one of them still closes there).  A loop, or a
     closed chain, listed leaving by its later edge, closes at its root.
     Each cycle is so met once and already in the representative's
-    orientation, with no rotation or reversal.  The DFS builds each
-    representative closed and simple, so it takes `Cycle.trusted`, without
-    the checks."""
+    orientation, with no rotation or reversal.
+
+    Each cycle is kept as a lean `ClassifiedCycle`, made as the DFS closes
+    it: the ORs of its chains' edge and vertex masks, its zero flags and
+    raw value, and its start and the list of its chains, whose tuples are
+    the `_bit_steps` ones, shared by every cycle through a chain.  The sort
+    reads one integer per cycle (see `_edge_bits`).  The DFS builds each
+    representative closed and simple, so `rep` takes `Cycle.trusted`,
+    without the checks."""
     bit, adj = _bit_steps(graph)
     desc = graph.descriptor
     zeros = groups.zero_reader(desc)
 
     def make(start, chains, raw):
-        verts, eids = _walk_lists(start, chains)
-        return ClassifiedCycle(frozenset(eids), Cycle.trusted(verts, eids), zeros(raw), raw, desc)
+        vmask = emask = 0
+        for _, _, chain_vmask, chain_emask in chains:
+            vmask |= chain_vmask
+            emask |= chain_emask
+        return ClassifiedCycle(emask, vmask, zeros(raw), raw, start, chains, desc)
 
     cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(desc))
-    cycles.sort(key=lambda c: _by_length_then_edges(c.rep.edges))
+    cycles.sort(key=_edge_order(len(graph.edge_ids()), attrgetter("emask")))
     return cycles
 
 
@@ -373,7 +445,7 @@ def doubly_nonzero_masks(graph: LabeledGraph, limit: Optional[int] = None) -> Li
     the edge ids of its representative.  A cycle is kept by the value the
     DFS folds as it closes the cycle; its mask is the OR of its chains'
     vertex masks, and its edge ids are built only when it is kept.  No
-    `Cycle`, `ClassifiedCycle` or frozenset is built for any cycle.  The
+    `Cycle` or `ClassifiedCycle` is built for any cycle.  The
     DFS is `enumerate_cycles`'s, rooted at the kept vertices of
     `_bit_steps`, which hold every cycle's smallest vertex, and every
     closed cycle, kept or not, counts towards `limit`, so the limit is
@@ -384,26 +456,33 @@ def doubly_nonzero_masks(graph: LabeledGraph, limit: Optional[int] = None) -> Li
     def make(start, chains, raw):
         if True in zeros(raw):
             return None
-        mask, eids = 0, []
-        for chain_eids, _, chain_mask in chains:
-            mask |= chain_mask
+        vmask = emask = 0
+        eids = []
+        for chain_eids, _, chain_vmask, chain_emask in chains:
+            vmask |= chain_vmask
+            emask |= chain_emask
             eids += chain_eids
-        return mask, tuple(eids)
+        return emask, (vmask, tuple(eids))
 
     cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(graph.descriptor))
-    cycles.sort(key=lambda c: _by_length_then_edges(c[1]))
-    return cycles
+    cycles.sort(key=_edge_order(len(graph.edge_ids()), itemgetter(0)))
+    return [cycle for _, cycle in cycles]
 
 
 def zero_edge_set(graph: LabeledGraph, i: int, cycles: Optional[List[ClassifiedCycle]] = None) -> FrozenSet[int]:
     """Edges lying on at least one cycle whose coordinate-i value is zero."""
     if cycles is None:
         cycles = enumerate_cycles(graph)
-    out: set = set()
+    return _mask_vertices(_zero_edges(cycles, i), _edge_bits(graph))
+
+
+def _zero_edges(cycles: List[ClassifiedCycle], i: int) -> int:
+    """The OR of the edge masks of the cycles zero in coordinate i."""
+    mask = 0
     for c in cycles:
         if c.zero[i]:
-            out |= c.edges
-    return frozenset(out)
+            mask |= c.emask
+    return mask
 
 
 @dataclass(frozen=True)
@@ -432,11 +511,18 @@ def is_robust(
     coordinate (inside) and the rest (outside): a pair is a candidate
     exactly when the inside parts meet and the outside parts do not, so a
     cycle with no inside part, never one, is left out, and the others are
-    the hot cycles.  Each edge gets the bitmask of the hot cycles through
-    it; the candidates of cycle a are then the OR of the masks on its
-    inside edges minus the OR of those on its outside edges.  Each a takes
-    its later candidates b in ascending order, so the witness is the first
-    confusable pair (a, b) in enumeration order.
+    the hot cycles.  All of this runs on the records' masks: the inside
+    edges are the OR of the zero cycles' edge masks, a cycle is hot when
+    its edge mask meets that OR, and two cycles share an edge exactly when
+    they share the chain (see `_bit_steps`) through it, since a cycle with
+    one edge of a chain has them all; so a chain lies wholly inside or
+    wholly outside.  Each chain, keyed by its edge mask, gets the bitmask
+    of the hot cycles through it; the candidates of cycle a are then the
+    OR of the masks on its inside chains minus the OR of those on its
+    outside chains.  Each a takes its later candidates b in ascending
+    order, so the witness is the first confusable pair (a, b) in
+    enumeration order, and the common vertices of a pair are the AND of
+    their vertex masks.
 
     Values are compared as raw payloads (see `groups.Table`) in the
     coordinate's table.  Rerooting is the shift rule: from the j-th vertex
@@ -445,21 +531,23 @@ def is_robust(
     one `fold` of their non-zero payloads in `graph.steps()`, or its
     negative the other way.  An abelian coordinate tries only the smallest
     common vertex, where a cycle's value is x from every root, so it folds
-    no prefix.
+    no prefix.  The prefix is read along the cycle's chains; only the
+    witness builds `Cycle`s.
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
     desc = graph.descriptor
     steps = graph.steps()
+    order = sorted(graph.vertices)  # bit k of a vertex mask is order[k]
     # a single group is one coordinate group, checked once
     for i, part in enumerate(groups.coordinate_groups(desc)):
         t, read = groups.table(part), groups.coordinate_payload(desc, i)
-        zero_edges = zero_edge_set(graph, i, cycles)
-        hot = [c for c in cycles if c.nonzero_in(i) and not c.edges.isdisjoint(zero_edges)]
-        through: dict = {}  # edge id -> bitmask of the hot cycles through it
+        inside = _zero_edges(cycles, i)
+        hot = [c for c in cycles if not c.zero[i] and c.emask & inside]
+        through: dict = {}  # a chain's edge mask -> bitmask of the hot cycles through it
         for a, c in enumerate(hot):
-            for e in c.edges:
-                through[e] = through.get(e, 0) | 1 << a
+            for chain in c.chains:
+                through[chain[3]] = through.get(chain[3], 0) | 1 << a
         abelian = part.is_abelian
         rooted = {}  # (index in hot, root, or None if abelian) -> raw values from root, both ways
 
@@ -469,12 +557,17 @@ def is_robust(
                 c = hot[a]
                 x = read(c.raw)
                 if not abelian:
-                    verts, eids, prefix = c.rep.vertices, c.rep.edges, []
-                    for k in range(verts.index(root)):
-                        tail, _, fwd, bwd = steps[eids[k]]
-                        step = fwd if verts[k] == tail else bwd
-                        if step is not None:
-                            prefix.append(read(step))
+                    # the payloads along the representative, from its start to root
+                    prefix, at = [], c.start
+                    for chain_eids, chain_verts, _, _ in c.chains:
+                        for eid, w in zip(chain_eids, chain_verts):
+                            if at == root:
+                                break
+                            tail, _, fwd, bwd = steps[eid]
+                            step = fwd if at == tail else bwd
+                            if step is not None:
+                                prefix.append(read(step))
+                            at = w
                     x = shifted_value(t, {root: t.fold(prefix)}, root, x, root)
                 # a loop reversed keeps its value rather than negating it,
                 # but no loop is ever a candidate: no other cycle has its edge
@@ -483,19 +576,22 @@ def is_robust(
 
         for a, first in enumerate(hot):
             meet = avoid = 0
-            for e in first.edges:
-                if e in zero_edges:
-                    meet |= through[e]
+            for chain in first.chains:
+                if chain[3] & inside:
+                    meet |= through[chain[3]]
                 else:
-                    avoid |= through[e]
+                    avoid |= through[chain[3]]
             later = (meet & ~avoid) >> (a + 1)  # bit k: the candidate a + 1 + k
             while later:
                 low = later & -later
                 later ^= low
                 b = a + low.bit_length()
-                c1, c2 = first.rep, hot[b].rep
-                common = c1.vertex_set() & c2.vertex_set()
-                for root in [min(common)] if abelian else sorted(common):
+                common = first.vmask & hot[b].vmask
+                while common:
+                    vbit = common & -common
+                    common = 0 if abelian else common ^ vbit  # ascending roots; abelian: the smallest only
+                    root = order[vbit.bit_length() - 1]
                     if values(a, root) & values(b, root):
-                        return False, RobustnessWitness(i, c1.rooted_at(root), c2.rooted_at(root), root)
+                        witness = first.rep.rooted_at(root), hot[b].rep.rooted_at(root)
+                        return False, RobustnessWitness(i, *witness, root)
     return True, None

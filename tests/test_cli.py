@@ -648,6 +648,8 @@ def test_gen_obstruction_with_a_trivial_summand_is_parse_error(pair):
         ("gen random --max-m 0", "--max-m"),
         ("experiment --max-n 1 --count 1", "--max-n"),
         ("experiment --max-m 0 --count 1", "--max-m"),
+        ("experiment --max-n 1 --count 0", "--max-n"),
+        ("experiment --max-m 0 --count 0", "--max-m"),
         ("experiment --count -1", "--count"),
     ],
 )

@@ -703,3 +703,77 @@ def test_cycle_counts_match_networkx_on_subdivided_graphs():
         counts.append(len(enumerate_cycles(g)))
         assert counts[-1] == sum(1 for _ in nx.simple_cycles(nxg))
     assert counts[:3] == [14, 288, 19306] and sum(counts[3:]) > 500
+
+
+# ---------------------------------------------------------------------------
+# lean records: the output order is one integer per cycle over edge bits
+# numbered from the largest edge id down, and `is_robust` pairs cycles by
+# their edge and vertex masks; both against the plain definitions, on
+# multigraphs whose edge ids are negative, non-contiguous and shuffled
+# against the vertex order
+
+
+def signed_multigraph(rng, desc):
+    """Loops, parallel edges and one or two components, with vertex and
+    edge ids drawn from ranges around zero, so that edge ids run negative,
+    with gaps, in no relation to the vertex order."""
+    verts = rng.sample(range(-30, 30), rng.randint(2, 8))
+    cut = rng.randint(1, len(verts))
+    blocks = [verts[:cut], verts[cut:]] if cut < len(verts) else [verts]
+    pairs = []
+    for block in blocks:
+        for _ in range(rng.randint(1, 2 * len(block) + 2)):
+            pairs.append((rng.choice(block), rng.choice(block)))
+    eids = rng.sample(range(-80, 80), len(pairs))
+    edges = [Edge(eid, u, v, sparse_label(desc, rng)) for eid, (u, v) in zip(eids, pairs)]
+    return LabeledGraph(desc, verts, edges)
+
+
+LEAN_GROUPS = ("z", "z5", "free2", "sum(z2,z3)", "sum(z,free2)", "sum(free2,free2)")
+
+
+def lean_graphs():
+    rng = random.Random(2036)
+    graphs = [signed_multigraph(rng, groups.parse_descriptor(text)) for text in LEAN_GROUPS for _ in range(40)]
+    for text in ("free2", "sum(free2,free2)"):
+        graphs += [labelled_wall(2, groups.parse_descriptor(text), rng) for _ in range(3)]
+    return graphs
+
+
+def test_enumeration_order_is_length_then_sorted_edge_ids():
+    negative = 0
+    for g in lean_graphs():
+        cs = enumerate_cycles(g)
+        keys = [(len(c.edges), sorted(c.edges)) for c in cs]
+        assert keys == sorted(keys) and len({tuple(k) for _, k in keys}) == len(keys)
+        assert [(len(w.edges), sorted(w.edges)) for w in [c.rep for c in cs]] == keys
+        expected = [c.rep.edges for c in cs if c.doubly_nonzero]
+        assert [eids for _, eids in doubly_nonzero_masks(g)] == expected
+        negative += any(k[1][0] < 0 for k in keys)
+    assert negative > 100
+
+
+def test_a_path_order_is_length_then_sorted_edge_ids():
+    rng = random.Random(2037)
+    found = 0
+    for g in lean_graphs()[::2]:
+        terms = rng.sample(sorted(g.vertices), min(len(g.vertices), rng.randint(2, 4)))
+        keys = [(len(w.edges), sorted(w.edges)) for w in enumerate_nonzero_a_paths(g, terms)]
+        assert keys == sorted(keys)
+        found += len(keys)
+    assert found > 100
+
+
+def test_mask_robustness_and_zero_edges_on_signed_multigraphs():
+    verdicts = Counter()
+    for g in lean_graphs():
+        found = enumerate_cycles(g)
+        got = robust_summary(g, is_robust(g, cycles=found))
+        assert got == robust_summary(g, reference_is_robust(g, found))
+        for i in (0, 1):
+            expected = frozenset().union(*(c.edges for c in found if c.zero[i]))
+            assert zero_edge_set(g, i, found) == expected
+        verdicts[str(g.descriptor), got[0]] += 1
+    # robust graphs in every group, witnesses in abelian and free coordinates
+    assert all(verdicts[text, True] for text in LEAN_GROUPS), verdicts
+    assert all(verdicts[text, False] for text in ("z", "free2", "sum(z2,z3)", "sum(free2,free2)")), verdicts
