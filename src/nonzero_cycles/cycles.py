@@ -24,11 +24,13 @@ bits run from the largest edge id down (`_edge_bits`), so one integer
 per cycle sorts by (length, sorted edge ids).  `classify` gives walks from
 outside (certificates, lemmas) the same record, the walk as one chain,
 through `walk_payload`; both test zeros by `groups.zero_reader`.
-`is_robust` picks and pairs cycles by their masks, and compares raw
-coordinate values, shifted by `graphs.shifted_value` where a non-abelian
-coordinate is rerooted.  `doubly_nonzero_masks`, which the exact packing
-and covering solvers read, keeps only the doubly non-zero cycles, each as
-the OR of its chains' vertex bitmasks and its edge ids, in the same order.
+`is_robust` picks and pairs cycles by their masks, skips a pair whose
+values lie in different classes of `groups.Table.klass` (no rerooting
+makes them meet), and compares raw coordinate values, shifted by
+`graphs.shifted_value` where a non-abelian coordinate is rerooted.
+`doubly_nonzero_masks`, which the exact packing and covering solvers
+read, keeps only the doubly non-zero cycles, each as the OR of its
+chains' vertex bitmasks and its edge ids, in the same order.
 
 Only this module builds DFS jobs or reads the DFS's step, job and path
 formats; other modules read the vertex-bit order (`_vertex_bits`, decoded
@@ -529,10 +531,18 @@ def is_robust(
     v of its representative, a cycle of raw value x has value -p + x + p
     (`shifted_value` at v by p), p the raw value of the first j edges,
     one `fold` of their non-zero payloads in `graph.steps()`, or its
-    negative the other way.  An abelian coordinate tries only the smallest
-    common vertex, where a cycle's value is x from every root, so it folds
-    no prefix.  The prefix is read along the cycle's chains; only the
-    witness builds `Cycle`s.
+    negative the other way.  So every value a cycle takes from any root,
+    either way, is a conjugate of x or of -x, and has the key
+    `Table.klass(x)`: a candidate pair whose keys differ can meet at no
+    root, and is skipped before any value from a root is computed.  Each
+    hot cycle's key is computed when it first meets a candidate, and kept.
+    In an abelian coordinate a cycle's value is x from every root and the
+    key is exact, x up to sign, so equal keys make the pair confusable at
+    its smallest common vertex, and no prefix is folded.  In a non-abelian
+    one a pair with equal keys tries its common vertices in ascending
+    order, and each cycle folds its prefix once per root it is tried at.
+    The prefix is read along the cycle's chains; only the witness builds
+    `Cycle`s.
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
@@ -542,6 +552,7 @@ def is_robust(
     # a single group is one coordinate group, checked once
     for i, part in enumerate(groups.coordinate_groups(desc)):
         t, read = groups.table(part), groups.coordinate_payload(desc, i)
+        klass = t.klass
         inside = _zero_edges(cycles, i)
         hot = [c for c in cycles if not c.zero[i] and c.emask & inside]
         through: dict = {}  # a chain's edge mask -> bitmask of the hot cycles through it
@@ -549,26 +560,25 @@ def is_robust(
             for chain in c.chains:
                 through[chain[3]] = through.get(chain[3], 0) | 1 << a
         abelian = part.is_abelian
-        rooted = {}  # (index in hot, root, or None if abelian) -> raw values from root, both ways
+        keys = [None] * len(hot)  # index in hot -> its value's klass, once computed
+        rooted = {}  # (index in hot, root) -> raw values from root, both ways; non-abelian only
 
         def values(a: int, root: int):
-            key = a, None if abelian else root
+            key = a, root
             if key not in rooted:
                 c = hot[a]
-                x = read(c.raw)
-                if not abelian:
-                    # the payloads along the representative, from its start to root
-                    prefix, at = [], c.start
-                    for chain_eids, chain_verts, _, _ in c.chains:
-                        for eid, w in zip(chain_eids, chain_verts):
-                            if at == root:
-                                break
-                            tail, _, fwd, bwd = steps[eid]
-                            step = fwd if at == tail else bwd
-                            if step is not None:
-                                prefix.append(read(step))
-                            at = w
-                    x = shifted_value(t, {root: t.fold(prefix)}, root, x, root)
+                # the payloads along the representative, from its start to root
+                prefix, at = [], c.start
+                for chain_eids, chain_verts, _, _ in c.chains:
+                    for eid, w in zip(chain_eids, chain_verts):
+                        if at == root:
+                            break
+                        tail, _, fwd, bwd = steps[eid]
+                        step = fwd if at == tail else bwd
+                        if step is not None:
+                            prefix.append(read(step))
+                        at = w
+                x = shifted_value(t, {root: t.fold(prefix)}, root, read(c.raw), root)
                 # a loop reversed keeps its value rather than negating it,
                 # but no loop is ever a candidate: no other cycle has its edge
                 rooted[key] = {x, t.neg(x)}
@@ -582,16 +592,26 @@ def is_robust(
                 else:
                     avoid |= through[chain[3]]
             later = (meet & ~avoid) >> (a + 1)  # bit k: the candidate a + 1 + k
+            if not later:
+                continue
+            own = keys[a]
+            if own is None:
+                own = keys[a] = klass(read(first.raw))
             while later:
                 low = later & -later
                 later ^= low
                 b = a + low.bit_length()
+                other = keys[b]
+                if other is None:
+                    other = keys[b] = klass(read(hot[b].raw))
+                if other != own:
+                    continue  # conjugate to neither value, from every root
                 common = first.vmask & hot[b].vmask
                 while common:
                     vbit = common & -common
-                    common = 0 if abelian else common ^ vbit  # ascending roots; abelian: the smallest only
-                    root = order[vbit.bit_length() - 1]
-                    if values(a, root) & values(b, root):
+                    common ^= vbit
+                    root = order[vbit.bit_length() - 1]  # ascending roots; abelian: the smallest only
+                    if abelian or values(a, root) & values(b, root):
                         witness = first.rep.rooted_at(root), hot[b].rep.rooted_at(root)
                         return False, RobustnessWitness(i, *witness, root)
     return True, None

@@ -8,9 +8,10 @@ as quotients of Z^k (canonicalised through invariant factors).
 Elements are immutable and hashable; all arithmetic is exact.
 
 Each descriptor compiles once, on first use, into a `Table` over raw
-payloads: add, negate, zero and fold (the sum of a list), wrap and unwrap
-to and from `GroupElement`s, and make, encode and draw, which check,
-serialise and randomly draw payloads.  `_compile` is the only place that
+payloads: add, negate, zero and fold (the sum of a list), klass (a key
+shared by a value, its inverse and its conjugates), wrap and unwrap to and
+from `GroupElement`s, and make, encode and draw, which check, serialise
+and randomly draw payloads.  `_compile` is the only place that
 switches on the kind of group for elements: `op`, `inv`, `identity`,
 `is_zero`, `element`, `random_element`, `encode_element` and
 `decode_element` all go through the table (the descriptor grammar still
@@ -19,7 +20,9 @@ words, and a direct sum pairs the tables of its summands.  Hot loops
 unwrap once and work on raw payloads, and wrap only what they hand out as
 elements: a walk's value (`graphs.walk_payload`, the cycle DFS, the
 rerooting prefix of `cycles.is_robust`) is one `fold` call over its
-non-zero steps, and the shift rule adds and negates raw values.  Only
+non-zero steps, the shift rule adds and negates raw values, and
+`cycles.is_robust` skips a pair of cycles whose values' `klass` keys
+differ, as no rerooting makes such values equal or inverse.  Only
 `coordinate_groups` decides how a label splits into its two coordinates,
 `coordinate_payload` reads one coordinate of a raw value, and
 `zero_reader` is the one test of whether a raw value is zero in each.
@@ -226,12 +229,23 @@ class Table(NamedTuple):
     them for the vector and word kinds, or a pair for a direct sum) and
     returns the canonical raw payload, `encode` turns a raw payload into its
     JSON value, and `draw(rng, span)` draws a pseudo-random raw payload.
+
+    `klass(x)` is a hashable key that is the same for x, for `neg(x)` and
+    for every conjugate -p + x + p, so two values whose keys differ are
+    neither equal nor inverse after any rerooting (see `cycles.is_robust`).
+    An abelian group's key is x up to sign (`min(x, neg(x))`, or `abs` for
+    the integers), which is exact: two keys agree exactly when the values
+    are equal or inverse.  A free group's key is the sorted letters of the
+    cyclically reduced word, taken up to sign: a conjugate's cyclically
+    reduced word is a rotation of it, and the inverse's negates its
+    letters.  A non-abelian direct sum pairs its summands' keys.
     """
 
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     zero: Any
     fold: Callable[[Sequence[Any]], Any]
+    klass: Callable[[Any], Any]
     wrap: Callable[[Any], GroupElement]
     unwrap: Callable[[GroupElement], Any]
     make: Callable[[Any], Any]
@@ -285,7 +299,16 @@ def _compile(desc: GroupDescriptor) -> Table:
     if k == KIND_INTEGERS:
         # a decimal string keeps arbitrary precision portable
         return Table(
-            operator.add, operator.neg, 0, sum, wrap, unwrap, as_integer, str, lambda rng, span: rng.randint(-span, span)
+            operator.add,
+            operator.neg,
+            0,
+            sum,
+            abs,
+            wrap,
+            unwrap,
+            as_integer,
+            str,
+            lambda rng, span: rng.randint(-span, span),
         )
     if k == KIND_CYCLIC:
         return Table(
@@ -293,6 +316,7 @@ def _compile(desc: GroupDescriptor) -> Table:
             lambda p: -p % n,
             0,
             lambda xs: sum(xs) % n,
+            lambda p: min(p, -p % n),
             wrap,
             unwrap,
             lambda p: as_integer(p) % n,
@@ -307,6 +331,7 @@ def _compile(desc: GroupDescriptor) -> Table:
             zero,
             # the zero as a first row gives an empty list its columns
             lambda xs: tuple(map(sum, zip(zero, *xs))),
+            lambda p: min(p, tuple(map(operator.neg, p))),
             wrap,
             unwrap,
             lambda p: tuple(map(as_integer, _entries(p, "free abelian", n))),
@@ -339,8 +364,19 @@ def _compile(desc: GroupDescriptor) -> Table:
                 word.append(g if rng.random() < 0.5 else -g)
             return _reduce_words((word,))
 
+        def klass(p):
+            # the cyclically reduced core: every conjugate's core is a rotation of it
+            i, j = 0, len(p) - 1
+            while i < j and p[i] == -p[j]:
+                i += 1
+                j -= 1
+            core = sorted(p[i : j + 1])
+            return min(tuple(core), tuple(-x for x in reversed(core)))
+
         # inversion reverses the word and negates each letter
-        return Table(add, lambda p: tuple(-x for x in reversed(p)), (), _reduce_words, wrap, unwrap, make, list, draw)
+        return Table(
+            add, lambda p: tuple(-x for x in reversed(p)), (), _reduce_words, klass, wrap, unwrap, make, list, draw
+        )
     if k == KIND_DIRECT_SUM:
         parts = desc.parts
         left, right = table(parts[0]), table(parts[1])
@@ -367,11 +403,26 @@ def _compile(desc: GroupDescriptor) -> Table:
             a, b = zip(*xs)  # each summand folds its own column
             return lfold(a), rfold(b)
 
+        def neg(p):
+            return lneg(p[0]), rneg(p[1])
+
+        lklass, rklass = left.klass, right.klass
+        if desc.is_abelian:  # up to sign, which is exact
+
+            def klass(p):
+                return min(p, neg(p))
+
+        else:
+
+            def klass(p):
+                return lklass(p[0]), rklass(p[1])
+
         return Table(
             lambda p, q: (ladd(p[0], q[0]), radd(p[1], q[1])),
-            lambda p: (lneg(p[0]), rneg(p[1])),
+            neg,
             zero,
             fold,
+            klass,
             lambda p: GroupElement(desc, (lwrap(p[0]), rwrap(p[1]))),
             lambda a: (lunwrap(a.payload[0]), runwrap(a.payload[1])),
             make,
@@ -385,12 +436,16 @@ def _compile(desc: GroupDescriptor) -> Table:
             vec = map(as_integer, _entries(p, "quotient", len(factors)))
             return tuple(x % d if d else x for x, d in zip(vec, factors))
 
+        def neg(p):
+            return tuple(-x % d if d else -x for x, d in zip(p, factors))
+
         zero = (0,) * len(factors)
         return Table(
             lambda p, q: tuple((x + y) % d if d else x + y for x, y, d in zip(p, q, factors)),
-            lambda p: tuple(-x % d if d else -x for x, d in zip(p, factors)),
+            neg,
             zero,
             lambda xs: tuple(s % d if d else s for s, d in zip(map(sum, zip(zero, *xs)), factors)),
+            lambda p: min(p, neg(p)),
             wrap,
             unwrap,
             make,

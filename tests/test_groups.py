@@ -467,6 +467,49 @@ def test_fold_keeps_the_order_in_a_free_group():
     assert s.fold([((2,), 2), ((1,), 1)]) == ((2, 1), 0)
 
 
+# the groups of the CI step on `Table.fold` and `Table.klass`
+KLASS_GROUPS = [
+    "z", "z1", "z5", "za0", "za2", "free0", "free2", "free3", "q()", "q(2,6,0)",
+    "sum(z2,z3)", "sum(z5,za2)", "sum(z,free2)", "sum(free2,free2)", "sum(sum(z2,free2),q(2,6,0))",
+]
+
+
+@pytest.mark.parametrize("text", KLASS_GROUPS)
+def test_klass_is_the_same_for_a_value_its_inverse_and_its_conjugates(text):
+    t = groups.table(parse_descriptor(text))
+    rng = random.Random(text)
+    for _ in range(300):
+        x, p = t.draw(rng, 3), t.draw(rng, 3)
+        key = t.klass(x)
+        hash(key)  # a hashable key, as `Table` documents
+        assert t.klass(t.neg(x)) == key
+        assert t.klass(t.add(t.add(t.neg(p), x), p)) == key
+
+
+ABELIAN_KLASS_GROUPS = [s for s in KLASS_GROUPS + ["free1", "sum(sum(z2,z3),z)"] if parse_descriptor(s).is_abelian]
+
+
+@pytest.mark.parametrize("text", ABELIAN_KLASS_GROUPS)
+def test_klass_of_an_abelian_group_is_the_value_up_to_sign(text):
+    # exact: `cycles.is_robust` reads equal keys as a confusable pair
+    t = groups.table(parse_descriptor(text))
+    rng = random.Random(text)
+    xs = [t.draw(rng, 2) for _ in range(60)]
+    for x in xs:
+        for y in xs:
+            assert (t.klass(x) == t.klass(y)) == (y in (x, t.neg(x)))
+
+
+def test_klass_of_a_free_group_separates_words_of_other_letters():
+    t = groups.table(free_group(2))
+    # ab, its rotation ba, its inverse and its conjugate by b
+    assert t.klass((1, 2)) == t.klass((2, 1)) == t.klass((-2, -1)) == t.klass((-2, 1, 2, 2))
+    keys = {t.klass(w) for w in [(1,), (2,), (1, 1), (1, 2), (1, -2), (1, 2, -1, -2)]}
+    assert len(keys) == 6
+    s = groups.table(parse_descriptor("sum(free2,z3)"))
+    assert s.klass(((1,), 1)) == s.klass(((-1,), 2)) and s.klass(((1,), 1)) != s.klass(((2,), 1))
+
+
 def test_quotient_with_no_relations_is_the_free_abelian_group():
     desc, proj = quotient_with_projection([], 2)
     assert desc is groups.quotient([0, 0])
