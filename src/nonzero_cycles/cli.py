@@ -310,7 +310,7 @@ def cmd_verify(args) -> int:
         if max_use not in (1, 2):
             raise CliError("bad certificate: max_use must be 1 or 2", PARSE_ERROR)
         if not packing.verify_packing(graph, edge_sets, max_use=max_use):
-            raise CliError("packing certificate violates disjointness", CERT_ERROR)
+            raise CliError(packing.packing_fault(graph, edge_sets, max_use=max_use), CERT_ERROR)
         _dump({"verified": True, "type": "packing"}, args.out)
         return 0
     if kind == "obstruction":

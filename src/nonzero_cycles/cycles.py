@@ -21,9 +21,9 @@ that raw value, and its start and chains.  Its edge set and
 representative are built from the chains only when read, and `values`
 wraps the raw value only when read, so no group element is built.  Edge
 bits run from the largest edge id down (`_edge_bits`), so one integer
-per cycle sorts by (length, sorted edge ids).  `classify` gives walks from
-outside (certificates, lemmas) the same record, the walk as one chain,
-through `walk_payload`; both test zeros by `groups.zero_reader`.
+per cycle sorts by (length, sorted edge ids).  The DFS is the record's
+one maker; a walk from outside (a certificate, a lemma's cycle) is tested
+by `graphs.walk_zeros` instead, and both read zeros by `groups.zero_reader`.
 `is_robust` picks and pairs cycles by their masks, skips a pair whose
 values lie in different classes of `groups.Table.klass` (no rerooting
 makes them meet), and compares raw coordinate values, shifted by
@@ -40,13 +40,12 @@ by `_mask_vertices`) and the public functions.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import groups
-from .graphs import Cycle, LabeledGraph, Walk, shifted_value, walk_payload, walk_value
+from .graphs import Cycle, LabeledGraph, Walk, shifted_value, walk_value
 
 DEFAULT_LIMIT = 10**6
 LIMIT_ENV_VAR = "NONZERO_CYCLES_LIMIT"
@@ -86,11 +85,11 @@ class ClassifiedCycle(NamedTuple):
     """One cycle, kept lean: its edge and vertex bitmasks (`_edge_bits` and
     `_vertex_bits` of the graph), its zero/nonzero status per label
     coordinate, the raw payload (see `groups.Table`) of its
-    representative's value in the group `descriptor`, as the DFS or
-    `classify` folded it, and the representative as its first vertex
-    `start` and the list of its chains (see `_bit_steps`).  The edge set
-    `edges` and the representative `rep` are built from the chains each
-    time they are read."""
+    representative's value in the group `descriptor`, as the DFS folded
+    it, and the representative as its first vertex `start` and the list
+    of its chains (see `_bit_steps`).  The edge set `edges` and the
+    representative `rep` are built from the chains each time they are
+    read.  Only the DFS of `enumerate_cycles` makes one."""
 
     emask: int
     vmask: int
@@ -107,7 +106,7 @@ class ClassifiedCycle(NamedTuple):
     @property
     def rep(self) -> Cycle:
         """The representative, built without the checks of `Cycle`: the DFS
-        or `classify`'s caller made it closed and simple."""
+        made it closed and simple."""
         return Cycle.trusted(*_walk_lists(self.start, self.chains))
 
     @property
@@ -126,25 +125,6 @@ class ClassifiedCycle(NamedTuple):
 def coordinate_values(graph: LabeledGraph, walk) -> Tuple[groups.GroupElement, groups.GroupElement]:
     """Value of a walk in each coordinate (duplicated for single groups)."""
     return groups.coordinates(walk_value(graph, walk))
-
-
-def classify(graph: LabeledGraph, cycle: Cycle) -> ClassifiedCycle:
-    """The record of a cycle from outside (a certificate, a lemma), its
-    walk kept as one chain.  Its masks hold the bits of `_vertex_bits` and
-    `_edge_bits`, each found as the rank of the vertex or edge id in the
-    sorted ids, without building the graph's tables."""
-    raw = walk_payload(graph, cycle)
-    desc = graph.descriptor
-    order, eids = sorted(graph.vertices), graph.edge_ids()
-    top = len(eids) - 1
-    verts = cycle.vertices[1:]
-    vmask = emask = 0
-    for v in verts:
-        vmask |= 1 << bisect_left(order, v)
-    for e in cycle.edges:
-        emask |= 1 << top - bisect_left(eids, e)
-    chain = (cycle.edges, verts, vmask, emask)
-    return ClassifiedCycle(emask, vmask, groups.zero_reader(desc)(raw), raw, cycle.vertices[0], [chain], desc)
 
 
 def _vertex_bits(vertices: Iterable[int]) -> Dict[int, int]:

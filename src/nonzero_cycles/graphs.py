@@ -18,7 +18,9 @@ relabels by it into one graph however many shifts it applies;
 `is_gamma_bipartite` and `cycles.is_robust` read shifted raw values through
 it and build no graph, and only the shifts `is_gamma_bipartite` returns are
 wrapped as elements.  `walk_payload` sums a walk's raw payloads with one
-`groups.Table.fold` call, and `walk_value` wraps it.
+`groups.Table.fold` call; `walk_value` wraps it, and `walk_zeros` reads
+its zero flags by `groups.zero_reader`, the one zero test on a walk from
+outside the cycle DFS (certificates, lemmas, routed witnesses).
 
 One breadth-first spanning forest (`_bfs_forest`) and one walk along its
 parent links (`_tree_walk`) serve the package: the fundamental cycle of
@@ -236,8 +238,8 @@ class Walk:
         return len(set(self.vertices)) == len(self.vertices)
 
     def validate(self, graph: LabeledGraph) -> None:
-        """GraphFormatError unless each step follows its edge (`walk_value`)."""
-        walk_value(graph, self)
+        """GraphFormatError unless each step follows its edge (`walk_payload`)."""
+        walk_payload(graph, self)
 
 
 @dataclass(frozen=True)
@@ -316,6 +318,12 @@ def walk_payload(graph: LabeledGraph, walk: Walk):
 def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
     """The walk's value as an element: `walk_payload`, wrapped."""
     return groups.table(graph.descriptor).wrap(walk_payload(graph, walk))
+
+
+def walk_zeros(graph: LabeledGraph, walk: Walk) -> Tuple[bool, bool]:
+    """(zero in coordinate 0, zero in coordinate 1) for the walk's value:
+    `groups.zero_reader` on `walk_payload`, with its checks and errors."""
+    return groups.zero_reader(graph.descriptor)(walk_payload(graph, walk))
 
 
 def cycle_from_edges(graph: LabeledGraph, edge_ids: Iterable[int]) -> Cycle:

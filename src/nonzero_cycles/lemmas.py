@@ -6,8 +6,8 @@ two path systems into a combined disjoint system, and verify odd
 clique-models.
 
 Each combiner searches the finite set of arc choices its proof names, in
-a fixed order, and returns the first cycle `classify` finds doubly
-nonzero; the proof, in its docstring, is why one exists.
+a fixed order, and returns the first cycle that `graphs.walk_zeros` reads
+as doubly nonzero; the proof, in its docstring, is why one exists.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from . import groups
-from .cycles import classify
-from .graphs import Cycle, LabeledGraph, Walk, _bfs_forest, _tree_walk, walk_value
+from .graphs import Cycle, LabeledGraph, Walk, _bfs_forest, _tree_walk, walk_zeros
 
 
 class HypothesisError(ValueError):
@@ -35,7 +33,7 @@ def _require(cond: bool, hypothesis: str, detail: str = ""):
 
 
 def _nonzero_in(graph: LabeledGraph, walk: Walk, i: int) -> bool:
-    return not groups.zero_flags(walk_value(graph, walk))[i]
+    return not walk_zeros(graph, walk)[i]
 
 
 def _orient_connecting_path(path: Walk, from_set: FrozenSet[int], to_set: FrozenSet[int], name: str) -> Walk:
@@ -69,7 +67,7 @@ def _first_doubly_nonzero(graph: LabeledGraph, walks) -> Cycle:
     """The first of the closed `walks` that is a doubly nonzero cycle."""
     for walk in walks:
         out = Cycle(walk.vertices, walk.edges)
-        if classify(graph, out).doubly_nonzero:
+        if True not in walk_zeros(graph, out):
             return out
     raise AssertionError("no arc choice gives a doubly nonzero cycle")  # pragma: no cover - guarded by proof
 
@@ -96,9 +94,9 @@ def combine_two_cycles(graph: LabeledGraph, c1: Cycle, c2: Cycle, p1: Walk, p2: 
     _require(not (v1s & v2s), "c1 and c2 are disjoint")
     _require(_nonzero_in(graph, c1, 0), "c1 is nonzero in coordinate 0")
     _require(_nonzero_in(graph, c2, 1), "c2 is nonzero in coordinate 1")
-    if classify(graph, c1).doubly_nonzero:
+    if True not in walk_zeros(graph, c1):
         return c1
-    if classify(graph, c2).doubly_nonzero:
+    if True not in walk_zeros(graph, c2):
         return c2
     p1 = _orient_connecting_path(p1, v1s, v2s, "p1")
     p2 = _orient_connecting_path(p2, v1s, v2s, "p2")

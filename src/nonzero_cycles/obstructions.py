@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import groups, packing
-from .graphs import Cycle, Edge, LabeledGraph, Walk, walk_value
+from .graphs import Cycle, Edge, LabeledGraph, Walk, walk_value, walk_zeros
 from .linkage import LINKAGE_TYPES, SERIES, crosses, pure_linkage
 from .walls import Wall, _elementary, elementary_wall
 
@@ -466,7 +466,7 @@ def _assemble_cycle(graph: LabeledGraph, shape: _Shape, routes: Iterable[Walk]) 
         walk = part if walk is None else walk.concat(part)
         walk = walk.concat(route)
     cycle = Cycle(walk.vertices, walk.edges)
-    if True in groups.zero_flags(walk_value(graph, cycle)):
+    if True in walk_zeros(graph, cycle):
         raise VerificationUndecidedError("assembled witness lost its value")
     return cycle
 

@@ -40,8 +40,8 @@ import operator
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .cycles import _mask_vertices, _vertex_bits, classify, doubly_nonzero_masks, enumerate_nonzero_a_paths
-from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges
+from .cycles import _mask_vertices, _vertex_bits, doubly_nonzero_masks, enumerate_nonzero_a_paths
+from .graphs import GraphFormatError, LabeledGraph, Walk, cycle_from_edges, walk_zeros
 
 
 @dataclass(frozen=True)
@@ -394,26 +394,35 @@ def verify_transversal(graph: LabeledGraph, transversal, limit: Optional[int] = 
     return missed_cycle(graph, transversal, limit) is None
 
 
-def verify_packing(graph: LabeledGraph, edge_sets: Sequence[FrozenSet[int]], max_use: int = 1) -> bool:
-    """Check the members are doubly-nonzero cycles respecting vertex usage."""
+def packing_fault(graph: LabeledGraph, edge_sets: Sequence[FrozenSet[int]], max_use: int = 1) -> Optional[str]:
+    """The first clause of a packing that fails, in member order, as a
+    message naming the member's sorted edge ids, or None when every member
+    is a doubly-nonzero cycle met once and each vertex is used at most
+    `max_use` times.  Zeros are read by `graphs.walk_zeros`."""
     usage: Dict[int, int] = {}
     seen = set()
     for es in edge_sets:
         key = frozenset(es)
         if key in seen:
-            return False
+            return f"packing certificate repeats the cycle with edges {sorted(key)}"
         seen.add(key)
         try:
             cyc = cycle_from_edges(graph, es)
         except GraphFormatError:
-            return False
-        if not classify(graph, cyc).doubly_nonzero:
-            return False
+            return f"packing certificate edges {sorted(key)} are not one cycle of the graph"
+        zeros = walk_zeros(graph, cyc)
+        if True in zeros:
+            return f"packing certificate cycle with edges {sorted(key)} is zero in coordinate {zeros.index(True)}"
         for v in cyc.vertex_set():
             usage[v] = usage.get(v, 0) + 1
             if usage[v] > max_use:
-                return False
-    return True
+                return "packing certificate violates disjointness"
+    return None
+
+
+def verify_packing(graph: LabeledGraph, edge_sets: Sequence[FrozenSet[int]], max_use: int = 1) -> bool:
+    """Check the members are doubly-nonzero cycles respecting vertex usage."""
+    return packing_fault(graph, edge_sets, max_use) is None
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import groups
-from .graphs import Cycle, Edge, LabeledGraph, Walk, decode_graph, encode_graph
+from .graphs import Cycle, Edge, GraphFormatError, LabeledGraph, Walk, decode_graph, encode_graph
 from .reductions import EmbeddedGraph, trace_embedded_faces
 
 
@@ -57,8 +57,8 @@ class Wall:
     boundary: Cycle
     # unstripped generators: full rows and column snakes whose union is the
     # wall; the anatomy paths above are their stripped versions
-    rows: Tuple[Walk, ...] = ()
-    snakes: Tuple[Walk, ...] = ()
+    rows: Tuple[Walk, ...]
+    snakes: Tuple[Walk, ...]
 
     def __post_init__(self):
         if not isinstance(self.coords, MappingProxyType):
@@ -296,19 +296,30 @@ def _build_elementary(r: int, desc: groups.GroupDescriptor) -> Wall:
 # validation
 
 
+def _on_graph(graph: LabeledGraph, walk: Walk) -> None:
+    """WallFormatError unless each step of the walk follows its edge."""
+    try:
+        walk.validate(graph)
+    except GraphFormatError as exc:
+        raise WallFormatError(f"anatomy walk off the graph: {exc}") from None
+
+
 def validate_wall(wall: Wall) -> None:
     g, r = wall.graph, wall.r
     if len(wall.horizontal) != r + 1 or len(wall.vertical) != r + 1:
         raise WallFormatError("anatomy must hold r+1 horizontal and vertical paths")
+    if len(wall.rows) != r + 1 or len(wall.snakes) != r + 1:
+        raise WallFormatError("anatomy must hold r+1 rows and snakes")
     for v in g.vertices:
         if g.degree(v) > 3:
             raise WallFormatError(f"vertex {v} has degree above 3")
+    for w in wall.rows + wall.snakes + wall.horizontal + wall.vertical:
+        _on_graph(g, w)
+        if not w.is_path():
+            raise WallFormatError("anatomy paths must be simple")
     for fam in (wall.horizontal, wall.vertical):
         used = set()
         for w in fam:
-            w.validate(g)
-            if not w.is_path():
-                raise WallFormatError("anatomy paths must be simple")
             if used & set(w.vertices):
                 raise WallFormatError("anatomy paths of one family must be disjoint")
             used |= set(w.vertices)
@@ -329,17 +340,19 @@ def validate_wall(wall: Wall) -> None:
         covered |= set(w.edges)
     if covered != set(g.edge_ids()):
         raise WallFormatError("wall edges must decompose into horizontal and vertical paths")
+    if not wall.branch <= g.vertices:
+        raise WallFormatError("branch vertices must be vertices of the graph")
     if len(set(wall.corners)) != 4:
         raise WallFormatError("a wall has four corners")
     boundary_vs = wall.boundary.vertex_set()
     for c in wall.corners:
         if c not in boundary_vs or g.degree(c) != 2:
             raise WallFormatError("corners must be degree-2 boundary vertices")
-    wall.boundary.validate(g)
+    _on_graph(g, wall.boundary)
     if len(wall.bricks) != r * r:
         raise WallFormatError(f"a {r}-wall has {r * r} bricks")
     for b in wall.bricks:
-        b.validate(g)
+        _on_graph(g, b)
         if sum(1 for v in b.vertex_set() if v in wall.branch) != 6:
             raise WallFormatError("every brick passes through exactly six branch vertices")
     for n in wall.nails:
@@ -541,17 +554,22 @@ def encode_wall(wall: Wall) -> dict:
 
 def decode_wall(data: dict) -> Wall:
     """Parse an `encode_wall` payload.  The size, the coordinate keys and
-    the (x, y) coordinates are integers by `groups.as_integer`; a missing
-    anatomy key or a value of the wrong kind raises WallFormatError, as a
-    bad `decode_graph` payload raises GraphFormatError."""
+    the (x, y) coordinates, the branch vertices, corners and nails, and the
+    vertices and edges of every anatomy walk are integers by
+    `groups.as_integer`; a missing anatomy key or a value of the wrong kind
+    raises WallFormatError, as a bad `decode_graph` payload raises
+    GraphFormatError."""
     graph = decode_graph(data["graph"])
     as_int = groups.as_integer
 
+    def ints(xs) -> Tuple[int, ...]:
+        return tuple(map(as_int, xs))
+
     def dec_walk(d: dict) -> Walk:
-        return Walk(tuple(d["vertices"]), tuple(d["edges"]))
+        return Walk(ints(d["vertices"]), ints(d["edges"]))
 
     def dec_cycle(d: dict) -> Cycle:
-        return Cycle(tuple(d["vertices"]), tuple(d["edges"]))
+        return Cycle(ints(d["vertices"]), ints(d["edges"]))
 
     try:
         a = data["anatomy"]
@@ -559,9 +577,9 @@ def decode_wall(data: dict) -> Wall:
             graph=graph,
             r=as_int(a["r"]),
             coords={as_int(v): (as_int(x), as_int(y)) for v, (x, y) in a["coords"].items()},
-            branch=frozenset(a["branch"]),
-            corners=tuple(a["corners"]),
-            nails=tuple(a["nails"]),
+            branch=frozenset(ints(a["branch"])),
+            corners=ints(a["corners"]),
+            nails=ints(a["nails"]),
             horizontal=tuple(dec_walk(d) for d in a["horizontal"]),
             vertical=tuple(dec_walk(d) for d in a["vertical"]),
             bricks=tuple(dec_cycle(d) for d in a["bricks"]),

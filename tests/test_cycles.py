@@ -1,12 +1,13 @@
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from nonzero_cycles import cycles, groups, packing
+from nonzero_cycles import cycles, graphs, groups, packing
 from nonzero_cycles.cycles import (
     EnumerationLimitError,
     coordinate_values,
@@ -16,7 +17,18 @@ from nonzero_cycles.cycles import (
     is_robust,
     zero_edge_set,
 )
-from nonzero_cycles.graphs import Cycle, Edge, LabeledGraph, Walk, decode_graph, shifted_value, walk_payload, walk_value
+from nonzero_cycles.graphs import (
+    Cycle,
+    Edge,
+    GraphFormatError,
+    LabeledGraph,
+    Walk,
+    decode_graph,
+    shifted_value,
+    walk_payload,
+    walk_value,
+    walk_zeros,
+)
 from nonzero_cycles.walls import elementary_wall
 from test_packing import reference_a_paths
 
@@ -444,14 +456,48 @@ def test_raw_shift_reroots_a_cycle():
     assert rerooted > 100  # rerooting changed the value that often
 
 
+def test_walk_reader_reads_every_enumerated_cycle_as_the_dfs_does():
+    # `walk_zeros` on a record's representative, on its reverse and rooted at
+    # each of its vertices gives the record's zero flags
+    rng = random.Random(2040)
+    flags = set()
+    for text in ("z3", "free2", "sum(z2,z3)", "sum(z,free2)", "sum(free2,free2)"):
+        desc = groups.parse_descriptor(text)
+        for g in [random_multigraph(rng, desc) for _ in range(30)] + [labelled_wall(2, desc, rng)]:
+            for c in enumerate_cycles(g):
+                rep = c.rep
+                walks = [rep, rep.reversed()] + [rep.rooted_at(v) for v in rep.vertices[:-1]]
+                assert all(walk_zeros(g, w) == c.zero for w in walks)
+                flags.add((text, c.zero))
+    for text in ("sum(z2,z3)", "sum(z,free2)", "sum(free2,free2)"):
+        assert {zero for t, zero in flags if t == text} == {(True, True), (True, False), (False, True), (False, False)}
+    for text in ("z3", "free2"):
+        assert {zero for t, zero in flags if t == text} == {(True, True), (False, False)}
+
+
+def test_walk_reader_raises_the_errors_of_walk_validate():
+    rng = random.Random(2041)
+    for text in ("z3", "free2", "sum(z2,z3)", "sum(z,free2)", "sum(free2,free2)"):
+        g = labelled_wall(2, groups.parse_descriptor(text), rng)
+        rep = enumerate_cycles(g)[0].rep
+        wrong_step = Walk(rep.vertices, rep.edges[1:] + rep.edges[:1])
+        unknown = Walk(rep.vertices, rep.edges[:-1] + (10**6,))
+        for walk in (wrong_step, unknown):
+            with pytest.raises(GraphFormatError) as expected:
+                walk.validate(g)
+            with pytest.raises(GraphFormatError, match=f"^{re.escape(str(expected.value))}$"):
+                walk_zeros(g, walk)
+
+
 def test_enumeration_and_robustness_check_wrap_no_element(monkeypatch):
     # both work on raw payloads: no element is wrapped, no walk is folded,
     # and the only cycles built with the checks are the witness's two
     def refuse(*args):
         raise AssertionError("called on the raw path")
 
-    for name in ("walk_value", "walk_payload", "coordinate_values"):
+    for name in ("walk_value", "coordinate_values"):
         monkeypatch.setattr(cycles, name, refuse)
+    monkeypatch.setattr(graphs, "walk_payload", refuse)  # every walk fold in the package
     checked = []
     post_init = Cycle.__post_init__
 

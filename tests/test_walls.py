@@ -257,10 +257,22 @@ def test_wall_decode_reads_integral_numbers_as_integers():
     v = next(iter(data["anatomy"]["coords"]))
     x, y = data["anatomy"]["coords"][v]
     data["anatomy"]["coords"][v] = [float(x), str(y)]
+    a = data["anatomy"]
+    for key in ("branch", "corners", "nails"):
+        a[key] = [float(v) for v in a[key]]
+    for walk in a["rows"] + a["snakes"] + a["horizontal"] + a["vertical"] + a["bricks"] + [a["boundary"]]:
+        walk["vertices"] = [str(v) for v in walk["vertices"]]
+        walk["edges"] = [float(e) for e in walk["edges"]]
     w2 = decode_wall(data)
     assert type(w2.r) is int and w2.r == 2
     assert dict(w2.coords) == dict(w.coords)
     assert all(type(c) is int for xy in w2.coords.values() for c in xy)
+    assert (w2.branch, w2.corners, w2.nails) == (w.branch, w.corners, w.nails)
+    walks = w2.rows + w2.snakes + w2.horizontal + w2.vertical + w2.bricks + (w2.boundary,)
+    numbers = list(w2.branch) + list(w2.corners) + list(w2.nails)
+    numbers += [x for walk in walks for x in walk.vertices + walk.edges]
+    assert all(type(x) is int for x in numbers)
+    assert walks == w.rows + w.snakes + w.horizontal + w.vertical + w.bricks + (w.boundary,)
 
 
 def _first_coords_key(data):
@@ -275,6 +287,12 @@ BROKEN_WALL_PAYLOADS = {
     "fractional coordinate key": lambda d: d["anatomy"]["coords"].update({"2.5": [0, 0]}),
     "coordinates not a mapping": lambda d: d["anatomy"].update(coords=[]),
     "missing nails": lambda d: d["anatomy"].pop("nails"),
+    "fractional branch vertex": lambda d: d["anatomy"]["branch"].append(2.5),
+    "text branch vertex": lambda d: d["anatomy"]["branch"].append("x"),
+    "fractional corner": lambda d: d["anatomy"]["corners"].__setitem__(0, 0.5),
+    "text nail": lambda d: d["anatomy"]["nails"].append("nail"),
+    "fractional row vertex": lambda d: d["anatomy"]["rows"][0]["vertices"].__setitem__(0, 0.5),
+    "boolean snake edge": lambda d: d["anatomy"]["snakes"][0]["edges"].__setitem__(0, True),
     "missing anatomy": lambda d: d.pop("anatomy"),
 }
 
@@ -285,6 +303,42 @@ def test_wall_decode_rejects_malformed_payloads(case):
     data = json.loads(json.dumps(encode_wall(elementary_wall(2))))
     BROKEN_WALL_PAYLOADS[case](data)
     with pytest.raises(WallFormatError, match="malformed wall payload"):
+        decode_wall(data)
+
+
+BAD_WALL_ANATOMIES = {
+    "branch vertex off the graph": (
+        lambda d: d["anatomy"]["branch"].append(99),
+        "branch vertices must be vertices of the graph",
+    ),
+    "one row": (lambda d: d["anatomy"]["rows"].__delitem__(slice(1, None)), "r\\+1 rows and snakes"),
+    "no snakes": (lambda d: d["anatomy"]["snakes"].clear(), "r\\+1 rows and snakes"),
+    "row off the graph": (
+        lambda d: d["anatomy"]["rows"].__setitem__(0, {"vertices": [0, 999], "edges": [77777]}),
+        "no edge with id 77777",
+    ),
+    "brick off the graph": (
+        lambda d: d["anatomy"]["bricks"][0]["edges"].__setitem__(0, 77777),
+        "no edge with id 77777",
+    ),
+    "row that is no path": (
+        lambda d: d["anatomy"]["rows"][0].update(
+            vertices=d["anatomy"]["rows"][0]["vertices"][:2] + d["anatomy"]["rows"][0]["vertices"][:1],
+            edges=d["anatomy"]["rows"][0]["edges"][:1] * 2,
+        ),
+        "anatomy paths must be simple",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WALL_ANATOMIES))
+def test_wall_decode_rejects_an_anatomy_the_graph_does_not_hold(case):
+    # each of these decoded, or raised a GraphFormatError, before; `subwall`
+    # of the wall with one row then raised a bare IndexError
+    data = json.loads(json.dumps(encode_wall(elementary_wall(2))))
+    change, message = BAD_WALL_ANATOMIES[case]
+    change(data)
+    with pytest.raises(WallFormatError, match=message):
         decode_wall(data)
 
 
