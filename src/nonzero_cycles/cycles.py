@@ -19,7 +19,7 @@ path back and sums the non-zero payloads in path order with one
 lean `ClassifiedCycle` record: its edge and vertex bitmasks, zero flags,
 that raw value, and its start and chains.  Its edge set and
 representative are built from the chains only when read, and `values`
-wraps the raw value only when read, so no group element is built.  Edge
+builds elements only when read, so no group element is built.  Edge
 bits run from the largest edge id down (`_edge_bits`), so one integer
 per cycle sorts by (length, sorted edge ids).  The DFS is the record's
 one maker; a walk from outside (a certificate, a lemma's cycle) is tested
@@ -111,8 +111,8 @@ class ClassifiedCycle(NamedTuple):
 
     @property
     def values(self) -> Tuple[groups.GroupElement, groups.GroupElement]:
-        """The value of `rep` per coordinate, wrapped as elements on read."""
-        return groups.coordinates(groups.table(self.descriptor).wrap(self.raw))
+        """The value of `rep` per coordinate, as elements built on read."""
+        return groups.coordinates(groups.GroupElement(self.descriptor, self.raw))
 
     @property
     def doubly_nonzero(self) -> bool:

@@ -13,12 +13,12 @@ A graph builds two read-only tables lazily, once each, for the hot loops:
 `incident` order, which the chord router walks.
 
 Shifting has one rule, `shifted_value`, over raw payloads: the table of
-the group, a raw shift per vertex and a raw value.  `shift_sequence`
-relabels by it into one graph however many shifts it applies;
-`is_gamma_bipartite` and `cycles.is_robust` read shifted raw values through
-it and build no graph, and only the shifts `is_gamma_bipartite` returns are
-wrapped as elements.  `walk_payload` sums a walk's raw payloads with one
-`groups.Table.fold` call; `walk_value` wraps it, and `walk_zeros` reads
+the group, a raw shift per vertex and a raw value.  A label's raw payload
+is its `payload`, so `shift_sequence` relabels by it into one graph
+however many shifts it applies, and `is_gamma_bipartite` and
+`cycles.is_robust` read shifted raw values through it and build no graph.
+`walk_payload` sums a walk's raw payloads with one `groups.Table.fold`
+call; `walk_value` is that sum as an element, and `walk_zeros` reads
 its zero flags by `groups.zero_reader`, the one zero test on a walk from
 outside the cycle DFS (certificates, lemmas, routed witnesses).
 
@@ -65,7 +65,10 @@ class LabeledGraph:
         edges: Iterable[Edge],
     ):
         self.descriptor = descriptor
-        self._vertices = frozenset(int(v) for v in vertices)
+        try:
+            self._vertices = frozenset(map(as_integer, vertices))
+        except ValueError as exc:
+            raise GraphFormatError(f"bad vertex id: {exc}") from None
         edge_map: Dict[int, Edge] = {}
         for e in edges:
             if e.id in edge_map:
@@ -113,7 +116,7 @@ class LabeledGraph:
             t = groups.table(self.descriptor)
             steps = {}
             for e in self._edges.values():
-                fwd = t.unwrap(e.label)
+                fwd = e.label.payload
                 if fwd == t.zero:
                     steps[e.id] = (e.tail, e.head, None, None)
                 else:
@@ -316,8 +319,8 @@ def walk_payload(graph: LabeledGraph, walk: Walk):
 
 
 def walk_value(graph: LabeledGraph, walk: Walk) -> GroupElement:
-    """The walk's value as an element: `walk_payload`, wrapped."""
-    return groups.table(graph.descriptor).wrap(walk_payload(graph, walk))
+    """The walk's value as an element: `walk_payload` in `graph.descriptor`."""
+    return GroupElement(graph.descriptor, walk_payload(graph, walk))
 
 
 def walk_zeros(graph: LabeledGraph, walk: Walk) -> Tuple[bool, bool]:
@@ -400,10 +403,10 @@ def shift_sequence(graph: LabeledGraph, shifts: Sequence[Tuple[int, GroupElement
             raise GraphFormatError(f"no vertex {v}")
         if a.descriptor is not graph.descriptor:
             raise GraphFormatError("shift value lives in the wrong group")
-        a = t.unwrap(a)
-        alpha[v] = t.add(alpha[v], a) if v in alpha else a
+        alpha[v] = t.add(alpha[v], a.payload) if v in alpha else a.payload
+    desc = graph.descriptor
     return graph.with_labels(
-        {e.id: t.wrap(shifted_value(t, alpha, e.tail, t.unwrap(e.label), e.head)) for e in graph.edges.values()}
+        {e.id: GroupElement(desc, shifted_value(t, alpha, e.tail, e.label.payload, e.head)) for e in graph.edges.values()}
     )
 
 
@@ -416,7 +419,7 @@ def is_gamma_bipartite(graph: LabeledGraph):
 
     No shifted graph is built: with `alpha` the raw shift value per vertex
     so far, an edge carries the `shifted_value` of its raw label from
-    `graph.steps()`.  Only the returned shifts are wrapped as elements.
+    `graph.steps()`.  Only the returned shifts become elements.
     """
     t = groups.table(graph.descriptor)
     zero = t.zero
@@ -441,7 +444,7 @@ def is_gamma_bipartite(graph: LabeledGraph):
         # fundamental cycle: tree walk head -> tail, closed by the edge
         walk = _tree_walk(parent, head, tail)
         return False, Cycle(walk.vertices + (head,), walk.edges + (eid,))
-    return True, [(v, t.wrap(a)) for v, a in alpha.items()]
+    return True, [(v, GroupElement(graph.descriptor, a)) for v, a in alpha.items()]
 
 
 def _bfs_forest(graph: LabeledGraph) -> Tuple[List[int], Dict[int, Tuple[int, int]]]:

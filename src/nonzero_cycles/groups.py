@@ -9,18 +9,19 @@ Elements are immutable and hashable; all arithmetic is exact.
 
 Each descriptor compiles once, on first use, into a `Table` over raw
 payloads: add, negate, zero and fold (the sum of a list), klass (a key
-shared by a value, its inverse and its conjugates), wrap and unwrap to and
-from `GroupElement`s, and make, encode and draw, which check, serialise
-and randomly draw payloads.  `_compile` is the only place that
-switches on the kind of group for elements: `op`, `inv`, `identity`,
-`is_zero`, `element`, `random_element`, `encode_element` and
-`decode_element` all go through the table (the descriptor grammar still
-reads the kind).  A free-group sum cancels only at the seam of two reduced
-words, and a direct sum pairs the tables of its summands.  Hot loops
-unwrap once and work on raw payloads, and wrap only what they hand out as
-elements: a walk's value (`graphs.walk_payload`, the cycle DFS, the
-rerooting prefix of `cycles.is_robust`) is one `fold` call over its
-non-zero steps, the shift rule adds and negates raw values, and
+shared by a value, its inverse and its conjugates), and make, encode and
+draw, which check, serialise and randomly draw payloads.  A
+`GroupElement`'s payload is its table's raw payload for every kind (a
+direct sum's is the pair of its summands' raw payloads), so hot loops read
+`a.payload` and build `GroupElement(desc, raw)` with no conversion.
+`_compile` is the only place that switches on the kind of group for
+elements: `op`, `inv`, `identity`, `is_zero`, `element`,
+`random_element`, `encode_element` and `decode_element` all go through
+the table (the descriptor grammar still reads the kind).  A free-group sum
+cancels only at the seam of two reduced words, and a direct sum pairs the
+tables of its summands.  A walk's value (`graphs.walk_payload`, the cycle
+DFS, the rerooting prefix of `cycles.is_robust`) is one `fold` call over
+its non-zero steps, the shift rule adds and negates raw values, and
 `cycles.is_robust` skips a pair of cycles whose values' `klass` keys
 differ, as no rerooting makes such values equal or inverse.  Only
 `coordinate_groups` decides how a label splits into its two coordinates,
@@ -105,8 +106,8 @@ class GroupDescriptor:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of the group named by `descriptor`; payload layout is
-    kind-specific and always a canonical hashable value."""
+    """An element of the group named by `descriptor`; `payload` is the
+    canonical raw payload of `table(descriptor)` (see `Table`)."""
 
     descriptor: GroupDescriptor
     payload: object
@@ -185,14 +186,12 @@ def quotient(factors: Iterable[int]) -> GroupDescriptor:
 @functools.lru_cache(maxsize=None)
 def identity(desc: GroupDescriptor) -> GroupElement:
     """The one zero element of `desc`, made on first request."""
-    t = table(desc)
-    return t.wrap(t.zero)
+    return GroupElement(desc, table(desc).zero)
 
 
 def element(desc: GroupDescriptor, payload) -> GroupElement:
     """Build an element from a raw payload, normalising to canonical form."""
-    t = table(desc)
-    return t.wrap(t.make(payload))
+    return GroupElement(desc, table(desc).make(payload))
 
 
 def _reduce_words(words: Iterable[Sequence[int]]) -> Tuple[int, ...]:
@@ -211,11 +210,10 @@ def _reduce_words(words: Iterable[Sequence[int]]) -> Tuple[int, ...]:
 class Table(NamedTuple):
     """The arithmetic of one group over raw payloads.
 
-    For every kind but a direct sum the raw payload is the element's
-    payload; a direct sum's raw payload is the pair of its summands' raw
-    payloads.  `wrap` and `unwrap` convert between raw payloads and
-    `GroupElement`s, so a long computation unwraps its inputs once, folds
-    `add` and `neg` over raw values, and wraps the result once.
+    A raw payload is an integer for the integers and a cyclic group, a
+    tuple of integers for the vector kinds, a reduced word (a tuple of
+    non-zero letters) for a free group, and the pair of its summands' raw
+    payloads for a direct sum.  It is also the `GroupElement`'s payload.
 
     `fold(xs)` is the ordered sum `xs[0] + xs[1] + ...` of a list or tuple
     of raw payloads (`zero` for none) in one call: a `sum` for the
@@ -226,8 +224,9 @@ class Table(NamedTuple):
     pairwise left fold of `add` from `zero`, also in a free group, where
     the order of `xs` matters.  `make`
     checks a loose payload (an integer by `as_integer`, a list or tuple of
-    them for the vector and word kinds, or a pair for a direct sum) and
-    returns the canonical raw payload, `encode` turns a raw payload into its
+    them for the vector and word kinds, or a pair of loose payloads or
+    summand elements for a direct sum) and returns the canonical raw
+    payload, `encode` turns a raw payload into its
     JSON value, and `draw(rng, span)` draws a pseudo-random raw payload.
 
     `klass(x)` is a hashable key that is the same for x, for `neg(x)` and
@@ -246,8 +245,6 @@ class Table(NamedTuple):
     zero: Any
     fold: Callable[[Sequence[Any]], Any]
     klass: Callable[[Any], Any]
-    wrap: Callable[[Any], GroupElement]
-    unwrap: Callable[[GroupElement], Any]
     make: Callable[[Any], Any]
     encode: Callable[[Any], Any]
     draw: Callable[[Any, int], Any]
@@ -294,8 +291,6 @@ def _entries(payload, what: str, length: Optional[int]):
 
 def _compile(desc: GroupDescriptor) -> Table:
     k, n = desc.kind, desc.n
-    wrap = functools.partial(GroupElement, desc)
-    unwrap = operator.attrgetter("payload")
     if k == KIND_INTEGERS:
         # a decimal string keeps arbitrary precision portable
         return Table(
@@ -304,8 +299,6 @@ def _compile(desc: GroupDescriptor) -> Table:
             0,
             sum,
             abs,
-            wrap,
-            unwrap,
             as_integer,
             str,
             lambda rng, span: rng.randint(-span, span),
@@ -317,8 +310,6 @@ def _compile(desc: GroupDescriptor) -> Table:
             0,
             lambda xs: sum(xs) % n,
             lambda p: min(p, -p % n),
-            wrap,
-            unwrap,
             lambda p: as_integer(p) % n,
             lambda p: p,
             lambda rng, span: rng.randrange(n),
@@ -332,8 +323,6 @@ def _compile(desc: GroupDescriptor) -> Table:
             # the zero as a first row gives an empty list its columns
             lambda xs: tuple(map(sum, zip(zero, *xs))),
             lambda p: min(p, tuple(map(operator.neg, p))),
-            wrap,
-            unwrap,
             lambda p: tuple(map(as_integer, _entries(p, "free abelian", n))),
             list,
             lambda rng, span: tuple(rng.randint(-span, span) for _ in range(n)),
@@ -375,14 +364,13 @@ def _compile(desc: GroupDescriptor) -> Table:
 
         # inversion reverses the word and negates each letter
         return Table(
-            add, lambda p: tuple(-x for x in reversed(p)), (), _reduce_words, klass, wrap, unwrap, make, list, draw
+            add, lambda p: tuple(-x for x in reversed(p)), (), _reduce_words, klass, make, list, draw
         )
     if k == KIND_DIRECT_SUM:
         parts = desc.parts
         left, right = table(parts[0]), table(parts[1])
         ladd, radd, lneg, rneg = left.add, right.add, left.neg, right.neg
         lfold, rfold, zero = left.fold, right.fold, (left.zero, right.zero)
-        lwrap, rwrap, lunwrap, runwrap = left.wrap, right.wrap, left.unwrap, right.unwrap
 
         def summand(x, part, t):
             # a raw entry goes straight to the summand's make; an element
@@ -391,7 +379,7 @@ def _compile(desc: GroupDescriptor) -> Table:
                 return t.make(x)
             if x.descriptor is not part:
                 raise GroupParseError("direct sum components in wrong groups")
-            return t.unwrap(x)
+            return x.payload
 
         def make(p):
             a, b = _entries(p, "direct sum", 2)
@@ -423,8 +411,6 @@ def _compile(desc: GroupDescriptor) -> Table:
             zero,
             fold,
             klass,
-            lambda p: GroupElement(desc, (lwrap(p[0]), rwrap(p[1]))),
-            lambda a: (lunwrap(a.payload[0]), runwrap(a.payload[1])),
             make,
             lambda p: [left.encode(p[0]), right.encode(p[1])],
             lambda rng, span: (left.draw(rng, span), right.draw(rng, span)),
@@ -446,8 +432,6 @@ def _compile(desc: GroupDescriptor) -> Table:
             zero,
             lambda xs: tuple(s % d if d else s for s, d in zip(map(sum, zip(zero, *xs)), factors)),
             lambda p: min(p, neg(p)),
-            wrap,
-            unwrap,
             make,
             list,
             lambda rng, span: make(tuple(rng.randint(-span, span) for _ in factors)),
@@ -459,18 +443,15 @@ def op(a: GroupElement, b: GroupElement) -> GroupElement:
     desc = a.descriptor
     if b.descriptor is not desc:
         raise GroupParseError("operands live in different groups")
-    t = table(desc)
-    return t.wrap(t.add(t.unwrap(a), t.unwrap(b)))
+    return GroupElement(desc, table(desc).add(a.payload, b.payload))
 
 
 def inv(a: GroupElement) -> GroupElement:
-    t = table(a.descriptor)
-    return t.wrap(t.neg(t.unwrap(a)))
+    return GroupElement(a.descriptor, table(a.descriptor).neg(a.payload))
 
 
 def is_zero(a: GroupElement) -> bool:
-    t = table(a.descriptor)
-    return t.unwrap(a) == t.zero
+    return a.payload == table(a.descriptor).zero
 
 
 def coordinate_groups(desc: GroupDescriptor) -> Tuple[GroupDescriptor, ...]:
@@ -485,13 +466,15 @@ def project(a: GroupElement, side: int) -> GroupElement:
         raise GroupParseError("projection needs a direct-sum element")
     if side not in (0, 1):
         raise GroupParseError("side must be 0 or 1")
-    return a.payload[side]
+    return coordinates(a)[side]
 
 
 def coordinates(a: GroupElement) -> Tuple[GroupElement, GroupElement]:
     """The (first, second) coordinates of a label value: the two summands
-    of a direct-sum element, or the element twice for a single group."""
-    return a.payload if len(coordinate_groups(a.descriptor)) == 2 else (a, a)
+    of a direct-sum element, built on read, or the element twice for a
+    single group."""
+    parts = coordinate_groups(a.descriptor)
+    return tuple(map(GroupElement, parts, a.payload)) if len(parts) == 2 else (a, a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -523,13 +506,12 @@ def zero_reader(desc: GroupDescriptor) -> Callable[[Any], Tuple[bool, bool]]:
 
 def zero_flags(a: GroupElement) -> Tuple[bool, bool]:
     """`zero_reader` read on the element `a`."""
-    return zero_reader(a.descriptor)(table(a.descriptor).unwrap(a))
+    return zero_reader(a.descriptor)(a.payload)
 
 
 def random_element(desc: GroupDescriptor, rng, span: int = 4) -> GroupElement:
     """Draw a pseudo-random element (used by generators and fuzz tests)."""
-    t = table(desc)
-    return t.wrap(t.draw(rng, span))
+    return GroupElement(desc, table(desc).draw(rng, span))
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +593,7 @@ def _take_int(text: str) -> tuple[int, str]:
 
 
 def encode_element(a: GroupElement):
-    t = table(a.descriptor)
-    return t.encode(t.unwrap(a))
+    return table(a.descriptor).encode(a.payload)
 
 
 def decode_element(desc: GroupDescriptor, data) -> GroupElement:
@@ -623,7 +604,7 @@ def decode_element(desc: GroupDescriptor, data) -> GroupElement:
         raw = t.make(data)
     except (TypeError, ValueError) as exc:
         raise GroupParseError(f"bad element payload {data!r}: {exc}") from exc
-    return identity(desc) if raw == t.zero else t.wrap(raw)
+    return identity(desc) if raw == t.zero else GroupElement(desc, raw)
 
 
 # ---------------------------------------------------------------------------

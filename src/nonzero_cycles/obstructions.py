@@ -297,7 +297,7 @@ def _shapes(attachments: Sequence[Attachment], desc: groups.GroupDescriptor):
     # entry and exit ends as (vertex, boundary position)
     steps = []
     for a in attachments:
-        raw, left, right = t.unwrap(a.value), (a.left, a.left_pos), (a.right, a.right_pos)
+        raw, left, right = a.value.payload, (a.left, a.left_pos), (a.right, a.right_pos)
         steps.append(((raw, left, right), (t.neg(raw), right, left)))
     found = []
     stack = [((i,), (0,), steps[i][0][0], (), ()) for i in range(len(steps))]

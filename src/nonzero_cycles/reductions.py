@@ -286,12 +286,13 @@ def decode_embedded(data: dict) -> EmbeddedGraph:
     raises GraphFormatError, as a bad `decode_graph` payload does."""
     as_int = groups.as_integer
     try:
+        graph = data["graph"]
         rotations = {
             as_int(v): tuple((as_int(eid), as_int(d)) for eid, d in rot) for v, rot in data["rotations"].items()
         }
         signs = {as_int(eid): as_int(s) for eid, s in data.get("signs", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed embedded payload: {exc}") from exc
-    emb = EmbeddedGraph(graph=decode_graph(data["graph"]), rotations=rotations, signs=signs)
+    emb = EmbeddedGraph(graph=decode_graph(graph), rotations=rotations, signs=signs)
     emb.validate()
     return emb

@@ -556,10 +556,14 @@ def decode_wall(data: dict) -> Wall:
     """Parse an `encode_wall` payload.  The size, the coordinate keys and
     the (x, y) coordinates, the branch vertices, corners and nails, and the
     vertices and edges of every anatomy walk are integers by
-    `groups.as_integer`; a missing anatomy key or a value of the wrong kind
-    raises WallFormatError, as a bad `decode_graph` payload raises
-    GraphFormatError."""
-    graph = decode_graph(data["graph"])
+    `groups.as_integer`; a payload that is no mapping, a missing graph or
+    anatomy key or a value of the wrong kind raises WallFormatError, as a
+    bad `decode_graph` payload raises GraphFormatError."""
+    try:
+        graph_data, a = data["graph"], data["anatomy"]
+    except (KeyError, TypeError) as exc:
+        raise WallFormatError(f"malformed wall payload: {exc}") from exc
+    graph = decode_graph(graph_data)
     as_int = groups.as_integer
 
     def ints(xs) -> Tuple[int, ...]:
@@ -572,7 +576,6 @@ def decode_wall(data: dict) -> Wall:
         return Cycle(ints(d["vertices"]), ints(d["edges"]))
 
     try:
-        a = data["anatomy"]
         wall = Wall(
             graph=graph,
             r=as_int(a["r"]),

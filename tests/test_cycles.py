@@ -451,8 +451,8 @@ def test_raw_shift_reroots_a_cycle():
                 for j, v in enumerate(verts[:-1]):
                     p = walk_payload(g, Walk(verts[: j + 1], eids[:j]))
                     expected = walk_value(g, c.rep.rooted_at(v))
-                    assert t.wrap(shifted_value(t, {v: p}, v, c.raw, v)) == expected
-                    rerooted += c.raw != t.unwrap(expected)
+                    assert groups.GroupElement(desc, shifted_value(t, {v: p}, v, c.raw, v)) == expected
+                    rerooted += c.raw != expected.payload
     assert rerooted > 100  # rerooting changed the value that often
 
 
@@ -490,7 +490,7 @@ def test_walk_reader_raises_the_errors_of_walk_validate():
 
 
 def test_enumeration_and_robustness_check_wrap_no_element(monkeypatch):
-    # both work on raw payloads: no element is wrapped, no walk is folded,
+    # both work on raw payloads: no element is built, no walk is folded,
     # and the only cycles built with the checks are the witness's two
     def refuse(*args):
         raise AssertionError("called on the raw path")
@@ -511,15 +511,9 @@ def test_enumeration_and_robustness_check_wrap_no_element(monkeypatch):
     for case in data:
         g = decode_graph(case["graph"])
         g.steps()  # built once from the labels, which are elements
-        descs = (g.descriptor,) + groups.coordinate_groups(g.descriptor)
-        tables = {d: groups.table(d) for d in descs}
-        try:
-            for d, t in tables.items():
-                object.__setattr__(d, "_table", t._replace(wrap=refuse))
+        with monkeypatch.context() as patched:
+            patched.setattr(groups.GroupElement, "__init__", refuse)
             ok, witness = is_robust(g, cycles=enumerate_cycles(g))
-        finally:
-            for d, t in tables.items():
-                object.__setattr__(d, "_table", t)
         assert len(checked) == (0 if ok else 2)
         witnesses += not ok
         checked.clear()
@@ -855,7 +849,7 @@ def sparse_wall(desc, rng, one_generator, share=0.3):
         if rng.random() < share:
             while raw == t.zero:
                 raw = raw_label(desc, rng, one_generator)
-        labels[eid] = t.wrap(raw)
+        labels[eid] = groups.GroupElement(desc, raw)
     return g.with_labels(labels)
 
 

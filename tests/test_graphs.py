@@ -367,6 +367,18 @@ def test_decode_rejects_malformed():
             decode_graph(data)
 
 
+@pytest.mark.parametrize("vertex", [1.7, True, "x", None, [1]], ids=repr)
+def test_graph_reads_vertex_ids_by_the_one_integer_rule(vertex):
+    # not truncated: int() reads 1.7 and True as vertex 1, which edge 0 meets
+    with pytest.raises(GraphFormatError, match="^bad vertex id: "):
+        LabeledGraph(Z, [vertex, 0], [Edge(0, 0, 1, lab(Z, 1))])
+
+
+def test_graph_reads_integral_floats_and_decimal_strings_as_vertex_ids():
+    g = LabeledGraph(Z, [1.0, "0"], [Edge(0, 0, 1, lab(Z, 1))])
+    assert g.vertices == {0, 1}
+
+
 def test_decode_repeated_labels_once_and_bad_labels_every_time():
     edge = lambda i, label: {"id": i, "tail": 0, "head": 1, "label": label}
     # the same raw label decodes to one shared element; 1 and "1" are two keys
@@ -480,7 +492,7 @@ def test_walk_value_skips_zero_steps(desc):
                 tail, head, fwd, bwd = steps[eid]
                 x = fwd if (w.vertices[i], w.vertices[i + 1]) == (tail, head) else bwd
                 folded = t.add(folded, t.zero if x is None else x)
-            assert walk_value(g, w) == t.wrap(folded) == reference_walk_value(g, w)
+            assert walk_value(g, w) == groups.GroupElement(desc, folded) == reference_walk_value(g, w)
 
 
 def test_walk_value_errors_are_unchanged_on_zero_edges():

@@ -224,7 +224,7 @@ def test_decode_reads_integral_floats_and_decimal_strings():
 @pytest.mark.parametrize("text", ["sum(z2,z3)", "sum(z,free2)", "sum(za2,q(2,4,0))", "sum(sum(z2,z3),z5)"])
 def test_direct_sum_make_reads_raw_element_and_mixed_entries_alike(text):
     # the summands' raw payloads come straight from their own make, and an
-    # element entry is unwrapped: both give the payloads of `element`
+    # element entry gives its payload: both give the payloads of `element`
     desc = parse_descriptor(text)
     left, right = groups.coordinate_groups(desc)
     t = groups.table(desc)
@@ -232,15 +232,44 @@ def test_direct_sum_make_reads_raw_element_and_mixed_entries_alike(text):
     for _ in range(20):
         a, b = groups.random_element(left, rng), groups.random_element(right, rng)
         raw = (encode_element(a), encode_element(b))
-        expected = (groups.table(left).unwrap(a), groups.table(right).unwrap(b))
+        expected = (a.payload, b.payload)
         for entries in (raw, (a, b), (a, raw[1]), (raw[0], b)):
             assert t.make(list(entries)) == expected
-            assert element(desc, list(entries)) == groups.table(desc).wrap(expected)
+            assert element(desc, list(entries)) == groups.GroupElement(desc, expected)
             assert decode_element(desc, list(entries)) == element(desc, (a, b))
     stranger = element(cyclic(7), 1)
     for entries in ([stranger, raw[1]], [raw[0], stranger], [b, a]):
         with pytest.raises(GroupParseError, match="direct sum components in wrong groups"):
             element(desc, entries)
+
+
+# every kind, and direct sums nested and with free summands
+PAYLOAD_GROUPS = [
+    "z", "z1", "z5", "za0", "za2", "free0", "free2", "free3", "q()", "q(2,6,0)",
+    "sum(z2,z3)", "sum(z5,za2)", "sum(z,free2)", "sum(free2,free2)", "sum(sum(z2,free2),q(2,6,0))",
+]
+
+
+@pytest.mark.parametrize("text", PAYLOAD_GROUPS)
+def test_an_elements_payload_is_its_tables_raw_payload(text):
+    # one layout: a direct sum's payload pairs its summands' raw payloads,
+    # and its coordinates are elements of `coordinate_groups` built on read
+    desc = parse_descriptor(text)
+    t = groups.table(desc)
+    parts = groups.coordinate_groups(desc)
+    rng = random.Random(text)
+    for _ in range(40):
+        x = t.draw(rng, 3)
+        a = element(desc, t.encode(x))
+        assert a.payload == x
+        assert decode_element(desc, encode_element(a)) == a
+        coords = groups.coordinates(a)
+        if len(parts) == 2:
+            assert tuple(c.descriptor for c in coords) == parts
+            assert tuple(c.payload for c in coords) == x
+            assert (project(a, 0), project(a, 1)) == coords
+        else:
+            assert coords == (a, a)
 
 
 ZERO_READER_GROUPS = [
@@ -261,7 +290,7 @@ def test_zero_reader_matches_coordinates_and_is_zero(text):
     raws = [t.zero] + [t.draw(rng, span) for span in (0, 1, 2) for _ in range(60)]
     seen = set()
     for raw in raws:
-        a = t.wrap(raw)
+        a = groups.GroupElement(desc, raw)
         expected = tuple(is_zero(c) for c in groups.coordinates(a))
         assert read(raw) == groups.zero_flags(a) == expected
         seen.add(expected)

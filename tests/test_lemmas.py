@@ -329,7 +329,7 @@ def reroute_instance(rng, t):
         pv = [a] + mids + [b]
         s += [a, b]
         labels = [pair(desc, rng.randrange(3), rng.randrange(3)) for _ in range(len(pv) - 1)]
-        total0 = sum(l.payload[0].payload for l in labels) % 3
+        total0 = sum(l.payload[0] for l in labels) % 3
         if total0 == 0:
             labels[-1] = groups.op(labels[-1], pair(desc, 1, 0))
         for j in range(len(pv) - 1):
@@ -355,7 +355,7 @@ def reroute_instance(rng, t):
         used |= set(mids)
         pv = [a] + mids + [b]
         labels = [pair(desc, rng.randrange(3), rng.randrange(3)) for _ in range(len(pv) - 1)]
-        total1 = sum(l.payload[1].payload for l in labels) % 3
+        total1 = sum(l.payload[1] for l in labels) % 3
         if total1 == 0:
             labels[-1] = groups.op(labels[-1], pair(desc, 0, 1))
         for j in range(len(pv) - 1):
@@ -406,7 +406,7 @@ def threaded_reroute_instance(rng, t):
 
     def labelled(verts, coord):
         labels = [pair(desc, rng.randrange(3), rng.randrange(3)) for _ in verts[1:]]
-        if sum(lab.payload[coord].payload for lab in labels) % 3 == 0:
+        if sum(lab.payload[coord] for lab in labels) % 3 == 0:
             labels[-1] = groups.op(labels[-1], pair(desc, 1 - coord, coord))
         return labels
 

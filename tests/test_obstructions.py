@@ -555,7 +555,7 @@ def _reference_shapes(attachments, desc):
     and reflection, crossing or not; only doubly nonzero ones are yielded,
     by size, subset, visiting order and orientations."""
     t = groups.table(desc)
-    raw = {id(a): (t.unwrap(a.value), t.neg(t.unwrap(a.value))) for a in attachments}
+    raw = {id(a): (a.value.payload, t.neg(a.value.payload)) for a in attachments}
     index = {id(a): i for i, a in enumerate(attachments)}
     for size in range(1, len(attachments) + 1):
         for subset in itertools.combinations(attachments, size):
@@ -567,7 +567,7 @@ def _reference_shapes(attachments, desc):
                     total = t.zero
                     for att, o in zip(seq, orients):
                         total = t.add(total, raw[id(att)][o])
-                    g1, g2 = groups.coordinates(t.wrap(total))
+                    g1, g2 = groups.coordinates(groups.GroupElement(desc, total))
                     if groups.is_zero(g1) or groups.is_zero(g2):
                         continue
                     chords, chord_pos = [], []

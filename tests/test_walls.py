@@ -7,7 +7,8 @@ import networkx as nx
 import pytest
 
 from nonzero_cycles import groups
-from nonzero_cycles.graphs import Edge, LabeledGraph, Walk, _bfs_forest, _tree_walk
+from nonzero_cycles.graphs import Edge, GraphFormatError, LabeledGraph, Walk, _bfs_forest, _tree_walk
+from nonzero_cycles.reductions import decode_embedded
 from nonzero_cycles.walls import (
     Wall,
     WallFormatError,
@@ -304,6 +305,16 @@ def test_wall_decode_rejects_malformed_payloads(case):
     BROKEN_WALL_PAYLOADS[case](data)
     with pytest.raises(WallFormatError, match="malformed wall payload"):
         decode_wall(data)
+
+
+@pytest.mark.parametrize("data", [{}, {"anatomy": {}}, {"rotations": {}}, [], "graph", None, 5], ids=repr)
+@pytest.mark.parametrize(
+    "decode, error", [(decode_wall, WallFormatError), (decode_embedded, GraphFormatError)], ids=["wall", "embedded"]
+)
+def test_a_payload_with_no_graph_is_a_typed_error(decode, error, data):
+    # the decoder's typed error, not a bare KeyError or TypeError
+    with pytest.raises(error, match="^malformed (wall|embedded) payload: "):
+        decode(data)
 
 
 BAD_WALL_ANATOMIES = {
