@@ -105,9 +105,8 @@ class ClassifiedCycle(NamedTuple):
 
     @property
     def rep(self) -> Cycle:
-        """The representative, built without the checks of `Cycle`: the DFS
-        made it closed and simple."""
-        return Cycle.trusted(*_walk_lists(self.start, self.chains))
+        """The representative, built from the chains on read."""
+        return Cycle(*_walk_lists(self.start, self.chains))
 
     @property
     def values(self) -> Tuple[groups.GroupElement, groups.GroupElement]:
@@ -402,9 +401,7 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
     it: the ORs of its chains' edge and vertex masks, its zero flags and
     raw value, and its start and the list of its chains, whose tuples are
     the `_bit_steps` ones, shared by every cycle through a chain.  The sort
-    reads one integer per cycle (see `_edge_bits`).  The DFS builds each
-    representative closed and simple, so `rep` takes `Cycle.trusted`,
-    without the checks."""
+    reads one integer per cycle (see `_edge_bits`)."""
     bit, adj = _bit_steps(graph)
     desc = graph.descriptor
     zeros = groups.zero_reader(desc)

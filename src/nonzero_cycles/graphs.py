@@ -54,7 +54,9 @@ class Edge(NamedTuple):
 
 
 class LabeledGraph:
-    """Immutable multigraph with group-labeled oriented edges."""
+    """Immutable multigraph with group-labeled oriented edges.  Vertex ids
+    and each edge's id, tail and head are read by `groups.as_integer`, and
+    an edge is stored rebuilt when one of them is not an int."""
 
     __slots__ = ("descriptor", "_vertices", "_edges", "_incident", "_steps", "_adjacency")
 
@@ -71,13 +73,22 @@ class LabeledGraph:
             raise GraphFormatError(f"bad vertex id: {exc}") from None
         edge_map: Dict[int, Edge] = {}
         for e in edges:
-            if e.id in edge_map:
-                raise GraphFormatError(f"duplicate edge id {e.id}")
-            if e.tail not in self._vertices or e.head not in self._vertices:
-                raise GraphFormatError(f"edge {e.id} attached to unknown vertex")
-            if e.label.descriptor is not descriptor:
-                raise GraphFormatError(f"edge {e.id} labeled in the wrong group")
-            edge_map[e.id] = e
+            eid, tail, head, label = e
+            if type(eid) is not int or type(tail) is not int or type(head) is not int:
+                try:
+                    eid, tail, head = as_integer(eid), as_integer(tail), as_integer(head)
+                except ValueError as exc:
+                    raise GraphFormatError(f"bad edge {eid!r}: {exc}") from None
+                e = Edge(eid, tail, head, label)
+            if not isinstance(label, GroupElement):
+                raise GraphFormatError(f"edge {eid} label is not a group element")
+            if eid in edge_map:
+                raise GraphFormatError(f"duplicate edge id {eid}")
+            if tail not in self._vertices or head not in self._vertices:
+                raise GraphFormatError(f"edge {eid} attached to unknown vertex")
+            if label.descriptor is not descriptor:
+                raise GraphFormatError(f"edge {eid} labeled in the wrong group")
+            edge_map[eid] = e
         self._edges = edge_map
         incident: Dict[int, List[int]] = {v: [] for v in self._vertices}
         for e in edge_map.values():
@@ -260,17 +271,6 @@ class Cycle(Walk):
             raise GraphFormatError("cycle revisits a vertex")
         if len(set(self.edges)) != len(self.edges):
             raise GraphFormatError("cycle repeats an edge")
-
-    @classmethod
-    def trusted(cls, vertices: Tuple[int, ...], edges: Tuple[int, ...]) -> "Cycle":
-        """The cycle `Cycle(vertices, edges)` without the checks of
-        `__post_init__`, for a walk its maker has built closed and simple:
-        the enumerating DFS (`cycles.enumerate_cycles`).  Walks from outside
-        (certificates, lemmas) take the checked constructor."""
-        cycle = object.__new__(cls)
-        object.__setattr__(cycle, "vertices", vertices)
-        object.__setattr__(cycle, "edges", edges)
-        return cycle
 
     def rooted_at(self, v: int) -> "Cycle":
         interior = self.vertices[:-1]

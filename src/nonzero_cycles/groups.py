@@ -612,92 +612,64 @@ def decode_element(desc: GroupDescriptor, data) -> GroupElement:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
-    """Return (U, S, V) with U*M*V = S, U and V unimodular, S diagonal with
-    each diagonal entry dividing the next; exact integer arithmetic."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    s = [list(map(int, row)) for row in matrix]
-    for row in s:
-        if len(row) != cols:
-            raise ValueError("ragged matrix")
+    """Return (U, S, V) with U*M*V = S, U and V unimodular and S the Smith
+    form of M: diagonal, non-negative, each diagonal entry dividing the
+    next. Entries are read by `as_integer`; exact integer arithmetic.
+
+    One loop per diagonal position t. The smallest non-zero entry of the
+    block [t:, t:] is swapped to (t, t) as the pivot, and one pass subtracts
+    the floor-quotient multiple of row t from every row below and of column
+    t from every column to its right. A non-zero remainder is smaller than
+    the pivot, so the next pick is too. Once row t and column t are clear, a
+    row holding an entry the pivot does not divide is added into row t,
+    where the next pass leaves a smaller remainder. So the pivot shrinks
+    until it divides the whole block, and the loop ends. Every step is one
+    row operation on S and U or one column operation on S and V."""
+    s = [[as_integer(x) for x in row] for row in matrix]
+    rows = len(s)
+    cols = len(s[0]) if rows else 0
+    if any(len(row) != cols for row in s):
+        raise ValueError("ragged matrix")
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        for c in range(cols):
-            s[i][c] -= q * s[j][c]
-        for c in range(rows):
-            u[i][c] -= q * u[j][c]
+    def row_op(i, j, q):  # row i -= q * row j, or swap rows i and j if q is None
+        for m in (s, u):
+            if q is None:
+                m[i], m[j] = m[j], m[i]
+            else:
+                m[i] = [a - q * b for a, b in zip(m[i], m[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            s[r][i] -= q * s[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def negate_row(i):
-        for c in range(cols):
-            s[i][c] = -s[i][c]
-        for c in range(rows):
-            u[i][c] = -u[i][c]
+    def col_op(i, j, q):  # column i -= q * column j, or swap them if q is None
+        for m in (s, v):
+            for r in m:
+                if q is None:
+                    r[i], r[j] = r[j], r[i]
+                else:
+                    r[i] -= q * r[j]
 
     t = 0
     while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < best):
-                    best = abs(s[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t below the pivot
-            dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_op(i, t, q)
-                    if s[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_op(j, t, q)
-                    if s[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty:
-                break
-        if s[t][t] < 0:
-            negate_row(t)
-        # enforce divisibility: pivot must divide every remaining entry
-        fixed = False
+        block = [(abs(x), i, j) for i in range(t, rows) for j in range(t, cols) if (x := s[i][j])]
+        if not block:
+            return u, s, v
+        _, i, j = min(block)
+        row_op(t, i, None)
+        col_op(t, j, None)
+        p = s[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if s[i][j] % s[t][t] != 0:
-                    row_op(t, i, -1)  # add row i to row t, then restart block
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if not fixed:
+            row_op(i, t, s[i][t] // p)
+        for j in range(t + 1, cols):
+            col_op(j, t, s[t][j] // p)
+        if any(s[i][t] for i in range(t + 1, rows)) or any(s[t][t + 1:]):
+            continue
+        bad = [i for i in range(t + 1, rows) if any(x % p for x in s[i][t + 1:])]
+        if bad:
+            row_op(t, bad[0], -1)
+        elif p < 0:
+            row_op(t, t, 2)  # row t -= 2 * row t negates the pivot
+        else:
             t += 1
-    return u, s, v
 
 
 def quotient_with_projection(
@@ -705,7 +677,7 @@ def quotient_with_projection(
 ) -> tuple[GroupDescriptor, Callable[[Sequence[int]], GroupElement]]:
     """Group Z^ncols modulo the row span of `relations`, together with the
     projection map from raw coordinate vectors to canonical elements."""
-    rel = [list(map(int, row)) for row in relations]
+    rel = [[as_integer(x) for x in row] for row in relations]
     for row in rel:
         if len(row) != ncols:
             raise ValueError("relation rows must have length ncols")

@@ -491,7 +491,8 @@ def test_walk_reader_raises_the_errors_of_walk_validate():
 
 def test_enumeration_and_robustness_check_wrap_no_element(monkeypatch):
     # both work on raw payloads: no element is built, no walk is folded,
-    # and the only cycles built with the checks are the witness's two
+    # and the only cycles built with the checks are the witness's two and
+    # the two representatives they are rooted from
     def refuse(*args):
         raise AssertionError("called on the raw path")
 
@@ -514,7 +515,7 @@ def test_enumeration_and_robustness_check_wrap_no_element(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(groups.GroupElement, "__init__", refuse)
             ok, witness = is_robust(g, cycles=enumerate_cycles(g))
-        assert len(checked) == (0 if ok else 2)
+        assert len(checked) == (0 if ok else 4)
         witnesses += not ok
         checked.clear()
     assert witnesses >= 3

@@ -515,3 +515,71 @@ def test_a_label_from_another_group_is_a_format_error():
     with pytest.raises(GraphFormatError) as info:
         LabeledGraph(groups.cyclic(3), [0, 1], [Edge(0, 0, 1, label)])
     assert str(info.value) == "edge 0 labeled in the wrong group"
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (Edge(1.5, 0, 1, lab(Z, 1)), "bad edge 1.5: 1.5 is not an integer"),
+        (Edge("a", 0, 1, lab(Z, 1)), "bad edge 'a': 'a' is not an integer"),
+        (Edge(0, True, 1, lab(Z, 1)), "bad edge 0: True is not an integer"),
+        (Edge(0, 0, 0.5, lab(Z, 1)), "bad edge 0: 0.5 is not an integer"),
+        (Edge(0, 0, None, lab(Z, 1)), "bad edge 0: None is not an integer"),
+        (Edge(0, 0, 1, 5), "edge 0 label is not a group element"),
+    ],
+    ids=["float id", "word id", "bool tail", "float head", "no head", "int label"],
+)
+def test_graph_reads_edge_ids_and_ends_by_the_one_integer_rule(edge, message):
+    # these built a graph, or raised a bare AttributeError for the label,
+    # and `encode_graph` wrote the id 1.5 and the tail true as given
+    with pytest.raises(GraphFormatError) as info:
+        LabeledGraph(Z, [0, 1], [edge])
+    assert str(info.value) == message
+
+
+def test_graph_stores_each_edge_with_integer_id_and_ends():
+    one = lab(Z, 1)
+    kept = Edge(0, 0, 1, one)
+    g = LabeledGraph(Z, [0, 1], [kept, Edge(1.0, "1", 0.0, one)])
+    assert g.edge(0) is kept
+    assert g.edge(1) == Edge(1, 1, 0, one)
+    assert all(type(x) is int for e in g.edges.values() for x in e[:3])
+    assert encode_graph(g)["edges"][1] == {"id": 1, "tail": 1, "head": 0, "label": groups.encode_element(one)}
+
+
+def _two_triangles_and_a_loop():
+    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 0)]
+    return LabeledGraph(Z, range(6), [Edge(i, t, h, lab(Z, 1)) for i, (t, h) in enumerate(arcs)])
+
+
+TRIANGLE = Cycle((0, 1, 2, 0), (0, 1, 2))
+
+# one corrupted walk, edge set or vertex per `GraphFormatError` that the walk
+# and cycle constructors, `Cycle.rooted_at`, `cycle_from_edges` and
+# `LabeledGraph.other_end` raise
+BAD_WALKS = {
+    "walk without an end": (lambda: Walk((0, 1), ()), "walk needs one more vertex than edges"),
+    "walks apart": (lambda: Walk((0, 1), (0,)).concat(Walk((2, 0), (2,))), "walks do not share an endpoint"),
+    "cycle without edges": (lambda: Cycle((0,), ()), "a cycle has at least one edge"),
+    "cycle repeating an edge": (lambda: Cycle((0, 1, 0), (0, 0)), "cycle repeats an edge"),
+    "root off the cycle": (lambda: TRIANGLE.rooted_at(5), "vertex 5 not on cycle"),
+    "no edges": (lambda: cycle_from_edges(_two_triangles_and_a_loop(), []), "empty edge set"),
+    "one edge": (lambda: cycle_from_edges(_two_triangles_and_a_loop(), [0]), "single non-loop edge is not a cycle"),
+    "a loop and a triangle": (
+        lambda: cycle_from_edges(_two_triangles_and_a_loop(), [0, 1, 2, 6]),
+        "loop mixed into a longer cycle",
+    ),
+    "two triangles": (
+        lambda: cycle_from_edges(_two_triangles_and_a_loop(), range(6)),
+        "edge set is not a single cycle",
+    ),
+    "a vertex off the edge": (lambda: _two_triangles_and_a_loop().other_end(0, 2), "vertex 2 not an end of edge 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WALKS))
+def test_walk_and_cycle_checks_name_each_rejection(case):
+    make, message = BAD_WALKS[case]
+    with pytest.raises(GraphFormatError) as info:
+        make()
+    assert str(info.value) == message

@@ -1,7 +1,12 @@
 import copy
 import functools
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -347,6 +352,92 @@ def test_smith_normal_form_properties(matrix):
     expected = [int(x) for x in sympy_snf(m).diagonal()]
     expected_nonzero = [abs(d) for d in expected if d != 0]
     assert nonzero == expected_nonzero
+
+
+# a dense matrix with invariant factors 1, 1, 1, 1, 1, 419918, on which a
+# reduction that does not pivot on the smallest entry can run for minutes
+DENSE_6X6 = [
+    [8, -9, 0, 3, -6, 9],
+    [-9, -9, -3, -4, 6, 8],
+    [9, -1, 8, 7, -5, 9],
+    [-3, 4, -6, -5, -4, 7],
+    [7, -6, -9, -6, -7, -4],
+    [7, 6, 5, 4, -8, -9],
+]
+
+
+def smith_forms_in_a_child(matrices, timeout):
+    """`smith_normal_form` of each matrix, computed in a child process that
+    is killed after `timeout` seconds, so that a reduction which never ends
+    fails the test instead of hanging the suite."""
+    env = dict(os.environ)
+    src = str(Path(groups.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "from nonzero_cycles.groups import smith_normal_form\n"
+        "print(json.dumps([smith_normal_form(m) for m in json.load(sys.stdin)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(matrices), capture_output=True, text=True, env=env, timeout=timeout
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def assert_smith_form(m, u, s, v):
+    """U*M*V = S, U and V unimodular with entries below 2**128, and S
+    diagonal and non-negative with each diagonal entry dividing the next and
+    sympy's invariant factors."""
+    su, sv = sympy.Matrix(u), sympy.Matrix(v)
+    assert su * sympy.Matrix(m) * sv == sympy.Matrix(s)
+    assert abs(su.det()) == 1 and abs(sv.det()) == 1
+    assert max(abs(x) for x in su) < 2**128 and max(abs(x) for x in sv) < 2**128
+    diag = [s[i][i] for i in range(min(len(m), len(m[0])))]
+    assert all(s[i][j] == 0 for i in range(len(m)) for j in range(len(m[0])) if i != j)
+    assert all(d >= 0 for d in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    expected = [abs(int(x)) for x in sympy_snf(sympy.Matrix(m)).diagonal() if x != 0]
+    assert [d for d in diag if d] == expected
+
+
+def test_smith_normal_form_of_a_dense_6x6_matrix_returns():
+    [(u, s, v)] = smith_forms_in_a_child([DENSE_6X6], timeout=10)
+    assert [s[i][i] for i in range(6)] == [1, 1, 1, 1, 1, 419918]
+    assert_smith_form(DENSE_6X6, u, s, v)
+
+
+def test_smith_normal_form_on_seeded_matrices_up_to_8x8():
+    rng = random.Random(37)
+    matrices = []
+    for _ in range(500):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        matrices.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    for m, (u, s, v) in zip(matrices, smith_forms_in_a_child(matrices, timeout=30)):
+        assert_smith_form(m, u, s, v)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: smith_normal_form([[2.5, 4]]),
+        lambda: smith_normal_form([[True, 3]]),
+        lambda: smith_normal_form([[1, "x"]]),
+        lambda: smith_normal_form([[None]]),
+        lambda: quotient_with_projection([[2.7, 0]], 2),
+        lambda: quotient_with_projection([[0, False]], 2),
+    ],
+    ids=["float", "bool", "word", "none", "quotient-float", "quotient-bool"],
+)
+def test_smith_normal_form_reads_entries_by_the_one_integer_rule(call):
+    # not truncated: int() read 2.5 as 2, True as 1 and 2.7 as 2
+    with pytest.raises(ValueError, match="is not an integer$"):
+        call()
+
+
+def test_smith_normal_form_reads_integral_floats_and_decimal_strings():
+    assert smith_normal_form([[2.0, "4"]]) == smith_normal_form([[2, 4]])
+    assert quotient_with_projection([["2"]], 1)[0] == quotient([2])
 
 
 def test_quotient_with_projection_torus_like():

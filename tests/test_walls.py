@@ -1,5 +1,6 @@
 """Tests for wall construction, subwalls, and local rerouting."""
 
+import dataclasses
 import json
 import math
 
@@ -481,3 +482,118 @@ def test_elementary_snakes_are_the_column_tree_walks(r):
     # path, so its tree walk from top tip to bottom tip is the same walk
     wall = _elementary(r)
     assert wall.snakes == reference_snakes(wall, r)
+
+
+def _anatomy(key, value):
+    """A change that sets one anatomy field of an encoded wall."""
+    return lambda d: d["anatomy"].__setitem__(key, value)
+
+
+def _walk(vertices, edges):
+    return {"vertices": vertices, "edges": edges}
+
+
+# one corrupted field of `encode_wall(elementary_wall(2))` per rejection of
+# `validate_wall`: its rows are [1..5], [7..10], [12..16] and its columns
+# [1, 7, 6, 12], [3, 9, 8, 14], [5, 11, 10, 16]
+INVALID_WALL_ANATOMIES = {
+    "two horizontal paths": (
+        lambda d: d["anatomy"]["horizontal"].pop(),
+        "anatomy must hold r+1 horizontal and vertical paths",
+    ),
+    "a vertex of degree 4": (lambda d: d["graph"]["edges"][13].update(head=8), "vertex 8 has degree above 3"),
+    "a repeated horizontal path": (
+        lambda d: d["anatomy"]["horizontal"].__setitem__(1, d["anatomy"]["horizontal"][0]),
+        "anatomy paths of one family must be disjoint",
+    ),
+    "a vertical path upside down": (
+        lambda d: d["anatomy"]["vertical"].__setitem__(1, _walk([14, 8, 9, 3], [17, 6, 14])),
+        "vertical paths must run from the top row to the bottom row",
+    ),
+    "a vertical path along the top row": (
+        lambda d: d["anatomy"]["vertical"].__setitem__(1, _walk([2, 3, 9, 8, 14], [1, 14, 6, 17])),
+        "vertical paths meet the outer rows only at their ends",
+    ),
+    "a horizontal path right to left": (
+        lambda d: d["anatomy"]["horizontal"].__setitem__(1, _walk([10, 9, 8, 7], [7, 6, 5])),
+        "horizontal paths must run between the outer vertical paths",
+    ),
+    "a horizontal path along the left column": (
+        lambda d: d["anatomy"]["horizontal"].__setitem__(1, _walk([6, 7, 8, 9, 10], [4, 5, 6, 7])),
+        "horizontal paths meet the outer paths only at their ends",
+    ),
+    "an edge on no path": (
+        lambda d: d["graph"]["edges"].append({"id": 19, "tail": 2, "head": 13, "label": d["graph"]["edges"][0]["label"]}),
+        "wall edges must decompose into horizontal and vertical paths",
+    ),
+    "three corners": (lambda d: d["anatomy"]["corners"].pop(), "a wall has four corners"),
+    "a corner of degree 3": (_anatomy("corners", [1, 5, 16, 3]), "corners must be degree-2 boundary vertices"),
+    "three bricks": (lambda d: d["anatomy"]["bricks"].pop(), "a 2-wall has 4 bricks"),
+    "a brick with five branch vertices": (
+        _anatomy("branch", list(range(3, 17))),
+        "every brick passes through exactly six branch vertices",
+    ),
+    "a corner as a nail": (_anatomy("nails", [1, 4, 6, 11, 13, 15]), "nails must be degree-2 non-corner branch boundary vertices"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_WALL_ANATOMIES))
+def test_validate_wall_names_each_rejection(case):
+    data = json.loads(json.dumps(encode_wall(elementary_wall(2))))
+    change, message = INVALID_WALL_ANATOMIES[case]
+    change(data)
+    with pytest.raises(WallFormatError) as info:
+        decode_wall(data)
+    assert str(info.value) == message
+
+
+def _reroute_case(case):
+    """(wall, pprime, q, host) for `local_reroute` on the elementary 4-wall
+    with one corrupted input: the replaced segment, the replacement, or the
+    wall's bricks."""
+    w = elementary_wall(4)
+    seg = _vertical_segment(w)
+    host, q = _host_with_detour(w, seg, [10_000])
+    x, y = seg.start, seg.end
+    ident = groups.identity(w.graph.descriptor)
+    if case == "empty segment":
+        return w, Walk((x,), ()), q, host
+    if case == "segment to a subdivision vertex":
+        rerouted = local_reroute(w, seg, q, host=host)
+        return rerouted, Walk(q.vertices[:2], q.edges[:1]), q, host
+    if case == "horizontal segment":
+        return w, Walk((11, 12), (9,)), q, host
+    if case == "segment on no brick":
+        bricks = tuple(b for b in w.bricks if not {x, y} <= b.vertex_set())
+        return dataclasses.replace(w, bricks=bricks), seg, q, host
+    if case == "empty replacement":
+        return w, seg, Walk((x,), ()), host
+    if case == "replacement to another vertex":
+        return w, seg, Walk(q.vertices[:2], q.edges[:1]), host
+    if case == "replacement through the wall":
+        host, q = _host_with_detour(w, seg, [1])
+        return w, seg, q, host
+    if case == "replacement with wall edge ids":
+        host = LabeledGraph(w.graph.descriptor, [x, 10_000, y], [Edge(0, x, 10_000, ident), Edge(1, 10_000, y, ident)])
+        return w, seg, Walk((x, 10_000, y), (0, 1)), host
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("empty segment", "the replaced segment must be a nonempty path"),
+        ("segment to a subdivision vertex", "the replaced segment must join two branch vertices"),
+        ("horizontal segment", "the replaced segment must lie on a vertical path"),
+        ("segment on no brick", "the segment ends must share a brick"),
+        ("empty replacement", "the replacement must be a nonempty path"),
+        ("replacement to another vertex", "the replacement must join the same two vertices"),
+        ("replacement through the wall", "the replacement must be internally disjoint from the wall"),
+        ("replacement with wall edge ids", "replacement edges collide with wall edge ids"),
+    ],
+)
+def test_local_reroute_names_each_rejection(case, message):
+    wall, pprime, q, host = _reroute_case(case)
+    with pytest.raises(WallFormatError) as info:
+        local_reroute(wall, pprime, q, host=host)
+    assert str(info.value) == message
