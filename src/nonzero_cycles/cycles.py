@@ -15,22 +15,24 @@ representative's orientation, with no rotation or reversal (see
 `enumerate_cycles`).  The DFS carries each chain's raw label payload,
 prefolded in its direction of travel, and as it closes a path it reads the
 path back and sums the non-zero payloads in path order with one
-`groups.Table.fold` call.  `enumerate_cycles` keeps every cycle as a
+`groups.Table.fold` call; for a path it keeps, it ORs the chains' edge
+and vertex bitmasks.  `enumerate_cycles` keeps every cycle as a
 lean `ClassifiedCycle` record: its edge and vertex bitmasks, zero flags,
 that raw value, and its start and chains.  Its edge set and
 representative are built from the chains only when read, and `values`
 builds elements only when read, so no group element is built.  Edge
 bits run from the largest edge id down (`_edge_bits`), so one integer
-per cycle sorts by (length, sorted edge ids).  The DFS is the record's
+per path sorts by (length, sorted edge ids), and the DFS sorts what it
+keeps by it once.  The DFS is the record's
 one maker; a walk from outside (a certificate, a lemma's cycle) is tested
 by `graphs.walk_zeros` instead, and both read zeros by `groups.zero_reader`.
 `is_robust` picks and pairs cycles by their masks, skips a pair whose
 values lie in different classes of `groups.Table.klass` (no rerooting
 makes them meet), and compares raw coordinate values, shifted by
-`graphs.shifted_value` where a non-abelian coordinate is rerooted.
+`graphs.shifted_value` at each root tried.
 `doubly_nonzero_masks`, which the exact packing and covering solvers
-read, keeps only the doubly non-zero cycles, each as the OR of its
-chains' vertex bitmasks and its edge ids, in the same order.
+read, keeps only the doubly non-zero cycles, each as its vertex bitmask
+and its edge ids, in the same order.
 
 Only this module builds DFS jobs or reads the DFS's step, job and path
 formats; other modules read the vertex-bit order (`_vertex_bits`, decoded
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import groups
@@ -137,21 +138,10 @@ def _edge_bits(graph: LabeledGraph) -> Dict[int, int]:
     Numbered from the largest id down, the masks of two edge sets of one
     size compare as their sorted id lists do, reversed: the lists first
     differ at the smallest id of the symmetric difference, which is the
-    highest bit where the masks differ.  So the integer `_edge_order` key
-    sorts by (length, sorted edge ids)."""
+    highest bit where the masks differ.  So in a graph with m edges the
+    one integer `(mask.bit_count() << m) - mask` sorts edge sets by
+    (length, sorted edge ids); `_simple_paths` sorts its output by it."""
     return {eid: 1 << i for i, eid in enumerate(reversed(graph.edge_ids()))}
-
-
-def _edge_order(m: int, mask_of):
-    """The sort key of (length, sorted edge ids) for items whose edge set
-    is `mask_of(item)`, an `_edge_bits` mask of a graph with m edges:
-    `(length << m) - mask`, one integer per item (see `_edge_bits`)."""
-
-    def key(item):
-        mask = mask_of(item)
-        return (mask.bit_count() << m) - mask
-
-    return key
 
 
 def _mask_vertices(mask: int, bit: Dict[int, int]) -> FrozenSet[int]:
@@ -243,14 +233,15 @@ def _bit_steps(graph: LabeledGraph, keep: Iterable[int] = ()):
     return bit, adj
 
 
-def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: groups.Table) -> list:
-    """The paths a DFS from each job closes over the `_bit_steps` adjacency,
-    as `make(start, chains, raw value)`, left out where that is None; the
-    chains are those of the path in order, in a list of their own that
-    `make` may keep, and the path leaves `start`.  (A list, not a tuple:
-    tuples shorter than 20, freed by the thousand when the kept records
-    go, would stay in the interpreter's tuple free lists and raise the
-    process's peak memory.)
+def _simple_paths(graph: LabeledGraph, adj, jobs, limit: Optional[int], what: str, keep, make) -> list:
+    """The paths a DFS from each job closes over the `_bit_steps` adjacency
+    whose raw value passes `keep` (every path where `keep` is None), each
+    as `make(start, chains, raw value, edge mask, vertex mask)`, sorted by
+    (length, sorted edge ids); the chains are those of the path in order,
+    in a list of their own that `make` may keep, and the path leaves
+    `start`.  (A list, not a tuple: tuples shorter than 20, freed by the
+    thousand when the kept records go, would stay in the interpreter's
+    tuple free lists and raise the process's peak memory.)
     A job `(node, used, closing, ends)` starts from the path `node`,
     `(vertex, chain into it, its payload, parent node)` back to
     `(start, None, None, None)`: a step by a chain with an edge in the
@@ -258,15 +249,23 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
     a step to any other vertex extends it while a vertex of `ends` is off
     `used`.  Only kept vertices have bits in `used`: a chain's inner
     vertices lie on no other chain, so a path meets them only along it.
-    The raw value, in `table`'s group, is the sum of the chain payloads in
-    path order: the non-zero ones are collected while the closed path is
-    read back and, when there are two or more, summed by one `table.fold`
+    The raw value, in the graph's group, is the sum of the chain payloads
+    in path order: the non-zero ones are collected while the closed path is
+    read back and, when there are two or more, summed by one `Table.fold`
     call in path order, so that the order holds in a non-abelian group.
+    Only a kept path's chains are then ORed into its `_edge_bits` and
+    `_vertex_bits` masks (a path's start is in its vertex mask only when a
+    chain ends there, as a cycle's last one does), so a path that `keep`
+    drops costs no mask.  The kept paths are sorted once, by the one
+    integer key of `_edge_bits` on their edge masks, which are kept in a
+    list apart from the items: a (key, item) pair per path raised peak
+    memory by about 5 MB at 40,000 cycles.
     Raises EnumerationLimitError when more than `limit` paths close, kept
     or not."""
     ceiling = enumeration_limit(limit)
-    fold, zero = table.fold, table.zero
-    out = []
+    t = groups.table(graph.descriptor)
+    fold, zero = t.fold, t.zero
+    out, masks = [], []
     closed = 0
     for top, used, closing, ends in jobs:
         stack = [(top, used)]
@@ -292,12 +291,19 @@ def _simple_paths(adj, jobs, limit: Optional[int], what: str, make, table: group
                             total = fold(xs)
                         else:
                             total = xs[0] if xs else zero
-                        item = make(at[0], chains[::-1], total)
-                        if item is not None:
-                            out.append(item)
+                        if keep is not None and not keep(total):
+                            continue
+                        vmask = emask = 0
+                        for link in chains:
+                            vmask |= link[2]
+                            emask |= link[3]
+                        out.append(make(at[0], chains[::-1], total, emask, vmask))
+                        masks.append(emask)
                 elif grow:
                     stack.append(((w, chain, x, node), used | wb))
-    return out
+    m = len(graph.edge_ids())
+    order = sorted(range(len(out)), key=lambda k: (masks[k].bit_count() << m) - masks[k])
+    return [out[k] for k in order]
 
 
 def _walk_lists(start, chains):
@@ -360,18 +366,14 @@ def enumerate_nonzero_a_paths(graph: LabeledGraph, terminals, limit: Optional[in
             closing |= eb
             ends |= wb
 
-    def make(start, chains, raw):
-        if raw == t.zero:
-            return None
-        emask = 0
-        for chain in chains:
-            emask |= chain[3]
-        return emask, Walk(*_walk_lists(start, chains))
+    def nonzero(raw):
+        return raw != t.zero
+
+    def make(start, chains, raw, emask, vmask):
+        return Walk(*_walk_lists(start, chains))
 
     # every closed path counts towards the limit; only the nonzero ones are kept
-    paths = _simple_paths(adj, jobs, limit, "A-paths", make, t)
-    paths.sort(key=_edge_order(len(graph.edge_ids()), itemgetter(0)))
-    return [walk for _, walk in paths]
+    return _simple_paths(graph, adj, jobs, limit, "A-paths", nonzero, make)
 
 
 def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[ClassifiedCycle]:
@@ -398,32 +400,27 @@ def enumerate_cycles(graph: LabeledGraph, limit: Optional[int] = None) -> List[C
     orientation, with no rotation or reversal.
 
     Each cycle is kept as a lean `ClassifiedCycle`, made as the DFS closes
-    it: the ORs of its chains' edge and vertex masks, its zero flags and
-    raw value, and its start and the list of its chains, whose tuples are
-    the `_bit_steps` ones, shared by every cycle through a chain.  The sort
-    reads one integer per cycle (see `_edge_bits`)."""
+    it: the edge and vertex masks that the DFS ORs from its chains, its
+    zero flags and raw value, and its start and the list of its chains,
+    whose tuples are the `_bit_steps` ones, shared by every cycle through
+    a chain.  The DFS returns them sorted, by one integer per cycle (see
+    `_edge_bits`)."""
     bit, adj = _bit_steps(graph)
     desc = graph.descriptor
     zeros = groups.zero_reader(desc)
 
-    def make(start, chains, raw):
-        vmask = emask = 0
-        for _, _, chain_vmask, chain_emask in chains:
-            vmask |= chain_vmask
-            emask |= chain_emask
+    def make(start, chains, raw, emask, vmask):
         return ClassifiedCycle(emask, vmask, zeros(raw), raw, start, chains, desc)
 
-    cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(desc))
-    cycles.sort(key=_edge_order(len(graph.edge_ids()), attrgetter("emask")))
-    return cycles
+    return _simple_paths(graph, adj, _cycle_jobs(bit, adj), limit, "cycles", None, make)
 
 
 def doubly_nonzero_masks(graph: LabeledGraph, limit: Optional[int] = None) -> List[Tuple[int, Tuple[int, ...]]]:
     """The doubly non-zero cycles of `enumerate_cycles`, in its order, each
     as `(vertex mask, edge ids)`: the `_vertex_bits` of its vertices and
     the edge ids of its representative.  A cycle is kept by the value the
-    DFS folds as it closes the cycle; its mask is the OR of its chains'
-    vertex masks, and its edge ids are built only when it is kept.  No
+    DFS folds as it closes the cycle; its mask is the one the DFS ORs for
+    a kept cycle, and its edge ids are built only when it is kept.  No
     `Cycle` or `ClassifiedCycle` is built for any cycle.  The
     DFS is `enumerate_cycles`'s, rooted at the kept vertices of
     `_bit_steps`, which hold every cycle's smallest vertex, and every
@@ -432,20 +429,16 @@ def doubly_nonzero_masks(graph: LabeledGraph, limit: Optional[int] = None) -> Li
     bit, adj = _bit_steps(graph)
     zeros = groups.zero_reader(graph.descriptor)
 
-    def make(start, chains, raw):
-        if True in zeros(raw):
-            return None
-        vmask = emask = 0
-        eids = []
-        for chain_eids, _, chain_vmask, chain_emask in chains:
-            vmask |= chain_vmask
-            emask |= chain_emask
-            eids += chain_eids
-        return emask, (vmask, tuple(eids))
+    def doubly_nonzero(raw):
+        return True not in zeros(raw)
 
-    cycles = _simple_paths(adj, _cycle_jobs(bit, adj), limit, "cycles", make, groups.table(graph.descriptor))
-    cycles.sort(key=_edge_order(len(graph.edge_ids()), itemgetter(0)))
-    return [cycle for _, cycle in cycles]
+    def make(start, chains, raw, emask, vmask):
+        eids = []
+        for chain in chains:
+            eids += chain[0]
+        return vmask, tuple(eids)
+
+    return _simple_paths(graph, adj, _cycle_jobs(bit, adj), limit, "cycles", doubly_nonzero, make)
 
 
 def zero_edge_set(graph: LabeledGraph, i: int, cycles: Optional[List[ClassifiedCycle]] = None) -> FrozenSet[int]:
@@ -513,13 +506,11 @@ def is_robust(
     `Table.klass(x)`: a candidate pair whose keys differ can meet at no
     root, and is skipped before any value from a root is computed.  Each
     hot cycle's key is computed when it first meets a candidate, and kept.
-    In an abelian coordinate a cycle's value is x from every root and the
-    key is exact, x up to sign, so equal keys make the pair confusable at
-    its smallest common vertex, and no prefix is folded.  In a non-abelian
-    one a pair with equal keys tries its common vertices in ascending
-    order, and each cycle folds its prefix once per root it is tried at.
-    The prefix is read along the cycle's chains; only the witness builds
-    `Cycle`s.
+    A pair with equal keys tries its common vertices in ascending order,
+    and each cycle folds its prefix once per root it is tried at.  (In an
+    abelian coordinate the key is x up to sign and so is every value from
+    a root, so the first root tried meets.)  The prefix is read along the
+    cycle's chains; only the witness builds `Cycle`s.
     """
     if cycles is None:
         cycles = enumerate_cycles(graph, limit)
@@ -536,9 +527,8 @@ def is_robust(
         for a, c in enumerate(hot):
             for chain in c.chains:
                 through[chain[3]] = through.get(chain[3], 0) | 1 << a
-        abelian = part.is_abelian
         keys = [None] * len(hot)  # index in hot -> its value's klass, once computed
-        rooted = {}  # (index in hot, root) -> raw values from root, both ways; non-abelian only
+        rooted = {}  # (index in hot, root) -> raw values from root, both ways
 
         def values(a: int, root: int):
             key = a, root
@@ -587,8 +577,8 @@ def is_robust(
                 while common:
                     vbit = common & -common
                     common ^= vbit
-                    root = order[vbit.bit_length() - 1]  # ascending roots; abelian: the smallest only
-                    if abelian or values(a, root) & values(b, root):
+                    root = order[vbit.bit_length() - 1]  # ascending roots
+                    if values(a, root) & values(b, root):
                         witness = first.rep.rooted_at(root), hot[b].rep.rooted_at(root)
                         return False, RobustnessWitness(i, *witness, root)
     return True, None

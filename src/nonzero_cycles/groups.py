@@ -112,22 +112,6 @@ class GroupElement:
     descriptor: GroupDescriptor
     payload: object
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        return op(self, other)
-
-    def __neg__(self) -> "GroupElement":
-        return inv(self)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return op(self, inv(other))
-
-    @property
-    def is_zero(self) -> bool:
-        return is_zero(self)
-
-    def __str__(self) -> str:
-        return repr(self.payload)
-
 
 # every descriptor the constructors hand out, by (kind, n, parts)
 _INTERNED: Dict[tuple, GroupDescriptor] = {}
@@ -536,6 +520,8 @@ def format_descriptor(desc: GroupDescriptor) -> str:
 
 
 def parse_descriptor(text: str) -> GroupDescriptor:
+    if not isinstance(text, str):
+        raise GroupParseError(f"group descriptor must be a string, not {type(text).__name__}")
     desc, rest = _parse_desc(text.strip().lower())
     if rest:
         raise GroupParseError(f"trailing characters in group description: {rest!r}")

@@ -342,7 +342,7 @@ def validate_wall(wall: Wall) -> None:
         raise WallFormatError("wall edges must decompose into horizontal and vertical paths")
     if not wall.branch <= g.vertices:
         raise WallFormatError("branch vertices must be vertices of the graph")
-    if len(set(wall.corners)) != 4:
+    if len(wall.corners) != 4 or len(set(wall.corners)) != 4:
         raise WallFormatError("a wall has four corners")
     boundary_vs = wall.boundary.vertex_set()
     for c in wall.corners:
@@ -351,6 +351,8 @@ def validate_wall(wall: Wall) -> None:
     _on_graph(g, wall.boundary)
     if len(wall.bricks) != r * r:
         raise WallFormatError(f"a {r}-wall has {r * r} bricks")
+    if len({b.edge_set() for b in wall.bricks}) != r * r:
+        raise WallFormatError("bricks must be pairwise distinct")
     for b in wall.bricks:
         _on_graph(g, b)
         if sum(1 for v in b.vertex_set() if v in wall.branch) != 6:
@@ -358,6 +360,8 @@ def validate_wall(wall: Wall) -> None:
     for n in wall.nails:
         if n not in boundary_vs or g.degree(n) != 2 or n in wall.corners or n not in wall.branch:
             raise WallFormatError("nails must be degree-2 non-corner branch boundary vertices")
+    if tuple(sorted(wall.nails)) != _canonical_nails(g, wall.branch, wall.boundary, wall.corners):
+        raise WallFormatError("nails must be every degree-2 non-corner branch boundary vertex, each listed once")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from nonzero_cycles import cli, cycles, groups, obstructions, packing, reductions
-from nonzero_cycles.graphs import Edge, LabeledGraph, decode_graph, encode_graph, shift_sequence
-from nonzero_cycles.walls import elementary_wall
+from nonzero_cycles.graphs import Edge, GraphFormatError, LabeledGraph, decode_graph, encode_graph, shift_sequence
+from nonzero_cycles.walls import decode_wall, elementary_wall, encode_wall
 from test_obstructions import shared_end_graph, wall_with_a_looped_vertex
 
 
@@ -604,6 +604,42 @@ def test_an_instance_that_is_no_json_object_is_a_parse_error(tmp_path, capsys, c
     code, out, err = run([command, str(inst), *extra], capsys)
     assert (code, out) == (2, "")
     assert "bad instance" in err
+
+
+NON_STRING_GROUPS = [5, None, 3.0, ["z"], {}]
+
+
+@pytest.mark.parametrize("group", NON_STRING_GROUPS, ids=repr)
+@pytest.mark.parametrize("command", ["analyze", "pack", "cover", "verify"])
+def test_a_non_string_group_is_one_parse_error_line(tmp_path, capsys, command, group):
+    # a group descriptor that is no string crashed every command with an
+    # AttributeError and exit 1, the failed-certificate code
+    inst, cert = tmp_path / "x.json", tmp_path / "cert.json"
+    inst.write_text(json.dumps({"group": group, "vertices": [0], "edges": []}))
+    cert.write_text(json.dumps({"type": "transversal", "vertices": []}))
+    extra = [str(cert)] if command == "verify" else []
+    code, out, err = run([command, str(inst), *extra], capsys)
+    assert (code, out) == (2, "")
+    kind = type(group).__name__
+    assert err == f"bad instance: malformed graph payload: group descriptor must be a string, not {kind}\n"
+
+
+@pytest.mark.parametrize("group", NON_STRING_GROUPS, ids=repr)
+@pytest.mark.parametrize("decoder", ["graph", "wall", "embedded"])
+def test_each_decoder_reads_a_non_string_group_as_its_typed_error(decoder, group):
+    graph = {"group": group, "vertices": [0], "edges": []}
+    if decoder == "graph":
+        decode, data = decode_graph, graph
+    elif decoder == "wall":
+        data = json.loads(json.dumps(encode_wall(elementary_wall(2))))
+        data["graph"]["group"] = group
+        decode = decode_wall
+    else:
+        decode, data = reductions.decode_embedded, {"graph": graph, "rotations": {}}
+    with pytest.raises(GraphFormatError) as info:
+        decode(data)
+    assert str(info.value) == f"malformed graph payload: group descriptor must be a string, not {type(group).__name__}"
+    assert isinstance(info.value.__cause__, groups.GroupParseError)
 
 
 @pytest.mark.parametrize(

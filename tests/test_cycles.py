@@ -888,3 +888,10 @@ def test_key_filter_keeps_the_all_pairs_verdict_on_sparse_3_walls():
             if not got[0]:
                 witnesses.add(coordinate_abelian(desc, got[1][0]))
     assert witnesses == {True, False}
+
+
+def test_a_terminal_off_the_graph_is_rejected():
+    g = elementary_wall(2).graph
+    with pytest.raises(ValueError) as info:
+        enumerate_nonzero_a_paths(g, [min(g.vertices), max(g.vertices) + 1])
+    assert str(info.value) == "terminals must be vertices of the graph"

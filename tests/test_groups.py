@@ -636,3 +636,52 @@ def test_quotient_with_no_relations_is_the_free_abelian_group():
     assert str(desc) == "q(0,0)"
     for coords in [(0, 0), (3, -2), (-5, 7)]:
         assert proj(coords) == groups.element(desc, coords)
+
+
+def _bogus_kind():
+    return groups._intern("bogus")
+
+
+# one call per rejection of the descriptor constructors, the element
+# arithmetic, the descriptor parser and the Smith-form helpers; direct sums
+# of other than two summands only come from `_intern`
+GROUP_REJECTIONS = {
+    "cyclic(0)": (lambda: cyclic(0), GroupParseError, "cyclic modulus must be >= 1"),
+    "z0": (lambda: parse_descriptor("z0"), GroupParseError, "cyclic modulus must be >= 1"),
+    "free_abelian(-1)": (lambda: free_abelian(-1), GroupParseError, "free abelian rank must be >= 0"),
+    "free_group(-1)": (lambda: free_group(-1), GroupParseError, "free group needs >= 0 generators"),
+    "a sum of one": (
+        lambda: groups._intern(groups.KIND_DIRECT_SUM, parts=(integers(),)),
+        GroupParseError,
+        "direct sum takes exactly two summands",
+    ),
+    "quotient([-2])": (lambda: quotient([-2]), GroupParseError, "invariant factors must be >= 0"),
+    "letter 3 of free2": (lambda: element(free_group(2), [1, 3]), GroupParseError, "free group letter out of range"),
+    "letter 0 of free2": (lambda: element(free_group(2), [0]), GroupParseError, "free group letter out of range"),
+    "z2 + z3": (lambda: op(identity(cyclic(2)), identity(cyclic(3))), GroupParseError, "operands live in different groups"),
+    "side 2": (lambda: project(identity(direct_sum(cyclic(2), cyclic(3))), 2), GroupParseError, "side must be 0 or 1"),
+    "format an unknown kind": (lambda: format_descriptor(_bogus_kind()), GroupParseError, "unknown group kind 'bogus'"),
+    "compile an unknown kind": (lambda: groups.table(_bogus_kind()), GroupParseError, "unknown group kind 'bogus'"),
+    "sum(z2)": (lambda: parse_descriptor("sum(z2)"), GroupParseError, "sum(...) expects two comma-separated groups"),
+    "q(2,4": (lambda: parse_descriptor("q(2,4"), GroupParseError, "unterminated q(...)"),
+    "ragged matrix": (lambda: smith_normal_form([[1, 2], [3]]), ValueError, "ragged matrix"),
+    "relation of length 2 in Z^3": (
+        lambda: quotient_with_projection([[1, 2]], 3),
+        ValueError,
+        "relation rows must have length ncols",
+    ),
+    "coordinates of length 2 in Z^3": (
+        lambda: quotient_with_projection([[1, 2, 3]], 3)[1]((1, 2)),
+        ValueError,
+        "coordinate vector has wrong length",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GROUP_REJECTIONS))
+def test_group_checks_name_each_rejection(case):
+    call, error, message = GROUP_REJECTIONS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -742,3 +743,136 @@ def test_combine_two_cycles_reads_the_paths_in_either_direction(desc, seed):
         out = combine_two_cycles(graph, c1, c2, p1, p2)
         back = combine_two_cycles(graph, c1, c2, p1.reversed(), p2.reversed())
         assert (back.vertices, back.edges) == (out.vertices, out.edges)
+
+
+def stalled_exchange_instance():
+    """t = 1 over Z2 + Z2: Q paths a-m-b, each odd in coordinate 0 on its
+    first edge, and one R path 100-m0-m1-m2-101 through their middles, odd
+    in coordinate 1 on its first edge, so every Q path touches R."""
+    one0, one1, zero = pair(Z2Z2, 1, 0), pair(Z2Z2, 0, 1), pair(Z2Z2, 0, 0)
+    edges, qs = [], []
+    for i in range(3):
+        a, m, b = 10 * i, 10 * i + 1, 10 * i + 2
+        edges += [Edge(len(edges), a, m, one0), Edge(len(edges) + 1, m, b, zero)]
+        qs.append(Walk((a, m, b), (len(edges) - 2, len(edges) - 1)))
+    r_verts = (100, 1, 11, 21, 101)
+    r_edges = []
+    for k, (u, v) in enumerate(zip(r_verts, r_verts[1:])):
+        edges.append(Edge(len(edges), u, v, one1 if k == 0 else zero))
+        r_edges.append(len(edges) - 1)
+    graph = LabeledGraph(Z2Z2, sorted({v for e in edges for v in (e.tail, e.head)}), edges)
+    s = {w.start for w in qs} | {w.end for w in qs} | {100, 101}
+    return graph, s, qs, [Walk(r_verts, tuple(r_edges))]
+
+
+def _stalled_exchange(monkeypatch):
+    # the guard is reached here by a `_rewirings` that offers no rewiring
+    monkeypatch.setattr(lemmas, "_rewirings", lambda q_paths, rs: iter(()))
+    return exchange_reroute(*stalled_exchange_instance())
+
+
+def _edited_k4(trees=None, connectors=None):
+    """The all-odd `k4_model` with some trees or connectors replaced; its
+    edge ids are 0: (0, 1), 1: (0, 2), 2: (0, 3), 3: (1, 2), 4: (1, 3) and
+    5: (2, 3)."""
+    graph, model = k4_model({key: (1, 1) for key in itertools.combinations(range(4), 2)})
+    return graph, KtModel({**model.trees, **(trees or {})}, {**model.connectors, **(connectors or {})})
+
+
+def _k4_verify(trees=None, connectors=None, t=4, drop=()):
+    graph, model = _edited_k4(trees, connectors)
+    for key in drop:
+        del model.connectors[key]
+    return verify_odd_kt_model(graph, model, t)
+
+
+def _split_tree_cycle():
+    # tree 0 holds vertices 0 and 1 but no edge between them
+    zero = pair(Z2Z2, 0, 0)
+    graph = LabeledGraph(Z2Z2, [0, 1, 2, 3], [Edge(0, 0, 2, zero), Edge(1, 1, 3, zero), Edge(2, 2, 3, zero)])
+    trees = {0: (frozenset([0, 1]), frozenset()), 1: (frozenset([2]), frozenset()), 2: (frozenset([3]), frozenset())}
+    model = KtModel(trees, {(0, 1): (0,), (0, 2): (1,), (1, 2): (2,)})
+    return triangle_cycle(graph, model, (0, 1, 2), (0, 1, 2))
+
+
+def _parallel_tree_verify():
+    # tree 0 lists two parallel edges on its three vertices, leaving 2 out
+    zero = pair(Z2Z2, 0, 0)
+    arcs = [(0, 1), (0, 1), (0, 10), (1, 11), (10, 11)]
+    graph = LabeledGraph(Z2Z2, [0, 1, 2, 10, 11], [Edge(i, t, h, zero) for i, (t, h) in enumerate(arcs)])
+    trees = {
+        0: (frozenset([0, 1, 2]), frozenset([0, 1])),
+        1: (frozenset([10]), frozenset()),
+        2: (frozenset([11]), frozenset()),
+    }
+    return verify_odd_kt_model(graph, KtModel(trees, {(0, 1): (2,), (0, 2): (3,), (1, 2): (4,)}), 3)
+
+
+def _leaving_tree_verify():
+    # tree 0 is {0, 1} with edge 1 of the K4, which runs from 0 to 2
+    graph, model = _edited_k4()
+    trees = {
+        0: (frozenset([0, 1]), frozenset([1])),
+        1: (frozenset([2]), frozenset()),
+        2: (frozenset([3]), frozenset()),
+    }
+    return verify_odd_kt_model(graph, KtModel(trees, {(0, 1): (1,), (0, 2): (2,), (1, 2): (5,)}), 3)
+
+
+# one call per rejection of the exchange lemma and the clique-model checks
+LEMMA_REJECTIONS = {
+    "no rewiring": (
+        _stalled_exchange,
+        HypothesisError,
+        "hypothesis violated: an exchange step exists (no valid rewiring found)",
+    ),
+    "a tree in two parts": (lambda mp: _split_tree_cycle(), ModelFormatError, "tree does not connect 1 and 0"),
+    "trees 0..3 for t = 5": (lambda mp: _k4_verify(t=5), ModelFormatError, "model must have trees 0..t-1"),
+    "an empty tree": (lambda mp: _k4_verify({3: (frozenset(), frozenset())}), ModelFormatError, "tree 3 is empty"),
+    "two trees at vertex 0": (
+        lambda mp: _k4_verify({1: (frozenset([0]), frozenset())}),
+        ModelFormatError,
+        "tree 1 meets another tree",
+    ),
+    "an edge too many": (
+        lambda mp: _k4_verify({0: (frozenset([0]), frozenset([0]))}),
+        ModelFormatError,
+        "tree 0 is not a tree",
+    ),
+    "a tree edge that leaves": (lambda mp: _leaving_tree_verify(), ModelFormatError, "tree 0 edge 1 leaves the tree"),
+    "two parallel tree edges": (lambda mp: _parallel_tree_verify(), ModelFormatError, "tree 0 is not connected"),
+    "connector key (1, 0)": (
+        lambda mp: _k4_verify(connectors={(1, 0): (0,)}),
+        ModelFormatError,
+        "bad connector key (1, 0)",
+    ),
+    "a connector of no edge": (
+        lambda mp: _k4_verify(connectors={(0, 1): ()}),
+        ModelFormatError,
+        "connector (0, 1) needs one or two edges",
+    ),
+    "a connector off its trees": (
+        lambda mp: _k4_verify(connectors={(0, 1): (5,)}),
+        ModelFormatError,
+        "connector edge 5 does not join trees 0 and 1",
+    ),
+    "no connector (2, 3)": (lambda mp: _k4_verify(drop=[(2, 3)]), ModelFormatError, "missing connector (2, 3)"),
+    "a selected edge off tree 0": (
+        lambda mp: triangle_cycle(*_edited_k4(), (0, 1, 2), (5, 1, 3)),
+        ModelFormatError,
+        "edge 5 has no end in tree 0",
+    ),
+    "a two-edge connector": (
+        lambda mp: triangle_color(*_edited_k4(connectors={(0, 1): (0, 5)}), (0, 1, 2)),
+        ModelFormatError,
+        "triangle coloring needs single-edge connectors",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LEMMA_REJECTIONS))
+def test_lemma_checks_name_each_rejection(case, monkeypatch):
+    call, error, message = LEMMA_REJECTIONS[case]
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert str(info.value) == message

@@ -302,3 +302,29 @@ def test_extract_pure_returns_a_nested_linkage_when_no_run_crosses():
     # cross, so the decreasing run of right ends gives the nested linkage
     paths = [LinkPath(i, 15 - i) for i in range(8)]
     assert extract_pure(paths, 2) == (NESTED, [LinkPath(0, 15), LinkPath(1, 14)])
+
+
+# one call per rejection of the linkage checks that no other test reaches
+LINKAGE_REJECTIONS = {
+    "left = right": (lambda: LinkPath(3, 3), "endpoints must satisfy left < right"),
+    "left > right": (lambda: LinkPath(4, 1), "endpoints must satisfy left < right"),
+    "a shared endpoint": (
+        lambda: extract_pure([LinkPath(0, 1), LinkPath(1, 2)], 1),
+        "linkage paths must have pairwise distinct endpoints",
+    ),
+    "extract_pure with t = 0": (lambda: extract_pure([LinkPath(0, 1)], 0), "t must be positive"),
+    "separate_linkages with 3 and 4 paths": (
+        lambda: separate_linkages(
+            [LinkPath(2 * i, 2 * i + 1) for i in range(3)], [LinkPath(10 + 2 * i, 11 + 2 * i) for i in range(4)], 1
+        ),
+        "both linkages must have size exactly 4t",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LINKAGE_REJECTIONS))
+def test_linkage_checks_name_each_rejection(case):
+    call, message = LINKAGE_REJECTIONS[case]
+    with pytest.raises(LinkageError) as info:
+        call()
+    assert str(info.value) == message

@@ -534,6 +534,20 @@ INVALID_WALL_ANATOMIES = {
         "every brick passes through exactly six branch vertices",
     ),
     "a corner as a nail": (_anatomy("nails", [1, 4, 6, 11, 13, 15]), "nails must be degree-2 non-corner branch boundary vertices"),
+    # a repeated or left-out part: the corners are [1, 5, 16, 12], the nails [2, 4, 6, 11, 13, 15]
+    "five corners, one repeated": (lambda d: d["anatomy"]["corners"].append(1), "a wall has four corners"),
+    "a repeated brick": (
+        lambda d: d["anatomy"]["bricks"].__setitem__(3, d["anatomy"]["bricks"][0]),
+        "bricks must be pairwise distinct",
+    ),
+    "a nail listed twice": (
+        lambda d: d["anatomy"]["nails"].append(2),
+        "nails must be every degree-2 non-corner branch boundary vertex, each listed once",
+    ),
+    "one nail of the six": (
+        _anatomy("nails", [2]),
+        "nails must be every degree-2 non-corner branch boundary vertex, each listed once",
+    ),
 }
 
 
